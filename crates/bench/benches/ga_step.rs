@@ -2,7 +2,7 @@
 //! a cheap landscape (so engine overhead dominates, not the fitness).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use ga::{GaConfig, GeneticAlgorithm, Ranges};
+use ga::{GaConfig, GaState, Ranges};
 use simrng::Rng;
 
 fn ranges() -> Ranges {
@@ -30,7 +30,7 @@ fn bench_ga(c: &mut Criterion) {
     });
     group.bench_function("engine/sphere_20x50", |b| {
         b.iter(|| {
-            GeneticAlgorithm::new(
+            let mut state = GaState::new(
                 ranges(),
                 GaConfig {
                     pop_size: 20,
@@ -40,8 +40,9 @@ fn bench_ga(c: &mut Criterion) {
                     seed: 5,
                     ..GaConfig::default()
                 },
-            )
-            .run(|g| g.iter().map(|&v| (v - 7) as f64 * (v - 7) as f64).sum())
+            );
+            while !state.step(|g| g.iter().map(|&v| (v - 7) as f64 * (v - 7) as f64).sum()) {}
+            state.result()
         });
     });
     group.finish();

@@ -6,7 +6,7 @@
 //! with fitness = that benchmark's running time. This module reproduces
 //! that experiment: one GA run per program.
 
-use ga::{GaConfig, GeneticAlgorithm};
+use ga::{GaConfig, LocalEvaluator};
 use inliner::InlineParams;
 use jit::{measure, AdaptConfig, ArchModel, Scenario};
 use workloads::Benchmark;
@@ -57,22 +57,26 @@ pub fn tune_per_program(
                 goal: Goal::Running,
                 arch: arch.clone(),
             };
-            let engine = GeneticAlgorithm::new(
+            let mut strategy = search::Ga::new(
                 task.ranges(),
                 GaConfig {
                     seed: simrng::child_seed(seed_base, b.name()) ^ i as u64,
                     ..ga_config.clone()
                 },
             );
-            let ga = engine.run(|genes| {
-                let params = InlineParams::from_genes(genes);
-                let m = measure(&b.program, scenario, arch, &params, &adapt_cfg);
-                m.running_cycles / default.running_cycles
-            });
-            let params = InlineParams::from_genes(&ga.best_genome);
+            let backend = LocalEvaluator::new(
+                |genes: &[i64]| {
+                    let params = InlineParams::from_genes(genes);
+                    let m = measure(&b.program, scenario, arch, &params, &adapt_cfg);
+                    m.running_cycles / default.running_cycles
+                },
+                ga_config.threads,
+            );
+            search::drive(&mut strategy, &backend);
+            let ga = strategy.state().result();
             PerProgramOutcome {
                 name: b.name(),
-                params,
+                params: InlineParams::from_genes(&ga.best_genome),
                 running_ratio: ga.best_fitness,
                 evaluations: ga.evaluations,
             }

@@ -7,7 +7,7 @@
 
 use std::sync::Arc;
 
-use ga::{GaConfig, GaResult, GaState, Ranges};
+use ga::{GaConfig, GaResult, LocalEvaluator, Ranges};
 use inliner::{InlineParams, ParamRanges};
 use jit::{measure, AdaptConfig, ArchModel, Measurement, Scenario};
 use workloads::Benchmark;
@@ -184,75 +184,36 @@ impl Tuner {
         geometric_mean(&ratios)
     }
 
-    /// Seeds a resumable tuning run: a [`GaState`] over this task's Table 1
-    /// ranges. Drive it with [`Tuner::step`]; snapshot it between steps
-    /// for checkpointing (see `ga::GaSnapshot`).
+    /// The fitness function as an evaluation backend over `threads`
+    /// local threads — what any `search` strategy over
+    /// [`TuningTask::ranges`] is driven with.
     #[must_use]
-    pub fn start(&self, ga_config: GaConfig) -> GaState {
-        GaState::new(self.task.ranges(), ga_config)
-    }
-
-    /// Advances a tuning run by exactly one generation. Returns `true`
-    /// once the search is complete (see `ga::GaState::step`).
-    pub fn step(&self, state: &mut GaState) -> bool {
-        state.step(|genes| self.fitness(&InlineParams::from_genes(genes)))
-    }
-
-    /// Packages a (finished or in-flight) run's best-so-far into a
-    /// [`TuneOutcome`].
-    ///
-    /// # Panics
-    /// Panics if no generation has completed yet (there is no best genome
-    /// to report).
-    #[must_use]
-    pub fn outcome(&self, state: &GaState) -> TuneOutcome {
-        assert!(
-            state.generation() > 0,
-            "no generations completed: nothing to report"
-        );
-        let ga = state.result();
-        let params = InlineParams::from_genes(&ga.best_genome);
-        TuneOutcome {
-            task: self.task.clone(),
-            params,
-            fitness: ga.best_fitness,
-            ga,
-        }
-    }
-
-    /// Runs the genetic algorithm (§3.1) and returns the tuned heuristic.
-    /// A blocking loop over [`Tuner::start`] / [`Tuner::step`] — the
-    /// daemon's resumable path and this call share every instruction.
-    #[must_use]
-    pub fn tune(&self, ga_config: GaConfig) -> TuneOutcome {
-        let mut state = self.start(ga_config);
-        while !self.step(&mut state) {}
-        self.outcome(&state)
-    }
-
-    /// Seeds a resumable search under any named strategy spec (`"ga"`,
-    /// `"random"`, `"hillclimb"`, `"anneal"`, `"grid"`, `"race"`,
-    /// `"race:a+b+..."` — see `search::build`) over this task's Table 1
-    /// ranges. `"ga"` behind this seam is bit-identical to
-    /// [`Tuner::start`] with the same config.
-    pub fn start_strategy(
-        &self,
-        strategy: &str,
-        ga_config: GaConfig,
-    ) -> Result<Box<dyn search::Strategy>, String> {
-        search::build(strategy, self.task.ranges(), ga_config)
-    }
-
-    /// Advances a pluggable-strategy search by one ask/evaluate/tell
-    /// round, evaluating the batch locally on the strategy's configured
-    /// thread count. Returns `true` once the search is complete.
-    pub fn step_strategy(&self, strategy: &mut dyn search::Strategy) -> bool {
-        let threads = strategy.config().threads;
-        let backend = ga::LocalEvaluator::new(
+    pub fn evaluator(&self, threads: usize) -> LocalEvaluator<impl Fn(&[i64]) -> f64 + Sync + '_> {
+        LocalEvaluator::new(
             |genes: &[i64]| self.fitness(&InlineParams::from_genes(genes)),
             threads,
-        );
-        search::step_with(strategy, &backend)
+        )
+    }
+
+    /// Runs the genetic algorithm (§3.1) to completion and returns the
+    /// tuned heuristic: the `"ga"` strategy driven by [`search::drive`]
+    /// on local threads, the same loop the daemon runs round by round.
+    ///
+    /// # Panics
+    /// Panics on a zero-generation config (there is no best genome to
+    /// report).
+    #[must_use]
+    pub fn tune(&self, ga_config: GaConfig) -> TuneOutcome {
+        let backend = self.evaluator(ga_config.threads);
+        let mut strategy = search::Ga::new(self.task.ranges(), ga_config);
+        search::drive(&mut strategy, &backend);
+        let (genome, fitness) = search::finish(&strategy).expect("no generation completed");
+        TuneOutcome {
+            task: self.task.clone(),
+            params: InlineParams::from_genes(&genome),
+            fitness,
+            ga: strategy.state().result(),
+        }
     }
 }
 
@@ -332,17 +293,21 @@ mod tests {
 
         // Run three generations, snapshot (as the daemon checkpoints),
         // "restart" from the snapshot and run to completion.
-        let mut state = t.start(cfg);
+        let backend = t.evaluator(1);
+        let mut strategy = search::build("ga", t.task().ranges(), cfg).unwrap();
         for _ in 0..3 {
-            assert!(!t.step(&mut state));
+            assert!(!search::round(strategy.as_mut(), &backend, |_| {}));
         }
-        let mut resumed = GaState::restore(state.snapshot()).expect("valid snapshot");
-        while !t.step(&mut resumed) {}
-        let outcome = t.outcome(&resumed);
-        assert_eq!(outcome.params, uninterrupted.params);
-        assert_eq!(outcome.fitness.to_bits(), uninterrupted.fitness.to_bits());
-        assert_eq!(outcome.ga.evaluations, uninterrupted.ga.evaluations);
-        assert_eq!(outcome.ga.history, uninterrupted.ga.history);
+        let mut resumed = search::restore(strategy.snapshot()).expect("valid snapshot");
+        search::drive(resumed.as_mut(), &backend);
+        let (genome, fitness) = search::finish(resumed.as_ref()).unwrap();
+        assert_eq!(InlineParams::from_genes(&genome), uninterrupted.params);
+        assert_eq!(fitness.to_bits(), uninterrupted.fitness.to_bits());
+        assert_eq!(resumed.evaluations(), uninterrupted.ga.evaluations);
+        let search::StrategySnapshot::Ga(snap) = resumed.snapshot() else {
+            panic!("ga snapshots as Ga");
+        };
+        assert_eq!(snap.history, uninterrupted.ga.history);
     }
 
     #[test]
@@ -351,29 +316,6 @@ mod tests {
         let disabled = t.fitness(&InlineParams::disabled());
         let default = t.fitness(&InlineParams::jikes_default());
         assert_ne!(disabled, default);
-    }
-
-    #[test]
-    fn ga_strategy_matches_plain_tune_bit_for_bit() {
-        let t = Tuner::new(
-            task(),
-            vec![benchmark_by_name("db").unwrap()],
-            AdaptConfig::default(),
-        );
-        let cfg = GaConfig {
-            pop_size: 8,
-            generations: 5,
-            threads: 1,
-            stagnation_limit: None,
-            seed: 77,
-            ..GaConfig::default()
-        };
-        let plain = t.tune(cfg.clone());
-        let mut strategy = t.start_strategy("ga", cfg).expect("known strategy");
-        while !t.step_strategy(strategy.as_mut()) {}
-        let (genome, fitness) = strategy.best().expect("searched");
-        assert_eq!(genome, plain.params.to_genes());
-        assert_eq!(fitness.to_bits(), plain.fitness.to_bits());
     }
 
     #[test]
@@ -391,25 +333,13 @@ mod tests {
             seed: 5,
             ..GaConfig::default()
         };
-        let mut strategy = t
-            .start_strategy("race:random+grid", cfg)
-            .expect("known strategy");
-        while !t.step_strategy(strategy.as_mut()) {}
-        let (genome, fitness) = strategy.best().expect("searched");
+        let mut strategy = search::build("race:random+grid", t.task().ranges(), cfg).unwrap();
+        search::drive(strategy.as_mut(), &t.evaluator(1));
+        let (genome, fitness) = search::finish(strategy.as_ref()).expect("searched");
         assert!(t.task().ranges().contains(&genome));
         assert!(fitness.is_finite());
         let standings = strategy.standings();
         assert_eq!(standings.len(), 2);
         assert!(standings.iter().all(|s| s.best_fitness.is_some()));
-    }
-
-    #[test]
-    fn unknown_strategy_is_a_structured_error() {
-        let t = Tuner::new(task(), small_training(), AdaptConfig::default());
-        let err = t
-            .start_strategy("gradient", GaConfig::default())
-            .err()
-            .expect("must reject");
-        assert!(err.contains("unknown strategy"), "{err}");
     }
 }

@@ -63,8 +63,8 @@ pub fn run_domain(ctx: &Context, domain: &str) -> Vec<ProblemCell> {
         .map(|spec| {
             let mut s = search::build(spec, problem.space().clone(), ctx.ga.clone())
                 .expect("SPECS are all valid");
-            while !search::step_with(s.as_mut(), &backend) {}
-            let (genes, fitness) = s.best().expect("a finished strategy has a best");
+            search::drive(s.as_mut(), &backend);
+            let (genes, fitness) = search::finish(s.as_ref()).expect("SPECS budgets are nonzero");
             ProblemCell {
                 problem: domain.to_string(),
                 strategy: (*spec).to_string(),

@@ -44,14 +44,14 @@ pub struct StrategyCell {
 #[must_use]
 pub fn run_task(ctx: &Context, task: &TuningTask) -> Vec<StrategyCell> {
     let tuner = Tuner::new(task.clone(), ctx.training.clone(), ctx.adapt_cfg);
+    let backend = tuner.evaluator(ctx.ga.threads);
     SPECS
         .iter()
         .map(|spec| {
-            let mut s = tuner
-                .start_strategy(spec, ctx.ga.clone())
-                .expect("SPECS are all valid");
-            while !tuner.step_strategy(s.as_mut()) {}
-            let (_, fitness) = s.best().expect("a finished strategy has a best");
+            let mut s =
+                search::build(spec, task.ranges(), ctx.ga.clone()).expect("SPECS are all valid");
+            search::drive(s.as_mut(), &backend);
+            let (_, fitness) = search::finish(s.as_ref()).expect("SPECS budgets are nonzero");
             StrategyCell {
                 task: task.name.clone(),
                 strategy: (*spec).to_string(),

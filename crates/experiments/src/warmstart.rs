@@ -21,6 +21,9 @@
 //! A cell is a *win* when warm start needs strictly fewer evaluations
 //! than cold start. The acceptance bar (ROADMAP): at least 4 of 5.
 
+use std::sync::Mutex;
+
+use ga::{Evaluator, Genome};
 use inliner::InlineParams;
 use search::Strategy;
 use stored::{Record, Store};
@@ -68,32 +71,47 @@ struct LoggedRun {
     total_evals: usize,
 }
 
-/// Drives a strategy with a logging backend. `stop_at` ends the run
-/// early once the best fitness reaches the bar (warm runs); `None`
-/// runs the budget out (cold runs).
-fn drive(tuner: &Tuner, strategy: &mut dyn Strategy, stop_at: Option<f64>) -> LoggedRun {
-    let mut log = Vec::new();
+/// The tuner's fitness, logging every genome it actually evaluates.
+struct Logging<'a> {
+    tuner: &'a Tuner,
+    log: Mutex<Vec<(Vec<i64>, f64)>>,
+}
+
+impl Evaluator for Logging<'_> {
+    fn evaluate(&self, genomes: &[Genome]) -> Vec<f64> {
+        let scores: Vec<f64> = genomes
+            .iter()
+            .map(|g| self.tuner.fitness(&InlineParams::from_genes(g)))
+            .collect();
+        self.log
+            .lock()
+            .expect("log poisoned")
+            .extend(genomes.iter().cloned().zip(scores.iter().copied()));
+        scores
+    }
+}
+
+/// Runs a strategy on a logging backend. `stop_at` ends the run early
+/// once the best fitness reaches the bar (warm runs); `None` runs the
+/// budget out (cold runs).
+fn logged_run(tuner: &Tuner, strategy: &mut dyn Strategy, stop_at: Option<f64>) -> LoggedRun {
+    let backend = Logging {
+        tuner,
+        log: Mutex::new(Vec::new()),
+    };
     let mut best = f64::INFINITY;
     let mut evals_to_best = 0;
     loop {
-        let batch = strategy.ask();
-        let scores: Vec<f64> = batch
-            .iter()
-            .map(|g| tuner.fitness(&InlineParams::from_genes(g)))
-            .collect();
-        for (g, f) in batch.iter().zip(&scores) {
-            log.push((g.clone(), *f));
-        }
-        strategy.tell(&batch, &scores);
+        let done = search::round(strategy, &backend, |_| {});
         if let Some((_, f)) = strategy.best() {
             if f < best {
                 best = f;
                 evals_to_best = strategy.evaluations();
             }
         }
-        if stop_at.is_some_and(|bar| best <= bar) || strategy.is_done() {
+        if stop_at.is_some_and(|bar| best <= bar) || done {
             return LoggedRun {
-                log,
+                log: backend.log.into_inner().expect("log poisoned"),
                 best,
                 evals_to_best,
                 total_evals: strategy.evaluations(),
@@ -119,10 +137,9 @@ pub fn run(ctx: &Context) -> Vec<WarmstartCell> {
     let colds: Vec<LoggedRun> = tuners
         .iter()
         .map(|tuner| {
-            let mut s = tuner
-                .start_strategy("ga", ctx.ga.clone())
+            let mut s = search::build("ga", tuner.task().ranges(), ctx.ga.clone())
                 .expect("ga is a known strategy");
-            drive(tuner, s.as_mut(), None)
+            logged_run(tuner, s.as_mut(), None)
         })
         .collect();
 
@@ -153,13 +170,12 @@ pub fn run(ctx: &Context) -> Vec<WarmstartCell> {
                 }
             }
 
-            let mut warm = tuner
-                .start_strategy("warmstart", ctx.ga.clone())
+            let mut warm = search::build("warmstart", tuner.task().ranges(), ctx.ga.clone())
                 .expect("warmstart is a known strategy");
             let seeds = warm.seed_population(
                 &store.warm_seeds(&cell_fingerprint(task, &ctx.training), ctx.ga.pop_size),
             );
-            let run = drive(tuner, warm.as_mut(), Some(cold.best));
+            let run = logged_run(tuner, warm.as_mut(), Some(cold.best));
             drop(store);
             let _ = std::fs::remove_dir_all(&dir);
 

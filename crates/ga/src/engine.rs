@@ -1,20 +1,18 @@
-//! The generational GA engine with memoized, optionally parallel fitness
-//! evaluation.
+//! The generational GA engine with memoized fitness.
 //!
-//! The engine comes in two shapes:
-//!
-//! * [`GeneticAlgorithm::run`] — the original blocking call: runs every
-//!   generation and returns a [`GaResult`];
-//! * [`GaState`] — the resumable form: [`GaState::step`] advances the
-//!   search exactly one generation, and [`GaState::snapshot`] /
-//!   [`GaState::restore`] round-trip the *entire* search state (population,
-//!   RNG, memo table, counters, history) through a plain-data
-//!   [`GaSnapshot`], so a long run can be checkpointed after every
-//!   generation and resumed — even in a different process — with
-//!   bit-identical results. `run` is a thin loop over `step`, so the two
-//!   shapes cannot drift apart.
+//! [`GaState`] is two-phase: [`GaState::ask`] returns the current
+//! population's deduplicated memo misses, the driver scores them on any
+//! [`Evaluator`](crate::Evaluator), and [`GaState::tell`] merges the
+//! scores, records history and breeds the next population.
+//! [`GaState::snapshot`] / [`GaState::restore`] round-trip the *entire*
+//! search state (population, RNG, memo table, counters, history)
+//! through a plain-data [`GaSnapshot`], so a long run can be
+//! checkpointed after every generation and resumed — even in a
+//! different process — with bit-identical results. [`GaState::step`] is
+//! the closed form (`ask`, evaluate locally, `tell`) the engine's own
+//! tests and the bit-identity references use.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use simrng::Rng;
@@ -158,7 +156,8 @@ pub struct Generation {
 pub struct GenTiming {
     /// Generation index (0-based).
     pub generation: usize,
-    /// Time in fitness evaluation (memo misses through the backend).
+    /// Time from the generation's last `ask` to its `tell`: what the
+    /// driver spent evaluating the memo misses, dispatch included.
     pub eval_micros: u64,
     /// Time in best-tracking / history / stagnation bookkeeping.
     pub select_micros: u64,
@@ -225,10 +224,10 @@ pub struct GaSnapshot {
 
 /// A resumable in-flight GA search.
 ///
-/// Create with [`GaState::new`] (or [`GeneticAlgorithm::start`]), advance
-/// with [`GaState::step`], and read the outcome with [`GaState::result`].
-/// The state is a pure function of the config seed and the number of steps
-/// taken: stepping is exactly the loop body of [`GeneticAlgorithm::run`].
+/// Create with [`GaState::new`], advance with [`GaState::ask`] /
+/// [`GaState::tell`], and read the outcome with [`GaState::result`].
+/// The state is a pure function of the config seed and the number of
+/// generations told.
 #[derive(Debug, Clone)]
 pub struct GaState {
     ranges: Ranges,
@@ -251,16 +250,17 @@ pub struct GaState {
     obs: Arc<obs::Registry>,
     /// The most recent generation's timing breakdown.
     last_timing: Option<GenTiming>,
+    /// Registry-clock reading at the last `ask`, consumed by `tell`.
+    asked_at: Option<u64>,
 }
 
 impl GaState {
     /// Seeds a fresh search: draws the initial population from the config
-    /// seed. No fitness is evaluated until the first [`step`].
-    ///
-    /// [`step`]: GaState::step
+    /// seed.
     ///
     /// # Panics
-    /// Panics on degenerate configs (see [`GeneticAlgorithm::new`]).
+    /// Panics on degenerate configs (population below 2, elitism that
+    /// leaves no room to breed, zero threads or tournament size).
     #[must_use]
     pub fn new(ranges: Ranges, config: GaConfig) -> Self {
         Self::with_seeds(ranges, config, &[])
@@ -274,7 +274,7 @@ impl GaState {
     /// *is* `new`, bit for bit — the cold-start fallback costs nothing.
     ///
     /// # Panics
-    /// Panics on degenerate configs (see [`GeneticAlgorithm::new`]).
+    /// Panics on degenerate configs (see [`GaState::new`]).
     #[must_use]
     pub fn with_seeds(ranges: Ranges, config: GaConfig, seeds: &[Genome]) -> Self {
         config.validate();
@@ -313,6 +313,7 @@ impl GaState {
             done: false,
             obs: Arc::clone(obs::global()),
             last_timing: None,
+            asked_at: None,
         }
     }
 
@@ -330,48 +331,101 @@ impl GaState {
         self.last_timing
     }
 
-    /// Runs exactly one generation: evaluates the current population
-    /// (through the memo table, in parallel when configured), records
-    /// history, and — unless the run just finished — breeds the next
-    /// population. Returns `true` once the run is complete; further calls
+    /// Runs exactly one generation in closed form: [`ask`], score the
+    /// batch on a [`LocalEvaluator`] over the config's thread count,
+    /// [`tell`]. Returns `true` once the run is complete; further calls
     /// are no-ops.
     ///
     /// `fitness` must be deterministic: results are memoized by genome.
     /// Non-finite fitness values are treated as `+inf` (worst).
+    ///
+    /// [`ask`]: GaState::ask
+    /// [`tell`]: GaState::tell
     pub fn step<F>(&mut self, fitness: F) -> bool
     where
         F: Fn(&[i64]) -> f64 + Sync,
     {
-        let threads = self.config.threads;
-        self.step_with(&LocalEvaluator::new(fitness, threads))
+        let batch = self.ask();
+        let scores = LocalEvaluator::new(fitness, self.config.threads).evaluate(&batch);
+        self.tell(&batch, &scores);
+        self.is_done()
     }
 
-    /// Like [`step`], but evaluates cache misses through an explicit
-    /// [`Evaluator`] backend instead of the config's local thread pool.
-    /// Because fitness is a pure function of the genome and results merge
-    /// into the memo table keyed by genome, every backend — local threads,
-    /// remote workers, anything — yields bit-identical runs.
+    /// The current population split against the memo table: the
+    /// genomes still to evaluate (population order, duplicates once)
+    /// and how many individuals the memo already answers.
+    fn scan(&self) -> (Vec<Genome>, usize) {
+        let mut misses: Vec<Genome> = Vec::new();
+        let mut hits = 0;
+        let mut seen: HashSet<&Genome> = HashSet::new();
+        for g in &self.population {
+            if self.cache.contains_key(g) {
+                hits += 1;
+            } else if seen.insert(g) {
+                misses.push(g.clone());
+            }
+        }
+        (misses, hits)
+    }
+
+    /// The genomes the driver must evaluate for this generation: the
+    /// population's memo misses, deduplicated, in population order
+    /// (empty once the run is done, and possibly empty before — a
+    /// converged population can be fully memoized). Repeatable until
+    /// the matching [`tell`](GaState::tell); takes `&mut self` only to
+    /// note the registry-clock time evaluation started.
+    pub fn ask(&mut self) -> Vec<Genome> {
+        if self.is_done() {
+            return Vec::new();
+        }
+        self.asked_at = Some(self.obs.now_micros());
+        self.scan().0
+    }
+
+    /// Commits one generation: merges `scores` for the `batch`
+    /// [`ask`](GaState::ask) returned into the memo table, records
+    /// history, and — unless the run just finished — breeds the next
+    /// population. A no-op once the run is done.
     ///
-    /// [`step`]: GaState::step
-    pub fn step_with<E>(&mut self, backend: &E) -> bool
-    where
-        E: Evaluator + ?Sized,
-    {
-        if self.done || self.next_gen >= self.config.generations {
+    /// Evaluation never consumes engine randomness and results merge by
+    /// genome, so every backend and thread count the driver picks is
+    /// bit-identical to sequential evaluation.
+    ///
+    /// # Panics
+    /// Panics if `batch` is not what `ask` returned or `scores` has the
+    /// wrong length — a broken driver or [`Evaluator`] contract, not a
+    /// recoverable condition.
+    pub fn tell(&mut self, batch: &[Genome], scores: &[f64]) {
+        if self.is_done() {
+            assert!(batch.is_empty(), "tell on a finished GA");
             self.done = true;
-            return true;
+            return;
         }
         let obs = Arc::clone(&self.obs);
         let gen_index = self.next_gen;
-        let _gen_span = obs::span!(obs, "generation", gen = gen_index);
-        let (evals_before, hits_before) = (self.evaluations, self.cache_hits);
+        let told_at = obs.now_micros();
+        let asked_at = self.asked_at.take().unwrap_or(told_at);
+        // The generation began when the driver asked; its evaluation
+        // ran outside the engine, between then and now.
+        let _gen_span = obs::span!(obs, "generation", gen = gen_index).since(asked_at);
+        drop(obs.span("eval").since(asked_at));
+        let eval_micros = told_at.saturating_sub(asked_at);
 
-        let eval_started = obs.now_micros();
-        let scores = {
-            let _span = obs.span("eval");
-            self.evaluate(backend)
-        };
-        let eval_micros = obs.now_micros().saturating_sub(eval_started);
+        let (misses, hits) = self.scan();
+        assert_eq!(batch, misses, "tell batch must be what ask returned");
+        assert_eq!(
+            scores.len(),
+            batch.len(),
+            "evaluator returned {} scores for {} genomes",
+            scores.len(),
+            batch.len()
+        );
+        self.evaluations += misses.len();
+        self.cache_hits += hits;
+        let sanitize = |v: f64| if v.is_finite() { v } else { f64::INFINITY };
+        self.cache
+            .extend(misses.into_iter().zip(scores.iter().copied().map(sanitize)));
+        let scores: Vec<f64> = self.population.iter().map(|g| self.cache[g]).collect();
 
         let select_started = obs.now_micros();
         let stagnated = {
@@ -408,9 +462,8 @@ impl GaState {
         let select_micros = obs.now_micros().saturating_sub(select_started);
 
         let mut breed_micros = 0;
-        let finished = if stagnated || self.next_gen + 1 == self.config.generations {
+        if stagnated || self.next_gen + 1 == self.config.generations {
             self.done = true;
-            true
         } else {
             let breed_started = obs.now_micros();
             {
@@ -418,15 +471,12 @@ impl GaState {
                 self.breed(&scores);
             }
             breed_micros = obs.now_micros().saturating_sub(breed_started);
-            false
-        };
+        }
         self.next_gen += 1;
 
         obs.counter("ga_generations").inc();
-        obs.counter("ga_evaluations")
-            .add((self.evaluations - evals_before) as u64);
-        obs.counter("ga_cache_hits")
-            .add((self.cache_hits - hits_before) as u64);
+        obs.counter("ga_evaluations").add(batch.len() as u64);
+        obs.counter("ga_cache_hits").add(hits as u64);
         obs.histogram("ga_eval_micros").record(eval_micros);
         obs.histogram("ga_select_micros").record(select_micros);
         obs.histogram("ga_breed_micros").record(breed_micros);
@@ -435,10 +485,9 @@ impl GaState {
             eval_micros,
             select_micros,
             breed_micros,
-            evaluations: self.evaluations - evals_before,
-            cache_hits: self.cache_hits - hits_before,
+            evaluations: batch.len(),
+            cache_hits: hits,
         });
-        finished
     }
 
     /// Breeds the next generation from the scored current one.
@@ -481,47 +530,6 @@ impl GaState {
         self.population = next;
     }
 
-    /// Evaluates the current population through the memo table, farming
-    /// the deduplicated cache misses out to the backend. Backends never
-    /// consume engine randomness, so every backend (and thread count) is
-    /// bit-identical to sequential evaluation.
-    ///
-    /// # Panics
-    /// Panics if the backend returns the wrong number of scores — that is
-    /// a broken [`Evaluator`] contract, not a recoverable condition.
-    fn evaluate<E>(&mut self, backend: &E) -> Vec<f64>
-    where
-        E: Evaluator + ?Sized,
-    {
-        // Split into hits and (deduplicated) misses.
-        let mut misses: Vec<Genome> = Vec::new();
-        {
-            let mut seen: HashMap<&Genome, ()> = HashMap::new();
-            for g in &self.population {
-                if self.cache.contains_key(g) {
-                    self.cache_hits += 1;
-                } else if seen.insert(g, ()).is_none() {
-                    misses.push(g.clone());
-                }
-            }
-        }
-        self.evaluations += misses.len();
-
-        let scores = backend.evaluate(&misses);
-        assert_eq!(
-            scores.len(),
-            misses.len(),
-            "evaluator returned {} scores for {} genomes",
-            scores.len(),
-            misses.len()
-        );
-        let sanitize = |v: f64| if v.is_finite() { v } else { f64::INFINITY };
-        self.cache
-            .extend(misses.into_iter().zip(scores.into_iter().map(sanitize)));
-
-        self.population.iter().map(|g| self.cache[g]).collect()
-    }
-
     /// Whether the run has finished (max generations, stagnation, or a
     /// zero-generation config).
     #[must_use]
@@ -557,21 +565,10 @@ impl GaState {
         &self.ranges
     }
 
-    /// The current population, in breeding order. Together with
-    /// [`cached`](Self::cached) this lets an external driver predict
-    /// exactly which genomes the next [`step_with`](Self::step_with)
-    /// will send to its evaluator (population order, memoized genomes
-    /// skipped, duplicates once) — the `search` crate's ask/tell
-    /// adapter depends on that prediction being exact.
+    /// The current population, in breeding order.
     #[must_use]
     pub fn population(&self) -> &[Genome] {
         &self.population
-    }
-
-    /// The memoized fitness of a genome, if it has been evaluated.
-    #[must_use]
-    pub fn cached(&self, genome: &[i64]) -> Option<f64> {
-        self.cache.get(genome).copied()
     }
 
     /// Best genome and fitness so far (`None` before the first generation).
@@ -602,8 +599,7 @@ impl GaState {
         self.cache_hits
     }
 
-    /// The run's outcome so far, in the same shape [`GeneticAlgorithm::run`]
-    /// returns.
+    /// The run's outcome so far.
     #[must_use]
     pub fn result(&self) -> GaResult {
         GaResult {
@@ -712,51 +708,8 @@ impl GaState {
             done,
             obs: Arc::clone(obs::global()),
             last_timing: None,
+            asked_at: None,
         })
-    }
-}
-
-/// The engine. Construct with ranges and a config, then [`run`] with a
-/// fitness function (lower is better), or [`start`] a resumable
-/// [`GaState`].
-///
-/// [`run`]: GeneticAlgorithm::run
-/// [`start`]: GeneticAlgorithm::start
-#[derive(Debug)]
-pub struct GeneticAlgorithm {
-    ranges: Ranges,
-    config: GaConfig,
-}
-
-impl GeneticAlgorithm {
-    /// Creates an engine.
-    ///
-    /// # Panics
-    /// Panics on degenerate configs (zero population, zero elitism pool
-    /// larger than the population, zero threads).
-    #[must_use]
-    pub fn new(ranges: Ranges, config: GaConfig) -> Self {
-        config.validate();
-        Self { ranges, config }
-    }
-
-    /// Seeds a resumable search over this engine's ranges and config.
-    #[must_use]
-    pub fn start(&self) -> GaState {
-        GaState::new(self.ranges.clone(), self.config.clone())
-    }
-
-    /// Runs the GA to completion, minimizing `fitness`.
-    ///
-    /// `fitness` must be deterministic: results are memoized by genome.
-    /// Non-finite fitness values are treated as `+inf` (worst).
-    pub fn run<F>(&self, fitness: F) -> GaResult
-    where
-        F: Fn(&[i64]) -> f64 + Sync,
-    {
-        let mut state = self.start();
-        while !state.step(&fitness) {}
-        state.result()
     }
 }
 
@@ -778,10 +731,20 @@ mod tests {
         }
     }
 
+    /// Runs a fresh search to completion through the closed-form step.
+    fn run<F>(ranges: Ranges, config: GaConfig, fitness: F) -> GaResult
+    where
+        F: Fn(&[i64]) -> f64 + Sync,
+    {
+        let mut state = GaState::new(ranges, config);
+        while !state.step(&fitness) {}
+        state.result()
+    }
+
     #[test]
     fn finds_the_sphere_optimum() {
         let target = vec![17, -42, 3, 88];
-        let ga = GeneticAlgorithm::new(
+        let result = run(
             sphere_ranges(),
             GaConfig {
                 pop_size: 24,
@@ -791,8 +754,8 @@ mod tests {
                 seed: 11,
                 ..GaConfig::default()
             },
+            sphere(&target),
         );
-        let result = ga.run(sphere(&target));
         assert!(
             result.best_fitness < 30.0,
             "fitness {} genome {:?}",
@@ -805,7 +768,7 @@ mod tests {
     fn deterministic_given_seed() {
         let target = vec![5, 5, 5, 5];
         let mk = || {
-            GeneticAlgorithm::new(
+            run(
                 sphere_ranges(),
                 GaConfig {
                     generations: 30,
@@ -813,8 +776,8 @@ mod tests {
                     seed: 99,
                     ..GaConfig::default()
                 },
+                sphere(&target),
             )
-            .run(sphere(&target))
         };
         let a = mk();
         let b = mk();
@@ -826,8 +789,8 @@ mod tests {
     #[test]
     fn parallel_evaluation_matches_sequential() {
         let target = vec![5, -5, 25, 0];
-        let run = |threads| {
-            GeneticAlgorithm::new(
+        let with_threads = |threads| {
+            run(
                 sphere_ranges(),
                 GaConfig {
                     generations: 25,
@@ -835,11 +798,11 @@ mod tests {
                     seed: 7,
                     ..GaConfig::default()
                 },
+                sphere(&target),
             )
-            .run(sphere(&target))
         };
-        let seq = run(1);
-        let par = run(4);
+        let seq = with_threads(1);
+        let par = with_threads(4);
         assert_eq!(seq.best_genome, par.best_genome);
         assert_eq!(seq.best_fitness, par.best_fitness);
     }
@@ -847,7 +810,7 @@ mod tests {
     #[test]
     fn best_fitness_is_monotone_in_history() {
         let target = vec![1, 2, 3, 4];
-        let r = GeneticAlgorithm::new(
+        let r = run(
             sphere_ranges(),
             GaConfig {
                 generations: 40,
@@ -855,8 +818,8 @@ mod tests {
                 seed: 3,
                 ..GaConfig::default()
             },
-        )
-        .run(sphere(&target));
+            sphere(&target),
+        );
         for w in r.history.windows(2) {
             assert!(w[1].best_fitness <= w[0].best_fitness);
         }
@@ -865,7 +828,7 @@ mod tests {
     #[test]
     fn memoization_saves_evaluations() {
         let target = vec![0, 0, 0, 0];
-        let r = GeneticAlgorithm::new(
+        let r = run(
             sphere_ranges(),
             GaConfig {
                 pop_size: 20,
@@ -875,8 +838,8 @@ mod tests {
                 stagnation_limit: None,
                 ..GaConfig::default()
             },
-        )
-        .run(sphere(&target));
+            sphere(&target),
+        );
         assert!(r.cache_hits > 0, "expected some repeated genomes");
         // Within-generation duplicates are deduplicated before evaluation,
         // so distinct evaluations never exceed the genomes proposed.
@@ -886,7 +849,7 @@ mod tests {
     #[test]
     fn stagnation_stops_early() {
         // Constant fitness: never improves after the first generation.
-        let r = GeneticAlgorithm::new(
+        let r = run(
             sphere_ranges(),
             GaConfig {
                 generations: 500,
@@ -894,15 +857,15 @@ mod tests {
                 threads: 1,
                 ..GaConfig::default()
             },
-        )
-        .run(|_| 1.0);
+            |_| 1.0,
+        );
         assert!(r.history.len() <= 7, "ran {} generations", r.history.len());
     }
 
     #[test]
     fn nonfinite_fitness_is_worst() {
         // NaN for everything except one genome; the GA must still find it.
-        let r = GeneticAlgorithm::new(
+        let r = run(
             Ranges::new(vec![(0, 3); 2]),
             GaConfig {
                 pop_size: 8,
@@ -911,8 +874,8 @@ mod tests {
                 seed: 5,
                 ..GaConfig::default()
             },
-        )
-        .run(|g| if g == [2, 2] { 0.0 } else { f64::NAN });
+            |g| if g == [2, 2] { 0.0 } else { f64::NAN },
+        );
         assert_eq!(r.best_genome, vec![2, 2]);
         assert_eq!(r.best_fitness, 0.0);
     }
@@ -920,7 +883,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "population must be at least 2")]
     fn tiny_population_rejected() {
-        let _ = GeneticAlgorithm::new(
+        let _ = GaState::new(
             sphere_ranges(),
             GaConfig {
                 pop_size: 1,
@@ -944,39 +907,14 @@ mod tests {
     }
 
     #[test]
-    fn stepped_run_matches_blocking_run() {
-        let target = vec![9, -9, 40, -40];
-        let f = sphere(&target);
-        let engine = GeneticAlgorithm::new(sphere_ranges(), step_cfg(35));
-        let blocking = engine.run(&f);
-
-        let mut state = engine.start();
-        let mut steps = 0;
-        while !state.step(&f) {
-            steps += 1;
-        }
-        let stepped = state.result();
-        assert_eq!(steps + 1, blocking.history.len());
-        assert_eq!(stepped.best_genome, blocking.best_genome);
-        assert_eq!(
-            stepped.best_fitness.to_bits(),
-            blocking.best_fitness.to_bits()
-        );
-        assert_eq!(stepped.history, blocking.history);
-        assert_eq!(stepped.evaluations, blocking.evaluations);
-        assert_eq!(stepped.cache_hits, blocking.cache_hits);
-    }
-
-    #[test]
     fn snapshot_restore_is_bit_identical() {
         let target = vec![-3, 14, 15, 9];
         let f = sphere(&target);
-        let engine = GeneticAlgorithm::new(sphere_ranges(), step_cfg(30));
-        let reference = engine.run(&f);
+        let reference = run(sphere_ranges(), step_cfg(30), &f);
 
         // Interrupt after every single generation: snapshot, restore,
         // continue — as the daemon does across process restarts.
-        let mut state = engine.start();
+        let mut state = GaState::new(sphere_ranges(), step_cfg(30));
         loop {
             let snap = state.snapshot();
             state = GaState::restore(snap).expect("valid snapshot");
@@ -1038,12 +976,12 @@ mod tests {
     }
 
     #[test]
-    fn step_with_custom_backend_matches_step() {
+    fn ask_tell_through_a_custom_backend_matches_step() {
         // A backend that evaluates through its own machinery (reversed
         // iteration order, batch-at-once) must be indistinguishable from
         // the plain closure path.
         struct Reversed;
-        impl crate::eval::Evaluator for Reversed {
+        impl Evaluator for Reversed {
             fn evaluate(&self, genomes: &[Genome]) -> Vec<f64> {
                 let mut scores: Vec<f64> = genomes
                     .iter()
@@ -1059,8 +997,10 @@ mod tests {
         let mut b = GaState::new(sphere_ranges(), step_cfg(20));
         loop {
             let da = a.step(f);
-            let db = b.step_with(&Reversed);
-            assert_eq!(da, db);
+            let batch = b.ask();
+            assert_eq!(batch, b.ask(), "ask must not advance without tell");
+            b.tell(&batch, &Reversed.begin(&batch).wait());
+            assert_eq!(da, b.is_done());
             if da {
                 break;
             }
@@ -1090,14 +1030,39 @@ mod tests {
     #[test]
     #[should_panic(expected = "evaluator returned")]
     fn short_score_vector_is_a_contract_violation() {
-        struct Broken;
-        impl crate::eval::Evaluator for Broken {
-            fn evaluate(&self, _genomes: &[Genome]) -> Vec<f64> {
-                Vec::new()
-            }
-        }
         let mut state = GaState::new(sphere_ranges(), step_cfg(3));
-        let _ = state.step_with(&Broken);
+        let batch = state.ask();
+        state.tell(&batch, &[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "tell batch must be what ask returned")]
+    fn telling_a_batch_that_was_not_asked_is_a_contract_violation() {
+        let mut state = GaState::new(sphere_ranges(), step_cfg(3));
+        let mut batch = state.ask();
+        batch.swap(0, 1);
+        state.tell(&batch, &vec![0.0; batch.len()]);
+    }
+
+    #[test]
+    fn eval_time_is_the_clock_from_ask_to_tell() {
+        let clock = Arc::new(obs::ManualClock::new());
+        let reg = Arc::new(obs::Registry::with_clock(Arc::clone(&clock) as _));
+        let mut state = GaState::new(sphere_ranges(), step_cfg(3));
+        state.set_obs(Arc::clone(&reg));
+        let _ = state.ask();
+        clock.advance(900); // a superseded ask does not count
+        let batch = state.ask();
+        clock.advance(250);
+        state.tell(&batch, &vec![1.0; batch.len()]);
+        assert_eq!(state.last_timing().unwrap().eval_micros, 250);
+        let snap = reg.snapshot();
+        assert_eq!(snap.histogram("ga_eval_micros").unwrap().sum, 250);
+        let eval = snap.spans.iter().find(|s| s.path == "generation/eval");
+        assert_eq!(
+            eval.map(|s| (s.start_micros, s.dur_micros)),
+            Some((900, 250))
+        );
     }
 
     #[test]

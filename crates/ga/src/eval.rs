@@ -1,32 +1,43 @@
 //! Pluggable fitness-evaluation backends.
 //!
-//! [`GaState::step`](crate::GaState::step) historically owned its own
-//! scoped-thread fan-out; that code now lives in [`LocalEvaluator`], and
-//! the engine only asks *some* [`Evaluator`] for the fitness of the
-//! generation's deduplicated cache misses. This is the seam the `tuned`
-//! daemon uses to swap local threads for a fleet of remote `evald`
-//! workers: the engine cannot tell the difference, and because fitness is
-//! a pure function of the genome and results merge into the memo table
-//! keyed by genome, every backend yields bit-identical runs.
+//! The engine never evaluates anything itself: a driver takes the
+//! generation's deduplicated cache misses from
+//! [`GaState::ask`](crate::GaState::ask), scores them on *some*
+//! [`Evaluator`], and hands the scores to
+//! [`GaState::tell`](crate::GaState::tell). [`LocalEvaluator`] is the
+//! in-process thread pool; the `tuned` daemon swaps in a fleet of remote
+//! `evald` workers behind the same trait. Because fitness is a pure
+//! function of the genome and results merge into the memo table keyed
+//! by genome, every backend yields bit-identical runs.
 
 use crate::genome::Genome;
 
 /// A batch fitness-evaluation backend.
 ///
-/// The engine calls [`evaluate`](Evaluator::evaluate) once per generation
-/// with the deduplicated, not-yet-memoized genomes. Implementations must
-/// be **pure**: the same genome always maps to the same `f64` (bit for
-/// bit), regardless of batch composition, ordering, thread, process, or
-/// host. The engine sanitizes non-finite scores to `+inf` afterwards, so
-/// backends may return `NaN`/`inf` for broken evaluations.
+/// A driver calls it once per round with the deduplicated,
+/// not-yet-memoized genomes. Implementations must be **pure**: the same
+/// genome always maps to the same `f64` (bit for bit), regardless of
+/// batch composition, ordering, thread, process, or host. The engine
+/// sanitizes non-finite scores to `+inf` afterwards, so backends may
+/// return `NaN`/`inf` for broken evaluations.
 pub trait Evaluator: Sync {
     /// Computes fitness for each genome; `result[i]` scores `genomes[i]`.
     fn evaluate(&self, genomes: &[Genome]) -> Vec<f64>;
+
+    /// Starts evaluating `genomes` and returns a handle to collect the
+    /// scores, so a driver can overlap useful work (persisting a
+    /// checkpoint) with in-flight evaluations. `begin` + `wait` must
+    /// return the same bits [`evaluate`](Evaluator::evaluate) would.
+    /// The default evaluates eagerly; backends with real asynchrony
+    /// override it.
+    fn begin<'s>(&'s self, genomes: &[Genome]) -> Box<dyn PendingScores + 's> {
+        Box::new(ReadyScores(self.evaluate(genomes)))
+    }
 }
 
 /// A batch of fitness scores that may still be in flight.
 ///
-/// Returned by [`PipelinedEvaluator::begin`]; [`wait`](PendingScores::wait)
+/// Returned by [`Evaluator::begin`]; [`wait`](PendingScores::wait)
 /// blocks until every score is known and consumes the handle — a batch
 /// is begun once and collected once.
 pub trait PendingScores {
@@ -45,21 +56,8 @@ impl PendingScores for ReadyScores {
     }
 }
 
-/// An [`Evaluator`] that can split evaluation into a non-blocking
-/// `begin` and a blocking `wait`, so a driver can overlap useful work
-/// (proposing the next generation, persisting a checkpoint) with
-/// in-flight evaluations. Purity rules are identical to
-/// [`Evaluator::evaluate`]; `begin` + `wait` must return the same bits
-/// `evaluate` would.
-pub trait PipelinedEvaluator: Evaluator {
-    /// Starts evaluating `genomes` and returns a handle to collect the
-    /// scores. Backends without real asynchrony may evaluate eagerly
-    /// and hand back [`ReadyScores`].
-    fn begin<'s>(&'s self, genomes: &[Genome]) -> Box<dyn PendingScores + 's>;
-}
-
 /// The in-process backend: a fitness function fanned out over scoped
-/// worker threads (the engine's original evaluation path, verbatim).
+/// worker threads.
 ///
 /// Worker threads never consume randomness, so any `threads` value
 /// produces bit-identical results.
@@ -105,15 +103,6 @@ where
                 .flat_map(|h| h.join().expect("evaluation worker panicked"))
                 .collect()
         })
-    }
-}
-
-impl<F> PipelinedEvaluator for LocalEvaluator<F>
-where
-    F: Fn(&[i64]) -> f64 + Sync,
-{
-    fn begin<'s>(&'s self, genomes: &[Genome]) -> Box<dyn PendingScores + 's> {
-        Box::new(ReadyScores(self.evaluate(genomes)))
     }
 }
 

@@ -14,10 +14,12 @@
 //!   evaluation is the expensive part) and optional **parallel
 //!   evaluation** across worker threads, plus per-generation history for
 //!   convergence analysis and early stopping on stagnation;
-//! * a pluggable [`eval`] backend seam: [`GaState::step_with`] evaluates a
-//!   generation through any [`Evaluator`] — the built-in
+//! * a two-phase engine and a pluggable [`eval`] backend seam:
+//!   [`GaState::ask`] hands the driver a generation's memo misses, the
+//!   driver scores them on any [`Evaluator`] — the built-in
 //!   [`LocalEvaluator`] thread pool or a remote worker fleet (see the
-//!   `served` dispatch layer) — with bit-identical results either way.
+//!   `served` dispatch layer) — and [`GaState::tell`] commits them, with
+//!   bit-identical results either way.
 //!
 //! Fitness is *minimized* (the paper minimizes time metrics). Everything
 //! is deterministic given the seed: parallel evaluation never consumes
@@ -30,8 +32,6 @@ pub mod eval;
 pub mod genome;
 pub mod ops;
 
-pub use engine::{
-    CrossoverKind, GaConfig, GaResult, GaSnapshot, GaState, GenTiming, Generation, GeneticAlgorithm,
-};
-pub use eval::{Evaluator, LocalEvaluator, PendingScores, PipelinedEvaluator, ReadyScores};
+pub use engine::{CrossoverKind, GaConfig, GaResult, GaSnapshot, GaState, GenTiming, Generation};
+pub use eval::{Evaluator, LocalEvaluator, PendingScores, ReadyScores};
 pub use genome::{GeneKind, Genome, Ranges};

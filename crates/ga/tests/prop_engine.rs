@@ -10,7 +10,18 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use proptest::prelude::*;
 
-use ga::{GaConfig, GeneticAlgorithm, Ranges};
+use ga::{GaConfig, GaResult, GaState, Ranges};
+
+/// A fresh search run to completion through the engine's closed-form
+/// step.
+fn run<F>(ranges: Ranges, config: GaConfig, fitness: F) -> GaResult
+where
+    F: Fn(&[i64]) -> f64 + Sync,
+{
+    let mut state = GaState::new(ranges, config);
+    while !state.step(&fitness) {}
+    state.result()
+}
 
 prop_compose! {
     fn arb_ranges()(bounds in proptest::collection::vec((0i64..100, 0i64..4000), 2..8)) -> Ranges {
@@ -33,7 +44,7 @@ proptest! {
         crossover in 0.0f64..1.0,
     ) {
         let violations = AtomicUsize::new(0);
-        let engine = GeneticAlgorithm::new(
+        let result = run(
             ranges.clone(),
             GaConfig {
                 pop_size: pop,
@@ -46,13 +57,13 @@ proptest! {
                 seed,
                 ..GaConfig::default()
             },
+            |g| {
+                if !ranges.contains(g) {
+                    violations.fetch_add(1, Ordering::Relaxed);
+                }
+                g.iter().map(|&v| v as f64).sum()
+            },
         );
-        let result = engine.run(|g| {
-            if !ranges.contains(g) {
-                violations.fetch_add(1, Ordering::Relaxed);
-            }
-            g.iter().map(|&v| v as f64).sum()
-        });
         prop_assert_eq!(violations.load(Ordering::Relaxed), 0);
         prop_assert!(ranges.contains(&result.best_genome));
     }
@@ -69,8 +80,8 @@ proptest! {
             ..GaConfig::default()
         };
         let f = |g: &[i64]| g.iter().map(|&v| (v as f64).abs()).sum::<f64>();
-        let a = GeneticAlgorithm::new(ranges.clone(), cfg.clone()).run(f);
-        let b = GeneticAlgorithm::new(ranges, cfg).run(f);
+        let a = run(ranges.clone(), cfg.clone(), f);
+        let b = run(ranges, cfg, f);
         prop_assert_eq!(a.best_genome, b.best_genome);
         prop_assert_eq!(a.best_fitness, b.best_fitness);
         prop_assert_eq!(a.evaluations, b.evaluations);
@@ -81,8 +92,8 @@ proptest! {
     /// tracking).
     #[test]
     fn longer_runs_are_no_worse(ranges in arb_ranges(), seed in any::<u64>()) {
-        let run = |gens: usize| {
-            GeneticAlgorithm::new(
+        let with_gens = |gens: usize| {
+            run(
                 ranges.clone(),
                 GaConfig {
                     pop_size: 10,
@@ -92,11 +103,11 @@ proptest! {
                     seed,
                     ..GaConfig::default()
                 },
+                |g| g.iter().map(|&v| v as f64 * v as f64).sum(),
             )
-            .run(|g| g.iter().map(|&v| v as f64 * v as f64).sum())
         };
-        let short = run(3);
-        let long = run(12);
+        let short = with_gens(3);
+        let long = with_gens(12);
         prop_assert!(long.best_fitness <= short.best_fitness);
     }
 }

@@ -102,6 +102,15 @@ impl SpanGuard {
             start: reg.now_micros(),
         }
     }
+
+    /// Backdates the span to `start_micros`, a reading the caller took
+    /// from the same registry's clock — for a region that began before
+    /// its recorder could hold a guard (a GA generation's evaluation
+    /// runs in the driver, between the engine's `ask` and `tell`).
+    pub fn since(mut self, start_micros: u64) -> Self {
+        self.start = start_micros;
+        self
+    }
 }
 
 impl Drop for SpanGuard {
@@ -171,6 +180,17 @@ mod tests {
         assert_eq!(spans[0].dur_micros, 40);
         assert_eq!(spans[1].path, "generation");
         assert_eq!(spans[1].dur_micros, 140);
+    }
+
+    #[test]
+    fn backdated_span_measures_from_the_given_start() {
+        let (reg, clock) = manual_registry();
+        let began = reg.now_micros();
+        clock.advance(70);
+        drop(reg.span("eval").since(began));
+        let spans = reg.snapshot().spans;
+        assert_eq!(spans[0].start_micros, 0);
+        assert_eq!(spans[0].dur_micros, 70);
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //! * [`state`] — [`OnlineState`], the whole policy as one pure state
 //!   machine shared by the daemon and the reference runner;
 //! * [`runner`] — [`OnlineJob`], the in-process reference execution
-//!   plus the frozen-incumbent control and the per-phase oracle;
+//!   plus the frozen-incumbent control and the per-phase oracle, and
+//!   [`epoch_strategy`], the per-epoch strategy it and the daemon share;
 //! * [`report`] — per-epoch rows, regret-vs-oracle, and the
 //!   bounded-regret invariants the sim sweep asserts per seed.
 
@@ -27,5 +28,5 @@ pub mod state;
 
 pub use detect::{DetectorConfig, DetectorSnapshot, DriftDetector};
 pub use report::{EpochRow, OnlineReport};
-pub use runner::OnlineJob;
+pub use runner::{epoch_strategy, OnlineJob};
 pub use state::{OnlineConfig, OnlineSnapshot, OnlineState};

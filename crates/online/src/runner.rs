@@ -18,6 +18,7 @@ use std::sync::Arc;
 use ga::{GaConfig, LocalEvaluator};
 use jit::AdaptConfig;
 use problems::Problem;
+use search::Strategy;
 use stored::Store;
 use tuner::TuningTask;
 use workloads::{Benchmark, DriftPos};
@@ -176,9 +177,7 @@ impl OnlineJob {
         Ok(st)
     }
 
-    /// One tune to completion. `incumbent` switches the strategy to
-    /// `warmstart` seeded with the incumbent first and any
-    /// nearest-fingerprint store cells after it.
+    /// One tune to completion on a single local thread.
     fn tune(
         &self,
         problem: &Arc<dyn Problem>,
@@ -186,28 +185,51 @@ impl OnlineJob {
         store: Option<&Store>,
         seed: u64,
     ) -> Result<(Vec<i64>, f64, u64), String> {
-        let kind = if incumbent.is_some() {
-            "warmstart"
-        } else {
-            self.strategy.as_str()
-        };
-        let cfg = GaConfig {
-            seed,
-            threads: 1,
-            ..self.ga.clone()
-        };
-        let mut strategy = search::build(kind, problem.space().clone(), cfg)?;
-        let mut seeds: Vec<Vec<i64>> = incumbent.map(|g| g.to_vec()).into_iter().collect();
-        if let Some(store) = store {
-            let want = self.ga.pop_size.saturating_sub(seeds.len());
-            seeds.extend(store.warm_seeds(problem.fingerprint(), want));
-        }
-        if !seeds.is_empty() {
-            strategy.seed_population(&seeds);
-        }
+        let (mut strategy, _) =
+            epoch_strategy(&self.strategy, &self.ga, seed, &**problem, incumbent, store)?;
         let eval = LocalEvaluator::new(|genes: &[i64]| problem.fitness(genes), 1);
-        while !search::step_with(strategy.as_mut(), &eval) {}
-        let (genes, fitness) = strategy.best().ok_or("tune finished with no best genome")?;
+        search::drive(strategy.as_mut(), &eval);
+        let (genes, fitness) = search::finish(strategy.as_ref())?;
         Ok((genes, fitness, strategy.evaluations() as u64))
     }
+}
+
+/// The strategy one tune inside an online epoch searches with — the
+/// single definition the reference runner and the daemon's online jobs
+/// share, which is what makes their results equal by construction.
+///
+/// The initial tune (`incumbent` is `None`) uses the job's submitted
+/// `initial_kind`; a retune always uses `warmstart`. Either searches
+/// under `ga` re-seeded with `seed`, planted with the incumbent first
+/// and then the store's nearest-fingerprint best genomes up to the
+/// population size. Returns the strategy and how many seeds it planted.
+///
+/// # Errors
+/// An unknown strategy kind.
+pub fn epoch_strategy(
+    initial_kind: &str,
+    ga: &GaConfig,
+    seed: u64,
+    problem: &dyn Problem,
+    incumbent: Option<&[i64]>,
+    store: Option<&Store>,
+) -> Result<(Box<dyn Strategy>, usize), String> {
+    let kind = if incumbent.is_some() {
+        "warmstart"
+    } else {
+        initial_kind
+    };
+    let cfg = GaConfig { seed, ..ga.clone() };
+    let mut strategy = search::build(kind, problem.space().clone(), cfg)?;
+    let mut seeds: Vec<Vec<i64>> = incumbent.map(<[i64]>::to_vec).into_iter().collect();
+    if let Some(store) = store {
+        let want = ga.pop_size.saturating_sub(seeds.len());
+        seeds.extend(store.warm_seeds(problem.fingerprint(), want));
+    }
+    let planted = if seeds.is_empty() {
+        0
+    } else {
+        strategy.seed_population(&seeds)
+    };
+    Ok((strategy, planted))
 }

@@ -1,23 +1,16 @@
-//! The existing GA engine behind the [`Strategy`] trait.
+//! The GA engine behind the [`Strategy`] trait.
 //!
-//! The adapter must be *bit-identical* to driving `ga::GaState`
-//! directly: published experiment numbers depend on it. The engine's
-//! `step_with` already separates RNG-free evaluation from RNG-consuming
-//! breeding, so the adapter only has to (a) predict, in `ask`, exactly
-//! which genomes the engine's own memo-miss scan will request, and
-//! (b) replay the caller's scores through a fake evaluator in `tell`.
-//! The prediction mirrors `GaState`'s evaluation scan: population
-//! order, memoized genomes skipped, within-generation duplicates asked
-//! once. A debug assertion inside [`Replay`] keeps the two in lockstep.
+//! `ga::GaState` speaks ask/tell natively, so this is plain delegation:
+//! every published experiment number that came from the engine comes
+//! out of the strategy bit for bit.
 
-use std::collections::HashSet;
 use std::sync::Arc;
 
-use ga::{Evaluator, GaConfig, GaState, GenTiming, Genome, Ranges};
+use ga::{GaConfig, GaState, GenTiming, Genome, Ranges};
 
 use crate::{Strategy, StrategySnapshot};
 
-/// `ga::GaState` adapted to the ask/tell protocol.
+/// `ga::GaState` as a [`Strategy`].
 pub struct Ga {
     state: GaState,
 }
@@ -41,23 +34,6 @@ impl Ga {
     }
 }
 
-/// Hands the engine the scores the caller already computed, asserting
-/// the engine asks for exactly the batch `ask` predicted.
-struct Replay<'a> {
-    expected: &'a [Genome],
-    scores: &'a [f64],
-}
-
-impl Evaluator for Replay<'_> {
-    fn evaluate(&self, genomes: &[Genome]) -> Vec<f64> {
-        assert_eq!(
-            genomes, self.expected,
-            "Ga adapter drifted from the engine's own memo-miss selection"
-        );
-        self.scores.to_vec()
-    }
-}
-
 impl Strategy for Ga {
     fn kind(&self) -> &'static str {
         "ga"
@@ -68,33 +44,11 @@ impl Strategy for Ga {
     }
 
     fn ask(&mut self) -> Vec<Genome> {
-        if self.state.is_done() {
-            return Vec::new();
-        }
-        // Mirror of the engine's evaluation scan: population order,
-        // cached genomes skipped, duplicates asked once.
-        let mut seen: HashSet<&Genome> = HashSet::new();
-        let mut misses = Vec::new();
-        for g in self.state.population() {
-            if self.state.cached(g).is_some() {
-                continue;
-            }
-            if seen.insert(g) {
-                misses.push(g.clone());
-            }
-        }
-        misses
+        self.state.ask()
     }
 
     fn tell(&mut self, batch: &[Genome], scores: &[f64]) {
-        if self.state.is_done() {
-            assert!(batch.is_empty(), "tell on a finished GA");
-            return;
-        }
-        let _ = self.state.step_with(&Replay {
-            expected: batch,
-            scores,
-        });
+        self.state.tell(batch, scores);
     }
 
     fn is_done(&self) -> bool {

@@ -8,8 +8,8 @@
 //! can be checkpointed mid-search ([`Strategy::snapshot`] /
 //! [`restore`]). Six engines implement it:
 //!
-//! * [`Ga`] — the existing `ga` crate adapted behind the trait,
-//!   bit-identical to driving `ga::GaState` directly with the same seed;
+//! * [`Ga`] — the `ga` crate's engine behind the trait, bit-identical to
+//!   `ga::GaState::step` with the same seed;
 //! * [`WarmStart`] — the same GA, but its initial population can be
 //!   seeded from a persistent fitness store's best prior genomes
 //!   ([`Strategy::seed_population`]); unseeded it *is* `ga`, bit for bit;
@@ -50,7 +50,9 @@
 //! already scored. The batch may be *empty* while the strategy is not
 //! done (a converged GA generation fully answered by its memo); the
 //! caller must still call `tell` with the empty batch to commit the
-//! round. [`step_with`] packages the loop:
+//! round. [`round`] is that cycle, once, through any evaluation backend
+//! — the only place outside a strategy that owns it — and [`drive`]
+//! runs it to completion:
 //!
 //! ```
 //! use ga::{GaConfig, LocalEvaluator, Ranges};
@@ -59,15 +61,15 @@
 //! let cfg = GaConfig { pop_size: 8, generations: 5, threads: 1, ..GaConfig::default() };
 //! let mut strategy = search::build("grid", ranges, cfg).unwrap();
 //! let backend = LocalEvaluator::new(|g: &[i64]| g.iter().map(|&x| x as f64).sum(), 1);
-//! while !search::step_with(strategy.as_mut(), &backend) {}
-//! let (genome, fitness) = strategy.best().expect("searched");
+//! search::drive(strategy.as_mut(), &backend);
+//! let (genome, fitness) = search::finish(strategy.as_ref()).expect("searched");
 //! assert_eq!(genome, vec![1, 1, 1]); // grid level 0 samples every low corner
 //! assert_eq!(fitness, 3.0);
 //! ```
 
 use std::sync::Arc;
 
-use ga::{Evaluator, GaConfig, GaSnapshot, GenTiming, Genome, PipelinedEvaluator, Ranges};
+use ga::{Evaluator, GaConfig, GaSnapshot, GenTiming, Genome, Ranges};
 
 mod anneal;
 mod core;
@@ -336,62 +338,58 @@ pub(crate) fn restore_labeled(
     })
 }
 
-/// One full round through any evaluation backend: ask, evaluate the
-/// misses, tell. Returns true once the strategy is done.
-pub fn step_with<S, E>(strategy: &mut S, backend: &E) -> bool
-where
-    S: Strategy + ?Sized,
-    E: Evaluator + ?Sized,
-{
-    if strategy.is_done() {
-        return true;
-    }
-    let batch = strategy.ask();
-    let scores = if batch.is_empty() {
-        Vec::new()
-    } else {
-        backend.evaluate(&batch)
-    };
-    strategy.tell(&batch, &scores);
-    strategy.is_done()
-}
-
-/// One round through a [`PipelinedEvaluator`], overlapping the caller's
-/// own work with the in-flight evaluations: ask, begin the batch, run
-/// `while_inflight` (e.g. persist the previous round's checkpoint) while
-/// the backend works, then wait and tell.
+/// One search round through any evaluation backend: ask, begin the
+/// batch, run `while_inflight` (e.g. persist the previous round's
+/// checkpoint) while the backend works, then wait and tell. Returns
+/// true once the strategy is done. A caller with nothing to overlap
+/// passes `|_| {}`.
 ///
-/// Bit-identical to [`step_with`] for any strategy: `ask` is repeatable
-/// until `tell` commits it, `while_inflight` only gets a shared borrow
-/// (it can snapshot but not mutate), and a `snapshot` taken here
-/// describes the last *completed* round — exactly what a checkpoint
-/// written between rounds would contain.
-///
-/// `while_inflight` always runs, even on an empty batch, so work the
-/// caller deferred into it (like that checkpoint) is never skipped.
-pub fn step_pipelined<E>(
+/// `while_inflight` cannot perturb the search: `ask` is repeatable
+/// until `tell` commits it, the closure only gets a shared borrow (it
+/// can snapshot but not mutate), and a `snapshot` taken there describes
+/// the last *completed* round — exactly what a checkpoint written
+/// between rounds would contain. It always runs, even on an empty batch
+/// or a finished strategy, so work the caller deferred into it is never
+/// skipped.
+pub fn round<E>(
     strategy: &mut dyn Strategy,
     backend: &E,
     while_inflight: impl FnOnce(&dyn Strategy),
 ) -> bool
 where
-    E: PipelinedEvaluator + ?Sized,
+    E: Evaluator + ?Sized,
 {
     if strategy.is_done() {
         while_inflight(strategy);
         return true;
     }
     let batch = strategy.ask();
-    let scores = if batch.is_empty() {
-        while_inflight(strategy);
-        Vec::new()
-    } else {
-        let pending = backend.begin(&batch);
-        while_inflight(strategy);
-        pending.wait()
-    };
+    let pending = (!batch.is_empty()).then(|| backend.begin(&batch));
+    while_inflight(strategy);
+    let scores = pending.map_or_else(Vec::new, |p| p.wait());
     strategy.tell(&batch, &scores);
     strategy.is_done()
+}
+
+/// Runs a strategy to completion on one backend.
+pub fn drive<E>(strategy: &mut dyn Strategy, backend: &E)
+where
+    E: Evaluator + ?Sized,
+{
+    while !round(strategy, backend, |_| {}) {}
+}
+
+/// The outcome of a finished search: its best genome and fitness.
+///
+/// # Errors
+/// The strategy never scored a genome (a zero-budget config).
+pub fn finish(strategy: &dyn Strategy) -> Result<(Genome, f64), String> {
+    strategy.best().ok_or_else(|| {
+        format!(
+            "{} search finished without evaluating anything",
+            strategy.kind()
+        )
+    })
 }
 
 #[cfg(test)]
@@ -449,7 +447,7 @@ mod tests {
         for spec in all_specs() {
             let mut s = build(spec, ranges(), cfg(42)).unwrap();
             let mut steps = 0;
-            while !step_with(s.as_mut(), &backend) {
+            while !round(s.as_mut(), &backend, |_| {}) {
                 steps += 1;
                 assert!(steps < 10_000, "{spec} never terminated");
             }
@@ -471,7 +469,7 @@ mod tests {
         for spec in all_specs() {
             let run = |seed| {
                 let mut s = build(spec, ranges(), cfg(seed)).unwrap();
-                while !step_with(s.as_mut(), &backend) {}
+                drive(s.as_mut(), &backend);
                 (s.best().unwrap(), s.evaluations(), s.cache_hits())
             };
             let ((g1, f1), e1, h1) = run(7);
@@ -532,8 +530,8 @@ mod tests {
                     resumed.snapshot(),
                     "{spec} snapshots diverged"
                 );
-                step_with(live.as_mut(), &backend);
-                step_with(resumed.as_mut(), &backend);
+                round(live.as_mut(), &backend, |_| {});
+                round(resumed.as_mut(), &backend, |_| {});
             }
             assert!(resumed.is_done());
             let (lg, lf) = live.best().unwrap();
@@ -544,18 +542,18 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_stepping_is_bit_identical_to_serial() {
+    fn inflight_snapshots_do_not_perturb_the_search() {
         let backend = LocalEvaluator::new(fitness, 1);
         for spec in all_specs() {
             let mut serial = build(spec, ranges(), cfg(21)).unwrap();
             let mut piped = build(spec, ranges(), cfg(21)).unwrap();
             let mut deferred: Option<StrategySnapshot> = None;
             loop {
-                let a = step_with(serial.as_mut(), &backend);
-                // The pipelined run snapshots mid-flight every round, the
-                // way the daemon defers its checkpoint write behind the
-                // in-flight batch.
-                let b = step_pipelined(piped.as_mut(), &backend, |s| {
+                let a = round(serial.as_mut(), &backend, |_| {});
+                // This run snapshots mid-flight every round, the way the
+                // daemon defers its checkpoint write behind the in-flight
+                // batch.
+                let b = round(piped.as_mut(), &backend, |s| {
                     deferred = Some(s.snapshot());
                 });
                 assert_eq!(a, b, "{spec} termination diverged");
@@ -575,6 +573,35 @@ mod tests {
             let resumed = restore(deferred.expect("while_inflight always runs")).unwrap();
             let _ = resumed;
         }
+    }
+
+    #[test]
+    fn ga_round_reports_the_time_its_evaluator_took() {
+        /// Costs 2 ms of registry-clock time per genome.
+        struct Costly(Arc<obs::ManualClock>);
+        impl Evaluator for Costly {
+            fn evaluate(&self, genomes: &[Genome]) -> Vec<f64> {
+                self.0.advance(2_000 * genomes.len() as u64);
+                genomes.iter().map(|g| fitness(g)).collect()
+            }
+        }
+        let clock = Arc::new(obs::ManualClock::new());
+        let reg = Arc::new(obs::Registry::with_clock(Arc::clone(&clock) as _));
+        let backend = Costly(clock);
+        let mut s = build("ga", ranges(), cfg(33)).unwrap();
+        s.set_obs(Arc::clone(&reg));
+        loop {
+            let before = s.evaluations();
+            let done = round(s.as_mut(), &backend, |_| {});
+            let evaluated = (s.evaluations() - before) as u64;
+            let timing = s.last_timing().expect("a round completed");
+            assert_eq!(timing.eval_micros, 2_000 * evaluated);
+            if done {
+                break;
+            }
+        }
+        let eval = reg.snapshot().histogram("ga_eval_micros").unwrap().sum;
+        assert_eq!(eval, 2_000 * s.evaluations() as u64);
     }
 
     #[test]
@@ -601,7 +628,7 @@ mod tests {
             let c = cfg(9);
             let budget = c.pop_size * c.generations;
             let mut s = build(spec, ranges(), c).unwrap();
-            while !step_with(s.as_mut(), &backend) {}
+            drive(s.as_mut(), &backend);
             assert!(
                 s.evaluations() + s.cache_hits() <= budget,
                 "{spec} exceeded its proposal budget"
@@ -646,7 +673,7 @@ mod tests {
         // Two identical deterministic grids: every proposal of the
         // second member is answered by the first member's evaluations.
         let mut s = build("race:grid+grid", ranges(), cfg(21)).unwrap();
-        while !step_with(s.as_mut(), &backend) {}
+        drive(s.as_mut(), &backend);
         assert!(
             s.cache_hits() > 0,
             "duplicate members must hit the shared memo"
@@ -684,7 +711,7 @@ mod tests {
             ..GaConfig::default()
         };
         let mut s = build("race:hillclimb+grid", ranges(), c).unwrap();
-        while !step_with(s.as_mut(), &backend) {}
+        drive(s.as_mut(), &backend);
         let standings = s.standings();
         assert!(
             standings.iter().any(|m| m.eliminated),
@@ -703,8 +730,8 @@ mod tests {
             let mut plain = build(spec, ranges(), cfg(30)).unwrap();
             let mut observed = build(spec, ranges(), cfg(30)).unwrap();
             observed.set_obs(Arc::new(obs::Registry::new()));
-            while !step_with(plain.as_mut(), &backend) {}
-            while !step_with(observed.as_mut(), &backend) {}
+            drive(plain.as_mut(), &backend);
+            drive(observed.as_mut(), &backend);
             assert_eq!(plain.best(), observed.best());
             assert_eq!(plain.evaluations(), observed.evaluations());
         }
@@ -716,7 +743,7 @@ mod tests {
         let reg = Arc::new(obs::Registry::new());
         let mut s = build("race:grid+grid", ranges(), cfg(17)).unwrap();
         s.set_obs(Arc::clone(&reg));
-        while !step_with(s.as_mut(), &backend) {}
+        drive(s.as_mut(), &backend);
         let snap = reg.snapshot();
         assert!(snap.counter("race_evaluations") > 0);
         assert!(

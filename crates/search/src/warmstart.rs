@@ -173,7 +173,7 @@ impl Strategy for WarmStart {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::step_with;
+    use crate::{drive, round};
     use ga::{Evaluator, LocalEvaluator};
 
     fn ranges() -> Ranges {
@@ -204,8 +204,8 @@ mod tests {
         let backend = LocalEvaluator::new(fitness, 1);
         let mut warm: Box<dyn Strategy> = Box::new(WarmStart::new(ranges(), cfg(5)));
         let mut cold: Box<dyn Strategy> = Box::new(Ga::new(ranges(), cfg(5)));
-        while !step_with(warm.as_mut(), &backend) {}
-        while !step_with(cold.as_mut(), &backend) {}
+        drive(warm.as_mut(), &backend);
+        drive(cold.as_mut(), &backend);
         let (wg, wf) = warm.best().unwrap();
         let (cg, cf) = cold.best().unwrap();
         assert_eq!(wg, cg);
@@ -260,7 +260,7 @@ mod tests {
     fn seeding_after_a_round_is_refused() {
         let backend = LocalEvaluator::new(fitness, 1);
         let mut s = WarmStart::new(ranges(), cfg(4));
-        step_with(&mut s, &backend);
+        round(&mut s, &backend, |_| {});
         let best_before = s.best().unwrap();
         assert_eq!(s.seed_population(&[vec![7, 11, 3, 120]]), 0);
         assert_eq!(s.best().unwrap(), best_before, "progress must survive");
@@ -271,7 +271,7 @@ mod tests {
         let backend = LocalEvaluator::new(fitness, 1);
         let mut live = WarmStart::new(ranges(), cfg(8));
         live.seed_population(&[vec![2, 2, 2, 2], vec![40, 20, 10, 300]]);
-        step_with(&mut live, &backend);
+        round(&mut live, &backend, |_| {});
         let snap = live.snapshot();
         let StrategySnapshot::Warmstart(ws) = snap.clone() else {
             panic!("warmstart must snapshot as Warmstart");
@@ -279,8 +279,8 @@ mod tests {
         assert_eq!(ws.seeds.len(), 2);
         let mut resumed = WarmStart::restore(ws).unwrap();
         assert_eq!(resumed.snapshot(), snap);
-        while !step_with(&mut live, &backend) {}
-        while !step_with(&mut resumed, &backend) {}
+        drive(&mut live, &backend);
+        drive(&mut resumed, &backend);
         assert_eq!(live.best(), resumed.best());
     }
 }

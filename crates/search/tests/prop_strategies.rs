@@ -14,7 +14,7 @@
 
 #![cfg(feature = "proptest")]
 
-use ga::{GaConfig, Ranges};
+use ga::{GaConfig, LocalEvaluator, Ranges};
 use proptest::prelude::*;
 use search::Strategy as _;
 
@@ -99,13 +99,11 @@ proptest! {
     ) {
         let ranges = Ranges::new(bounds);
         let mut s = search::build(spec, ranges, cfg(seed, 6, 8)).unwrap();
+        let backend = LocalEvaluator::new(fitness, 1);
         for _ in 0..rounds_before {
-            if s.is_done() {
+            if search::round(s.as_mut(), &backend, |_| {}) {
                 break;
             }
-            let batch = s.ask();
-            let scores: Vec<f64> = batch.iter().map(|g| fitness(g)).collect();
-            s.tell(&batch, &scores);
         }
         let uninterrupted = s.ask();
         let mut resumed = search::restore(s.snapshot()).unwrap();

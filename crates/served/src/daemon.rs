@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-use ga::{GaConfig, GenTiming, LocalEvaluator};
+use ga::{GenTiming, LocalEvaluator};
 use online::OnlineState;
 use problems::Problem;
 use search::{Standing, Strategy};
@@ -851,42 +851,7 @@ fn run_job(
     };
     strategy.set_obs(Arc::clone(&inner.config.obs));
 
-    // The store tier (pass-through when no store is configured): reads
-    // answer from disk bit-exactly, fresh scores are appended. Hits and
-    // misses produce identical bits, so the tier never changes results.
-    let store_cell = inner
-        .config
-        .store
-        .as_ref()
-        .map(|s| (Arc::clone(s), problem.fingerprint().clone()));
-
-    // Lease this job's slice of the shared local-eval thread budget
-    // (thread count affects wall-clock only, never results, so clamping
-    // is safe — and so is re-planning after a restore).
-    let lease = inner.budget.lease(strategy.config().threads);
-    let local = StoreTier::new(
-        store_cell.clone(),
-        LocalEvaluator::new(|genes: &[i64]| problem.fitness(genes), lease.granted),
-    );
-
-    // The remote tier: when the pool has workers, each round's memo
-    // misses fan out over them; the problem's own fitness path is the
-    // fallback for anything no live worker answers. The directory
-    // filter scopes dispatch to the workers leasing this job's shard
-    // (falling back to the whole fleet when the lease set is empty), so
-    // thousands of jobs multiplex the shared pool without all stampeding
-    // the same workers.
-    let remote = StoreTier::new(store_cell, {
-        let mut eval = RemoteEvaluator::new(&inner.pool, spec.to_json(), &inner.metrics, |genes| {
-            problem.fitness(genes)
-        });
-        let directory = Arc::clone(&inner.directory);
-        let transport = Arc::clone(&inner.config.transport);
-        eval.set_worker_filter(Arc::new(move |addr: &str| {
-            directory.allows(shard_idx, addr, transport.now_micros())
-        }));
-        eval
-    });
+    let tiers = evaluator_tiers(inner, spec, &*problem, strategy.config().threads, shard_idx);
 
     // On the pipelined remote path, the on-disk checkpoint intentionally
     // lags the strategy by one round: each round's write rides the next
@@ -931,7 +896,7 @@ fn run_job(
             // thread writes the previous round's checkpoint — the daemon
             // never sits idle at a generation boundary, and the workers
             // never wait on local disk I/O.
-            search::step_pipelined(strategy.as_mut(), &remote, |s| {
+            search::round(strategy.as_mut(), &tiers.remote, |s| {
                 match inner.run_dir.save_checkpoint(id, &s.snapshot()) {
                     Ok(()) => Metrics::bump(&inner.metrics.checkpoints_written),
                     Err(e) => deferred_save_err = Some(e),
@@ -941,7 +906,7 @@ fn run_job(
             // Local evaluation is real compute: hold the busy bracket so
             // a simulated clock cannot advance through it.
             let _busy = crate::net::busy(&*inner.config.transport);
-            search::step_with(strategy.as_mut(), &local)
+            search::round(strategy.as_mut(), &tiers.local, |_| {})
         };
         if let Some(e) = deferred_save_err {
             return Err(e);
@@ -1007,9 +972,7 @@ fn run_job(
         }
 
         if done {
-            let (genome, fitness) = strategy
-                .best()
-                .ok_or("strategy finished without evaluating anything")?;
+            let (genome, fitness) = search::finish(strategy.as_ref())?;
             inner
                 .run_dir
                 .save_result(id, &genome, fitness, strategy.rounds())?;
@@ -1213,11 +1176,66 @@ fn run_online_job(
     }
 }
 
-/// One tune to completion inside an online epoch, mirroring the
-/// reference runner's tuning step (`online::OnlineJob`): `warmstart`
-/// seeded with the incumbent (plus nearest-fingerprint store cells)
-/// when retuning, the submitted strategy for the initial tune. Returns
-/// `None` when interrupted by cancellation or shutdown.
+/// The two evaluation tiers a tune in the daemon runs on, and the
+/// job's slice of the local thread budget for as long as they live.
+struct Tiers<'a, F> {
+    local: StoreTier<LocalEvaluator<F>>,
+    remote: StoreTier<RemoteEvaluator<'a>>,
+    _lease: ThreadLease<'a>,
+}
+
+/// Builds a job's evaluation tiers over `problem`'s fitness.
+///
+/// Both sit behind the store tier (a pass-through when no store is
+/// configured): reads answer from disk bit-exactly and fresh scores are
+/// appended, so the tier never changes results. The local tier leases
+/// up to `threads` of the shared local-eval budget (thread count
+/// affects wall-clock only, never results, so clamping is safe — and so
+/// is re-planning after a restore). The remote tier fans each round's
+/// memo misses out over the pool, with the problem's own fitness as the
+/// fallback for anything no live worker answers; workers rebuild the
+/// problem from `spec` (phase-pinned for an online epoch, so their
+/// problem cache splits per phase). The directory filter scopes
+/// dispatch to the workers leasing this job's shard (falling back to
+/// the whole fleet when the lease set is empty), so thousands of jobs
+/// multiplex the shared pool without all stampeding the same workers.
+fn evaluator_tiers<'a>(
+    inner: &'a Inner,
+    spec: &JobSpec,
+    problem: &'a dyn Problem,
+    threads: usize,
+    shard_idx: usize,
+) -> Tiers<'a, impl Fn(&[i64]) -> f64 + Sync + 'a> {
+    let store_cell = inner
+        .config
+        .store
+        .as_ref()
+        .map(|s| (Arc::clone(s), problem.fingerprint().clone()));
+    let lease = inner.budget.lease(threads);
+    let local = StoreTier::new(
+        store_cell.clone(),
+        LocalEvaluator::new(move |genes: &[i64]| problem.fitness(genes), lease.granted),
+    );
+    let mut remote =
+        RemoteEvaluator::new(&inner.pool, spec.to_json(), &inner.metrics, move |genes| {
+            problem.fitness(genes)
+        });
+    let directory = Arc::clone(&inner.directory);
+    let transport = Arc::clone(&inner.config.transport);
+    remote.set_worker_filter(Arc::new(move |addr: &str| {
+        directory.allows(shard_idx, addr, transport.now_micros())
+    }));
+    Tiers {
+        local,
+        remote: StoreTier::new(store_cell, remote),
+        _lease: lease,
+    }
+}
+
+/// One tune to completion inside an online epoch: the strategy
+/// `online::epoch_strategy` defines (shared with the reference runner),
+/// driven on the daemon's evaluation tiers. Returns `None` when
+/// interrupted by cancellation or shutdown.
 #[allow(clippy::too_many_arguments)]
 fn online_tune(
     inner: &Inner,
@@ -1228,61 +1246,30 @@ fn online_tune(
     cancel: &AtomicBool,
     shard_idx: usize,
 ) -> Result<Option<(Vec<i64>, f64, u64)>, String> {
-    let kind = if incumbent.is_some() {
-        "warmstart"
-    } else {
-        phase_spec.strategy.as_str()
-    };
-    let cfg = GaConfig {
+    let (mut strategy, planted) = online::epoch_strategy(
+        &phase_spec.strategy,
+        &phase_spec.ga,
         seed,
-        ..phase_spec.ga.clone()
-    };
-    let mut strategy = search::build(kind, problem.space().clone(), cfg)?;
-    let mut seeds: Vec<Vec<i64>> = incumbent.map(<[i64]>::to_vec).into_iter().collect();
-    if let Some(store) = &inner.config.store {
-        let want = phase_spec.ga.pop_size.saturating_sub(seeds.len());
-        seeds.extend(store.warm_seeds(problem.fingerprint(), want));
-    }
-    if !seeds.is_empty() {
-        let planted = strategy.seed_population(&seeds);
-        if planted > incumbent.iter().len() {
-            inner
-                .config
-                .obs
-                .counter("store_warm_seeds")
-                .add((planted - incumbent.iter().len()) as u64);
-        }
+        &**problem,
+        incumbent,
+        inner.config.store.as_deref(),
+    )?;
+    let from_store = planted.saturating_sub(incumbent.iter().len());
+    if from_store > 0 {
+        inner
+            .config
+            .obs
+            .counter("store_warm_seeds")
+            .add(from_store as u64);
     }
     strategy.set_obs(Arc::clone(&inner.config.obs));
-
-    let store_cell = inner
-        .config
-        .store
-        .as_ref()
-        .map(|s| (Arc::clone(s), problem.fingerprint().clone()));
-    let lease = inner.budget.lease(strategy.config().threads);
-    let local = StoreTier::new(store_cell.clone(), {
-        let problem = Arc::clone(problem);
-        LocalEvaluator::new(move |genes: &[i64]| problem.fitness(genes), lease.granted)
-    });
-    // The remote tier evaluates against the *phase-pinned* spec: the
-    // worker rebuilds the morphed suite from `drift_pos`, so its
-    // problem cache naturally splits per phase.
-    let remote = StoreTier::new(store_cell, {
-        let problem = Arc::clone(problem);
-        let mut eval = RemoteEvaluator::new(
-            &inner.pool,
-            phase_spec.to_json(),
-            &inner.metrics,
-            move |genes| problem.fitness(genes),
-        );
-        let directory = Arc::clone(&inner.directory);
-        let transport = Arc::clone(&inner.config.transport);
-        eval.set_worker_filter(Arc::new(move |addr: &str| {
-            directory.allows(shard_idx, addr, transport.now_micros())
-        }));
-        eval
-    });
+    let tiers = evaluator_tiers(
+        inner,
+        phase_spec,
+        &**problem,
+        strategy.config().threads,
+        shard_idx,
+    );
 
     loop {
         if cancel.load(Ordering::SeqCst) || inner.shutdown.load(Ordering::SeqCst) {
@@ -1290,23 +1277,22 @@ fn online_tune(
         }
         let done = if inner.pool.is_empty() {
             let _busy = crate::net::busy(&*inner.config.transport);
-            search::step_with(strategy.as_mut(), &local)
+            search::round(strategy.as_mut(), &tiers.local, |_| {})
         } else {
-            search::step_with(strategy.as_mut(), &remote)
+            search::round(strategy.as_mut(), &tiers.remote, |_| {})
         };
         if done {
             break;
         }
     }
-    let (genes, fitness) = strategy
-        .best()
-        .ok_or("online tune finished with no best genome")?;
+    let (genes, fitness) = search::finish(strategy.as_ref())?;
     Ok(Some((genes, fitness, strategy.evaluations() as u64)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ga::GaConfig;
     use jit::Scenario;
     use std::path::PathBuf;
     use tuner::{Goal, Tuner};
@@ -1472,8 +1458,9 @@ mod tests {
             spec.training().unwrap(),
             spec.adapt_cfg(),
         );
-        let mut expected = t.start_strategy(&spec.strategy, spec.ga.clone()).unwrap();
-        while !t.step_strategy(expected.as_mut()) {}
+        let mut expected =
+            search::build(&spec.strategy, t.task().ranges(), spec.ga.clone()).unwrap();
+        search::drive(expected.as_mut(), &t.evaluator(1));
         let (eg, ef) = expected.best().unwrap();
 
         let d = Daemon::start(DaemonConfig::default(), RunDir::open(&dir).unwrap()).unwrap();
@@ -1592,7 +1579,7 @@ mod tests {
             let mut expected =
                 search::build(&spec.strategy, p.space().clone(), spec.ga.clone()).unwrap();
             let backend = LocalEvaluator::new(|g: &[i64]| p.fitness(g), 1);
-            while !search::step_with(expected.as_mut(), &backend) {}
+            search::drive(expected.as_mut(), &backend);
             let (eg, ef) = expected.best().unwrap();
             assert_eq!(genes, eg, "{problem} drifted from in-process search");
             assert_eq!(fitness.to_bits(), ef.to_bits(), "{problem} fitness bits");

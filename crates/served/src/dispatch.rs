@@ -61,7 +61,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use ga::{Evaluator, Genome, PendingScores, PipelinedEvaluator, ReadyScores};
+use ga::{Evaluator, Genome, PendingScores, ReadyScores};
 
 use crate::json::Json;
 use crate::metrics::Metrics;
@@ -742,10 +742,9 @@ impl BatchLedger {
 
 /// A [`ga::Evaluator`] that fans batches out over a [`WorkerPool`],
 /// falling back to a local fitness function for anything the pool could
-/// not answer. Also a [`ga::PipelinedEvaluator`]: `begin` runs the
-/// dispatch fan-out on a coordinator thread so the caller can overlap
-/// its own work (proposing the next generation, writing a checkpoint)
-/// with the in-flight round-trips.
+/// not answer. `begin` runs the dispatch fan-out on a coordinator thread
+/// so the caller can overlap its own work (writing a checkpoint) with
+/// the in-flight round-trips.
 pub struct RemoteEvaluator<'a> {
     pool: Arc<WorkerPool>,
     task: Json,
@@ -902,9 +901,7 @@ impl Evaluator for RemoteEvaluator<'_> {
     fn evaluate(&self, genomes: &[Genome]) -> Vec<f64> {
         self.begin(genomes).wait()
     }
-}
 
-impl PipelinedEvaluator for RemoteEvaluator<'_> {
     fn begin<'s>(&'s self, genomes: &[Genome]) -> Box<dyn PendingScores + 's> {
         if genomes.is_empty() {
             return Box::new(ReadyScores(Vec::new()));

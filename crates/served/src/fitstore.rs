@@ -13,7 +13,7 @@
 //! With no store configured the tier is a transparent pass-through, so
 //! the daemon builds it unconditionally.
 
-use ga::{Evaluator, Genome, PendingScores, PipelinedEvaluator};
+use ga::{Evaluator, Genome, PendingScores};
 use std::sync::Arc;
 use stored::{Fingerprint, Record, Store};
 
@@ -31,45 +31,9 @@ impl<E: Evaluator> StoreTier<E> {
     }
 }
 
-impl<E: Evaluator> Evaluator for StoreTier<E> {
-    fn evaluate(&self, genomes: &[Genome]) -> Vec<f64> {
-        let Some((store, fp)) = &self.tier else {
-            return self.inner.evaluate(genomes);
-        };
-        let mut out = vec![f64::NAN; genomes.len()];
-        let mut miss_at = Vec::new();
-        let mut misses = Vec::new();
-        for (i, g) in genomes.iter().enumerate() {
-            match store.get(fp.cell_digest, g) {
-                Some(fitness) => out[i] = fitness,
-                None => {
-                    miss_at.push(i);
-                    misses.push(g.clone());
-                }
-            }
-        }
-        if !misses.is_empty() {
-            let scores = self.inner.evaluate(&misses);
-            for (slot, (genome, &fitness)) in miss_at.into_iter().zip(misses.iter().zip(&scores)) {
-                out[slot] = fitness;
-                // Append failures (disk full, store torn down mid-job)
-                // must not fail the evaluation: the score is already in
-                // hand, the store just misses one record.
-                let _ = store.append(&Record {
-                    fingerprint: fp.clone(),
-                    genome: genome.clone(),
-                    fitness,
-                });
-            }
-        }
-        out
-    }
-}
-
-/// The in-flight handle for a pipelined [`StoreTier`] batch: store hits
-/// are already in `out`, the misses ride the inner backend's pending
-/// handle, and `wait` merges and writes behind — the same sequence
-/// [`StoreTier::evaluate`] runs synchronously.
+/// The in-flight handle for a [`StoreTier`] batch: store hits are
+/// already in `out`, the misses ride the inner backend's pending
+/// handle, and `wait` merges and writes behind.
 struct StorePending<'s, E> {
     tier: &'s StoreTier<E>,
     out: Vec<f64>,
@@ -91,6 +55,9 @@ impl<E: Evaluator> PendingScores for StorePending<'_, E> {
         let (store, fp) = tier.tier.as_ref().expect("pending batch implies a store");
         for (slot, (genome, &fitness)) in miss_at.into_iter().zip(misses.iter().zip(&scores)) {
             out[slot] = fitness;
+            // Append failures (disk full, store torn down mid-job)
+            // must not fail the evaluation: the score is already in
+            // hand, the store just misses one record.
             let _ = store.append(&Record {
                 fingerprint: fp.clone(),
                 genome: genome.clone(),
@@ -101,7 +68,11 @@ impl<E: Evaluator> PendingScores for StorePending<'_, E> {
     }
 }
 
-impl<E: PipelinedEvaluator> PipelinedEvaluator for StoreTier<E> {
+impl<E: Evaluator> Evaluator for StoreTier<E> {
+    fn evaluate(&self, genomes: &[Genome]) -> Vec<f64> {
+        self.begin(genomes).wait()
+    }
+
     fn begin<'s>(&'s self, genomes: &[Genome]) -> Box<dyn PendingScores + 's> {
         let Some((store, fp)) = &self.tier else {
             return self.inner.begin(genomes);
@@ -187,22 +158,24 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_tier_matches_synchronous_bit_for_bit() {
+    fn mixed_hits_and_misses_match_the_inner_backend_bit_for_bit() {
         let dir = tmp_dir("pipe");
         let store = Arc::new(Store::open(&dir).unwrap());
-        let inner = LocalEvaluator::new(|g: &[i64]| g[0] as f64 * 0.25 + 0.1, 1);
-        let tier = StoreTier::new(Some((Arc::clone(&store), fp(3))), inner);
-        let genomes = [vec![1], vec![2], vec![3]];
-        // First pass via begin/wait populates the store.
-        let piped = tier.begin(&genomes).wait();
-        // Second pass mixes hits with a fresh miss; both paths agree.
+        let f = |g: &[i64]| g[0] as f64 * 0.25 + 0.1;
+        let tier = StoreTier::new(Some((Arc::clone(&store), fp(3))), LocalEvaluator::new(f, 1));
+        // First pass populates the store.
+        let first = tier.begin(&[vec![1], vec![2], vec![3]]).wait();
+        // Second pass mixes hits with a fresh miss, out of order.
         let mixed = [vec![2], vec![9], vec![1]];
-        let a = tier.begin(&mixed).wait();
-        let b = tier.evaluate(&mixed);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.to_bits(), y.to_bits());
+        let scores = tier.begin(&mixed).wait();
+        for (g, s) in mixed.iter().zip(&scores) {
+            assert_eq!(s.to_bits(), f(g).to_bits());
         }
-        assert_eq!(piped[1].to_bits(), a[0].to_bits(), "hit must be bit-exact");
+        assert_eq!(
+            first[1].to_bits(),
+            scores[0].to_bits(),
+            "hit must be bit-exact"
+        );
         drop(tier);
         drop(store);
         let _ = std::fs::remove_dir_all(&dir);

@@ -6,8 +6,8 @@
 //! workspace's [`tuner::Tuner`] in the operational shell such a search
 //! needs:
 //!
-//! * [`daemon`] — a bounded job queue and a worker pool that drive the GA
-//!   **one generation at a time** via `ga::GaState`, with per-job
+//! * [`daemon`] — a bounded job queue and a worker pool that drive each
+//!   search **one round at a time** via `search::round`, with per-job
 //!   cancellation and graceful shutdown;
 //! * [`checkpoint`] — an atomic (temp-file + rename) checkpoint of the
 //!   complete search state after every generation, and crash recovery

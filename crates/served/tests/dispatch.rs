@@ -200,10 +200,9 @@ fn run_distributed(
     let remote = RemoteEvaluator::new(pool, spec.to_json(), metrics, |genes| {
         tuner.fitness(&inliner::InlineParams::from_genes(genes))
     });
-    let mut state = tuner.start(spec.ga.clone());
-    while !state.step_with(&remote) {}
-    let outcome = tuner.outcome(&state);
-    (outcome.params.to_genes(), outcome.fitness)
+    let mut strategy = search::build("ga", tuner.task().ranges(), spec.ga.clone()).unwrap();
+    search::drive(strategy.as_mut(), &remote);
+    search::finish(strategy.as_ref()).unwrap()
 }
 
 /// The same search, entirely local.

@@ -21,9 +21,11 @@ use evald::{Chaos, ChaosConfig, EvalWorker};
 use ga::{Evaluator, GaConfig};
 use inliner::InlineParams;
 use jit::Scenario;
+use served::daemon::{Daemon, DaemonConfig};
 use served::dispatch::{DispatchConfig, RemoteEvaluator, Worker, WorkerPool};
+use served::json::{u64_from_json, Json};
 use served::proto::{registry_from_json, registry_to_json};
-use served::{JobSpec, Metrics};
+use served::{Client, JobSpec, Metrics, RunDir, Server};
 use tuner::{Goal, Tuner};
 
 fn tiny_spec(seed: u64) -> JobSpec {
@@ -194,13 +196,13 @@ fn healthy_worker_run_is_bit_identical_with_exact_histograms() {
         spec.training().unwrap(),
         spec.adapt_cfg(),
     );
-    let mut state = tuner.start(spec.ga.clone());
+    let mut state = search::build("ga", tuner.task().ranges(), spec.ga.clone()).unwrap();
     state.set_obs(Arc::clone(&ga_reg));
     let remote = RemoteEvaluator::new(&pool, spec.to_json(), &metrics, |genes| {
         tuner.fitness(&InlineParams::from_genes(genes))
     });
-    while !state.step_with(&remote) {}
-    let outcome = tuner.outcome(&state);
+    search::drive(state.as_mut(), &remote);
+    let (genes, fitness) = search::finish(state.as_ref()).unwrap();
 
     // Bit-identity against the all-local reference run.
     let local = Tuner::new(
@@ -209,8 +211,8 @@ fn healthy_worker_run_is_bit_identical_with_exact_histograms() {
         spec.adapt_cfg(),
     )
     .tune(spec.ga.clone());
-    assert_eq!(outcome.params.to_genes(), local.params.to_genes());
-    assert_eq!(outcome.fitness.to_bits(), local.fitness.to_bits());
+    assert_eq!(genes, local.params.to_genes());
+    assert_eq!(fitness.to_bits(), local.fitness.to_bits());
 
     // Every distinct evaluation went remote, none fell back, and the
     // worker answered each exactly once.
@@ -275,6 +277,74 @@ fn healthy_worker_run_is_bit_identical_with_exact_histograms() {
     );
 }
 
+/// A job run *through the daemon* on a remote worker reports, in its
+/// `watch` frames, the time its evaluations really took. The worker's
+/// chaos delays every evaluation by a fixed sleep, so any round that
+/// evaluated a genome spent at least that long between the strategy's
+/// `ask` and `tell` — a lower bound no scheduler can undercut — and the
+/// frame's `timing.eval_micros` must show it. (Timing the commit instead
+/// of the evaluation reads tens of microseconds here.)
+#[test]
+fn daemon_watch_frames_time_the_evaluation_not_the_commit() {
+    const DELAY_MS: u64 = 20;
+    let chaos = Chaos::new(
+        ChaosConfig::parse(&format!("delay:{DELAY_MS}ms")).unwrap(),
+        1,
+    );
+    let worker = TestWorker::start(chaos);
+    let dir = std::env::temp_dir().join(format!("served-obs-watch-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let reg = Arc::new(obs::Registry::new());
+    let daemon = Daemon::start(
+        DaemonConfig {
+            workers: 1,
+            eval_workers: vec![worker.addr.clone()],
+            obs: Arc::clone(&reg),
+            ..DaemonConfig::default()
+        },
+        RunDir::open(&dir).unwrap(),
+    )
+    .unwrap();
+    let server = Server::bind("127.0.0.1:0", daemon.clone()).unwrap();
+    let addr = server.local_addr().to_string();
+    let stop = server.stop_flag();
+    let serving = std::thread::spawn(move || server.serve().expect("serve"));
+
+    let spec = tiny_spec(3004);
+    let id = Client::connect(&addr).unwrap().submit(&spec).unwrap();
+    let mut watcher = Client::connect(&addr).unwrap();
+    watcher.set_timeout(Some(Duration::from_secs(120))).unwrap();
+    let mut timed_rounds = 0;
+    let mut check = |job: &Json| {
+        let Some(t) = job.get("timing") else { return };
+        let evaluations = t.get("evaluations").and_then(Json::as_i64).unwrap();
+        let eval_micros = t.get("eval_micros").and_then(u64_from_json).unwrap();
+        if evaluations > 0 {
+            assert!(
+                eval_micros >= DELAY_MS * 1000,
+                "a round of {evaluations} delayed evaluations reported {eval_micros}us"
+            );
+            timed_rounds += 1;
+        }
+    };
+    let last = watcher.watch(id, &mut check).unwrap();
+    check(&last);
+    assert_eq!(last.get("state").and_then(Json::as_str), Some("done"));
+    assert!(timed_rounds > 0, "no frame carried a timed round");
+
+    // The same number feeds the histogram: every generation's sample is
+    // there, and together they cover every delayed evaluation's round.
+    let snap = reg.snapshot();
+    let hist = snap.histogram("ga_eval_micros").unwrap();
+    assert_eq!(hist.total, spec.ga.generations as u64);
+    assert!(hist.max >= DELAY_MS * 1000);
+
+    daemon.shutdown();
+    stop.store(true, Ordering::SeqCst);
+    serving.join().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Two workers — one dropping 30% of connections — still converge to the
 /// bit-identical result, per-worker completions add up to the batch
 /// totals, and the frozen clocks keep every histogram exact even though
@@ -292,13 +362,13 @@ fn chaos_and_healthy_worker_pair_keeps_exact_accounting() {
         spec.training().unwrap(),
         spec.adapt_cfg(),
     );
-    let mut state = tuner.start(spec.ga.clone());
+    let mut state = search::build("ga", tuner.task().ranges(), spec.ga.clone()).unwrap();
     state.set_obs(manual_registry());
     let remote = RemoteEvaluator::new(&pool, spec.to_json(), &metrics, |genes| {
         tuner.fitness(&InlineParams::from_genes(genes))
     });
-    while !state.step_with(&remote) {}
-    let outcome = tuner.outcome(&state);
+    search::drive(state.as_mut(), &remote);
+    let (genes, fitness) = search::finish(state.as_ref()).unwrap();
 
     let local = Tuner::new(
         spec.task().unwrap(),
@@ -306,8 +376,8 @@ fn chaos_and_healthy_worker_pair_keeps_exact_accounting() {
         spec.adapt_cfg(),
     )
     .tune(spec.ga.clone());
-    assert_eq!(outcome.params.to_genes(), local.params.to_genes());
-    assert_eq!(outcome.fitness.to_bits(), local.fitness.to_bits());
+    assert_eq!(genes, local.params.to_genes());
+    assert_eq!(fitness.to_bits(), local.fitness.to_bits());
 
     // Remote completions plus local fallbacks cover every distinct
     // evaluation exactly once (results merge by genome, so a retried

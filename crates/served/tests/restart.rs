@@ -263,11 +263,11 @@ fn race_job_on_remote_workers_survives_sigkill_bit_identically() {
         spec.training().unwrap(),
         spec.adapt_cfg(),
     );
-    let mut expected = tuner
-        .start_strategy(&spec.strategy, spec.ga.clone())
+    let mut expected = search::build(&spec.strategy, tuner.task().ranges(), spec.ga.clone())
         .expect("valid race spec");
-    while !tuner.step_strategy(expected.as_mut()) {}
-    let (expected_genes, expected_fitness) = expected.best().expect("race found a best");
+    search::drive(expected.as_mut(), &tuner.evaluator(spec.ga.threads));
+    let (expected_genes, expected_fitness) =
+        search::finish(expected.as_ref()).expect("race found a best");
 
     // The evaluation farm outlives the daemon: both workers live in this
     // process and are handed to both daemon incarnations via --worker.

@@ -315,10 +315,8 @@ impl Cluster {
         let problem = spec.build_problem()?;
         let mut strategy = search::build(&spec.strategy, problem.space().clone(), spec.ga.clone())?;
         let backend = ga::LocalEvaluator::new(|genes: &[i64]| problem.fitness(genes), 1);
-        while !search::step_with(strategy.as_mut(), &backend) {}
-        strategy
-            .best()
-            .ok_or_else(|| "in-process search finished without a best".into())
+        search::drive(strategy.as_mut(), &backend);
+        search::finish(strategy.as_ref())
     }
 
     /// Submits a job through the protocol (a control-node client over

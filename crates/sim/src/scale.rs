@@ -49,7 +49,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use ga::{Evaluator, GaConfig, Genome, LocalEvaluator, PendingScores, PipelinedEvaluator, Ranges};
+use ga::{Evaluator, GaConfig, Genome, LocalEvaluator, PendingScores, Ranges};
 use served::dispatch::{DispatchConfig, RemoteEvaluator, WorkerPool};
 use served::json::Json;
 use served::proto::{
@@ -332,9 +332,7 @@ impl Evaluator for MainThreadBusy<'_> {
     fn evaluate(&self, genomes: &[Genome]) -> Vec<f64> {
         self.begin(genomes).wait()
     }
-}
 
-impl PipelinedEvaluator for MainThreadBusy<'_> {
     fn begin<'s>(&'s self, genomes: &[Genome]) -> Box<dyn PendingScores + 's> {
         Box::new(BusyHandoff {
             inner: self.inner.begin(genomes),
@@ -430,7 +428,7 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleReport {
     };
     clock.busy_begin();
     let started = clock.now_micros();
-    while !search::step_pipelined(strategy.as_mut(), &driver, |_| {}) {}
+    search::drive(strategy.as_mut(), &driver);
     let elapsed_micros = clock.now_micros().saturating_sub(started).max(1);
     clock.busy_end();
 
@@ -438,7 +436,7 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleReport {
     // cost. Distribution must change timing only, never these numbers.
     let mut reference = search::build("ga", ranges(), ga).expect("ga strategy builds");
     let local = LocalEvaluator::new(|g: &[i64]| synthetic_fitness(g), 1);
-    while !search::step_with(reference.as_mut(), &local) {}
+    search::drive(reference.as_mut(), &local);
 
     let (best_genes, best_fitness) = strategy.best().expect("scale run converged");
     let (ref_genes, ref_fitness) = reference.best().expect("reference converged");

@@ -106,7 +106,7 @@ fn main() {
 
     // Specialize a heuristic for this one program (paper §6.5).
     let ranges = ga::Ranges::new(ParamRanges::paper_opt_only().bounds.to_vec());
-    let engine = GeneticAlgorithm::new(
+    let mut strategy = search::Ga::new(
         ranges,
         GaConfig {
             pop_size: 16,
@@ -117,12 +117,17 @@ fn main() {
             ..GaConfig::default()
         },
     );
-    let ga_result = engine.run(|genes| {
-        let params = InlineParams::from_genes(genes);
-        measure(&program, Scenario::Opt, &arch, &params, &cfg).running_cycles
-            / default.running_cycles
-    });
-    let tuned = InlineParams::from_genes(&ga_result.best_genome);
+    let backend = LocalEvaluator::new(
+        |genes: &[i64]| {
+            let params = InlineParams::from_genes(genes);
+            measure(&program, Scenario::Opt, &arch, &params, &cfg).running_cycles
+                / default.running_cycles
+        },
+        1,
+    );
+    search::drive(&mut strategy, &backend);
+    let (best_genome, _) = search::finish(&strategy).expect("40 generations ran");
+    let tuned = InlineParams::from_genes(&best_genome);
     let best = measure(&program, Scenario::Opt, &arch, &tuned, &cfg);
     println!(
         "specialized params {}\n  running {:.3}ms ({:.1}% faster than the default heuristic)",

@@ -20,7 +20,7 @@ use inlinetune::prelude::*;
 use inlinetune::served::dispatch::{DispatchConfig, RemoteEvaluator, WorkerPool};
 use inlinetune::served::job::JobSpec;
 use inlinetune::served::Metrics;
-use inlinetune::{ga, jit, tuner};
+use inlinetune::{ga, jit, search, tuner};
 
 fn spec(seed: u64) -> JobSpec {
     JobSpec {
@@ -75,48 +75,45 @@ fn main() {
         tuning.fitness(&InlineParams::from_genes(genes))
     });
 
-    // Drive the search one generation at a time through the remote
+    // Drive the search one round at a time through the remote
     // evaluator. Only memo-table misses travel over the wire. Each
     // generation's wall-time breakdown comes from the obs layer via
-    // `last_timing` — the same numbers `tuned` forwards in watch frames.
-    let mut state = tuning.start(spec.ga.clone());
-    while !state.step_with(&remote) {
-        let best = state.best().map_or(f64::INFINITY, |(_, f)| f);
+    // `last_timing` — the same numbers `tuned` forwards in watch frames;
+    // `eval` is the whole ask-to-tell time, dispatch and RPC included.
+    let mut strategy = search::build(&spec.strategy, tuning.task().ranges(), spec.ga.clone())
+        .expect("the spec names a known strategy");
+    loop {
+        let done = search::round(strategy.as_mut(), &remote, |_| {});
+        let best = strategy.best().map_or(f64::INFINITY, |(_, f)| f);
         let remote_evals = metrics.remote_completed.load(Ordering::Relaxed);
-        match state.last_timing() {
-            Some(t) => println!(
-                "generation {:>2}: best fitness {best:.4}  \
-                 eval {:>6}us ({} evals, {} cached)  breed {:>4}us  \
-                 (remote evals so far: {remote_evals})",
-                t.generation, t.eval_micros, t.evaluations, t.cache_hits, t.breed_micros,
-            ),
-            None => println!(
-                "generation {:>2}: best fitness {best:.4}  \
-                 (remote evals so far: {remote_evals})",
-                state.generation(),
-            ),
+        let t = strategy
+            .last_timing()
+            .expect("the ga strategy times every round");
+        println!(
+            "generation {:>2}: best fitness {best:.4}  \
+             eval {:>6}us ({} evals, {} cached)  breed {:>4}us  \
+             (remote evals so far: {remote_evals})",
+            t.generation, t.eval_micros, t.evaluations, t.cache_hits, t.breed_micros,
+        );
+        if done {
+            break;
         }
     }
-    let distributed = tuning.outcome(&state);
+    let (genes, fitness) = search::finish(strategy.as_ref()).expect("six generations ran");
+    let params = InlineParams::from_genes(&genes);
 
     // The invariant that makes all the retry/failover machinery safe:
     // fitness is a pure function of the genome, so the distributed
     // search equals the local search bit-for-bit.
     let local = tuning.tune(spec.ga.clone());
     assert_eq!(
-        distributed.params, local.params,
+        params, local.params,
         "distribution must not change the result"
     );
-    assert_eq!(distributed.fitness.to_bits(), local.fitness.to_bits());
+    assert_eq!(fitness.to_bits(), local.fitness.to_bits());
 
-    println!(
-        "\ntuned params (distributed == local): {:?}",
-        distributed.params
-    );
-    println!(
-        "fitness {:.4} vs default heuristic (lower is better)",
-        distributed.fitness
-    );
+    println!("\ntuned params (distributed == local): {params:?}");
+    println!("fitness {fitness:.4} vs default heuristic (lower is better)");
     for w in pool.snapshots() {
         println!(
             "worker {}: {} dispatched, {} completed, mean rtt {:.2} ms",

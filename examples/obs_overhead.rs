@@ -49,15 +49,14 @@ fn main() {
     let mut evaluations = 0usize;
     for rep in 0..reps {
         let started = std::time::Instant::now();
-        let mut state = tuner.start(ga.clone());
-        while !tuner.step(&mut state) {}
+        let outcome = tuner.tune(ga.clone());
         let elapsed = started.elapsed().as_micros();
         min_elapsed = min_elapsed.min(elapsed);
 
-        let bits = tuner.outcome(&state).fitness.to_bits();
+        let bits = outcome.fitness.to_bits();
         if rep == 0 {
             fitness_bits = bits;
-            evaluations = state.evaluations();
+            evaluations = outcome.ga.evaluations;
         } else {
             assert_eq!(bits, fitness_bits, "repetition changed the result");
         }

@@ -17,40 +17,58 @@
 //! cargo run --release --example store_bench -- [RECORDS] [POP] [GENS] [SEED]
 //! ```
 
+use std::sync::Mutex;
 use std::time::Instant;
 
+use inlinetune::ga::Evaluator;
 use inlinetune::prelude::*;
-use inlinetune::search::Strategy;
+use inlinetune::search::{self, Strategy};
 use inlinetune::stored::{digest_parts, Fingerprint, Record, Store, FEATURES};
 use inlinetune::tuner::cell_fingerprint;
 
-/// Drives a strategy against the tuner, logging every evaluation;
-/// stops early once `stop_at` is reached (warm run) or the budget ends.
-fn drive(
+/// The tuner's fitness, logging every genome it actually evaluates.
+struct Logging<'a> {
+    tuner: &'a Tuner,
+    log: Mutex<Vec<(Vec<i64>, f64)>>,
+}
+
+impl Evaluator for Logging<'_> {
+    fn evaluate(&self, genomes: &[Vec<i64>]) -> Vec<f64> {
+        let scores: Vec<f64> = genomes
+            .iter()
+            .map(|g| self.tuner.fitness(&InlineParams::from_genes(g)))
+            .collect();
+        self.log
+            .lock()
+            .expect("log poisoned")
+            .extend(genomes.iter().cloned().zip(scores.iter().copied()));
+        scores
+    }
+}
+
+/// Runs a strategy against the tuner, logging every evaluation; stops
+/// early once `stop_at` is reached (warm run) or the budget ends.
+fn logged_run(
     tuner: &Tuner,
     strategy: &mut dyn Strategy,
     stop_at: Option<f64>,
 ) -> (Vec<(Vec<i64>, f64)>, f64, usize) {
-    let mut log = Vec::new();
+    let backend = Logging {
+        tuner,
+        log: Mutex::new(Vec::new()),
+    };
     let mut best = f64::INFINITY;
     let mut evals_to_best = 0;
     loop {
-        let batch = strategy.ask();
-        let scores: Vec<f64> = batch
-            .iter()
-            .map(|g| tuner.fitness(&InlineParams::from_genes(g)))
-            .collect();
-        for (g, f) in batch.iter().zip(&scores) {
-            log.push((g.clone(), *f));
-        }
-        strategy.tell(&batch, &scores);
+        let done = search::round(strategy, &backend, |_| {});
         if let Some((_, f)) = strategy.best() {
             if f < best {
                 best = f;
                 evals_to_best = strategy.evaluations();
             }
         }
-        if stop_at.is_some_and(|bar| best <= bar) || strategy.is_done() {
+        if stop_at.is_some_and(|bar| best <= bar) || done {
+            let log = backend.log.into_inner().expect("log poisoned");
             return (log, best, evals_to_best);
         }
     }
@@ -123,8 +141,8 @@ fn main() {
         ..GaConfig::default()
     };
 
-    let mut cold = tuner.start_strategy("ga", ga.clone()).expect("ga builds");
-    let (cold_log, target, cold_evals) = drive(&tuner, cold.as_mut(), None);
+    let mut cold = search::build("ga", task.ranges(), ga.clone()).expect("ga builds");
+    let (cold_log, target, cold_evals) = logged_run(&tuner, cold.as_mut(), None);
 
     let warm_dir = scratch.join("warm");
     let store = Store::open(&warm_dir).expect("warm store opens");
@@ -138,11 +156,9 @@ fn main() {
             })
             .expect("warm append");
     }
-    let mut warm = tuner
-        .start_strategy("warmstart", ga)
-        .expect("warmstart builds");
+    let mut warm = search::build("warmstart", task.ranges(), ga).expect("warmstart builds");
     let planted = warm.seed_population(&store.warm_seeds(&fp, pop));
-    let (_, warm_best, warm_evals) = drive(&tuner, warm.as_mut(), Some(target));
+    let (_, warm_best, warm_evals) = logged_run(&tuner, warm.as_mut(), Some(target));
     drop(store);
     let _ = std::fs::remove_dir_all(&scratch);
 

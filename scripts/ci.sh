@@ -1,34 +1,23 @@
 #!/usr/bin/env bash
-# CI for inlinetune: format check, fully offline build + test, an
-# end-to-end smoke run of the `tuned` daemon (submit a tiny Opt:Tot job
-# over localhost, watch it finish, pull metrics, then smoke-tune the
-# flags and dss problem domains through the same daemon and prove they
-# reload from the run directory after a restart), a
-# distributed-evaluation smoke via scripts/bench.sh (1 local vs
-# 2 evald workers, bit-identity enforced and the distributed case
-# required to beat local throughput on multi-core hosts — single-core
-# hosts can't parallelize, so there the gate bounds dispatch overhead
-# instead and the sim scaling suite carries the speedup proof; plus a
-# search-strategy
-# shootout whose racing portfolio must hit its shared memo, and a
-# persistent-store bench whose warm start must match cold in no more
-# evaluations), a deterministic-simulation sweep: 200 seeded fault
-# schedules over the simulated cluster (crates/sim) plus seeded
-# kill-mid-append store crash/recovery scenarios, every seed required
-# to reproduce the fault-free result bit-for-bit (failing seeds replay
-# with scripts/replay.sh <seed> / simtest --store-seed <seed>), and the
-# throughput-scaling suite (`simtest --scale`): a virtual worker fleet
-# that must beat serial at 2 workers and hold >=70% parallel efficiency
-# at 16, bit-identical and exactly-once under seeded fault variants.
-# Finally the multi-tenant shard soak (`simtest --shard-seeds`): per
-# seed, 1000 virtual clients across four tenants push jobs through the
-# sharded control plane over a shared 100-worker fleet — no lost jobs,
-# quotas respected, no tenant starved, results bit-identical. PR 10
-# adds the online drift sweep (seeded drifting workloads under fault
-# weather, every daemon trajectory bit-identical to the in-process
-# reference runner), a calibration-stability check for the perf-gate
-# baseline, and BENCH_online.json (calibrated hot-path gates plus the
-# online-vs-frozen drift-study verdict) via scripts/bench.sh.
+# CI for inlinetune. Stages, in order:
+#
+#   1. cargo fmt --check
+#   2. offline release build and offline test suite
+#   3. benchmark/ci.sh: the out-of-workspace benchmark package builds
+#      offline against the crates' public API and its --quick smoke runs
+#      all four workloads
+#   4. property suites (only when a proptest dev-dependency is present)
+#   5. calibration stability of the perf-gate baseline
+#   6. `tuned` daemon smoke: inline, flags and dss jobs over localhost,
+#      metrics / obs / Prometheus scrape, reload after restart
+#   7. scripts/bench.sh gates: evald 1-local vs 2-worker bit-identity and
+#      throughput, obs overhead, strategy shootout, store warm start,
+#      calibrated perf gates + online drift study, sharded bench
+#   8. sim sweep: seeded fault schedules, mixed-problem, store
+#      crash/recovery and online drift stages, broken-build self-test
+#      (replay a failing seed with scripts/replay.sh <seed>)
+#   9. sim throughput-scaling suite (`simtest --scale`)
+#  10. multi-tenant shard soak (`simtest --shard-seeds`)
 #
 # The workspace must never need the network: `--offline` everywhere.
 set -euo pipefail
@@ -42,6 +31,11 @@ cargo build --workspace --release --offline
 
 echo "== cargo test --offline"
 cargo test --workspace --offline --quiet
+
+echo "== benchmark package (offline build + --quick smoke of every workload)"
+# The benchmark is its own workspace, so the build and tests above never
+# compile it; this is what notices when a public-API change breaks it.
+benchmark/ci.sh
 
 # The property-test suites (obs histogram invariants, registry JSON
 # round-trips) need the external `proptest` crate, which is not vendored:

@@ -61,7 +61,7 @@ pub use workloads;
 
 /// The names most programs need, in one import.
 pub mod prelude {
-    pub use ga::{GaConfig, GeneticAlgorithm, Ranges};
+    pub use ga::{GaConfig, LocalEvaluator, Ranges};
     pub use inliner::{InlineParams, ParamRanges};
     pub use ir::{Method, MethodId, Program};
     pub use jit::{measure, AdaptConfig, ArchModel, Measurement, Scenario};
