@@ -121,17 +121,26 @@ impl GaConfig {
         }
     }
 
-    fn validate(&self) {
-        assert!(self.pop_size >= 2, "population must be at least 2");
-        assert!(
-            self.elitism < self.pop_size,
+    /// The one validity rule for a configuration, wherever it came
+    /// from — a job spec on the wire, a checkpoint on disk, or code.
+    ///
+    /// # Errors
+    /// Names the first degenerate field.
+    pub fn check(&self) -> Result<(), String> {
+        let broken = if self.pop_size < 2 {
+            "population must be at least 2"
+        } else if self.elitism >= self.pop_size {
             "elitism must leave room to breed"
-        );
-        assert!(self.threads >= 1, "need at least one evaluation thread");
-        assert!(
-            self.tournament_size >= 1,
+        } else if self.threads < 1 {
+            "need at least one evaluation thread"
+        } else if self.tournament_size < 1 {
             "tournament size must be positive"
-        );
+        } else if self.generations < 1 {
+            "need at least one generation"
+        } else {
+            return Ok(());
+        };
+        Err(format!("degenerate GA config: {broken}"))
     }
 }
 
@@ -259,8 +268,7 @@ impl GaState {
     /// seed.
     ///
     /// # Panics
-    /// Panics on degenerate configs (population below 2, elitism that
-    /// leaves no room to breed, zero threads or tournament size).
+    /// Panics on configs that fail [`GaConfig::check`].
     #[must_use]
     pub fn new(ranges: Ranges, config: GaConfig) -> Self {
         Self::with_seeds(ranges, config, &[])
@@ -277,7 +285,9 @@ impl GaState {
     /// Panics on degenerate configs (see [`GaState::new`]).
     #[must_use]
     pub fn with_seeds(ranges: Ranges, config: GaConfig, seeds: &[Genome]) -> Self {
-        config.validate();
+        config
+            .check()
+            .expect("a GaState is built from a checked config");
         let mut rng = Rng::seed_from_u64(config.seed);
         let mut population: Vec<Genome> = Vec::with_capacity(config.pop_size);
         for s in seeds {
@@ -674,7 +684,7 @@ impl GaState {
             ));
         }
         let ranges = Ranges::with_kinds(bounds, kinds);
-        config.validate();
+        config.check()?;
         if population.len() != config.pop_size {
             return Err(format!(
                 "snapshot population has {} genomes, config says {}",

@@ -57,7 +57,7 @@ impl Core {
 
     /// Total proposals the strategy may make: the GA's population draws.
     pub fn budget(&self) -> usize {
-        self.config.pop_size * self.config.generations
+        self.config.pop_size.saturating_mul(self.config.generations)
     }
 
     /// How many genomes the next round may propose.
@@ -178,7 +178,7 @@ impl Core {
                 return Err(format!("snapshot genome {g:?} is out of bounds"));
             }
         }
-        Ok(Core {
+        let core = Core {
             ranges,
             config: s.config,
             label: label.to_string(),
@@ -190,7 +190,16 @@ impl Core {
             rounds: s.rounds,
             done: s.done,
             obs: Arc::clone(obs::global()),
-        })
+        };
+        // `batch_size` subtracts: a snapshot past its budget is corrupt.
+        if core.proposed > core.budget() {
+            return Err(format!(
+                "snapshot has {} proposals against a budget of {}",
+                core.proposed,
+                core.budget()
+            ));
+        }
+        Ok(core)
     }
 }
 

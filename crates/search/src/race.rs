@@ -151,7 +151,7 @@ impl Race {
 
     /// Shared backend-evaluation budget: what one lone strategy gets.
     fn budget(&self) -> usize {
-        self.config.pop_size * self.config.generations
+        self.config.pop_size.saturating_mul(self.config.generations)
     }
 
     /// Bumps trailing counters and eliminates dominated members, always

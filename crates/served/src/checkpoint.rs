@@ -18,584 +18,212 @@
 //! kill-and-restart produce the same tuned parameters as an
 //! uninterrupted run.
 //!
-//! GA checkpoints keep the original untagged [`ga::GaSnapshot`] JSON
-//! shape, so run directories written before the `search` seam existed
-//! still recover. Every other strategy is tagged with a `"strategy"`
-//! key; a race nests its members' snapshots recursively.
+//! Each file's JSON shape is one `record!` row list below (spelling
+//! and presence rules: `crate::codec`). A GA checkpoint is the bare
+//! [`ga::GaSnapshot`] object; every other strategy's carries a
+//! `"strategy"` tag, and a race nests its members' recursively.
 
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use ga::{GaConfig, GaSnapshot, GeneKind, Generation};
+use ga::{GaSnapshot, GeneKind, Generation};
 use online::{DetectorSnapshot, EpochRow, OnlineSnapshot};
 use search::{
     AnnealSnapshot, CoreSnapshot, GridSnapshot, HillSnapshot, MemberSnapshot, RaceSnapshot,
     RandomSnapshot, StrategySnapshot, WarmstartSnapshot,
 };
-use workloads::DriftPos;
 
-use crate::job::{ga_config_from_json, ga_config_to_json, JobSpec};
-use crate::json::{parse, u64_from_json, u64_to_json, Json};
+pub use crate::codec::{f64_from_json, f64_to_json};
+use crate::codec::{
+    optional, record, Bool, Bound, Codec, Genome, Int, Kinds, List, Nullable, Pos, RngState,
+    Scored, Str, F64, U64,
+};
+use crate::job::{GaConfigFmt, JobSpec};
+use crate::json::{parse, Json};
 
-/// Encodes an `f64` that may be non-finite (JSON has no literal for
-/// those; `best_fitness` is `+inf` before the first generation).
-#[must_use]
-pub fn f64_to_json(x: f64) -> Json {
-    if x.is_finite() {
-        Json::Num(x)
-    } else if x.is_nan() {
-        Json::Str("nan".into())
-    } else if x > 0.0 {
-        Json::Str("inf".into())
-    } else {
-        Json::Str("-inf".into())
+record! {
+    /// One `history` entry of a GA checkpoint.
+    GenerationFmt: Generation = "history entry" {
+        index: Int;
+        best_fitness: F64;
+        best_genome: Genome;
+        mean_fitness: F64;
     }
 }
 
-/// Decodes [`f64_to_json`]'s encoding.
-#[must_use]
-pub fn f64_from_json(v: &Json) -> Option<f64> {
-    match v {
-        Json::Str(s) => match s.as_str() {
-            "inf" => Some(f64::INFINITY),
-            "-inf" => Some(f64::NEG_INFINITY),
-            "nan" => Some(f64::NAN),
-            _ => None,
-        },
-        _ => v.as_f64(),
+record! {
+    /// The GA engine's state — untagged, so it is also the whole
+    /// `checkpoint.json` of a `ga` job. Deterministic bytes: the memo
+    /// is already sorted by `GaState::snapshot`. Structural decoding
+    /// only; population size and genome ranges are `GaState::restore`'s
+    /// to check.
+    pub(crate) GaSnapshotFmt: GaSnapshot = "checkpoint" {
+        bounds: List<Bound>;
+        kinds: Kinds = vec![GeneKind::Int; bounds.len()], omit;
+        config: GaConfigFmt;
+        rng_state: RngState;
+        population: List<Genome>;
+        cache: List<Scored>;
+        evaluations: Int;
+        cache_hits: Int;
+        history: List<GenerationFmt>;
+        best_genome: Genome;
+        best_fitness: F64;
+        stagnant: Int;
+        next_gen: Int;
+        done: Bool;
     }
 }
 
-fn genome_to_json(g: &[i64]) -> Json {
-    Json::Arr(g.iter().map(|&x| Json::Int(x)).collect())
-}
-
-pub(crate) fn genome_from_json(v: &Json) -> Option<Vec<i64>> {
-    v.as_arr()?.iter().map(Json::as_i64).collect()
-}
-
-fn bounds_to_json(bounds: &[(i64, i64)]) -> Json {
-    Json::Arr(
-        bounds
-            .iter()
-            .map(|&(lo, hi)| Json::Arr(vec![Json::Int(lo), Json::Int(hi)]))
-            .collect(),
-    )
-}
-
-fn bounds_from_json(v: &Json) -> Option<Vec<(i64, i64)>> {
-    v.as_arr()?
-        .iter()
-        .map(|pair| {
-            let p = pair.as_arr()?;
-            Some((p.first()?.as_i64()?, p.get(1)?.as_i64()?))
-        })
-        .collect()
-}
-
-/// Gene kinds as a compact code string (`"ibc…"`, one char per gene), or
-/// `None` when every gene is the default [`GeneKind::Int`] — the field is
-/// omitted then, so pre-kinds checkpoints keep their exact bytes and
-/// legacy files (which never carry it) decode to all-Int.
-fn kinds_field(kinds: &[GeneKind]) -> Option<Json> {
-    if kinds.iter().all(|&k| k == GeneKind::Int) {
-        None
-    } else {
-        Some(Json::Str(kinds.iter().map(|k| k.code()).collect()))
+record! {
+    /// The state every non-GA strategy embeds.
+    pub(crate) CoreFmt: CoreSnapshot = "strategy core" {
+        bounds: List<Bound>;
+        kinds: Kinds = vec![GeneKind::Int; bounds.len()], omit;
+        config: GaConfigFmt;
+        memo: List<Scored>;
+        proposed: Int;
+        evaluations: Int;
+        cache_hits: Int;
+        best: Nullable<Scored>;
+        rounds: Int;
+        done: Bool;
     }
 }
 
-fn kinds_from_json(v: Option<&Json>, n_genes: usize) -> Result<Vec<GeneKind>, String> {
-    match v {
-        None => Ok(vec![GeneKind::Int; n_genes]),
-        Some(v) => {
-            let s = v.as_str().ok_or("'kinds' must be a string of kind codes")?;
-            s.chars()
-                .map(|c| {
-                    GeneKind::from_code(c).ok_or_else(|| format!("unknown gene kind code '{c}'"))
-                })
-                .collect()
+record! {
+    RandomFmt: RandomSnapshot = "random checkpoint" {
+        core: CoreFmt;
+        rng_state: RngState;
+    }
+}
+
+record! {
+    HillFmt: HillSnapshot = "hillclimb checkpoint" {
+        core: CoreFmt;
+        rng_state: RngState;
+        current: Nullable<Scored>;
+        stagnant: Int;
+        restarts: Int;
+    }
+}
+
+record! {
+    AnnealFmt: AnnealSnapshot = "anneal checkpoint" {
+        core: CoreFmt;
+        rng_state: RngState;
+        current: Nullable<Scored>;
+    }
+}
+
+record! {
+    GridFmt: GridSnapshot = "grid checkpoint" {
+        core: CoreFmt;
+        window: List<Bound>;
+        cursor: Int;
+        level: Int;
+    }
+}
+
+record! {
+    WarmstartFmt: WarmstartSnapshot = "warmstart checkpoint" {
+        seeds: List<Genome>;
+        ga: GaSnapshotFmt;
+    }
+}
+
+record! {
+    MemberFmt: MemberSnapshot = "race member" {
+        name: Str;
+        eliminated: Bool;
+        stale_rounds: Int;
+        snapshot: StrategyFmt;
+    }
+}
+
+record! {
+    pub(crate) RaceFmt: RaceSnapshot = "race checkpoint" {
+        config: GaConfigFmt;
+        bounds: List<Bound>;
+        kinds: Kinds = vec![GeneKind::Int; bounds.len()], omit;
+        memo: List<Scored>;
+        evaluations: Int;
+        shared_hits: Int;
+        rounds: Int;
+        done: Bool;
+        members: List<MemberFmt>;
+    }
+}
+
+/// Any strategy's checkpoint: the variant's rows behind a `"strategy"`
+/// tag, or — with no tag at all — a GA snapshot.
+struct StrategyFmt;
+
+/// `tag => Variant(its rows)`, for both directions at once.
+macro_rules! tagged_strategies {
+    ($($tag:literal => $variant:ident($fmt:ty),)+) => {
+        impl Codec for StrategyFmt {
+            type T = StrategySnapshot;
+            const WHAT: &'static str = "a strategy checkpoint object";
+            fn enc(s: &StrategySnapshot) -> Json {
+                let (tag, rows) = match s {
+                    StrategySnapshot::Ga(s) => return GaSnapshotFmt::enc(s),
+                    $(StrategySnapshot::$variant(s) => ($tag, <$fmt>::rows(s)),)+
+                };
+                let mut tagged = vec![("strategy", Json::Str(tag.into()))];
+                tagged.extend(rows);
+                Json::obj(tagged)
+            }
+            fn dec(j: &Json) -> Result<StrategySnapshot, String> {
+                match optional::<Str>(j, "checkpoint", "strategy", true)?.as_deref() {
+                    None => GaSnapshotFmt::dec(j).map(StrategySnapshot::Ga),
+                    $(Some($tag) => <$fmt>::dec(j).map(StrategySnapshot::$variant),)+
+                    Some(other) => Err(format!("unknown checkpoint strategy tag '{other}'")),
+                }
+            }
         }
-    }
+    };
 }
 
-fn memo_to_json(memo: &[(Vec<i64>, f64)]) -> Json {
-    Json::Arr(
-        memo.iter()
-            .map(|(g, v)| Json::Arr(vec![genome_to_json(g), f64_to_json(*v)]))
-            .collect(),
-    )
+tagged_strategies! {
+    "random" => Random(RandomFmt),
+    "hillclimb" => HillClimb(HillFmt),
+    "anneal" => Anneal(AnnealFmt),
+    "grid" => Grid(GridFmt),
+    "warmstart" => Warmstart(WarmstartFmt),
+    "race" => Race(RaceFmt),
 }
 
-fn memo_from_json(v: &Json) -> Option<Vec<(Vec<i64>, f64)>> {
-    v.as_arr()?
-        .iter()
-        .map(|entry| {
-            let pair = entry.as_arr()?;
-            Some((
-                genome_from_json(pair.first()?)?,
-                f64_from_json(pair.get(1)?)?,
-            ))
-        })
-        .collect()
-}
-
-fn scored_opt_to_json(v: &Option<(Vec<i64>, f64)>) -> Json {
-    match v {
-        None => Json::Null,
-        Some((g, f)) => Json::Arr(vec![genome_to_json(g), f64_to_json(*f)]),
-    }
-}
-
-fn scored_opt_from_json(v: &Json) -> Option<Option<(Vec<i64>, f64)>> {
-    match v {
-        Json::Null => Some(None),
-        _ => {
-            let pair = v.as_arr()?;
-            Some(Some((
-                genome_from_json(pair.first()?)?,
-                f64_from_json(pair.get(1)?)?,
-            )))
-        }
-    }
-}
-
-fn rng_to_json(state: &[u64; 4]) -> Json {
-    Json::Arr(state.iter().map(|&w| u64_to_json(w)).collect())
-}
-
-fn rng_from_json(v: &Json) -> Option<[u64; 4]> {
-    let words = v
-        .as_arr()?
-        .iter()
-        .map(u64_from_json)
-        .collect::<Option<Vec<u64>>>()?;
-    words.try_into().ok()
-}
-
-/// Serializes a [`GaSnapshot`] deterministically (same state → same
-/// bytes: the memo table is already sorted by `GaState::snapshot`).
-#[must_use]
-pub fn snapshot_to_json(s: &GaSnapshot) -> Json {
-    let mut fields = vec![(
-        "bounds",
-        Json::Arr(
-            s.bounds
-                .iter()
-                .map(|&(lo, hi)| Json::Arr(vec![Json::Int(lo), Json::Int(hi)]))
-                .collect(),
-        ),
-    )];
-    if let Some(k) = kinds_field(&s.kinds) {
-        fields.push(("kinds", k));
-    }
-    fields.extend(vec![
-        ("config", ga_config_to_json(&s.config)),
-        (
-            "rng_state",
-            Json::Arr(s.rng_state.iter().map(|&w| u64_to_json(w)).collect()),
-        ),
-        (
-            "population",
-            Json::Arr(s.population.iter().map(|g| genome_to_json(g)).collect()),
-        ),
-        (
-            "cache",
-            Json::Arr(
-                s.cache
-                    .iter()
-                    .map(|(g, v)| Json::Arr(vec![genome_to_json(g), f64_to_json(*v)]))
-                    .collect(),
-            ),
-        ),
-        ("evaluations", Json::Int(s.evaluations as i64)),
-        ("cache_hits", Json::Int(s.cache_hits as i64)),
-        (
-            "history",
-            Json::Arr(
-                s.history
-                    .iter()
-                    .map(|gen| {
-                        Json::obj(vec![
-                            ("index", Json::Int(gen.index as i64)),
-                            ("best_fitness", f64_to_json(gen.best_fitness)),
-                            ("best_genome", genome_to_json(&gen.best_genome)),
-                            ("mean_fitness", f64_to_json(gen.mean_fitness)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("best_genome", genome_to_json(&s.best_genome)),
-        ("best_fitness", f64_to_json(s.best_fitness)),
-        ("stagnant", Json::Int(s.stagnant as i64)),
-        ("next_gen", Json::Int(s.next_gen as i64)),
-        ("done", Json::Bool(s.done)),
-    ]);
-    Json::obj(fields)
-}
-
-/// Deserializes a snapshot. Structural validation only — semantic
-/// validation (population size, genome ranges) happens in
-/// `GaState::restore`.
-///
-/// # Errors
-/// Missing or mistyped fields.
-pub fn snapshot_from_json(v: &Json) -> Result<GaSnapshot, String> {
-    fn field<'a>(v: &'a Json, key: &str) -> Result<&'a Json, String> {
-        v.get(key)
-            .ok_or_else(|| format!("checkpoint missing '{key}'"))
-    }
-    let bounds = field(v, "bounds")?
-        .as_arr()
-        .ok_or("'bounds' must be an array")?
-        .iter()
-        .map(|pair| {
-            let p = pair.as_arr()?;
-            Some((p.first()?.as_i64()?, p.get(1)?.as_i64()?))
-        })
-        .collect::<Option<Vec<(i64, i64)>>>()
-        .ok_or("'bounds' entries must be [lo, hi] integer pairs")?;
-    let kinds = kinds_from_json(v.get("kinds"), bounds.len())?;
-    let config: GaConfig = ga_config_from_json(field(v, "config")?)?;
-    let rng_words = field(v, "rng_state")?
-        .as_arr()
-        .ok_or("'rng_state' must be an array")?
-        .iter()
-        .map(u64_from_json)
-        .collect::<Option<Vec<u64>>>()
-        .ok_or("'rng_state' words must be u64s")?;
-    let rng_state: [u64; 4] = rng_words
-        .try_into()
-        .map_err(|_| "'rng_state' must have exactly 4 words".to_string())?;
-    let population = field(v, "population")?
-        .as_arr()
-        .ok_or("'population' must be an array")?
-        .iter()
-        .map(genome_from_json)
-        .collect::<Option<Vec<_>>>()
-        .ok_or("'population' genomes must be integer arrays")?;
-    let cache = field(v, "cache")?
-        .as_arr()
-        .ok_or("'cache' must be an array")?
-        .iter()
-        .map(|entry| {
-            let pair = entry.as_arr()?;
-            Some((
-                genome_from_json(pair.first()?)?,
-                f64_from_json(pair.get(1)?)?,
-            ))
-        })
-        .collect::<Option<Vec<_>>>()
-        .ok_or("'cache' entries must be [genome, fitness] pairs")?;
-    let history = field(v, "history")?
-        .as_arr()
-        .ok_or("'history' must be an array")?
-        .iter()
-        .map(|gen| {
-            Some(Generation {
-                index: gen.get("index")?.as_usize()?,
-                best_fitness: f64_from_json(gen.get("best_fitness")?)?,
-                best_genome: genome_from_json(gen.get("best_genome")?)?,
-                mean_fitness: f64_from_json(gen.get("mean_fitness")?)?,
-            })
-        })
-        .collect::<Option<Vec<_>>>()
-        .ok_or("'history' entries are malformed")?;
-    Ok(GaSnapshot {
-        bounds,
-        kinds,
-        config,
-        rng_state,
-        population,
-        cache,
-        evaluations: field(v, "evaluations")?
-            .as_usize()
-            .ok_or("'evaluations' must be an integer")?,
-        cache_hits: field(v, "cache_hits")?
-            .as_usize()
-            .ok_or("'cache_hits' must be an integer")?,
-        history,
-        best_genome: genome_from_json(field(v, "best_genome")?)
-            .ok_or("'best_genome' must be an integer array")?,
-        best_fitness: f64_from_json(field(v, "best_fitness")?)
-            .ok_or("'best_fitness' must be a number")?,
-        stagnant: field(v, "stagnant")?
-            .as_usize()
-            .ok_or("'stagnant' must be an integer")?,
-        next_gen: field(v, "next_gen")?
-            .as_usize()
-            .ok_or("'next_gen' must be an integer")?,
-        done: field(v, "done")?
-            .as_bool()
-            .ok_or("'done' must be a boolean")?,
-    })
-}
-
-fn core_to_json(c: &CoreSnapshot) -> Json {
-    let mut fields = vec![("bounds", bounds_to_json(&c.bounds))];
-    if let Some(k) = kinds_field(&c.kinds) {
-        fields.push(("kinds", k));
-    }
-    fields.extend(vec![
-        ("config", ga_config_to_json(&c.config)),
-        ("memo", memo_to_json(&c.memo)),
-        ("proposed", Json::Int(c.proposed as i64)),
-        ("evaluations", Json::Int(c.evaluations as i64)),
-        ("cache_hits", Json::Int(c.cache_hits as i64)),
-        ("best", scored_opt_to_json(&c.best)),
-        ("rounds", Json::Int(c.rounds as i64)),
-        ("done", Json::Bool(c.done)),
-    ]);
-    Json::obj(fields)
-}
-
-fn core_from_json(v: &Json) -> Result<CoreSnapshot, String> {
-    fn field<'a>(v: &'a Json, key: &str) -> Result<&'a Json, String> {
-        v.get(key)
-            .ok_or_else(|| format!("strategy checkpoint missing '{key}'"))
-    }
-    let bounds = bounds_from_json(field(v, "bounds")?)
-        .ok_or("'bounds' entries must be [lo, hi] integer pairs")?;
-    let kinds = kinds_from_json(v.get("kinds"), bounds.len())?;
-    Ok(CoreSnapshot {
-        bounds,
-        kinds,
-        config: ga_config_from_json(field(v, "config")?)?,
-        memo: memo_from_json(field(v, "memo")?)
-            .ok_or("'memo' entries must be [genome, fitness] pairs")?,
-        proposed: field(v, "proposed")?
-            .as_usize()
-            .ok_or("'proposed' must be an integer")?,
-        evaluations: field(v, "evaluations")?
-            .as_usize()
-            .ok_or("'evaluations' must be an integer")?,
-        cache_hits: field(v, "cache_hits")?
-            .as_usize()
-            .ok_or("'cache_hits' must be an integer")?,
-        best: scored_opt_from_json(field(v, "best")?)
-            .ok_or("'best' must be null or a [genome, fitness] pair")?,
-        rounds: field(v, "rounds")?
-            .as_usize()
-            .ok_or("'rounds' must be an integer")?,
-        done: field(v, "done")?
-            .as_bool()
-            .ok_or("'done' must be a boolean")?,
-    })
-}
-
-/// Serializes any strategy's checkpoint. GA snapshots keep the legacy
-/// untagged shape; everything else carries a `"strategy"` tag.
+/// Serializes any strategy's checkpoint (`checkpoint.json`).
 #[must_use]
 pub fn strategy_snapshot_to_json(s: &StrategySnapshot) -> Json {
-    let tagged = |kind: &str, mut fields: Vec<(&str, Json)>| {
-        let mut all = vec![("strategy", Json::Str(kind.into()))];
-        all.append(&mut fields);
-        Json::obj(all)
-    };
-    match s {
-        StrategySnapshot::Ga(s) => snapshot_to_json(s),
-        StrategySnapshot::Random(s) => tagged(
-            "random",
-            vec![
-                ("core", core_to_json(&s.core)),
-                ("rng_state", rng_to_json(&s.rng_state)),
-            ],
-        ),
-        StrategySnapshot::HillClimb(s) => tagged(
-            "hillclimb",
-            vec![
-                ("core", core_to_json(&s.core)),
-                ("rng_state", rng_to_json(&s.rng_state)),
-                ("current", scored_opt_to_json(&s.current)),
-                ("stagnant", Json::Int(s.stagnant as i64)),
-                ("restarts", Json::Int(s.restarts as i64)),
-            ],
-        ),
-        StrategySnapshot::Anneal(s) => tagged(
-            "anneal",
-            vec![
-                ("core", core_to_json(&s.core)),
-                ("rng_state", rng_to_json(&s.rng_state)),
-                ("current", scored_opt_to_json(&s.current)),
-            ],
-        ),
-        StrategySnapshot::Grid(s) => tagged(
-            "grid",
-            vec![
-                ("core", core_to_json(&s.core)),
-                ("window", bounds_to_json(&s.window)),
-                ("cursor", Json::Int(s.cursor as i64)),
-                ("level", Json::Int(s.level as i64)),
-            ],
-        ),
-        StrategySnapshot::Warmstart(s) => tagged(
-            "warmstart",
-            vec![
-                (
-                    "seeds",
-                    Json::Arr(s.seeds.iter().map(|g| genome_to_json(g)).collect()),
-                ),
-                ("ga", snapshot_to_json(&s.ga)),
-            ],
-        ),
-        StrategySnapshot::Race(s) => {
-            let mut fields = vec![
-                ("config", ga_config_to_json(&s.config)),
-                ("bounds", bounds_to_json(&s.bounds)),
-            ];
-            if let Some(k) = kinds_field(&s.kinds) {
-                fields.push(("kinds", k));
-            }
-            fields.extend(vec![
-                ("memo", memo_to_json(&s.memo)),
-                ("evaluations", Json::Int(s.evaluations as i64)),
-                ("shared_hits", Json::Int(s.shared_hits as i64)),
-                ("rounds", Json::Int(s.rounds as i64)),
-                ("done", Json::Bool(s.done)),
-                (
-                    "members",
-                    Json::Arr(
-                        s.members
-                            .iter()
-                            .map(|m| {
-                                Json::obj(vec![
-                                    ("name", Json::Str(m.name.clone())),
-                                    ("eliminated", Json::Bool(m.eliminated)),
-                                    ("stale_rounds", Json::Int(m.stale_rounds as i64)),
-                                    ("snapshot", strategy_snapshot_to_json(&m.snapshot)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ]);
-            tagged("race", fields)
-        }
-    }
+    StrategyFmt::enc(s)
 }
 
-/// Deserializes [`strategy_snapshot_to_json`]'s encoding. An object
-/// without a `"strategy"` tag is a legacy GA checkpoint.
+/// Deserializes [`strategy_snapshot_to_json`]'s encoding.
 ///
 /// # Errors
 /// Missing/mistyped fields or an unknown strategy tag.
 pub fn strategy_snapshot_from_json(v: &Json) -> Result<StrategySnapshot, String> {
-    fn field<'a>(v: &'a Json, key: &str) -> Result<&'a Json, String> {
-        v.get(key)
-            .ok_or_else(|| format!("strategy checkpoint missing '{key}'"))
-    }
-    let Some(kind) = v.get("strategy") else {
-        return Ok(StrategySnapshot::Ga(snapshot_from_json(v)?));
-    };
-    let kind = kind.as_str().ok_or("'strategy' must be a string")?;
-    match kind {
-        "random" => Ok(StrategySnapshot::Random(RandomSnapshot {
-            core: core_from_json(field(v, "core")?)?,
-            rng_state: rng_from_json(field(v, "rng_state")?)
-                .ok_or("'rng_state' must have exactly 4 u64 words")?,
-        })),
-        "hillclimb" => Ok(StrategySnapshot::HillClimb(HillSnapshot {
-            core: core_from_json(field(v, "core")?)?,
-            rng_state: rng_from_json(field(v, "rng_state")?)
-                .ok_or("'rng_state' must have exactly 4 u64 words")?,
-            current: scored_opt_from_json(field(v, "current")?)
-                .ok_or("'current' must be null or a [genome, fitness] pair")?,
-            stagnant: field(v, "stagnant")?
-                .as_usize()
-                .ok_or("'stagnant' must be an integer")?,
-            restarts: field(v, "restarts")?
-                .as_usize()
-                .ok_or("'restarts' must be an integer")?,
-        })),
-        "anneal" => Ok(StrategySnapshot::Anneal(AnnealSnapshot {
-            core: core_from_json(field(v, "core")?)?,
-            rng_state: rng_from_json(field(v, "rng_state")?)
-                .ok_or("'rng_state' must have exactly 4 u64 words")?,
-            current: scored_opt_from_json(field(v, "current")?)
-                .ok_or("'current' must be null or a [genome, fitness] pair")?,
-        })),
-        "grid" => Ok(StrategySnapshot::Grid(GridSnapshot {
-            core: core_from_json(field(v, "core")?)?,
-            window: bounds_from_json(field(v, "window")?)
-                .ok_or("'window' entries must be [lo, hi] integer pairs")?,
-            cursor: field(v, "cursor")?
-                .as_usize()
-                .ok_or("'cursor' must be an integer")?,
-            level: field(v, "level")?
-                .as_usize()
-                .ok_or("'level' must be an integer")?,
-        })),
-        "warmstart" => Ok(StrategySnapshot::Warmstart(WarmstartSnapshot {
-            seeds: field(v, "seeds")?
-                .as_arr()
-                .ok_or("'seeds' must be an array")?
-                .iter()
-                .map(genome_from_json)
-                .collect::<Option<Vec<_>>>()
-                .ok_or("'seeds' entries must be integer genomes")?,
-            ga: snapshot_from_json(field(v, "ga")?)?,
-        })),
-        "race" => {
-            let members = field(v, "members")?
-                .as_arr()
-                .ok_or("'members' must be an array")?
-                .iter()
-                .map(|m| {
-                    Ok(MemberSnapshot {
-                        name: field(m, "name")?
-                            .as_str()
-                            .ok_or("member 'name' must be a string")?
-                            .to_string(),
-                        eliminated: field(m, "eliminated")?
-                            .as_bool()
-                            .ok_or("member 'eliminated' must be a boolean")?,
-                        stale_rounds: field(m, "stale_rounds")?
-                            .as_usize()
-                            .ok_or("member 'stale_rounds' must be an integer")?,
-                        snapshot: strategy_snapshot_from_json(field(m, "snapshot")?)?,
-                    })
-                })
-                .collect::<Result<Vec<_>, String>>()?;
-            let bounds = bounds_from_json(field(v, "bounds")?)
-                .ok_or("'bounds' entries must be [lo, hi] integer pairs")?;
-            let kinds = kinds_from_json(v.get("kinds"), bounds.len())?;
-            Ok(StrategySnapshot::Race(RaceSnapshot {
-                config: ga_config_from_json(field(v, "config")?)?,
-                bounds,
-                kinds,
-                memo: memo_from_json(field(v, "memo")?)
-                    .ok_or("'memo' entries must be [genome, fitness] pairs")?,
-                evaluations: field(v, "evaluations")?
-                    .as_usize()
-                    .ok_or("'evaluations' must be an integer")?,
-                shared_hits: field(v, "shared_hits")?
-                    .as_usize()
-                    .ok_or("'shared_hits' must be an integer")?,
-                rounds: field(v, "rounds")?
-                    .as_usize()
-                    .ok_or("'rounds' must be an integer")?,
-                done: field(v, "done")?
-                    .as_bool()
-                    .ok_or("'done' must be a boolean")?,
-                members,
-            }))
-        }
-        other => Err(format!("unknown checkpoint strategy tag '{other}'")),
+    StrategyFmt::dec(v)
+}
+
+record! {
+    /// A finished job's deliverable (`result.json`): the tuned genome,
+    /// its fitness and the rounds it took. Genome-shaped, not
+    /// `InlineParams`-shaped, so any problem's winner fits.
+    ResultFmt: (Vec<i64>, f64, usize) = "result" {
+        genes: Genome;
+        fitness: F64;
+        generations: Int;
     }
 }
 
-/// Serializes a finished job's deliverable: the tuned genome and
-/// fitness. The on-disk shape has always been genes-based, so results
-/// written by pre-problems daemons load unchanged.
+/// Serializes a finished job's deliverable.
 #[must_use]
 pub fn result_to_json(genes: &[i64], fitness: f64, generations: usize) -> Json {
-    Json::obj(vec![
-        ("genes", genome_to_json(genes)),
-        ("fitness", f64_to_json(fitness)),
-        ("generations", Json::Int(generations as i64)),
-    ])
+    ResultFmt::enc(&(genes.to_vec(), fitness, generations))
 }
 
 /// Deserializes [`result_to_json`]'s encoding.
@@ -603,95 +231,50 @@ pub fn result_to_json(genes: &[i64], fitness: f64, generations: usize) -> Json {
 /// # Errors
 /// Missing or mistyped fields.
 pub fn result_from_json(v: &Json) -> Result<(Vec<i64>, f64, usize), String> {
-    let genes = v
-        .get("genes")
-        .and_then(genome_from_json)
-        .ok_or("result missing integer array 'genes'")?;
-    let fitness = v
-        .get("fitness")
-        .and_then(f64_from_json)
-        .ok_or("result missing number 'fitness'")?;
-    let generations = v
-        .get("generations")
-        .and_then(Json::as_usize)
-        .ok_or("result missing integer 'generations'")?;
-    Ok((genes, fitness, generations))
+    ResultFmt::dec(v)
 }
 
-fn drift_pos_to_json(p: &DriftPos) -> Json {
-    Json::Arr(vec![
-        Json::Int(i64::from(p.phase)),
-        Json::Int(i64::from(p.num)),
-        Json::Int(i64::from(p.den)),
-    ])
+record! {
+    IncumbentFmt: (Vec<i64>, f64) = "online incumbent" {
+        genes: Genome;
+        fitness: F64;
+    }
 }
 
-fn drift_pos_from_json(v: &Json) -> Option<DriftPos> {
-    let arr = v.as_arr()?;
-    let nums: Vec<u32> = arr
-        .iter()
-        .map(|x| x.as_usize().and_then(|n| u32::try_from(n).ok()))
-        .collect::<Option<_>>()?;
-    let [phase, num, den] = nums[..] else {
-        return None;
-    };
-    (den >= 1 && num < den).then_some(DriftPos { phase, num, den })
+record! {
+    DetectorFmt: DetectorSnapshot = "online detector" {
+        baseline: F64;
+        recent: List<F64>;
+    }
 }
 
-fn epoch_row_to_json(r: &EpochRow) -> Json {
-    Json::obj(vec![
-        ("epoch", u64_to_json(r.epoch)),
-        ("pos", drift_pos_to_json(&r.pos)),
-        ("probe", f64_to_json(r.probe)),
-        ("retuned", Json::Bool(r.retuned)),
-        ("fitness", f64_to_json(r.fitness)),
-    ])
+record! {
+    EpochFmt: EpochRow = "online epoch row" {
+        epoch: U64;
+        pos: Pos;
+        probe: F64;
+        retuned: Bool;
+        fitness: F64;
+    }
 }
 
-fn epoch_row_from_json(v: &Json) -> Option<EpochRow> {
-    Some(EpochRow {
-        epoch: v.get("epoch").and_then(u64_from_json)?,
-        pos: v.get("pos").and_then(drift_pos_from_json)?,
-        probe: v.get("probe").and_then(f64_from_json)?,
-        retuned: v.get("retuned").and_then(Json::as_bool)?,
-        fitness: v.get("fitness").and_then(f64_from_json)?,
-    })
+record! {
+    /// An online job's epoch-boundary state (`online.json`).
+    pub(crate) OnlineSnapshotFmt: OnlineSnapshot = "online snapshot" {
+        epoch: U64;
+        incumbent: Nullable<IncumbentFmt> = None;
+        detector: DetectorFmt;
+        retunes: U64;
+        detect_latencies: List<U64>;
+        evals: U64;
+        rows: List<EpochFmt>;
+    }
 }
 
 /// Serializes an online-mode epoch checkpoint ([`OnlineSnapshot`]).
 #[must_use]
 pub fn online_snapshot_to_json(s: &OnlineSnapshot) -> Json {
-    let incumbent = match &s.incumbent {
-        None => Json::Null,
-        Some((genes, fitness)) => Json::obj(vec![
-            ("genes", genome_to_json(genes)),
-            ("fitness", f64_to_json(*fitness)),
-        ]),
-    };
-    Json::obj(vec![
-        ("epoch", u64_to_json(s.epoch)),
-        ("incumbent", incumbent),
-        (
-            "detector",
-            Json::obj(vec![
-                ("baseline", f64_to_json(s.detector.baseline)),
-                (
-                    "recent",
-                    Json::Arr(s.detector.recent.iter().map(|&x| f64_to_json(x)).collect()),
-                ),
-            ]),
-        ),
-        ("retunes", u64_to_json(s.retunes)),
-        (
-            "detect_latencies",
-            Json::Arr(s.detect_latencies.iter().map(|&l| u64_to_json(l)).collect()),
-        ),
-        ("evals", u64_to_json(s.evals)),
-        (
-            "rows",
-            Json::Arr(s.rows.iter().map(epoch_row_to_json).collect()),
-        ),
-    ])
+    OnlineSnapshotFmt::enc(s)
 }
 
 /// Deserializes [`online_snapshot_to_json`]'s encoding.
@@ -699,71 +282,7 @@ pub fn online_snapshot_to_json(s: &OnlineSnapshot) -> Json {
 /// # Errors
 /// Missing or mistyped fields.
 pub fn online_snapshot_from_json(v: &Json) -> Result<OnlineSnapshot, String> {
-    let epoch = v
-        .get("epoch")
-        .and_then(u64_from_json)
-        .ok_or("online snapshot missing integer 'epoch'")?;
-    let incumbent = match v.get("incumbent") {
-        None | Some(Json::Null) => None,
-        Some(inc) => Some((
-            inc.get("genes")
-                .and_then(genome_from_json)
-                .ok_or("online incumbent missing integer array 'genes'")?,
-            inc.get("fitness")
-                .and_then(f64_from_json)
-                .ok_or("online incumbent missing number 'fitness'")?,
-        )),
-    };
-    let det = v
-        .get("detector")
-        .ok_or("online snapshot missing object 'detector'")?;
-    let detector = DetectorSnapshot {
-        baseline: det
-            .get("baseline")
-            .and_then(f64_from_json)
-            .ok_or("detector missing number 'baseline'")?,
-        recent: det
-            .get("recent")
-            .and_then(Json::as_arr)
-            .ok_or("detector missing array 'recent'")?
-            .iter()
-            .map(f64_from_json)
-            .collect::<Option<_>>()
-            .ok_or("detector 'recent' entries must be numbers")?,
-    };
-    let retunes = v
-        .get("retunes")
-        .and_then(u64_from_json)
-        .ok_or("online snapshot missing integer 'retunes'")?;
-    let detect_latencies = v
-        .get("detect_latencies")
-        .and_then(Json::as_arr)
-        .ok_or("online snapshot missing array 'detect_latencies'")?
-        .iter()
-        .map(u64_from_json)
-        .collect::<Option<_>>()
-        .ok_or("'detect_latencies' entries must be integers")?;
-    let evals = v
-        .get("evals")
-        .and_then(u64_from_json)
-        .ok_or("online snapshot missing integer 'evals'")?;
-    let rows = v
-        .get("rows")
-        .and_then(Json::as_arr)
-        .ok_or("online snapshot missing array 'rows'")?
-        .iter()
-        .map(epoch_row_from_json)
-        .collect::<Option<_>>()
-        .ok_or("online snapshot 'rows' entries are malformed")?;
-    Ok(OnlineSnapshot {
-        epoch,
-        incumbent,
-        detector,
-        retunes,
-        detect_latencies,
-        evals,
-        rows,
-    })
+    OnlineSnapshotFmt::dec(v)
 }
 
 /// A daemon run directory: owns the `jobs/` tree and all atomic writes.
@@ -926,9 +445,10 @@ impl RunDir {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ga::{GaState, Ranges};
+    use ga::{GaConfig, GaState, Ranges};
     use jit::Scenario;
     use tuner::Goal;
+    use workloads::DriftPos;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("served-ckpt-{tag}-{}", std::process::id()));
@@ -957,11 +477,11 @@ mod tests {
     #[test]
     fn snapshot_json_roundtrip_is_exact() {
         let snap = stepped_snapshot();
-        let text = snapshot_to_json(&snap).to_text();
-        let back = snapshot_from_json(&parse(&text).unwrap()).unwrap();
+        let text = GaSnapshotFmt::enc(&snap).to_text();
+        let back = GaSnapshotFmt::dec(&parse(&text).unwrap()).unwrap();
         assert_eq!(back, snap);
         // Deterministic bytes: same snapshot, same serialization.
-        assert_eq!(snapshot_to_json(&back).to_text(), text);
+        assert_eq!(GaSnapshotFmt::enc(&back).to_text(), text);
     }
 
     #[test]
@@ -976,8 +496,8 @@ mod tests {
         );
         let snap = state.snapshot();
         assert!(snap.best_fitness.is_infinite());
-        let text = snapshot_to_json(&snap).to_text();
-        let back = snapshot_from_json(&parse(&text).unwrap()).unwrap();
+        let text = GaSnapshotFmt::enc(&snap).to_text();
+        let back = GaSnapshotFmt::dec(&parse(&text).unwrap()).unwrap();
         assert_eq!(back, snap);
     }
 
@@ -1228,7 +748,7 @@ mod tests {
     #[test]
     fn untagged_checkpoint_loads_as_legacy_ga() {
         let snap = stepped_snapshot();
-        let legacy_text = snapshot_to_json(&snap).to_text();
+        let legacy_text = GaSnapshotFmt::enc(&snap).to_text();
         assert!(
             !legacy_text.contains("\"strategy\""),
             "GA checkpoints must keep the pre-seam shape"

@@ -4,6 +4,7 @@ use std::io::{BufReader, BufWriter};
 use std::sync::Arc;
 use std::time::Duration;
 
+use crate::codec::Genome;
 use crate::job::JobSpec;
 use crate::json::Json;
 use crate::net::{NetStream, TcpTransport, Transport};
@@ -220,10 +221,7 @@ impl Client {
             ("cmd", Json::Str("store".into())),
             ("op", Json::Str("get".into())),
             ("job", spec.to_json()),
-            (
-                "genes",
-                Json::Arr(genes.iter().map(|&g| Json::Int(g)).collect()),
-            ),
+            ("genes", Genome::of(genes)),
         ]))?;
         if resp.get("found").and_then(Json::as_bool) != Some(true) {
             return Ok(None);
@@ -249,10 +247,7 @@ impl Client {
             ("cmd", Json::Str("store".into())),
             ("op", Json::Str("put".into())),
             ("job", spec.to_json()),
-            (
-                "genes",
-                Json::Arr(genes.iter().map(|&g| Json::Int(g)).collect()),
-            ),
+            ("genes", Genome::of(genes)),
             ("fitness", crate::checkpoint::f64_to_json(fitness)),
         ]))?;
         Ok(resp.get("fresh").and_then(Json::as_bool) == Some(true))

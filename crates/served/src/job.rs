@@ -2,21 +2,26 @@
 //!
 //! A [`JobSpec`] names a tuning cell exactly like the paper's Table 4 —
 //! (scenario, goal, architecture) — plus the training suite and the
-//! [`GaConfig`] driving the search. Specs serialize to the hand-rolled
-//! [`crate::json`] form used both on the wire and in the run directory.
+//! [`GaConfig`] driving the search. Its JSON form — on the wire and as
+//! `spec.json` in the run directory — is the `record!` row lists
+//! below; an absent optional key means what its row's default says.
 
-use ga::{CrossoverKind, GaConfig};
+use std::sync::OnceLock;
+
+use ga::GaConfig;
 use jit::{AdaptConfig, ArchModel, Scenario};
 use online::{DetectorConfig, OnlineConfig};
 use tuner::{Goal, TuningTask};
 use workloads::{benchmark_by_name, specjvm98, Benchmark, DriftKind, DriftPos, DriftSchedule};
 
-use crate::json::{parse, u64_from_json, u64_to_json, Json};
+use crate::codec::{
+    record, Codec, Crossover, Drift, GoalName, Int, List, Nullable, Num, Pos, ScenarioName, Str,
+    U32, U64,
+};
+use crate::json::{parse, Json};
 
 /// The online re-tuning section of a [`JobSpec`]: the drift schedule
 /// the workload follows and the detector that decides when to retune.
-/// Legacy specs carry no `online` key and deserialize with the mode
-/// off ([`JobSpec::online`] = `None`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct OnlineSpec {
     /// Total epochs (epoch 0 is the initial tune).
@@ -60,81 +65,34 @@ impl OnlineSpec {
         }
     }
 
-    /// Serializes the section.
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("epochs", u64_to_json(self.epochs)),
-            ("kind", Json::Str(self.kind.name().into())),
-            ("period", Json::Int(i64::from(self.period))),
-            ("phases", Json::Int(i64::from(self.phases))),
-            ("drift_seed", u64_to_json(self.drift_seed)),
-            ("window", Json::Int(self.window as i64)),
-            ("threshold_pct", Json::Num(self.threshold_pct)),
-        ])
-    }
-
-    /// Deserializes and validates the section.
-    ///
-    /// # Errors
-    /// Missing/mistyped fields or degenerate values.
-    pub fn from_json(v: &Json) -> Result<Self, String> {
-        let epochs = v
-            .get("epochs")
-            .and_then(u64_from_json)
-            .ok_or("'online' needs integer 'epochs'")?;
-        if epochs == 0 || epochs > 100_000 {
+    /// Rejects values no schedule or detector can run with.
+    fn check(&self) -> Result<(), String> {
+        if self.epochs == 0 || self.epochs > 100_000 {
             return Err("'online.epochs' must be 1..=100000".into());
         }
-        let kind_name = v
-            .get("kind")
-            .and_then(Json::as_str)
-            .ok_or("'online' needs a string 'kind'")?;
-        let kind = DriftKind::by_name(kind_name)
-            .ok_or_else(|| format!("unknown drift kind '{kind_name}' (use step|ramp|cyclic)"))?;
-        let get_u32 = |key: &str, dflt: u32| -> Result<u32, String> {
-            match v.get(key) {
-                None | Some(Json::Null) => Ok(dflt),
-                Some(x) => x
-                    .as_usize()
-                    .and_then(|n| u32::try_from(n).ok())
-                    .ok_or(format!("'online.{key}' must be an integer")),
-            }
-        };
-        let period = get_u32("period", 3)?;
-        let phases = get_u32("phases", 3)?;
-        if period == 0 || phases == 0 {
+        if self.period == 0 || self.phases == 0 {
             return Err("'online.period' and 'online.phases' must be >= 1".into());
         }
-        let drift_seed = match v.get("drift_seed") {
-            None | Some(Json::Null) => 0,
-            Some(x) => u64_from_json(x).ok_or("'online.drift_seed' must be a u64")?,
-        };
-        let window = match v.get("window") {
-            None | Some(Json::Null) => DetectorConfig::default().window,
-            Some(x) => x.as_usize().ok_or("'online.window' must be an integer")?,
-        };
-        if window == 0 || window > 64 {
+        if self.window == 0 || self.window > 64 {
             return Err("'online.window' must be 1..=64".into());
         }
-        let threshold_pct = match v.get("threshold_pct") {
-            None | Some(Json::Null) => DetectorConfig::default().threshold_pct,
-            Some(x) => x
-                .as_f64()
-                .ok_or("'online.threshold_pct' must be a number")?,
-        };
-        if !(threshold_pct > 0.0) || !threshold_pct.is_finite() {
-            return Err("'online.threshold_pct' must be a positive finite percentage".into());
+        if self.threshold_pct <= 0.0 {
+            return Err("'online.threshold_pct' must be a positive percentage".into());
         }
-        Ok(Self {
-            epochs,
-            kind,
-            period,
-            phases,
-            drift_seed,
-            window,
-            threshold_pct,
-        })
+        Ok(())
+    }
+}
+
+record! {
+    /// The `online` section of a job spec.
+    pub(crate) OnlineSpecFmt: OnlineSpec = "online" {
+        epochs: U64;
+        kind: Drift;
+        period: U32 = 3;
+        phases: U32 = 3;
+        drift_seed: U64 = 0;
+        window: Int = DetectorConfig::default().window;
+        threshold_pct: Num = DetectorConfig::default().threshold_pct;
     }
 }
 
@@ -149,9 +107,8 @@ pub struct JobSpec {
     pub goal: Goal,
     /// Architecture preset name: `"x86-p4"` or `"ppc-g4"`.
     pub arch: String,
-    /// Problem id (see [`problems::KNOWN`]): `"inline"` (the default,
-    /// and what every pre-problems spec deserializes to), `"flags"`, or
-    /// `"dss"`.
+    /// Problem id (see [`problems::KNOWN`]): `"inline"` (the default),
+    /// `"flags"`, or `"dss"`.
     pub problem: String,
     /// Training-suite benchmark names; empty means the full SPECjvm98
     /// suite (the paper's training set).
@@ -162,13 +119,12 @@ pub struct JobSpec {
     /// default), `"random"`, `"hillclimb"`, `"anneal"`, `"grid"`, or a
     /// racing portfolio like `"race"` / `"race:ga+random+grid"`.
     pub strategy: String,
-    /// Owning tenant for quota accounting and fair scheduling. Specs
-    /// written before the shard subsystem carry no `tenant` key and
-    /// deserialize to [`shard::DEFAULT_TENANT`].
+    /// Owning tenant for quota accounting and fair scheduling (default
+    /// [`shard::DEFAULT_TENANT`]).
     pub tenant: String,
     /// Online re-tuning mode: `Some` runs the job as a drifting-workload
-    /// epoch loop with detection-triggered warm retunes; `None` (every
-    /// legacy spec) is a plain offline tune.
+    /// epoch loop with detection-triggered warm retunes; `None` (the
+    /// default) is a plain offline tune.
     pub online: Option<OnlineSpec>,
     /// The workload position the suite is materialized at. Internal
     /// plumbing for per-epoch evaluation (`JobSpec::at_pos`): the
@@ -260,34 +216,7 @@ impl JobSpec {
     /// to every earlier release.
     #[must_use]
     pub fn to_json(&self) -> Json {
-        let mut fields = vec![
-            ("name", Json::Str(self.name.clone())),
-            ("scenario", Json::Str(scenario_name(self.scenario).into())),
-            ("goal", Json::Str(self.goal.label().into())),
-            ("arch", Json::Str(self.arch.clone())),
-            ("problem", Json::Str(self.problem.clone())),
-            (
-                "suite",
-                Json::Arr(self.suite.iter().map(|s| Json::Str(s.clone())).collect()),
-            ),
-            ("ga", ga_config_to_json(&self.ga)),
-            ("strategy", Json::Str(self.strategy.clone())),
-            ("tenant", Json::Str(self.tenant.clone())),
-        ];
-        if let Some(online) = &self.online {
-            fields.push(("online", online.to_json()));
-        }
-        if let Some(pos) = &self.drift_pos {
-            fields.push((
-                "drift_pos",
-                Json::Arr(vec![
-                    Json::Int(i64::from(pos.phase)),
-                    Json::Int(i64::from(pos.num)),
-                    Json::Int(i64::from(pos.den)),
-                ]),
-            ));
-        }
-        Json::obj(fields)
+        JobSpecFmt::enc(self)
     }
 
     /// Upper bound on the evaluations this job can spend: every search
@@ -318,123 +247,42 @@ impl JobSpec {
     /// Missing/mistyped fields or unknown scenario/goal/arch/benchmark
     /// names.
     pub fn from_json(v: &Json) -> Result<Self, String> {
-        let name = v
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or("job needs a string 'name'")?
-            .to_string();
-        let scenario = scenario_by_name(
-            v.get("scenario")
-                .and_then(Json::as_str)
-                .ok_or("job needs a string 'scenario'")?,
-        )?;
-        let goal = goal_by_name(
-            v.get("goal")
-                .and_then(Json::as_str)
-                .ok_or("job needs a string 'goal'")?,
-        )?;
-        let arch = v
-            .get("arch")
-            .and_then(Json::as_str)
-            .ok_or("job needs a string 'arch'")?
-            .to_string();
-        arch_by_name(&arch)?;
-        // Specs written before the problems subsystem carry no "problem"
-        // key; they are inlining jobs by definition.
-        let problem = match v.get("problem") {
-            None | Some(Json::Null) => "inline".to_string(),
-            Some(p) => p.as_str().ok_or("'problem' must be a string")?.to_string(),
-        };
-        if !problems::is_known(&problem) {
+        let spec = JobSpecFmt::dec(v)?;
+        spec.check()?;
+        Ok(spec)
+    }
+
+    /// Everything a decoded spec must satisfy before a runner sees it.
+    fn check(&self) -> Result<(), String> {
+        arch_by_name(&self.arch)?;
+        if !problems::is_known(&self.problem) {
             return Err(format!(
-                "unknown problem '{problem}' (use {})",
+                "unknown problem '{}' (use {})",
+                self.problem,
                 problems::KNOWN.join("|")
             ));
         }
-        let suite = match v.get("suite") {
-            None | Some(Json::Null) => Vec::new(),
-            Some(s) => s
-                .as_arr()
-                .ok_or("'suite' must be an array of benchmark names")?
-                .iter()
-                .map(|b| {
-                    b.as_str()
-                        .map(str::to_string)
-                        .ok_or_else(|| "suite entries must be strings".to_string())
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-        };
-        for b in &suite {
-            if benchmark_by_name(b).is_none() {
-                return Err(format!("unknown benchmark '{b}'"));
-            }
+        if let Some(b) = self.suite.iter().find(|b| benchmark_by_name(b).is_none()) {
+            return Err(format!("unknown benchmark '{b}'"));
         }
-        let ga = match v.get("ga") {
-            None | Some(Json::Null) => GaConfig::default(),
-            Some(g) => ga_config_from_json(g)?,
-        };
-        if ga.pop_size < 2 || ga.elitism >= ga.pop_size || ga.threads == 0 || ga.generations == 0 {
-            return Err("degenerate GA config (pop_size >= 2, elitism < pop_size, threads >= 1, generations >= 1)".into());
-        }
-        let strategy = match v.get("strategy") {
-            None | Some(Json::Null) => "ga".to_string(),
-            Some(s) => s.as_str().ok_or("'strategy' must be a string")?.to_string(),
-        };
-        search::validate_spec(&strategy)?;
-        // Specs written before the shard subsystem carry no "tenant"
-        // key; they belong to the default tenant.
-        let tenant = match v.get("tenant") {
-            None | Some(Json::Null) => shard::DEFAULT_TENANT.to_string(),
-            Some(t) => t.as_str().ok_or("'tenant' must be a string")?.to_string(),
-        };
-        if tenant.is_empty() || tenant.len() > 64 {
+        self.ga.check()?;
+        search::validate_spec(&self.strategy)?;
+        if self.tenant.is_empty() || self.tenant.len() > 64 {
             return Err("'tenant' must be 1..=64 characters".into());
         }
-        // Specs written before the online subsystem carry no "online"
-        // key; they are plain offline tunes.
-        let online = match v.get("online") {
-            None | Some(Json::Null) => None,
-            Some(o) => Some(OnlineSpec::from_json(o)?),
-        };
-        let drift_pos = match v.get("drift_pos") {
-            None | Some(Json::Null) => None,
-            Some(p) => {
-                let arr = p
-                    .as_arr()
-                    .ok_or("'drift_pos' must be a [phase, num, den] array")?;
-                let nums: Vec<u32> = arr
-                    .iter()
-                    .map(|x| {
-                        x.as_usize()
-                            .and_then(|n| u32::try_from(n).ok())
-                            .ok_or_else(|| "'drift_pos' entries must be integers".to_string())
-                    })
-                    .collect::<Result<_, _>>()?;
-                let [phase, num, den] = nums[..] else {
-                    return Err("'drift_pos' must have exactly 3 entries".into());
-                };
-                let online = online
-                    .as_ref()
-                    .ok_or("'drift_pos' requires an 'online' section")?;
-                if den == 0 || num >= den || phase >= online.phases {
-                    return Err("'drift_pos' out of range for the online schedule".into());
-                }
-                Some(DriftPos { phase, num, den })
+        if let Some(online) = &self.online {
+            online.check()?;
+        }
+        if let Some(pos) = &self.drift_pos {
+            let online = self
+                .online
+                .as_ref()
+                .ok_or("'drift_pos' requires an 'online' section")?;
+            if pos.phase >= online.phases {
+                return Err("'drift_pos' out of range for the online schedule".into());
             }
-        };
-        Ok(Self {
-            name,
-            scenario,
-            goal,
-            arch,
-            problem,
-            suite,
-            ga,
-            strategy,
-            tenant,
-            online,
-            drift_pos,
-        })
+        }
+        Ok(())
     }
 
     /// Parses a spec from JSON text.
@@ -528,77 +376,51 @@ pub fn arch_by_name(name: &str) -> Result<ArchModel, String> {
     }
 }
 
-/// Serializes a [`GaConfig`].
-#[must_use]
-pub fn ga_config_to_json(c: &GaConfig) -> Json {
-    Json::obj(vec![
-        ("pop_size", Json::Int(c.pop_size as i64)),
-        ("generations", Json::Int(c.generations as i64)),
-        ("tournament_size", Json::Int(c.tournament_size as i64)),
-        ("crossover_prob", Json::Num(c.crossover_prob)),
-        ("crossover_kind", Json::Str(c.crossover_kind.name().into())),
-        ("mutation_prob", Json::Num(c.mutation_prob)),
-        ("elitism", Json::Int(c.elitism as i64)),
-        ("seed", u64_to_json(c.seed)),
-        (
-            "stagnation_limit",
-            c.stagnation_limit
-                .map_or(Json::Null, |l| Json::Int(l as i64)),
-        ),
-        ("threads", Json::Int(c.threads as i64)),
-    ])
+/// What a spec or checkpoint that omits a GA key gets: the library
+/// defaults on one eval thread (the daemon's thread budget, not the
+/// host's core count, grants parallelism). An absent `ga` key and an
+/// empty `"ga":{}` therefore mean the same configuration.
+fn ga_defaults() -> &'static GaConfig {
+    static DEFAULTS: OnceLock<GaConfig> = OnceLock::new();
+    DEFAULTS.get_or_init(|| GaConfig {
+        threads: 1,
+        ..GaConfig::default()
+    })
 }
 
-/// Deserializes a [`GaConfig`]; absent fields take the defaults.
-///
-/// # Errors
-/// Mistyped fields.
-pub fn ga_config_from_json(v: &Json) -> Result<GaConfig, String> {
-    let d = GaConfig::default();
-    let get_usize = |key: &str, dflt: usize| -> Result<usize, String> {
-        match v.get(key) {
-            None | Some(Json::Null) => Ok(dflt),
-            Some(x) => x.as_usize().ok_or(format!("'{key}' must be an integer")),
-        }
-    };
-    let get_f64 = |key: &str, dflt: f64| -> Result<f64, String> {
-        match v.get(key) {
-            None | Some(Json::Null) => Ok(dflt),
-            Some(x) => x.as_f64().ok_or(format!("'{key}' must be a number")),
-        }
-    };
-    let crossover_kind = match v.get("crossover_kind") {
-        None | Some(Json::Null) => d.crossover_kind,
-        Some(x) => {
-            let name = x.as_str().ok_or("'crossover_kind' must be a string")?;
-            CrossoverKind::from_name(name)
-                .ok_or_else(|| format!("unknown crossover kind '{name}'"))?
-        }
-    };
-    let seed = match v.get("seed") {
-        None | Some(Json::Null) => d.seed,
-        Some(x) => u64_from_json(x).ok_or("'seed' must be a u64 (number or decimal string)")?,
-    };
-    let stagnation_limit = match v.get("stagnation_limit") {
-        None => d.stagnation_limit,
-        Some(Json::Null) => None,
-        Some(x) => Some(
-            x.as_usize()
-                .ok_or("'stagnation_limit' must be an integer or null")?,
-        ),
-    };
-    Ok(GaConfig {
-        pop_size: get_usize("pop_size", d.pop_size)?,
-        generations: get_usize("generations", d.generations)?,
-        tournament_size: get_usize("tournament_size", d.tournament_size)?,
-        crossover_prob: get_f64("crossover_prob", d.crossover_prob)?,
-        crossover_kind,
-        mutation_prob: get_f64("mutation_prob", d.mutation_prob)?,
-        elitism: get_usize("elitism", d.elitism)?,
-        seed,
-        stagnation_limit,
-        threads: get_usize("threads", 1)?,
-    })
+record! {
+    /// A [`GaConfig`], in job specs and inside every checkpoint.
+    /// `stagnation_limit` distinguishes an absent key (the default
+    /// limit) from `null` (never stop early).
+    pub(crate) GaConfigFmt: GaConfig = "ga" {
+        pop_size: Int = ga_defaults().pop_size;
+        generations: Int = ga_defaults().generations;
+        tournament_size: Int = ga_defaults().tournament_size;
+        crossover_prob: Num = ga_defaults().crossover_prob;
+        crossover_kind: Crossover = ga_defaults().crossover_kind;
+        mutation_prob: Num = ga_defaults().mutation_prob;
+        elitism: Int = ga_defaults().elitism;
+        seed: U64 = ga_defaults().seed;
+        stagnation_limit: Nullable<Int> = ga_defaults().stagnation_limit, absent;
+        threads: Int = ga_defaults().threads;
+    }
+}
+
+record! {
+    /// A job spec: the `job` body of a submit frame and `spec.json`.
+    pub(crate) JobSpecFmt: JobSpec = "job" {
+        name: Str;
+        scenario: ScenarioName;
+        goal: GoalName;
+        arch: Str;
+        problem: Str = "inline".to_string();
+        suite: List<Str> = Vec::new();
+        ga: GaConfigFmt = ga_defaults().clone();
+        strategy: Str = "ga".to_string();
+        tenant: Str = shard::DEFAULT_TENANT.to_string();
+        online: Nullable<OnlineSpecFmt> = None, omit;
+        drift_pos: Nullable<Pos> = None, omit;
+    }
 }
 
 #[cfg(test)]
@@ -690,8 +512,10 @@ mod tests {
             r#"{"epochs":5,"kind":"step","threshold_pct":-3.0}"#,
             r#"{"kind":"step"}"#,
         ] {
-            let v = crate::json::parse(bad).unwrap();
-            assert!(OnlineSpec::from_json(&v).is_err(), "{bad}");
+            let spec = format!(
+                r#"{{"name":"j","scenario":"opt","goal":"tot","arch":"x86-p4","online":{bad}}}"#
+            );
+            assert!(JobSpec::from_text(&spec).is_err(), "{bad}");
         }
     }
 

@@ -28,6 +28,9 @@
 //!   tiny `GET /metrics` HTTP endpoint;
 //! * [`json`] — the hand-rolled JSON layer (the workspace builds with no
 //!   external crates; floats round-trip bit-exactly);
+//! * `codec` — how every value is spelled in that JSON and what an
+//!   absent key means; each persisted or wire format is one row list
+//!   from which both directions derive;
 //! * [`net`] — the transport seam: every socket and every sleep below
 //!   this crate goes through [`net::Transport`], so the whole cluster
 //!   runs identically on real TCP ([`net::TcpTransport`], the default)
@@ -37,6 +40,7 @@
 
 pub mod checkpoint;
 pub mod client;
+pub(crate) mod codec;
 pub mod daemon;
 pub mod dispatch;
 pub mod expo;
@@ -59,3 +63,41 @@ pub use job::{JobSpec, JobState};
 pub use metrics::{JobGauges, Metrics, MetricsSnapshot};
 pub use net::{NetListener, NetStream, TcpTransport, Transport};
 pub use server::Server;
+
+#[cfg(test)]
+mod formats_doc {
+    use crate::{checkpoint, job, proto};
+
+    /// DESIGN.md §4.5's Formats table starts each row with the type,
+    /// key, default and rule exactly as the row lists state them.
+    #[test]
+    fn design_md_formats_table_matches_the_row_lists() {
+        let design = include_str!("../../../DESIGN.md");
+        let mut table = String::new();
+        for (name, optional_rows) in [
+            job::JobSpecFmt::DOC,
+            job::OnlineSpecFmt::DOC,
+            job::GaConfigFmt::DOC,
+            checkpoint::GaSnapshotFmt::DOC,
+            checkpoint::CoreFmt::DOC,
+            checkpoint::RaceFmt::DOC,
+            checkpoint::OnlineSnapshotFmt::DOC,
+            proto::EvalResultFmt::DOC,
+        ] {
+            for [key, default, rule] in optional_rows {
+                let rule = match *rule {
+                    "omit" => "; not written when equal to it",
+                    "absent" => " when absent only (`null` is a value)",
+                    _ => "",
+                };
+                table += &format!("| `{name}` | `{key}` | `{default}`{rule} |\n");
+            }
+        }
+        for row in table.lines() {
+            assert!(
+                design.lines().any(|line| line.starts_with(row)),
+                "DESIGN.md §4.5 Formats table lacks the row\n{row}\nexpected rows:\n{table}"
+            );
+        }
+    }
+}

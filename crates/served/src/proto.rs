@@ -9,10 +9,12 @@
 
 use std::io::{BufRead, Write};
 
-use crate::checkpoint::{f64_from_json, f64_to_json};
+use crate::codec::{
+    f64_to_json, record, required, Codec, Genome, Int, List, Map, Nullable, Str, F64, I64, U64,
+};
 use crate::daemon::JobRecord;
 use crate::dispatch::WorkerSnapshot;
-use crate::json::{parse, u64_from_json, u64_to_json, Json};
+use crate::json::{parse, u64_to_json, Json};
 use crate::metrics::MetricsSnapshot;
 
 /// Longest request or response line the daemon will read, in bytes.
@@ -161,6 +163,45 @@ pub enum EvalOutcome {
     Error(String),
 }
 
+record! {
+    /// One item of an `eval_batch` request.
+    EvalRequestFmt: EvalRequest = "eval_batch item" {
+        id: Int;
+        genes: Genome;
+    }
+}
+
+record! {
+    /// One item of an `eval_batch` response as it appears on the wire:
+    /// the id plus exactly one of `fitness` or `error`.
+    pub(crate) EvalResultFmt: (usize, Option<f64>, Option<String>) = "eval_batch result" {
+        id: Int;
+        fitness: Nullable<F64> = None, omit;
+        error: Nullable<Str> = None, omit;
+    }
+}
+
+/// [`EvalResultFmt`] as the `(id, outcome)` pair callers hold.
+struct EvalOutcomeFmt;
+
+impl Codec for EvalOutcomeFmt {
+    type T = (usize, EvalOutcome);
+    const WHAT: &'static str = "an eval_batch result object";
+    fn enc((id, outcome): &Self::T) -> Json {
+        EvalResultFmt::enc(&match outcome {
+            EvalOutcome::Fitness(f) => (*id, Some(*f), None),
+            EvalOutcome::Error(e) => (*id, None, Some(e.clone())),
+        })
+    }
+    fn dec(j: &Json) -> Result<Self::T, String> {
+        match EvalResultFmt::dec(j)? {
+            (id, Some(f), _) => Ok((id, EvalOutcome::Fitness(f))),
+            (id, None, Some(e)) => Ok((id, EvalOutcome::Error(e))),
+            _ => Err("eval_batch result needs 'fitness' or 'error'".into()),
+        }
+    }
+}
+
 /// Builds an `eval_batch` request frame: one round-trip carrying a whole
 /// generation's worth of evals for one worker.
 ///
@@ -178,20 +219,7 @@ pub fn eval_batch_request(batch_id: u64, evals: &[EvalRequest]) -> Json {
         ("id", u64_to_json(batch_id)),
         (
             "evals",
-            Json::Arr(
-                evals
-                    .iter()
-                    .map(|e| {
-                        Json::obj(vec![
-                            ("id", Json::Int(e.id as i64)),
-                            (
-                                "genes",
-                                Json::Arr(e.genes.iter().map(|&g| Json::Int(g)).collect()),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
+            Json::Arr(evals.iter().map(EvalRequestFmt::enc).collect()),
         ),
     ])
 }
@@ -201,30 +229,10 @@ pub fn eval_batch_request(batch_id: u64, evals: &[EvalRequest]) -> Json {
 /// # Errors
 /// Describes the first malformed field.
 pub fn parse_eval_batch_request(body: &Json) -> Result<(u64, Vec<EvalRequest>), String> {
-    let batch_id = body
-        .get("id")
-        .and_then(u64_from_json)
-        .ok_or("eval_batch needs a numeric 'id'")?;
-    let items = body
-        .get("evals")
-        .and_then(Json::as_arr)
-        .ok_or("eval_batch needs an 'evals' array")?;
-    let evals = items
-        .iter()
-        .map(|item| {
-            let id = item
-                .get("id")
-                .and_then(Json::as_usize)
-                .ok_or("eval_batch item needs a numeric 'id'")?;
-            let genes: Vec<i64> = item
-                .get("genes")
-                .and_then(Json::as_arr)
-                .and_then(|gs| gs.iter().map(Json::as_i64).collect())
-                .ok_or("eval_batch item needs an integer 'genes' array")?;
-            Ok(EvalRequest { id, genes })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    Ok((batch_id, evals))
+    Ok((
+        required::<U64>(body, "eval_batch", "id")?,
+        required::<List<EvalRequestFmt>>(body, "eval_batch", "evals")?,
+    ))
 }
 
 /// Builds an `eval_batch` response envelope: the echoed batch id plus
@@ -236,20 +244,7 @@ pub fn eval_batch_response(batch_id: u64, results: &[(usize, EvalOutcome)]) -> J
         ("id", u64_to_json(batch_id)),
         (
             "results",
-            Json::Arr(
-                results
-                    .iter()
-                    .map(|(id, outcome)| {
-                        Json::obj(vec![
-                            ("id", Json::Int(*id as i64)),
-                            match outcome {
-                                EvalOutcome::Fitness(f) => ("fitness", f64_to_json(*f)),
-                                EvalOutcome::Error(e) => ("error", Json::Str(e.clone())),
-                            },
-                        ])
-                    })
-                    .collect(),
-            ),
+            Json::Arr(results.iter().map(EvalOutcomeFmt::enc).collect()),
         ),
     ])
 }
@@ -268,31 +263,10 @@ pub fn parse_eval_batch_response(v: &Json) -> Result<(u64, Vec<(usize, EvalOutco
             .unwrap_or("missing ok flag");
         return Err(format!("eval_batch rejected: {detail}"));
     }
-    let batch_id = v
-        .get("id")
-        .and_then(u64_from_json)
-        .ok_or("eval_batch response needs a numeric 'id'")?;
-    let items = v
-        .get("results")
-        .and_then(Json::as_arr)
-        .ok_or("eval_batch response needs a 'results' array")?;
-    let results = items
-        .iter()
-        .map(|item| {
-            let id = item
-                .get("id")
-                .and_then(Json::as_usize)
-                .ok_or("eval_batch result needs a numeric 'id'")?;
-            if let Some(f) = item.get("fitness").and_then(f64_from_json) {
-                return Ok((id, EvalOutcome::Fitness(f)));
-            }
-            if let Some(e) = item.get("error").and_then(Json::as_str) {
-                return Ok((id, EvalOutcome::Error(e.to_string())));
-            }
-            Err("eval_batch result needs 'fitness' or 'error'".to_string())
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    Ok((batch_id, results))
+    Ok((
+        required::<U64>(v, "eval_batch response", "id")?,
+        required::<List<EvalOutcomeFmt>>(v, "eval_batch response", "results")?,
+    ))
 }
 
 /// Serializes a tuned genome as its raw gene vector plus — for the
@@ -301,10 +275,7 @@ pub fn parse_eval_batch_response(v: &Json) -> Result<(u64, Vec<(usize, EvalOutco
 /// consumers of `result.params.callee_max_size` never notice).
 #[must_use]
 pub fn genome_to_json(problem: &str, genes: &[i64]) -> Json {
-    let mut pairs = vec![(
-        "genes",
-        Json::Arr(genes.iter().map(|&g| Json::Int(g)).collect()),
-    )];
+    let mut pairs = vec![("genes", Genome::of(genes))];
     if problem == "inline" && genes.len() == inliner::PARAM_NAMES.len() {
         pairs.push(("callee_max_size", Json::Int(genes[0])));
         pairs.push(("always_inline_size", Json::Int(genes[1])));
@@ -327,10 +298,7 @@ pub fn record_to_json(r: &JobRecord) -> Json {
         ("tenant", Json::Str(r.spec.tenant.clone())),
         ("shard", Json::Int(r.shard as i64)),
         ("generation", Json::Int(r.generation as i64)),
-        (
-            "best_fitness",
-            r.best_fitness.map_or(Json::Null, f64_to_json),
-        ),
+        ("best_fitness", Nullable::<F64>::enc(&r.best_fitness)),
     ];
     if let Some(o) = &r.online {
         pairs.push((
@@ -352,10 +320,7 @@ pub fn record_to_json(r: &JobRecord) -> Json {
                     .map(|s| {
                         Json::obj(vec![
                             ("name", Json::Str(s.name.clone())),
-                            (
-                                "best_fitness",
-                                s.best_fitness.map_or(Json::Null, f64_to_json),
-                            ),
+                            ("best_fitness", Nullable::<F64>::enc(&s.best_fitness)),
                             ("evaluations", Json::Int(s.evaluations as i64)),
                             ("eliminated", Json::Bool(s.eliminated)),
                         ])
@@ -392,175 +357,77 @@ pub fn record_to_json(r: &JobRecord) -> Json {
     Json::obj(pairs)
 }
 
-fn hist_to_json(name: &str, h: &obs::HistSnapshot) -> Json {
-    Json::obj(vec![
-        ("name", Json::Str(name.to_string())),
-        (
-            "counts",
-            Json::Arr(h.counts.iter().map(|&c| u64_to_json(c)).collect()),
-        ),
-        ("total", u64_to_json(h.total)),
-        ("sum", u64_to_json(h.sum)),
-        ("max", u64_to_json(h.max)),
-        // Derived, for human consumers; `registry_from_json` recomputes.
-        ("p50", u64_to_json(h.p50())),
-        ("p95", u64_to_json(h.p95())),
-        ("p99", u64_to_json(h.p99())),
-    ])
+record! {
+    SpanFmt: obs::SpanRecord = "span" {
+        path: Str;
+        label: Str;
+        start_micros: U64;
+        dur_micros: U64;
+    }
+}
+
+record! {
+    HistFmt: obs::HistSnapshot = "histogram" {
+        counts: List<U64>;
+        total: U64;
+        sum: U64;
+        max: U64;
+    }
+}
+
+/// One histogram under its metric name: `name`, the snapshot's rows,
+/// then p50/p95/p99 derived for human readers (decode recomputes them
+/// from the buckets, so they are never read).
+struct NamedHistFmt;
+
+impl Codec for NamedHistFmt {
+    type T = (String, obs::HistSnapshot);
+    const WHAT: &'static str = "a histogram object";
+    fn enc((name, h): &Self::T) -> Json {
+        let mut rows = vec![("name", Str::enc(name))];
+        rows.extend(HistFmt::rows(h));
+        let derived = [("p50", h.p50()), ("p95", h.p95()), ("p99", h.p99())];
+        rows.extend(derived.map(|(key, v)| (key, u64_to_json(v))));
+        Json::obj(rows)
+    }
+    fn dec(j: &Json) -> Result<Self::T, String> {
+        let name = required::<Str>(j, "histogram", "name")?;
+        let h = HistFmt::dec(j)?;
+        if h.counts.len() != obs::NUM_BUCKETS {
+            return Err(format!(
+                "histogram '{name}' has {} buckets, expected {}",
+                h.counts.len(),
+                obs::NUM_BUCKETS
+            ));
+        }
+        Ok((name, h))
+    }
+}
+
+record! {
+    /// An observability registry snapshot, the `obs` verb's body. `u64`
+    /// values ride as decimal strings so nothing is clipped to the JSON
+    /// integer range.
+    RegistryFmt: obs::RegistrySnapshot = "obs" {
+        counters: Map<U64>;
+        gauges: Map<I64>;
+        histograms: List<NamedHistFmt>;
+        spans: List<SpanFmt>;
+    }
 }
 
 /// Serializes an observability registry snapshot for the `obs` verb.
-/// `u64` values ride as decimal strings (`u64_to_json`) so nothing is
-/// clipped to the JSON integer range.
 #[must_use]
 pub fn registry_to_json(s: &obs::RegistrySnapshot) -> Json {
-    Json::obj(vec![
-        (
-            "counters",
-            Json::Obj(
-                s.counters
-                    .iter()
-                    .map(|(k, v)| (k.clone(), u64_to_json(*v)))
-                    .collect(),
-            ),
-        ),
-        (
-            "gauges",
-            Json::Obj(
-                s.gauges
-                    .iter()
-                    .map(|(k, v)| (k.clone(), Json::Int(*v)))
-                    .collect(),
-            ),
-        ),
-        (
-            "histograms",
-            Json::Arr(
-                s.histograms
-                    .iter()
-                    .map(|(k, h)| hist_to_json(k, h))
-                    .collect(),
-            ),
-        ),
-        (
-            "spans",
-            Json::Arr(
-                s.spans
-                    .iter()
-                    .map(|sp| {
-                        Json::obj(vec![
-                            ("path", Json::Str(sp.path.clone())),
-                            ("label", Json::Str(sp.label.clone())),
-                            ("start_micros", u64_to_json(sp.start_micros)),
-                            ("dur_micros", u64_to_json(sp.dur_micros)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
+    RegistryFmt::enc(s)
 }
 
-/// Decodes what [`registry_to_json`] produced. Derived histogram fields
-/// (p50/p95/p99) are ignored — they recompute from the buckets.
+/// Decodes what [`registry_to_json`] produced.
 ///
 /// # Errors
 /// Describes the first malformed field.
 pub fn registry_from_json(v: &Json) -> Result<obs::RegistrySnapshot, String> {
-    let counters = match v.get("counters") {
-        Some(Json::Obj(pairs)) => pairs
-            .iter()
-            .map(|(k, val)| {
-                u64_from_json(val)
-                    .map(|n| (k.clone(), n))
-                    .ok_or_else(|| format!("counter '{k}' is not a u64"))
-            })
-            .collect::<Result<Vec<_>, _>>()?,
-        _ => return Err("obs JSON needs a 'counters' object".into()),
-    };
-    let gauges = match v.get("gauges") {
-        Some(Json::Obj(pairs)) => pairs
-            .iter()
-            .map(|(k, val)| {
-                val.as_i64()
-                    .map(|n| (k.clone(), n))
-                    .ok_or_else(|| format!("gauge '{k}' is not an integer"))
-            })
-            .collect::<Result<Vec<_>, _>>()?,
-        _ => return Err("obs JSON needs a 'gauges' object".into()),
-    };
-    let histograms = v
-        .get("histograms")
-        .and_then(Json::as_arr)
-        .ok_or("obs JSON needs a 'histograms' array")?
-        .iter()
-        .map(|h| {
-            let name = h
-                .get("name")
-                .and_then(Json::as_str)
-                .ok_or("histogram needs a 'name'")?
-                .to_string();
-            let counts = h
-                .get("counts")
-                .and_then(Json::as_arr)
-                .ok_or_else(|| format!("histogram '{name}' needs a 'counts' array"))?
-                .iter()
-                .map(|c| u64_from_json(c).ok_or_else(|| format!("bad count in '{name}'")))
-                .collect::<Result<Vec<u64>, _>>()?;
-            if counts.len() != obs::NUM_BUCKETS {
-                return Err(format!(
-                    "histogram '{name}' has {} buckets, expected {}",
-                    counts.len(),
-                    obs::NUM_BUCKETS
-                ));
-            }
-            let field = |key: &str| {
-                h.get(key)
-                    .and_then(u64_from_json)
-                    .ok_or_else(|| format!("histogram '{name}' needs a u64 '{key}'"))
-            };
-            Ok((
-                name.clone(),
-                obs::HistSnapshot {
-                    counts,
-                    total: field("total")?,
-                    sum: field("sum")?,
-                    max: field("max")?,
-                },
-            ))
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    let spans = v
-        .get("spans")
-        .and_then(Json::as_arr)
-        .ok_or("obs JSON needs a 'spans' array")?
-        .iter()
-        .map(|sp| {
-            let text = |key: &str| {
-                sp.get(key)
-                    .and_then(Json::as_str)
-                    .map(str::to_string)
-                    .ok_or_else(|| format!("span needs a string '{key}'"))
-            };
-            let micros = |key: &str| {
-                sp.get(key)
-                    .and_then(u64_from_json)
-                    .ok_or_else(|| format!("span needs a u64 '{key}'"))
-            };
-            Ok(obs::SpanRecord {
-                path: text("path")?,
-                label: text("label")?,
-                start_micros: micros("start_micros")?,
-                dur_micros: micros("dur_micros")?,
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    Ok(obs::RegistrySnapshot {
-        counters,
-        gauges,
-        histograms,
-        spans,
-    })
+    RegistryFmt::dec(v)
 }
 
 /// Serializes a metrics snapshot.
@@ -632,7 +499,7 @@ pub fn shard_to_json(s: &crate::daemon::ShardSnapshot) -> Json {
 pub fn tenant_to_json(t: &shard::TenantUsage) -> Json {
     Json::obj(vec![
         ("tenant", Json::Str(t.tenant.clone())),
-        ("quota", t.quota.map_or(Json::Null, u64_to_json)),
+        ("quota", Nullable::<U64>::enc(&t.quota)),
         ("used", u64_to_json(t.used)),
         ("reserved", u64_to_json(t.reserved)),
         ("admitted", u64_to_json(t.admitted)),

@@ -16,6 +16,7 @@ use std::time::Duration;
 
 use shard::{Reject, RejectKind};
 
+use crate::codec::{required, Genome};
 use crate::daemon::{Daemon, SubmitError};
 use crate::job::JobSpec;
 use crate::json::Json;
@@ -485,11 +486,9 @@ fn store_verb(body: &Json, daemon: &Daemon) -> Json {
                 Ok(fp) => fp,
                 Err(e) => return err(e),
             };
-            let Some(genes) = body
-                .get("genes")
-                .and_then(crate::checkpoint::genome_from_json)
-            else {
-                return err("store get/put needs an integer array 'genes'");
+            let genes = match required::<Genome>(body, "store", "genes") {
+                Ok(genes) => genes,
+                Err(e) => return err(e),
             };
             if op == "get" {
                 return match store.get(fp.cell_digest, &genes) {

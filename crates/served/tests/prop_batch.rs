@@ -5,97 +5,94 @@
 //! adaptive batch target stays inside `[1, max_inflight]` no matter
 //! what the RTT model observes.
 //!
-//! Gated behind the bare `proptest` cargo feature because the
-//! `proptest` crate is not vendored (offline, zero-dependency builds).
-//! To run:
-//!
-//! ```text
-//! # on a networked machine:
-//! #   add `proptest = "1"` under [dev-dependencies] in crates/served/Cargo.toml
-//! cargo test -p inlinetune-served --features proptest
-//! ```
-//!
 //! The same invariants are pinned deterministically by the always-on
 //! unit tests in `served::dispatch` (`ledger_resolve_is_exactly_once`,
 //! `batch_target_stays_within_bounds_as_the_model_moves`) and
 //! `served::proto`'s round-trip tests — this file widens them to
-//! arbitrary inputs.
+//! seeded random inputs (see `common`).
 
-#![cfg(feature = "proptest")]
+mod common;
 
-use proptest::prelude::*;
+use common::{cases, string_of, vec_of};
 use served::dispatch::{BatchLedger, Worker};
 use served::proto::{
     eval_batch_request, eval_batch_response, parse_eval_batch_request, parse_eval_batch_response,
     parse_request, EvalOutcome, EvalRequest,
 };
+use simrng::Rng;
 
-fn arb_outcome() -> impl Strategy<Value = EvalOutcome> {
-    prop_oneof![
-        any::<f64>().prop_map(EvalOutcome::Fitness),
-        any::<u32>().prop_map(|b| EvalOutcome::Fitness(f64::from_bits(
-            0x7ff8_0000_0000_0000 | u64::from(b)
-        ))), // assorted NaN payloads
-        "[ -~]{0,40}".prop_map(EvalOutcome::Error),
-    ]
-}
-
-proptest! {
-    #[test]
-    fn batch_requests_roundtrip_losslessly(
-        batch_id in any::<u64>(),
-        evals in proptest::collection::vec(
-            (any::<usize>(), proptest::collection::vec(any::<i64>(), 0..8)),
-            0..16,
-        ),
-    ) {
-        let evals: Vec<EvalRequest> = evals
-            .into_iter()
-            .map(|(id, genes)| EvalRequest { id, genes })
-            .collect();
-        let text = eval_batch_request(batch_id, &evals).to_text();
-        let (cmd, body) = parse_request(&text).unwrap();
-        prop_assert_eq!(cmd, "eval_batch");
-        let (back_id, back) = parse_eval_batch_request(&body).unwrap();
-        prop_assert_eq!(back_id, batch_id);
-        prop_assert_eq!(back.len(), evals.len());
-        for (a, b) in back.iter().zip(&evals) {
-            prop_assert_eq!(a.id, b.id);
-            prop_assert_eq!(&a.genes, &b.genes);
+fn arb_outcome(rng: &mut Rng) -> EvalOutcome {
+    match rng.below(3) {
+        // Any bit pattern: normals, subnormals, zeros, infinities, NaNs.
+        0 => EvalOutcome::Fitness(f64::from_bits(rng.next_u64())),
+        // Assorted NaN payloads.
+        1 => EvalOutcome::Fitness(f64::from_bits(
+            0x7ff8_0000_0000_0000 | u64::from(rng.next_u32()),
+        )),
+        _ => {
+            let printable: Vec<u8> = (b' '..=b'~').collect();
+            EvalOutcome::Error(string_of(rng, &printable, 0, 40))
         }
     }
+}
 
-    #[test]
-    fn batch_responses_roundtrip_bit_exactly(
-        batch_id in any::<u64>(),
-        results in proptest::collection::vec((any::<usize>(), arb_outcome()), 0..16),
-    ) {
+#[test]
+fn batch_requests_roundtrip_losslessly() {
+    cases("batch_requests_roundtrip_losslessly", |rng| {
+        let batch_id = rng.next_u64();
+        let evals = vec_of(rng, 0, 15, |r| EvalRequest {
+            // The wire carries ids as JSON integers: the i64 range.
+            id: (r.next_u64() >> 1) as usize,
+            genes: vec_of(r, 0, 7, |r| r.next_u64() as i64),
+        });
+        let text = eval_batch_request(batch_id, &evals).to_text();
+        let (cmd, body) = parse_request(&text).unwrap();
+        assert_eq!(cmd, "eval_batch");
+        let (back_id, back) = parse_eval_batch_request(&body).unwrap();
+        assert_eq!(back_id, batch_id);
+        assert_eq!(back, evals);
+    });
+}
+
+#[test]
+fn batch_responses_roundtrip_bit_exactly() {
+    cases("batch_responses_roundtrip_bit_exactly", |rng| {
+        let batch_id = rng.next_u64();
+        let results = vec_of(rng, 0, 15, |r| {
+            ((r.next_u64() >> 1) as usize, arb_outcome(r))
+        });
         let text = eval_batch_response(batch_id, &results).to_text();
         let parsed = served::json::parse(&text).unwrap();
         let (back_id, back) = parse_eval_batch_response(&parsed).unwrap();
-        prop_assert_eq!(back_id, batch_id);
-        prop_assert_eq!(back.len(), results.len());
+        assert_eq!(back_id, batch_id);
+        assert_eq!(back.len(), results.len());
         for ((aid, a), (bid, b)) in back.iter().zip(&results) {
-            prop_assert_eq!(aid, bid);
+            assert_eq!(aid, bid);
             match (a, b) {
-                (EvalOutcome::Fitness(x), EvalOutcome::Fitness(y)) => {
-                    prop_assert_eq!(x.to_bits(), y.to_bits());
+                // JSON spells every NaN "nan": NaN-ness survives, the
+                // payload does not; everything else is bit-exact.
+                (EvalOutcome::Fitness(x), EvalOutcome::Fitness(y)) if y.is_nan() => {
+                    assert!(x.is_nan(), "NaN came back as {x}");
                 }
-                (EvalOutcome::Error(x), EvalOutcome::Error(y)) => prop_assert_eq!(x, y),
-                (got, want) => prop_assert!(false, "outcome kind flipped: {got:?} vs {want:?}"),
+                (EvalOutcome::Fitness(x), EvalOutcome::Fitness(y)) => {
+                    assert_eq!(x.to_bits(), y.to_bits());
+                }
+                (EvalOutcome::Error(x), EvalOutcome::Error(y)) => assert_eq!(x, y),
+                (got, want) => panic!("outcome kind flipped: {got:?} vs {want:?}"),
             }
         }
-    }
+    });
+}
 
-    /// Arbitrary interleavings of claims, requeues, and (possibly
-    /// duplicate, possibly conflicting) resolves: every index is
-    /// committed exactly once, with its first value, and nothing is
-    /// lost.
-    #[test]
-    fn ledger_never_drops_or_double_scores(
-        n in 1usize..24,
-        ops in proptest::collection::vec((0u8..3, 1usize..8), 1..64),
-    ) {
+/// Arbitrary interleavings of claims, requeues, and (possibly
+/// duplicate, possibly conflicting) resolves: every index is
+/// committed exactly once, with its first value, and nothing is
+/// lost.
+#[test]
+fn ledger_never_drops_or_double_scores() {
+    cases("ledger_never_drops_or_double_scores", |rng| {
+        let n = rng.range_usize(1, 23);
+        let ops = vec_of(rng, 1, 63, |r| (r.below(3), r.range_usize(1, 7)));
         let ledger = BatchLedger::new(n, 0);
         let mut outstanding: Vec<usize> = Vec::new();
         let mut committed = vec![false; n];
@@ -114,9 +111,9 @@ proptest! {
                 _ => {
                     if let Some(idx) = outstanding.pop() {
                         let fresh = ledger.resolve(idx, idx as f64);
-                        prop_assert_eq!(fresh, !committed[idx]);
+                        assert_eq!(fresh, !committed[idx]);
                         committed[idx] = true;
-                        prop_assert!(!ledger.resolve(idx, -1.0), "duplicate commit accepted");
+                        assert!(!ledger.resolve(idx, -1.0), "duplicate commit accepted");
                     }
                 }
             }
@@ -129,31 +126,33 @@ proptest! {
                 break;
             }
             for idx in batch {
-                prop_assert_eq!(ledger.resolve(idx, idx as f64), !committed[idx]);
+                assert_eq!(ledger.resolve(idx, idx as f64), !committed[idx]);
                 committed[idx] = true;
             }
         }
-        prop_assert_eq!(ledger.remaining(), 0);
+        assert_eq!(ledger.remaining(), 0);
         let results = ledger.into_results();
-        prop_assert_eq!(results.len(), n);
+        assert_eq!(results.len(), n);
         for (idx, r) in results.iter().enumerate() {
             // First value wins: every slot carries idx, never the -1.0
             // a duplicate commit tried to sneak in.
-            prop_assert_eq!(*r, Some(idx as f64));
+            assert_eq!(*r, Some(idx as f64));
         }
-    }
+    });
+}
 
-    /// The adaptive batch target is always a sane claim size, whatever
-    /// the RTT model has seen — zero RTTs, `u64::MAX` RTTs, handshakes
-    /// without batches, batches without handshakes.
-    #[test]
-    fn batch_target_stays_in_bounds(
-        max_inflight in 0usize..64,
-        observations in proptest::collection::vec(
-            (any::<bool>(), 1u64..32, any::<u64>()),
-            0..32,
-        ),
-    ) {
+/// The adaptive batch target is always a sane claim size, whatever
+/// the RTT model has seen — zero RTTs, `u64::MAX` RTTs, handshakes
+/// without batches, batches without handshakes.
+#[test]
+fn batch_target_stays_in_bounds() {
+    cases("batch_target_stays_in_bounds", |rng| {
+        let max_inflight = rng.range_usize(0, 63);
+        let observations = vec_of(rng, 0, 31, |r| {
+            let any = r.next_u64();
+            let rtt = *r.choose(&[0, 1, any >> 40, any, u64::MAX]);
+            (r.chance(0.5), r.range_usize(1, 31) as u64, rtt)
+        });
         let worker = Worker::new("w:1".into(), false);
         for (is_handshake, len, rtt) in observations {
             if is_handshake {
@@ -162,11 +161,11 @@ proptest! {
                 worker.note_batch_rtt(len, rtt);
             }
             let target = worker.batch_target(max_inflight);
-            prop_assert!(target >= 1, "target {target} below 1");
-            prop_assert!(
+            assert!(target >= 1, "target {target} below 1");
+            assert!(
                 target <= max_inflight.max(1),
                 "target {target} above cap {max_inflight}"
             );
         }
-    }
+    });
 }

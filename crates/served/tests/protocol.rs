@@ -189,23 +189,34 @@ fn unknown_strategy_submit_gets_a_structured_error_frame() {
         .set_read_timeout(Some(Duration::from_secs(10)))
         .unwrap();
 
-    let submit = |strategy: &str| {
+    // `extra` is one more `"key":value` member of the job body.
+    let submit_with = |extra: &str| {
         format!(
             "{{\"cmd\":\"submit\",\"job\":{{\"name\":\"j\",\"scenario\":\"opt\",\
-             \"goal\":\"tot\",\"arch\":\"x86-p4\",\"suite\":[\"db\"],\
-             \"strategy\":\"{strategy}\"}}}}"
+             \"goal\":\"tot\",\"arch\":\"x86-p4\",\"suite\":[\"db\"],{extra}}}}}"
         )
     };
-    for bad in ["gradient", "race:ga", "race:ga+bogus", ""] {
-        let resp = raw_request(&mut stream, &submit(bad));
+    let submit = |strategy: &str| submit_with(&format!("\"strategy\":\"{strategy}\""));
+    for (bad, names_the_problem) in [
+        (submit("gradient"), "unknown strategy"),
+        (submit("race:ga"), "at least 2 members"),
+        (submit("race:ga+bogus"), "unknown strategy"),
+        (submit(""), "unknown strategy"),
+        // Would otherwise pass submit and panic the runner thread.
+        (
+            submit_with("\"ga\":{\"tournament_size\":0}"),
+            "tournament size must be positive",
+        ),
+    ] {
+        let resp = raw_request(&mut stream, &bad);
         assert_eq!(
             resp.get("ok"),
             Some(&Json::Bool(false)),
-            "strategy '{bad}' must be rejected at submit"
+            "{bad} must be rejected at submit"
         );
         let msg = resp.get("error").and_then(Json::as_str).unwrap();
         assert!(
-            msg.contains("unknown strategy") || msg.contains("at least 2 members"),
+            msg.contains(names_the_problem),
             "error frame should name the problem, got: {msg}"
         );
     }

@@ -31,16 +31,22 @@ cargo build --workspace --release --offline
 
 echo "== cargo test --offline"
 cargo test --workspace --offline --quiet
+# Golden fixtures are frozen bytes: a run with REGEN_FIXTURES left in the
+# environment re-blesses them silently and still passes, so fail here if
+# the test stage changed any.
+git diff --exit-code -- crates/served/tests/fixtures crates/stored/tests/fixtures \
+  || { echo "golden fixtures differ from HEAD (REGEN_FIXTURES set?)"; exit 1; }
 
 echo "== benchmark package (offline build + --quick smoke of every workload)"
 # The benchmark is its own workspace, so the build and tests above never
 # compile it; this is what notices when a public-API change breaks it.
 benchmark/ci.sh
 
-# The property-test suites (obs histogram invariants, registry JSON
-# round-trips) need the external `proptest` crate, which is not vendored:
-# they are gated behind a bare `proptest` cargo feature and skipped unless
-# a dev-dependency on proptest has been added (networked checkout).
+# The property-test suites outside `served` (whose own run in the plain
+# test stage above, as seeded loops) need the external `proptest` crate,
+# which is not vendored: they are gated behind a bare `proptest` cargo
+# feature and skipped unless a dev-dependency on proptest has been added
+# (networked checkout).
 has_proptest_dep() { # manifest
   awk '/^\[dev-dependencies\]/ { f = 1; next } /^\[/ { f = 0 } f && /^proptest *=/' \
     "$1" | grep -q .
@@ -48,7 +54,6 @@ has_proptest_dep() { # manifest
 if has_proptest_dep crates/obs/Cargo.toml; then
   echo "== cargo test --features proptest (property suites)"
   cargo test -p inlinetune-obs --offline --quiet --features proptest
-  cargo test -p inlinetune-served --offline --quiet --features proptest
   cargo test -p inlinetune-problems --offline --quiet --features proptest
   cargo test -p inlinetune-shard --offline --quiet --features proptest
   cargo test -p inlinetune-online --offline --quiet --features proptest
