@@ -1,752 +1,382 @@
-//! `simtest` — the seed-sweep runner.
+//! `simtest` — the seed-sweep runner: a thin CLI over [`sim::scenario`].
 //!
 //! ```text
-//! simtest --seeds 200 --base-seed 1 --out BENCH_sim.json   # CI sweep
-//! simtest --seed 42 --trace                                # replay one seed
-//! simtest --store-seed 7                                   # replay one store
-//!     crash/recovery scenario
-//! simtest --mixed-seed 4                                   # replay one
-//!     mixed-problem scenario
-//! simtest --seeds 20 --broken                              # self-test: the
-//!     redispatch-disabled daemon must be caught (exit 0 iff >=1 seed fails)
-//! simtest --scale                                          # throughput-scaling
-//!     suite: virtual 1/2/4/8/16/50-worker fleet, prints the matrix and
-//!     "scale_ok: true|false" (exit 0 iff ok)
-//! simtest --scale --scale-workers 2,16                     # CI fast profile
-//! simtest --shard-seeds 50                                 # multi-tenant soak:
-//!     1000 virtual clients / 100 workers / 8 shards per seed (scale down
-//!     with --shard-clients/--shard-workers/--shard-shards/--shard-runners)
-//! simtest --shard-seed 3 --shard-clients 100               # replay one soak seed
-//! simtest --shard-bench --out BENCH_shard.json             # 1/4/16-shard
-//!     throughput bench (exit 0 iff sharded >= single-queue and no job lost)
+//! simtest fault:200 mixed:8 store:60 online:50 shard:50 --out BENCH_sim.json
+//!                                          # the CI sweep (`:N` = seed count)
+//! simtest shard:5 --clients 60 --workers 8 # the soak, scaled down
+//! simtest fault --seed 42 --trace          # replay one seed
+//! simtest fault:12 --base-seed 9 --broken  # self-test: the redispatch-
+//!     disabled daemon must be caught (exit 0 iff >= 1 seed fails)
+//! simtest scale [--workers 2,16]           # throughput-scaling suite
+//!     (default 1/2/4/8/16/50 workers; exit 0 iff "scale_ok": true)
+//! simtest shard-bench --out BENCH_shard.json   # 1/4/16-shard throughput
+//!     bench (exit 0 iff sharded >= single-queue and no job lost)
 //! ```
 //!
-//! Sweep mode also runs `--mixed-seeds N` (default 8) mixed-problem
-//! scenarios — an `inline`, a `flags` and a `dss` job queued together
-//! on one daemon per seed, proving a heterogeneous backlog loses no
-//! job under faults — and `--store-seeds N` (default 60)
-//! persistent-store crash/recovery scenarios: each kills a store
-//! mid-append (seeded torn wal tails, compactions straddling the kill)
-//! and proves every acknowledged record survives bit-exactly.
+//! Scenarios: `fault`, `mixed`, `store`, `online`, `shard` (what each
+//! derives and checks: DESIGN.md §4.9). A sweep runs seeds
+//! `B .. B+N` for `--base-seed B` (default 1).
 //!
-//! Exit status: 0 when the run's expectation holds (all seeds green, or
-//! — under `--broken` — at least one seed red), 1 otherwise. Every
-//! failing seed prints its fault trace and a one-command replay line.
+//! Exit status: 0 when every run's expectation holds (all seeds green
+//! and the sweep demonstrably exercised its faults, or — under
+//! `--broken` — at least one seed red), 1 otherwise, 2 on a bad command
+//! line (no argument is ever silently ignored). Every failing seed
+//! prints its broken invariants, its fault trace and a one-command
+//! replay line.
 
 use std::time::Instant;
 
+use served::checkpoint::f64_to_json;
 use served::json::Json;
-use sim::sweep::{run_mixed_seed, run_seed, run_store_seed, run_store_sweep, run_sweep, Expected};
+use sim::scenario::{replay, sweep};
+use sim::{
+    FaultScenario, MixedScenario, OnlineScenario, Scale, Scenario, SeedReport, ShardScenario,
+    StoreScenario, SweepReport,
+};
 
+/// A checked command line.
+#[derive(Default)]
 struct Args {
-    seeds: u64,
+    /// `(name, N)` per `<scenario>[:N]`, in order.
+    targets: Vec<(String, Option<u64>)>,
+    seed: Option<u64>,
     base_seed: u64,
-    store_seeds: u64,
-    mixed_seeds: u64,
-    one_seed: Option<u64>,
-    one_store_seed: Option<u64>,
-    one_mixed_seed: Option<u64>,
     out: Option<String>,
     trace: bool,
-    broken: bool,
-    scale: bool,
-    scale_workers: Vec<usize>,
-    shard_seeds: u64,
-    one_shard_seed: Option<u64>,
-    shard_scale: sim::ShardScale,
-    shard_bench: bool,
-    shard_bench_jobs: usize,
-    online_seeds: u64,
-    one_online_seed: Option<u64>,
+    scale: Scale,
+    /// `--workers` as given (`scale` takes a list).
+    workers: Option<Vec<usize>>,
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        seeds: 200,
-        base_seed: 1,
-        store_seeds: 60,
-        mixed_seeds: 8,
-        one_seed: None,
-        one_store_seed: None,
-        one_mixed_seed: None,
-        out: None,
-        trace: false,
-        broken: false,
-        scale: false,
-        scale_workers: sim::WORKER_COUNTS.to_vec(),
-        shard_seeds: 0,
-        one_shard_seed: None,
-        shard_scale: sim::ShardScale::default(),
-        shard_bench: false,
-        shard_bench_jobs: 16,
-        online_seeds: 0,
-        one_online_seed: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut grab = |name: &str| it.next().ok_or_else(|| format!("{name} needs a value"));
-        match a.as_str() {
-            "--seeds" => args.seeds = num(&grab("--seeds")?)?,
-            "--base-seed" => args.base_seed = num(&grab("--base-seed")?)?,
-            "--store-seeds" => args.store_seeds = num(&grab("--store-seeds")?)?,
-            "--mixed-seeds" => args.mixed_seeds = num(&grab("--mixed-seeds")?)?,
-            "--seed" => args.one_seed = Some(num(&grab("--seed")?)?),
-            "--store-seed" => args.one_store_seed = Some(num(&grab("--store-seed")?)?),
-            "--mixed-seed" => args.one_mixed_seed = Some(num(&grab("--mixed-seed")?)?),
-            "--out" => args.out = Some(grab("--out")?),
-            "--trace" => args.trace = true,
-            "--broken" => args.broken = true,
-            "--scale" => args.scale = true,
-            "--shard-seeds" => args.shard_seeds = num(&grab("--shard-seeds")?)?,
-            "--online-seeds" => args.online_seeds = num(&grab("--online-seeds")?)?,
-            "--online-seed" => args.one_online_seed = Some(num(&grab("--online-seed")?)?),
-            "--shard-seed" => args.one_shard_seed = Some(num(&grab("--shard-seed")?)?),
-            "--shard-clients" => {
-                args.shard_scale.clients = num(&grab("--shard-clients")?)? as usize;
-            }
-            "--shard-workers" => {
-                args.shard_scale.workers = num(&grab("--shard-workers")?)? as usize;
-            }
-            "--shard-shards" => {
-                args.shard_scale.shards = num(&grab("--shard-shards")?)? as usize;
-            }
-            "--shard-runners" => {
-                args.shard_scale.runners = num(&grab("--shard-runners")?)? as usize;
-            }
-            "--shard-bench" => args.shard_bench = true,
-            "--shard-bench-jobs" => {
-                args.shard_bench_jobs = num(&grab("--shard-bench-jobs")?)? as usize;
-            }
-            "--scale-workers" => {
-                args.scale_workers = grab("--scale-workers")?
-                    .split(',')
-                    .map(|w| num(w).map(|n| n as usize))
-                    .collect::<Result<_, _>>()?;
-            }
-            "--help" | "-h" => {
-                println!(
-                    "usage: simtest [--seeds N] [--base-seed S] [--store-seeds N] \
-                     [--mixed-seeds N] [--shard-seeds N] [--out FILE] [--seed X [--trace]] \
-                     [--store-seed X] [--mixed-seed X] [--shard-seed X] [--broken] \
-                     [--scale [--scale-workers 1,2,...]] \
-                     [--shard-clients N] [--shard-workers N] [--shard-shards N] \
-                     [--shard-runners N] [--shard-bench [--shard-bench-jobs N]] \
-                     [--online-seeds N] [--online-seed X]"
-                );
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown flag '{other}'")),
-        }
-    }
-    Ok(args)
+/// What one `<scenario>[:N]` target ran: whether its expectation held,
+/// and the sweep's totals (none for a `--seed` replay).
+type Ran = (bool, Option<SweepReport>);
+
+/// The one place a scenario name becomes code.
+fn scenario(name: &str) -> Option<fn(&Args, Option<u64>) -> Ran> {
+    Some(match name {
+        "fault" => go::<FaultScenario>,
+        "mixed" => go::<MixedScenario>,
+        "store" => go::<StoreScenario>,
+        "online" => go::<OnlineScenario>,
+        "shard" => go::<ShardScenario>,
+        _ => return None,
+    })
 }
 
 fn num(s: &str) -> Result<u64, String> {
     s.parse().map_err(|_| format!("'{s}' is not a number"))
 }
 
+fn parse(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
+    let mut args = Args::default();
+    let (mut base_seed, mut clients) = (None, None);
+    let mut it = argv.into_iter();
+    while let Some(arg) = it.next() {
+        let mut value = || it.next().ok_or_else(|| format!("{arg} needs a value"));
+        match arg.as_str() {
+            "--seed" => args.seed = Some(num(&value()?)?),
+            "--base-seed" => base_seed = Some(num(&value()?)?),
+            "--out" => args.out = Some(value()?),
+            "--trace" => args.trace = true,
+            "--broken" => args.scale.broken = true,
+            "--clients" => clients = Some(num(&value()?)? as usize),
+            "--workers" => {
+                let list = value()?;
+                let list = list.split(',').map(|w| num(w).map(|n| n as usize));
+                args.workers = Some(list.collect::<Result<_, _>>()?);
+            }
+            flag if flag.starts_with('-') => return Err(format!("unknown flag '{flag}'")),
+            target => {
+                let (name, n) = match target.split_once(':') {
+                    Some((name, n)) => (name, Some(num(n)?)),
+                    None => (target, None),
+                };
+                let suite = n.is_none() && matches!(name, "scale" | "shard-bench");
+                if !suite && scenario(name).is_none() {
+                    return Err(format!("unknown scenario '{target}'"));
+                }
+                args.targets.push((name.to_string(), n));
+            }
+        }
+    }
+
+    let has = |name: &str| args.targets.iter().any(|(n, _)| n == name);
+    let alone = args.targets.len() == 1;
+    let counted = args.targets.iter().filter(|t| t.1.is_some()).count();
+    let suite = has("scale") || has("shard-bench");
+    let rules = [
+        (
+            args.targets.is_empty(),
+            "usage: simtest <scenario>:N... | <scenario> --seed S | scale | shard-bench",
+        ),
+        (
+            suite && (!alone || args.seed.is_some() || args.scale.broken || clients.is_some()),
+            "scale and shard-bench run alone, with --base-seed, --out and scale's --workers only",
+        ),
+        (
+            args.seed.is_some()
+                && (!alone || counted > 0 || args.out.is_some() || base_seed.is_some()),
+            "--seed replays one seed of one scenario: no :N, --out or --base-seed",
+        ),
+        (
+            !suite && args.seed.is_none() && counted < args.targets.len(),
+            "a scenario needs :N (sweep N seeds) or --seed S (replay one)",
+        ),
+        (
+            args.trace && (args.seed.is_none() || has("store")),
+            "--trace needs --seed and a Cluster-backed scenario (store has no network)",
+        ),
+        (
+            args.scale.broken && args.targets.iter().any(|(n, _)| n != "fault"),
+            "--broken applies to the fault scenario only",
+        ),
+        (
+            (clients.is_some() && !has("shard"))
+                || (args.workers.is_some() && !has("shard") && !has("scale")),
+            "--clients/--workers apply to the shard scenario (--workers also to scale)",
+        ),
+        (
+            !has("scale") && args.workers.as_ref().is_some_and(|w| w.len() != 1),
+            "--workers takes one fleet size",
+        ),
+    ];
+    if let Some((_, message)) = rules.iter().find(|(broken, _)| *broken) {
+        return Err((*message).to_string());
+    }
+    args.base_seed = base_seed.unwrap_or(1);
+    args.scale.shard.clients = clients.unwrap_or(args.scale.shard.clients);
+    if let (Some(workers), false) = (&args.workers, has("scale")) {
+        args.scale.shard.workers = workers[0];
+    }
+    Ok(args)
+}
+
 fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("simtest: {e}");
-            std::process::exit(2);
-        }
-    };
-    let redispatch = !args.broken;
-
-    // Throughput-scaling suite mode.
-    if args.scale {
-        let started = Instant::now();
-        let suite = sim::run_scale_suite(args.base_seed, &args.scale_workers);
-        let serial = sim::scale::serial_evals_per_sec(sim::scale::EVAL_COST);
-        println!(
-            "scaling sweep (seed {}, serial baseline {serial:.2} evals/vsec):",
-            args.base_seed
-        );
-        for r in &suite.sweep {
-            println!(
-                "  {:>3} workers: {:>7.2} evals/vsec  efficiency {:.3}  \
-                 ({} evals, {} batches, {} fallback, bit_identical {}, lossless {})",
-                r.workers,
-                r.evals_per_sec,
-                r.efficiency,
-                r.evaluations,
-                r.batches,
-                r.fallback_evals,
-                r.bit_identical,
-                r.lossless,
-            );
-        }
-        for (label, r) in &suite.faulted {
-            println!(
-                "  fault {label:>13} ({} workers): {:>7.2} evals/vsec  \
-                 ({} remote, {} fallback, bit_identical {}, lossless {})",
-                r.workers,
-                r.evals_per_sec,
-                r.remote_evals,
-                r.fallback_evals,
-                r.bit_identical,
-                r.lossless,
-            );
-        }
-        let ok = suite.ok();
-        println!(
-            "scale_ok: {ok} ({:.2}s wall)",
-            started.elapsed().as_secs_f64()
-        );
-        if let Some(path) = &args.out {
-            let json = scale_json(&suite, args.base_seed, started.elapsed().as_secs_f64());
-            if let Err(e) = std::fs::write(path, json.to_text() + "\n") {
-                eprintln!("simtest: cannot write {path}: {e}");
-                std::process::exit(2);
-            }
-            println!("summary written to {path}");
-        }
-        std::process::exit(i32::from(!ok));
-    }
-
-    // Shard-bench mode: 1/4/16 shards, 16 concurrent jobs, the
-    // `sharded >= single-queue` gate behind BENCH_shard.json.
-    if args.shard_bench {
-        let started = Instant::now();
-        let report = sim::run_shard_bench(
-            args.base_seed,
-            args.shard_bench_jobs,
-            args.shard_scale.workers.min(16),
-            &sim::BENCH_SHARD_COUNTS,
-        );
-        println!(
-            "shard bench (seed {}, {} concurrent jobs):",
-            report.seed, report.jobs
-        );
-        for p in &report.points {
-            println!(
-                "  {:>2} shards: {:>7.2} jobs/vsec  p95 sched delay {:>8} us  \
-                 ({} virtual ms, all_done {})",
-                p.shards, p.jobs_per_vsec, p.sched_delay_p95_micros, p.virtual_ms, p.all_done,
-            );
-        }
-        let ok = report.is_ok();
-        println!(
-            "shard_bench_ok: {ok} ({:.2}s wall)",
-            started.elapsed().as_secs_f64()
-        );
-        if let Some(path) = &args.out {
-            let json = shard_bench_json(&report, started.elapsed().as_secs_f64());
-            if let Err(e) = std::fs::write(path, json.to_text() + "\n") {
-                eprintln!("simtest: cannot write {path}: {e}");
-                std::process::exit(2);
-            }
-            println!("summary written to {path}");
-        }
-        std::process::exit(i32::from(!ok));
-    }
-
-    // Single shard-soak replay mode.
-    if let Some(seed) = args.one_shard_seed {
-        let started = Instant::now();
-        let report = sim::run_shard_seed(seed, &args.shard_scale, &mut Expected::new());
-        print_shard_seed(&report, started.elapsed().as_secs_f64());
-        for f in &report.failures {
-            println!("  {f}");
-        }
-        std::process::exit(i32::from(!report.is_ok()));
-    }
-
-    // Single online-scenario replay mode.
-    if let Some(seed) = args.one_online_seed {
-        let started = Instant::now();
-        let report = sim::run_online_seed(seed, &mut sim::OnlineExpected::new());
-        println!(
-            "online seed {seed}: {} ({:?} drift, {} retunes, {} virtual ms, {:.2}s wall, \
-             faults drop/dup/delay/blackhole = {}/{}/{}/{})",
-            report.verdict.tag(),
-            report.kind,
-            report.retunes,
-            report.virtual_ms,
-            started.elapsed().as_secs_f64(),
-            report.fault_counts.0,
-            report.fault_counts.1,
-            report.fault_counts.2,
-            report.fault_counts.3,
-        );
-        if args.trace || !report.verdict.is_ok() {
-            for line in &report.trace {
-                println!("  {line}");
-            }
-        }
-        std::process::exit(i32::from(!report.verdict.is_ok()));
-    }
-
-    // Single store-scenario replay mode.
-    if let Some(seed) = args.one_store_seed {
-        let report = run_store_seed(seed);
-        println!(
-            "store seed {seed}: {} ({} records, {} torn bytes)",
-            if report.is_ok() { "ok" } else { "FAILED" },
-            report.records,
-            report.torn_bytes,
-        );
-        for f in &report.failures {
-            println!("  {f}");
-        }
-        std::process::exit(i32::from(!report.is_ok()));
-    }
-
-    // Single mixed-problem scenario replay mode.
-    if let Some(seed) = args.one_mixed_seed {
-        let report = run_mixed_seed(seed, &mut Expected::new());
-        println!(
-            "mixed seed {seed}: {} ({} virtual ms, ga seed {})",
-            if report.is_ok() { "ok" } else { "FAILED" },
-            report.virtual_ms,
-            report.ga_seed,
-        );
-        for (problem, v) in &report.verdicts {
-            println!("  {problem}: {}", v.tag());
-        }
-        if args.trace || !report.is_ok() {
-            for line in &report.trace {
-                println!("  {line}");
-            }
-        }
-        std::process::exit(i32::from(!report.is_ok()));
-    }
-
-    // Single-seed replay mode.
-    if let Some(seed) = args.one_seed {
-        let started = Instant::now();
-        let report = run_seed(seed, &mut Expected::new(), redispatch);
-        println!(
-            "seed {seed}: {} ({} virtual ms, {:.2}s wall, faults drop/dup/delay/blackhole = {}/{}/{}/{})",
-            report.verdict.tag(),
-            report.virtual_ms,
-            started.elapsed().as_secs_f64(),
-            report.fault_counts.0,
-            report.fault_counts.1,
-            report.fault_counts.2,
-            report.fault_counts.3,
-        );
-        if args.trace || !report.verdict.is_ok() {
-            for line in &report.trace {
-                println!("  {line}");
-            }
-        }
-        std::process::exit(i32::from(!report.verdict.is_ok()));
-    }
-
-    // Sweep mode.
+    let args = parse(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("simtest: {e}");
+        std::process::exit(2);
+    });
     let started = Instant::now();
-    let report = run_sweep(args.base_seed, args.seeds, redispatch);
-    let wall = started.elapsed();
-    println!(
-        "swept {} seeds ({}..{}): {} passed, {} failed in {:.2}s wall / {:.1}s virtual",
-        report.seeds,
-        report.base_seed,
-        report.base_seed + report.seeds,
-        report.passed,
-        report.failures.len(),
-        wall.as_secs_f64(),
-        report.virtual_ms as f64 / 1000.0,
-    );
-    println!(
-        "faults injected: {} dropped, {} duplicated, {} delayed, {} blackholed",
-        report.fault_counts.0, report.fault_counts.1, report.fault_counts.2, report.fault_counts.3,
-    );
-    println!(
-        "worst scenario: seed {} at {} virtual ms",
-        report.worst_seed, report.worst_virtual_ms,
-    );
-    for f in &report.failures {
-        println!("\nseed {} FAILED: {:?}", f.seed, f.verdict);
-        for line in &f.trace {
-            println!("  {line}");
+    let (ok, json) = match args.targets[0].0.as_str() {
+        "scale" => {
+            let counts = args.workers.as_deref().unwrap_or(sim::WORKER_COUNTS);
+            let suite = sim::run_scale_suite(args.base_seed, counts);
+            (suite.ok(), print_suite(suite.to_json(args.base_seed)))
         }
-        println!("  replay: scripts/replay.sh {}", f.seed);
-    }
-
-    // The mixed-problem sweep (skipped under --broken: that mode
-    // self-tests the redispatch invariant only).
-    let mixed_report = if args.broken || args.mixed_seeds == 0 {
-        None
-    } else {
-        let started = Instant::now();
-        let r = sim::run_mixed_sweep(args.base_seed, args.mixed_seeds);
-        println!(
-            "mixed sweep: {} seeds x {} problems, {} passed, {} failed in {:.2}s \
-             ({} jobs done, {:.1}s virtual)",
-            r.seeds,
-            sim::MIXED_PROBLEMS.len(),
-            r.passed,
-            r.failures.len(),
-            started.elapsed().as_secs_f64(),
-            r.jobs_done,
-            r.virtual_ms as f64 / 1000.0,
-        );
-        for f in &r.failures {
-            println!("\nmixed seed {} FAILED:", f.seed);
-            for (problem, v) in &f.verdicts {
-                println!("  {problem}: {v:?}");
-            }
-            for line in &f.trace {
-                println!("  {line}");
-            }
-            println!("  replay: simtest --mixed-seed {}", f.seed);
+        // 1/4/16 shards, 16 concurrent jobs over 16 workers: the
+        // `sharded >= single-queue` gate behind BENCH_shard.json.
+        "shard-bench" => {
+            let report = sim::run_shard_bench(args.base_seed, 16, 16, &sim::BENCH_SHARD_COUNTS);
+            (report.is_ok(), print_suite(report.to_json()))
         }
-        Some(r)
+        _ => {
+            let (mut ok, mut sweeps) = (true, Vec::new());
+            for (name, seeds) in &args.targets {
+                let (held, report) = scenario(name).expect("parse checked the name")(&args, *seeds);
+                ok &= held;
+                sweeps.extend(report);
+            }
+            (ok, sweep_json(&sweeps, args.base_seed))
+        }
     };
-
-    // The store crash/recovery sweep (skipped under --broken: that mode
-    // self-tests the redispatch invariant only).
-    let store_report = if args.broken || args.store_seeds == 0 {
-        None
-    } else {
-        let started = Instant::now();
-        let r = run_store_sweep(args.base_seed, args.store_seeds);
-        println!(
-            "store sweep: {} seeds, {} passed, {} failed in {:.2}s \
-             ({} records, {} scenarios with torn wal tails)",
-            r.seeds,
-            r.passed,
-            r.failures.len(),
-            started.elapsed().as_secs_f64(),
-            r.records,
-            r.torn_scenarios,
-        );
-        for f in &r.failures {
-            println!("\nstore seed {} FAILED:", f.seed);
-            for line in &f.failures {
-                println!("  {line}");
-            }
-            println!("  replay: simtest --store-seed {}", f.seed);
-        }
-        Some(r)
-    };
-
-    // The multi-tenant shard soak sweep (opt-in: `--shard-seeds N`;
-    // CI's soak stage runs it at the headline 1000-client scale).
-    let shard_report = if args.broken || args.shard_seeds == 0 {
-        None
-    } else {
-        let started = Instant::now();
-        let r = sim::run_shard_sweep(args.base_seed, args.shard_seeds, &args.shard_scale);
-        println!(
-            "shard soak: {} seeds x {} clients / {} workers / {} shards, {} passed, {} failed \
-             in {:.2}s ({} jobs done, {} queue_full rejects ridden, {} quota rejects, \
-             {:.1}s virtual)",
-            r.seeds,
-            args.shard_scale.clients,
-            args.shard_scale.workers,
-            args.shard_scale.shards,
-            r.passed,
-            r.failures.len(),
-            started.elapsed().as_secs_f64(),
-            r.jobs_done,
-            r.queue_full_rejects,
-            r.quota_rejects,
-            r.virtual_ms as f64 / 1000.0,
-        );
-        for f in &r.failures {
-            println!("\nshard seed {} FAILED:", f.seed);
-            for line in &f.failures {
-                println!("  {line}");
-            }
-            println!("  replay: simtest --shard-seed {}", f.seed);
-        }
-        Some(r)
-    };
-
-    // The online-drift sweep (opt-in: `--online-seeds N`; CI runs it at
-    // 50 seeds).
-    let online_report = if args.broken || args.online_seeds == 0 {
-        None
-    } else {
-        let started = Instant::now();
-        let r = sim::run_online_sweep(args.base_seed, args.online_seeds);
-        println!(
-            "online sweep: {} seeds, {} passed, {} failed in {:.2}s \
-             ({} retunes committed, {:.1}s virtual)",
-            r.seeds,
-            r.passed,
-            r.failures.len(),
-            started.elapsed().as_secs_f64(),
-            r.retunes,
-            r.virtual_ms as f64 / 1000.0,
-        );
-        for f in &r.failures {
-            println!(
-                "\nonline seed {} FAILED ({:?} drift): {:?}",
-                f.seed, f.kind, f.verdict
-            );
-            for line in &f.trace {
-                println!("  {line}");
-            }
-            println!("  replay: simtest --online-seed {}", f.seed);
-        }
-        Some(r)
-    };
-
-    if let Some(path) = &args.out {
-        let json = report_json(
-            &report,
-            mixed_report.as_ref(),
-            store_report.as_ref(),
-            shard_report.as_ref(),
-            online_report.as_ref(),
-            wall.as_secs_f64(),
-            args.broken,
-        );
-        if let Err(e) = std::fs::write(path, json.to_text() + "\n") {
+    if let (Some(path), Json::Obj(mut summary)) = (&args.out, json) {
+        let wall = f64_to_json(started.elapsed().as_secs_f64());
+        summary.push(("wall_secs".into(), wall));
+        if let Err(e) = std::fs::write(path, Json::Obj(summary).to_text() + "\n") {
             eprintln!("simtest: cannot write {path}: {e}");
             std::process::exit(2);
         }
         println!("summary written to {path}");
     }
-
-    let caught = !report.failures.is_empty();
-    let store_ok = store_report.as_ref().is_none_or(|r| r.failures.is_empty());
-    let mixed_ok = mixed_report.as_ref().is_none_or(|r| r.failures.is_empty());
-    let shard_ok = shard_report.as_ref().is_none_or(|r| r.failures.is_empty());
-    let online_ok = online_report.as_ref().is_none_or(|r| r.failures.is_empty());
-    let ok = if args.broken {
-        // Self-test: a daemon that drops re-dispatched work MUST be
-        // caught by at least one seed, or the sweep has no teeth.
-        if caught {
-            println!("broken-build self-test: lost-work bug caught, as it must be");
-        } else {
-            println!("broken-build self-test FAILED: no seed caught the lost-work bug");
-        }
-        caught
-    } else {
-        !caught && store_ok && mixed_ok && shard_ok && online_ok
-    };
     std::process::exit(i32::from(!ok));
 }
 
-fn scale_report_json(r: &sim::ScaleReport) -> Json {
-    Json::obj(vec![
-        ("workers", Json::Int(r.workers as i64)),
-        ("evaluations", Json::Int(r.evaluations as i64)),
-        ("elapsed_virtual_us", Json::Int(r.elapsed_micros as i64)),
-        (
-            "evals_per_vsec",
-            served::checkpoint::f64_to_json(r.evals_per_sec),
-        ),
-        ("efficiency", served::checkpoint::f64_to_json(r.efficiency)),
-        ("remote_evals", Json::Int(r.remote_evals as i64)),
-        ("fallback_evals", Json::Int(r.fallback_evals as i64)),
-        ("batches", Json::Int(r.batches as i64)),
-        ("bit_identical", Json::Bool(r.bit_identical)),
-        ("lossless", Json::Bool(r.lossless)),
-    ])
+/// Prints a measurement suite's summary — one line per row of its
+/// tables, then its verdicts — and hands it back.
+fn print_suite(summary: Json) -> Json {
+    let Json::Obj(fields) = &summary else {
+        unreachable!("every summary is an object");
+    };
+    for (key, value) in fields {
+        match value {
+            Json::Arr(rows) => rows
+                .iter()
+                .for_each(|r| println!("  {key}: {}", r.to_text())),
+            scalar => println!("{key}: {}", scalar.to_text()),
+        }
+    }
+    summary
 }
 
-fn scale_json(suite: &sim::ScaleSuite, seed: u64, wall_secs: f64) -> Json {
-    Json::obj(vec![
-        ("bench", Json::Str("sim_scale".into())),
-        ("seed", Json::Int(seed as i64)),
-        (
-            "serial_evals_per_vsec",
-            served::checkpoint::f64_to_json(sim::scale::serial_evals_per_sec(
-                sim::scale::EVAL_COST,
-            )),
-        ),
-        (
-            "sweep",
-            Json::Arr(suite.sweep.iter().map(scale_report_json).collect()),
-        ),
-        (
-            "faulted",
-            Json::Arr(
-                suite
-                    .faulted
-                    .iter()
-                    .map(|(label, r)| {
-                        let Json::Obj(mut fields) = scale_report_json(r) else {
-                            unreachable!("scale_report_json returns an object");
-                        };
-                        fields.insert(0, ("fault".into(), Json::Str(label.clone())));
-                        Json::Obj(fields)
-                    })
-                    .collect(),
-            ),
-        ),
-        ("scale_ok", Json::Bool(suite.ok())),
-        ("wall_secs", served::checkpoint::f64_to_json(wall_secs)),
-    ])
+/// Replays one seed of `S` (`--seed`) or sweeps it.
+fn go<S: Scenario>(args: &Args, seeds: Option<u64>) -> Ran {
+    let started = Instant::now();
+    if let Some(seed) = args.seed {
+        let report = replay::<S>(seed, &args.scale, &mut S::Truth::default());
+        print_seed(&report, args.trace);
+        return (report.is_ok(), None);
+    }
+    let seeds = seeds.expect("parse checked a sweep has :N");
+    let report = sweep::<S>(args.base_seed, seeds, &args.scale);
+    print_sweep(&report, started.elapsed().as_secs_f64());
+    let green = report.failures.is_empty();
+    let ok = if args.scale.broken {
+        // Self-test: a daemon that drops re-dispatched work MUST be
+        // caught by at least one seed, or the sweep has no teeth.
+        let verdict = if green {
+            "FAILED: no seed caught the bug"
+        } else {
+            "ok: bug caught"
+        };
+        println!("broken-build self-test {verdict}");
+        !green
+    } else if let (true, Err(never)) = (green, S::exercised(&report)) {
+        println!("{} sweep is green but has no teeth: {never}", S::NAME);
+        false
+    } else {
+        green
+    };
+    (ok, Some(report))
 }
 
-fn print_shard_seed(r: &sim::ShardSeedReport, wall_secs: f64) {
+fn evidence(faults: &sim::FaultCounts, counters: &sim::Counters) -> String {
+    let mut text = format!(
+        "faults drop/dup/delay/blackhole = {}/{}/{}/{}",
+        faults.dropped, faults.duplicated, faults.delayed, faults.blackholed
+    );
+    for (name, n) in &counters.0 {
+        text += &format!(", {name} {n}");
+    }
+    text
+}
+
+/// The one replay printer: a seed's verdict line, every broken
+/// invariant, the trace (for a failure, or when `trace` asks) and, for a
+/// failure, the replay recipe.
+fn print_seed(r: &SeedReport, trace: bool) {
     println!(
-        "shard seed {}: {} ({} clients: {} admitted, {} done, {} queue_full rejects ridden, \
-         {} quota rejects; p95 sched delay {} us; {} virtual ms, {wall_secs:.2}s wall)",
+        "{} seed {}: {} ({} virtual ms; {})",
+        r.scenario,
         r.seed,
         if r.is_ok() { "ok" } else { "FAILED" },
-        r.clients,
-        r.admitted,
-        r.done,
-        r.queue_full_rejects,
-        r.quota_rejects,
-        r.sched_delay_p95_micros,
         r.virtual_ms,
+        evidence(&r.faults, &r.counters),
     );
+    for f in &r.failures {
+        println!("  {}: {}", f.tag(), f.detail);
+    }
+    if trace || !r.is_ok() {
+        for line in &r.trace {
+            println!("  {line}");
+        }
+    }
+    if !r.is_ok() {
+        println!("  {}", r.replay_line());
+    }
 }
 
-fn shard_bench_json(report: &sim::ShardBenchReport, wall_secs: f64) -> Json {
-    Json::obj(vec![
-        ("bench", Json::Str("shard".into())),
-        ("seed", Json::Int(report.seed as i64)),
-        ("jobs", Json::Int(report.jobs as i64)),
-        (
-            "points",
-            Json::Arr(
-                report
-                    .points
-                    .iter()
-                    .map(|p| {
-                        Json::obj(vec![
-                            ("shards", Json::Int(p.shards as i64)),
-                            ("virtual_ms", Json::Int(p.virtual_ms as i64)),
-                            (
-                                "jobs_per_vsec",
-                                served::checkpoint::f64_to_json(p.jobs_per_vsec),
-                            ),
-                            (
-                                "sched_delay_p95_micros",
-                                Json::Int(p.sched_delay_p95_micros as i64),
-                            ),
-                            ("all_done", Json::Bool(p.all_done)),
-                        ])
-                    })
-                    .collect(),
+/// The one sweep printer.
+fn print_sweep(r: &SweepReport, wall_secs: f64) {
+    println!(
+        "{}: swept {} seeds ({}..{}): {} passed, {} failed in {wall_secs:.2}s wall / {:.1}s \
+         virtual\n  {}; worst seed {} at {} virtual ms",
+        r.scenario,
+        r.seeds,
+        r.base_seed,
+        r.base_seed + r.seeds,
+        r.passed,
+        r.failures.len(),
+        r.virtual_ms as f64 / 1000.0,
+        evidence(&r.faults, &r.counters),
+        r.worst_seed,
+        r.worst_virtual_ms,
+    );
+    for f in &r.failures {
+        println!();
+        print_seed(f, true);
+    }
+}
+
+fn int(n: u64) -> Json {
+    Json::Int(n as i64)
+}
+
+/// The one sweep-JSON writer (`BENCH_sim.json`; `main` appends
+/// `wall_secs`). `failed_total` is a distinct key so a grep for the
+/// green verdict cannot be satisfied by one scenario's `"failed":0`.
+fn sweep_json(sweeps: &[SweepReport], base_seed: u64) -> Json {
+    let scenarios = sweeps.iter().map(|r| {
+        let failing = r.failures.iter().map(|f| int(f.seed)).collect();
+        Json::obj(vec![
+            ("scenario", Json::Str(r.scenario.into())),
+            ("seeds", int(r.seeds)),
+            ("passed", int(r.passed)),
+            ("failed", int(r.failures.len() as u64)),
+            ("failing_seeds", Json::Arr(failing)),
+            ("virtual_ms", int(r.virtual_ms)),
+            ("worst_seed", int(r.worst_seed)),
+            ("worst_virtual_ms", int(r.worst_virtual_ms)),
+            (
+                "faults",
+                Json::obj(vec![
+                    ("dropped", int(r.faults.dropped)),
+                    ("duplicated", int(r.faults.duplicated)),
+                    ("delayed", int(r.faults.delayed)),
+                    ("blackholed", int(r.faults.blackholed)),
+                ]),
             ),
-        ),
-        (
-            "sharded_beats_single",
-            Json::Bool(report.sharded_beats_single()),
-        ),
-        ("shard_bench_ok", Json::Bool(report.is_ok())),
-        ("wall_secs", served::checkpoint::f64_to_json(wall_secs)),
+            (
+                "counters",
+                Json::obj(r.counters.0.iter().map(|(k, v)| (*k, int(*v))).collect()),
+            ),
+        ])
+    });
+    let scenarios = scenarios.collect();
+    let failed_total = sweeps.iter().map(|r| r.failures.len() as u64).sum();
+    Json::obj(vec![
+        ("bench", Json::Str("sim_sweep".into())),
+        ("base_seed", int(base_seed)),
+        ("failed_total", int(failed_total)),
+        ("scenarios", Json::Arr(scenarios)),
     ])
 }
 
-fn report_json(
-    report: &sim::SweepReport,
-    mixed: Option<&sim::MixedSweepReport>,
-    store: Option<&sim::StoreSweepReport>,
-    shard: Option<&sim::ShardSweepReport>,
-    online: Option<&sim::OnlineSweepReport>,
-    wall_secs: f64,
-    broken: bool,
-) -> Json {
-    let mut fields = vec![
-        ("bench", Json::Str("sim_sweep".into())),
-        ("base_seed", Json::Int(report.base_seed as i64)),
-        ("seeds", Json::Int(report.seeds as i64)),
-        ("passed", Json::Int(report.passed as i64)),
-        ("failed", Json::Int(report.failures.len() as i64)),
-        ("broken_mode", Json::Bool(broken)),
-        ("wall_secs", served::checkpoint::f64_to_json(wall_secs)),
-        ("virtual_ms", Json::Int(report.virtual_ms as i64)),
-        (
-            "worst_virtual_ms",
-            Json::Int(report.worst_virtual_ms as i64),
-        ),
-        ("worst_seed", Json::Int(report.worst_seed as i64)),
-        (
-            "faults",
-            Json::obj(vec![
-                ("dropped", Json::Int(report.fault_counts.0 as i64)),
-                ("duplicated", Json::Int(report.fault_counts.1 as i64)),
-                ("delayed", Json::Int(report.fault_counts.2 as i64)),
-                ("blackholed", Json::Int(report.fault_counts.3 as i64)),
-            ]),
-        ),
-        (
-            "failing_seeds",
-            Json::Arr(
-                report
-                    .failures
-                    .iter()
-                    .map(|f| Json::Int(f.seed as i64))
-                    .collect(),
-            ),
-        ),
-    ];
-    if let Some(m) = mixed {
-        fields.extend([
-            ("mixed_seeds", Json::Int(m.seeds as i64)),
-            ("mixed_passed", Json::Int(m.passed as i64)),
-            ("mixed_failed", Json::Int(m.failures.len() as i64)),
-            ("mixed_jobs_done", Json::Int(m.jobs_done as i64)),
-            (
-                "mixed_failing_seeds",
-                Json::Arr(
-                    m.failures
-                        .iter()
-                        .map(|f| Json::Int(f.seed as i64))
-                        .collect(),
-                ),
-            ),
-        ]);
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A printed replay line, parsed back by `parse`, must derive the
+    /// identical scenario — seed, scale and mode.
+    fn reparsed<S: Scenario + std::fmt::Debug>(seed: u64, scale: &Scale) {
+        let original = S::derive(seed, scale);
+        let report = SeedReport {
+            scenario: S::NAME,
+            seed,
+            replay_args: original.replay_args(),
+            ..SeedReport::default()
+        };
+        let line = report.replay_line();
+        let words = line.strip_prefix("replay: simtest ").expect(&line);
+        let args = parse(words.split(' ').map(String::from)).expect(&line);
+        assert_eq!(args.targets, [(S::NAME.to_string(), None)], "{line}");
+        let again = S::derive(args.seed.expect(&line), &args.scale);
+        assert_eq!(format!("{again:?}"), format!("{original:?}"), "{line}");
     }
-    if let Some(s) = shard {
-        fields.extend([
-            ("shard_seeds", Json::Int(s.seeds as i64)),
-            ("shard_passed", Json::Int(s.passed as i64)),
-            ("shard_failed", Json::Int(s.failures.len() as i64)),
-            ("shard_jobs_done", Json::Int(s.jobs_done as i64)),
-            (
-                "shard_queue_full_rejects",
-                Json::Int(s.queue_full_rejects as i64),
-            ),
-            ("shard_quota_rejects", Json::Int(s.quota_rejects as i64)),
-            (
-                "shard_failing_seeds",
-                Json::Arr(
-                    s.failures
-                        .iter()
-                        .map(|f| Json::Int(f.seed as i64))
-                        .collect(),
-                ),
-            ),
-        ]);
+
+    #[test]
+    fn every_replay_line_is_a_complete_recipe() {
+        let (plain, mut broken, mut small) = (Scale::default(), Scale::default(), Scale::default());
+        broken.broken = true;
+        (small.shard.clients, small.shard.workers) = (60, 8);
+        for seed in [1, 3, 9] {
+            reparsed::<FaultScenario>(seed, &plain);
+            reparsed::<FaultScenario>(seed, &broken);
+            reparsed::<MixedScenario>(seed, &plain);
+            reparsed::<StoreScenario>(seed, &plain);
+            reparsed::<OnlineScenario>(seed, &plain);
+            reparsed::<ShardScenario>(seed, &plain);
+            reparsed::<ShardScenario>(seed, &small);
+        }
     }
-    if let Some(o) = online {
-        fields.extend([
-            ("online_seeds", Json::Int(o.seeds as i64)),
-            ("online_passed", Json::Int(o.passed as i64)),
-            ("online_failed", Json::Int(o.failures.len() as i64)),
-            ("online_retunes", Json::Int(o.retunes as i64)),
-            (
-                "online_failing_seeds",
-                Json::Arr(
-                    o.failures
-                        .iter()
-                        .map(|f| Json::Int(f.seed as i64))
-                        .collect(),
-                ),
-            ),
-        ]);
-    }
-    if let Some(s) = store {
-        fields.extend([
-            ("store_seeds", Json::Int(s.seeds as i64)),
-            ("store_passed", Json::Int(s.passed as i64)),
-            ("store_failed", Json::Int(s.failures.len() as i64)),
-            ("store_records", Json::Int(s.records as i64)),
-            ("store_torn_scenarios", Json::Int(s.torn_scenarios as i64)),
-            (
-                "store_failing_seeds",
-                Json::Arr(
-                    s.failures
-                        .iter()
-                        .map(|f| Json::Int(f.seed as i64))
-                        .collect(),
-                ),
-            ),
-        ]);
-    }
-    Json::obj(fields)
 }

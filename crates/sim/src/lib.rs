@@ -7,7 +7,7 @@
 //! partitions (half-open connections), full partitions, worker crashes
 //! and restarts. Everything is derived from one `u64` seed, so a CI
 //! sweep covers hundreds of fault schedules in seconds and any failure
-//! replays with `simtest --seed N --trace`.
+//! replays with `simtest <scenario> --seed N --trace`.
 //!
 //! The approach is FoundationDB-style simulation testing, scaled to
 //! this repo: the production code under test is the *real* dispatch,
@@ -40,48 +40,49 @@
 //!   dispatcher beats serial at 2 workers and holds ≥ 70 % parallel
 //!   efficiency at 16, while staying exactly-once and bit-identical
 //!   under seeded fault sweeps.
-//! * [`online`] — the online-drift sweep: drifting workloads, the
-//!   drift detector, and warm retunes running inside the simulated
-//!   cluster, asserted bit-identical — per-epoch rows included —
-//!   against the in-process reference runner, with bounded regret
-//!   after every detection.
-//! * [`shard_soak`] — the multi-tenant soak: a thousand virtual clients
-//!   over a shared hundred-worker fleet against the sharded control
-//!   plane (admission, quotas, DRR fairness, bit-identity), plus the
-//!   1/4/16-shard throughput bench behind `BENCH_shard.json`.
-//! * [`sweep`] — seed-derived scenarios, the per-seed driver, and sweep
-//!   reports (`simtest` is a thin CLI over this). Includes the
-//!   persistent-store crash/recovery sweep ([`run_store_sweep`]): kill a
-//!   store mid-append under seeded torn-tail schedules and prove no
-//!   acknowledged record is lost or corrupted. Also the mixed-problem
-//!   sweep ([`run_mixed_sweep`]): one `inline`, one `flags` and one
-//!   `dss` job queued on a single daemon per scenario, proving a
-//!   heterogeneous backlog loses no job under the same fault weather.
+//! * [`scenario`] — what a seeded sweep *is*: the [`Scenario`] trait,
+//!   the one [`sweep`](scenario::sweep)/[`replay`](scenario::replay)
+//!   loop, the one [`SeedReport`]/[`SweepReport`] pair and replay
+//!   recipe, the fault timeline, the ground-truth cache and the
+//!   Cluster-backed body three scenarios share (`simtest` is a thin CLI
+//!   over this). Its five implementations:
+//! * [`sweep`] — `fault` (one inlining job under seeded weather),
+//!   `mixed` (one `inline`, one `flags` and one `dss` job queued on a
+//!   single daemon, proving a heterogeneous backlog loses no job under
+//!   the same weather) and `store` (kill a store mid-append under
+//!   seeded torn-tail schedules and prove no acknowledged record is
+//!   lost or corrupted).
+//! * [`online`] — `online`: drifting workloads, the drift detector, and
+//!   warm retunes running inside the simulated cluster, asserted
+//!   bit-identical — per-epoch rows included — against the in-process
+//!   reference runner, with bounded regret after every detection.
+//! * [`shard_soak`] — `shard`, the multi-tenant soak: a thousand
+//!   virtual clients over a shared hundred-worker fleet against the
+//!   sharded control plane (admission, quotas, DRR fairness,
+//!   bit-identity), plus the 1/4/16-shard throughput bench behind
+//!   `BENCH_shard.json`.
 
 pub mod cluster;
 pub mod net;
 pub mod online;
 pub mod scale;
+pub mod scenario;
 pub mod shard_soak;
 pub mod sweep;
 
 pub use cluster::{Cluster, ClusterConfig, Outcome, DAEMON_ADDR};
 pub use net::{FaultPlan, SimNet, TraceEvent, GRACE};
-pub use online::{
-    run_online_seed, run_online_sweep, OnlineExpected, OnlineScenario, OnlineSeedReport,
-    OnlineSweepReport,
-};
+pub use online::OnlineScenario;
 pub use scale::{
     run_scale, run_scale_suite, run_scale_to, ScaleConfig, ScaleReport, ScaleSuite,
     MEASURE_ATTEMPTS, MIN_EFFICIENCY_AT_16, WORKER_COUNTS,
 };
+pub use scenario::{
+    Counters, Failure, FailureKind, FaultCounts, FaultKind, Scale, Scenario, SeedReport,
+    SweepReport, TimedFault,
+};
 pub use shard_soak::{
-    run_shard_bench, run_shard_seed, run_shard_sweep, ShardBenchPoint, ShardBenchReport,
-    ShardScale, ShardSeedReport, ShardSweepReport, BENCH_SHARD_COUNTS, CAPPED_TENANT,
-    SOAK_DEADLINE, TENANTS,
+    run_shard_bench, ShardBenchPoint, ShardBenchReport, ShardScale, ShardScenario,
+    BENCH_SHARD_COUNTS, CAPPED_TENANT, SOAK_DEADLINE, TENANTS,
 };
-pub use sweep::{
-    run_mixed_seed, run_mixed_sweep, run_seed, run_store_seed, run_store_sweep, run_sweep,
-    MixedSeedReport, MixedSweepReport, Scenario, SeedReport, StoreScenario, StoreSeedReport,
-    StoreSweepReport, SweepReport, Verdict, MIXED_PROBLEMS,
-};
+pub use sweep::{FaultScenario, MixedScenario, StoreScenario, MIXED_PROBLEMS};

@@ -4,9 +4,9 @@
 //! in-process reference runner ([`online::OnlineJob`]) epoch by epoch.
 //!
 //! A scenario derives everything from its seed, exactly like
-//! [`crate::sweep::Scenario`]: frame-level fault probabilities, an
-//! optional crash + restart, an optional partition + heal, and the
-//! job's identity — drift kind, GA seed, drift seed — drawn from small
+//! [`crate::sweep::FaultScenario`] — the same weather
+//! ([`crate::scenario::weather`]) on its own stream — plus the job's
+//! identity — drift kind, GA seed, drift seed — drawn from small
 //! pools so a 50-seed sweep pays for only a handful of reference runs.
 //! What the sweep asserts per seed, on top of the usual no-lost-jobs /
 //! checkpoints-loadable invariants:
@@ -23,16 +23,15 @@
 //!   incumbent, detection latency stays inside the window/period
 //!   bound, probes hold steady inside a constant workload phase.
 //!
-//! Replay a failure with `simtest --online-seed N`.
-
-use std::collections::HashMap;
+//! Replay a failure with `simtest online --seed N`.
 
 use simrng::child_rng;
 use workloads::DriftKind;
 
-use crate::cluster::{Cluster, ClusterConfig, Outcome};
-use crate::net::FaultPlan;
-use crate::sweep::{Event, Verdict, SCENARIO_DEADLINE};
+use crate::cluster::{Cluster, ClusterConfig};
+use crate::scenario::{
+    cached, drain, FailureKind, Scale, Scenario, SeedReport, SweepReport, Truth, Weather,
+};
 
 use online::{OnlineJob, OnlineReport};
 use served::job::{JobSpec, OnlineSpec};
@@ -54,57 +53,17 @@ const EPOCHS: u64 = 6;
 pub struct OnlineScenario {
     /// The root seed.
     pub seed: u64,
-    /// Frame-level faults on every daemon↔worker link.
-    pub plan: FaultPlan,
-    /// Timed crash/partition events, ascending by time.
-    pub events: Vec<Event>,
+    /// The fault plan and crash/partition timeline.
+    pub weather: Weather,
     /// The drift schedule's shape.
     pub kind: DriftKind,
     /// The job's GA seed (picks search trajectories).
     pub ga_seed: u64,
     /// The workload morph seed (picks how phases differ).
     pub drift_seed: u64,
-    /// Workers in the cluster.
-    pub workers: usize,
 }
 
 impl OnlineScenario {
-    /// Derives the scenario a seed denotes. Pure: same seed, same
-    /// scenario, on every machine and every run.
-    #[must_use]
-    pub fn derive(seed: u64) -> Self {
-        let mut rng = child_rng(seed, "sim/online-scenario");
-        let plan = FaultPlan {
-            drop_p: rng.f64() * 0.12,
-            dup_p: rng.f64() * 0.04,
-            delay_p: rng.f64() * 0.35,
-            delay_max_micros: 1_000 + rng.below(25_000),
-        };
-        let mut events = Vec::new();
-        if rng.chance(0.5) {
-            let crash_at = 40 + rng.below(220);
-            let restart_at = crash_at + 40 + rng.below(180);
-            events.push(Event::Crash { at_ms: crash_at });
-            events.push(Event::Restart { at_ms: restart_at });
-        }
-        if rng.chance(0.35) {
-            let cut_at = 20 + rng.below(260);
-            let heal_at = cut_at + 30 + rng.below(200);
-            events.push(Event::Partition { at_ms: cut_at });
-            events.push(Event::Heal { at_ms: heal_at });
-        }
-        events.sort_by_key(|e| e.at_ms());
-        Self {
-            seed,
-            plan,
-            events,
-            kind: *rng.choose(&DriftKind::ALL),
-            ga_seed: *rng.choose(&GA_SEEDS),
-            drift_seed: *rng.choose(&DRIFT_SEEDS),
-            workers: 2,
-        }
-    }
-
     /// The job spec this scenario submits: [`Cluster::spec`] plus an
     /// online section tight enough that drift detection fires within
     /// the sweep (one-probe window, 2 % threshold).
@@ -124,30 +83,6 @@ impl OnlineScenario {
         spec
     }
 }
-
-/// One online scenario's report.
-#[derive(Debug, Clone)]
-pub struct OnlineSeedReport {
-    /// The scenario seed.
-    pub seed: u64,
-    /// The drift kind the scenario ran.
-    pub kind: DriftKind,
-    /// The invariant verdict.
-    pub verdict: Verdict,
-    /// Retunes the daemon committed (0 until the job finishes).
-    pub retunes: u64,
-    /// Virtual ms from submission to terminal state (or to giving up).
-    pub virtual_ms: u64,
-    /// Fault-trace lines, populated only for failing seeds.
-    pub trace: Vec<String>,
-    /// Frames dropped / duplicated / delayed / blackholed.
-    pub fault_counts: (u64, u64, u64, u64),
-}
-
-/// Reference-run cache shared across a sweep, keyed by
-/// `(kind name, GA seed, drift seed)` — the three values that fully
-/// determine an online trajectory (faults must not change it).
-pub type OnlineExpected = HashMap<(&'static str, u64, u64), OnlineReport>;
 
 /// The fault-free ground truth for an online spec: the in-process
 /// reference runner over the same schedule, store-free — exactly what
@@ -172,245 +107,99 @@ pub fn online_reference(spec: &JobSpec) -> Result<OnlineReport, String> {
     .run(None)
 }
 
-/// Runs one online scenario seed and checks every invariant.
-/// `expected` caches reference runs across calls.
-#[must_use]
-pub fn run_online_seed(seed: u64, expected: &mut OnlineExpected) -> OnlineSeedReport {
-    let scenario = OnlineScenario::derive(seed);
-    match run_online_scenario(&scenario, expected) {
-        Ok(report) => report,
-        Err(e) => OnlineSeedReport {
+impl Scenario for OnlineScenario {
+    const NAME: &'static str = "online";
+    /// Reference runs, cached per `(kind, GA seed, drift seed)` — the
+    /// three values that fully determine an online trajectory (faults
+    /// must not change it).
+    type Truth = Truth<OnlineReport>;
+
+    fn derive(seed: u64, _: &Scale) -> Self {
+        let mut rng = child_rng(seed, "sim/online-scenario");
+        Self {
             seed,
-            kind: scenario.kind,
-            verdict: Verdict::Broken { detail: e },
-            retunes: 0,
-            virtual_ms: 0,
-            trace: Vec::new(),
-            fault_counts: (0, 0, 0, 0),
-        },
+            weather: Weather::draw(&mut rng),
+            kind: *rng.choose(&DriftKind::ALL),
+            ga_seed: *rng.choose(&GA_SEEDS),
+            drift_seed: *rng.choose(&DRIFT_SEEDS),
+        }
+    }
+
+    fn run(&self, truth: &mut Self::Truth, report: &mut SeedReport) {
+        let spec = self.spec();
+        let key = format!("{}/{}/{}", self.kind.name(), self.ga_seed, self.drift_seed);
+        let want = match cached(truth, key, || online_reference(&spec)) {
+            Ok(want) => want,
+            Err(e) => return report.broken(format!("reference run: {e}")),
+        };
+        let config = ClusterConfig {
+            seed: self.seed,
+            workers: self.weather.workers,
+            plan: self.weather.plan,
+            // Store-free on purpose: warm-start transfer reseeds retunes
+            // from store cells, which is a deliberate trajectory change —
+            // the bit-identity reference is the store-free runner.
+            store: false,
+            ..ClusterConfig::default()
+        };
+        report.counters.add("retunes", 0);
+        let jobs = [(spec.clone(), (want.genes.clone(), want.fitness.to_bits()))];
+        let after = |cluster: &Cluster, ids: &[u64], report: &mut SeedReport| {
+            check_trajectory(cluster, ids[0], &want, &spec, report);
+        };
+        drain(&config, &jobs, &self.weather.timeline, report, after);
+    }
+
+    fn exercised(sweep: &SweepReport) -> Result<(), &'static str> {
+        (sweep.counters.get("retunes") > 0)
+            .then_some(())
+            .ok_or("no scenario committed a retune — drift detection never fired")
     }
 }
 
-fn run_online_scenario(
-    scenario: &OnlineScenario,
-    expected: &mut OnlineExpected,
-) -> Result<OnlineSeedReport, String> {
-    let spec = scenario.spec();
-    let key = (scenario.kind.name(), scenario.ga_seed, scenario.drift_seed);
-    if !expected.contains_key(&key) {
-        expected.insert(key, online_reference(&spec)?);
-    }
-    let want = expected[&key].clone();
-
-    let cluster = Cluster::boot(&ClusterConfig {
-        seed: scenario.seed,
-        workers: scenario.workers,
-        plan: scenario.plan,
-        // Store-free on purpose: warm-start transfer reseeds retunes
-        // from store cells, which is a deliberate trajectory change —
-        // the bit-identity reference is the store-free runner.
-        store: false,
-        ..ClusterConfig::default()
-    })?;
-    let started_ms = cluster.now_ms();
-    let id = cluster.submit(&spec)?;
-
-    let mut pending = scenario.events.clone();
-    let part_target = scenario.workers.saturating_sub(1);
-    let outcome = cluster.wait(id, SCENARIO_DEADLINE, |now_ms| {
-        while pending
-            .first()
-            .is_some_and(|e| now_ms.saturating_sub(started_ms) >= e.at_ms())
-        {
-            match pending.remove(0) {
-                Event::Crash { .. } => cluster.crash_worker(0),
-                Event::Restart { .. } => {
-                    let _ = cluster.restart_worker(0);
-                }
-                Event::Partition { .. } => cluster.partition_worker(part_target),
-                Event::Heal { .. } => cluster.heal_worker(part_target),
-            }
-        }
-    });
-    let virtual_ms = cluster.now_ms() - started_ms;
-    let counts = count_faults(&cluster);
-
-    let (verdict, retunes) = match &outcome {
-        Outcome::Hang { waited_ms } => {
-            let waited_ms = *waited_ms;
-            let trace = trace_lines(&cluster);
-            cluster.abandon();
-            return Ok(OnlineSeedReport {
-                seed: scenario.seed,
-                kind: scenario.kind,
-                verdict: Verdict::Hang { waited_ms },
-                retunes: 0,
-                virtual_ms,
-                trace,
-                fault_counts: counts,
-            });
-        }
-        Outcome::Failed(msg) => (
-            Verdict::Broken {
-                detail: msg.clone(),
-            },
-            0,
-        ),
-        Outcome::Done { genes, fitness, .. } => {
-            match check_against(&cluster, id, genes, *fitness, &want, &spec) {
-                Ok(retunes) => (Verdict::Ok, retunes),
-                Err(v) => (v, 0),
-            }
-        }
-    };
-
-    let trace = if verdict.is_ok() {
-        Vec::new()
-    } else {
-        trace_lines(&cluster)
-    };
-    cluster.shutdown();
-    Ok(OnlineSeedReport {
-        seed: scenario.seed,
-        kind: scenario.kind,
-        verdict,
-        retunes,
-        virtual_ms,
-        trace,
-        fault_counts: counts,
-    })
-}
-
-/// The online bit-identity check: final genome + fitness bits, then
-/// the whole persisted trajectory (rows, retunes, latencies, evals)
-/// against the reference, then the bounded-regret invariants, then
-/// checkpoint loadability. Returns the retune count on success.
-fn check_against(
+/// The online check past the final incumbent (which the shared drain
+/// already compared): the whole persisted trajectory (rows, retunes,
+/// latencies, evals) against the reference, then the bounded-regret
+/// invariants. Books the retune count on success.
+fn check_trajectory(
     cluster: &Cluster,
     id: u64,
-    genes: &[i64],
-    fitness: f64,
     want: &OnlineReport,
     spec: &JobSpec,
-) -> Result<u64, Verdict> {
-    if genes != want.genes || fitness.to_bits() != want.fitness.to_bits() {
-        return Err(Verdict::Mismatch {
-            detail: format!(
-                "got {genes:?} @ {fitness}, reference run gives {:?} @ {}",
-                want.genes, want.fitness
-            ),
-        });
-    }
-    let snap = cluster
-        .online_snapshot(id)
-        .map_err(|detail| Verdict::Broken { detail })?;
+    report: &mut SeedReport,
+) {
+    let snap = match cluster.online_snapshot(id) {
+        Ok(snap) => snap,
+        Err(e) => return report.broken(e),
+    };
     let got = OnlineReport {
         rows: snap.rows,
         retunes: snap.retunes,
         detect_latencies: snap.detect_latencies,
         evals: snap.evals,
-        genes: genes.to_vec(),
-        fitness,
+        genes: want.genes.clone(),
+        fitness: want.fitness,
     };
     if got != *want {
-        return Err(Verdict::Mismatch {
-            detail: format!(
-                "trajectory diverged: daemon rows/retunes/latencies/evals \
-                 {:?}/{}/{:?}/{} vs reference {:?}/{}/{:?}/{}",
-                got.rows,
-                got.retunes,
-                got.detect_latencies,
-                got.evals,
-                want.rows,
-                want.retunes,
-                want.detect_latencies,
-                want.evals,
-            ),
-        });
+        let detail = format!(
+            "trajectory diverged: daemon rows/retunes/latencies/evals \
+             {:?}/{}/{:?}/{} vs reference {:?}/{}/{:?}/{}",
+            got.rows,
+            got.retunes,
+            got.detect_latencies,
+            got.evals,
+            want.rows,
+            want.retunes,
+            want.detect_latencies,
+            want.evals,
+        );
+        return report.fail(FailureKind::Mismatch, detail);
     }
     let cfg = spec.online.as_ref().expect("online scenario spec").config();
     let violations = got.violations(&cfg);
     if !violations.is_empty() {
-        return Err(Verdict::Broken {
-            detail: format!("regret invariants violated: {}", violations.join("; ")),
-        });
+        let violations = violations.join("; ");
+        return report.broken(format!("regret invariants violated: {violations}"));
     }
-    cluster
-        .checkpoints_loadable()
-        .map_err(|detail| Verdict::Broken { detail })?;
-    Ok(got.retunes)
-}
-
-fn trace_lines(cluster: &Cluster) -> Vec<String> {
-    cluster
-        .net()
-        .trace()
-        .iter()
-        .map(ToString::to_string)
-        .collect()
-}
-
-fn count_faults(cluster: &Cluster) -> (u64, u64, u64, u64) {
-    use crate::net::TraceEvent;
-    let mut c = (0, 0, 0, 0);
-    for e in cluster.net().trace() {
-        match e {
-            TraceEvent::Drop { .. } => c.0 += 1,
-            TraceEvent::Dup { .. } => c.1 += 1,
-            TraceEvent::Delay { .. } => c.2 += 1,
-            TraceEvent::Partitioned { .. } => c.3 += 1,
-            TraceEvent::Note { .. } => {}
-        }
-    }
-    c
-}
-
-/// A whole online sweep's summary.
-#[derive(Debug, Clone)]
-pub struct OnlineSweepReport {
-    /// First seed swept.
-    pub base_seed: u64,
-    /// Seeds swept.
-    pub seeds: u64,
-    /// Seeds on which every invariant held.
-    pub passed: u64,
-    /// Failing reports (empty on a green sweep).
-    pub failures: Vec<OnlineSeedReport>,
-    /// Total retunes committed across passing seeds — evidence the
-    /// sweep exercised detection, not just initial tunes.
-    pub retunes: u64,
-    /// Total frames dropped / duplicated / delayed / blackholed.
-    pub fault_counts: (u64, u64, u64, u64),
-    /// Accumulated virtual milliseconds simulated.
-    pub virtual_ms: u64,
-}
-
-/// Sweeps `seeds` online scenarios starting at `base_seed`.
-#[must_use]
-pub fn run_online_sweep(base_seed: u64, seeds: u64) -> OnlineSweepReport {
-    let mut expected = OnlineExpected::new();
-    let mut report = OnlineSweepReport {
-        base_seed,
-        seeds,
-        passed: 0,
-        failures: Vec::new(),
-        retunes: 0,
-        fault_counts: (0, 0, 0, 0),
-        virtual_ms: 0,
-    };
-    for seed in base_seed..base_seed + seeds {
-        let r = run_online_seed(seed, &mut expected);
-        report.fault_counts.0 += r.fault_counts.0;
-        report.fault_counts.1 += r.fault_counts.1;
-        report.fault_counts.2 += r.fault_counts.2;
-        report.fault_counts.3 += r.fault_counts.3;
-        report.virtual_ms += r.virtual_ms;
-        report.retunes += r.retunes;
-        if r.verdict.is_ok() {
-            report.passed += 1;
-        } else {
-            report.failures.push(r);
-        }
-    }
-    report
+    report.counters.add("retunes", got.retunes);
 }

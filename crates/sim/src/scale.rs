@@ -50,6 +50,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use ga::{Evaluator, GaConfig, Genome, LocalEvaluator, PendingScores, Ranges};
+use served::checkpoint::f64_to_json;
 use served::dispatch::{DispatchConfig, RemoteEvaluator, WorkerPool};
 use served::json::Json;
 use served::proto::{
@@ -197,6 +198,24 @@ pub struct ScaleReport {
     pub best_genes: Vec<i64>,
     /// Its fitness.
     pub best_fitness: f64,
+}
+
+impl ScaleReport {
+    /// One `BENCH_scale.json` row.
+    fn to_json(&self) -> Vec<(&'static str, Json)> {
+        vec![
+            ("workers", Json::Int(self.workers as i64)),
+            ("evaluations", Json::Int(self.evaluations as i64)),
+            ("elapsed_virtual_us", Json::Int(self.elapsed_micros as i64)),
+            ("evals_per_vsec", f64_to_json(self.evals_per_sec)),
+            ("efficiency", f64_to_json(self.efficiency)),
+            ("remote_evals", Json::Int(self.remote_evals as i64)),
+            ("fallback_evals", Json::Int(self.fallback_evals as i64)),
+            ("batches", Json::Int(self.batches as i64)),
+            ("bit_identical", Json::Bool(self.bit_identical)),
+            ("lossless", Json::Bool(self.lossless)),
+        ]
+    }
 }
 
 /// Routes the dispatcher's RTT measurements onto the simulation's
@@ -556,6 +575,27 @@ impl ScaleSuite {
             .at(16)
             .is_none_or(|r| r.efficiency >= MIN_EFFICIENCY_AT_16);
         clean && beats_local && efficient
+    }
+
+    /// The `BENCH_scale.json` summary of a suite run with `seed`
+    /// (`simtest scale` appends `wall_secs`).
+    #[must_use]
+    pub fn to_json(&self, seed: u64) -> Json {
+        let sweep = self.sweep.iter().map(|r| Json::obj(r.to_json()));
+        let faulted = self.faulted.iter().map(|(label, r)| {
+            let mut row = vec![("fault", Json::Str(label.clone()))];
+            row.extend(r.to_json());
+            Json::obj(row)
+        });
+        let serial = f64_to_json(serial_evals_per_sec(EVAL_COST));
+        Json::obj(vec![
+            ("bench", Json::Str("sim_scale".into())),
+            ("seed", Json::Int(seed as i64)),
+            ("serial_evals_per_vsec", serial),
+            ("sweep", Json::Arr(sweep.collect())),
+            ("faulted", Json::Arr(faulted.collect())),
+            ("scale_ok", Json::Bool(self.ok())),
+        ])
     }
 }
 

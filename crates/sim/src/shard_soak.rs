@@ -34,13 +34,17 @@
 
 use std::time::Duration;
 
+use served::checkpoint::f64_to_json;
 use served::json::Json;
 use served::{Client, JobSpec, JobState};
 use simrng::child_rng;
 
 use crate::cluster::{Cluster, ClusterConfig};
 use crate::net::FaultPlan;
-use crate::sweep::Expected;
+use crate::scenario::{
+    close, fire_due, tuned, FailureKind, FaultKind, Scale, Scenario, SeedReport, SweepReport,
+    TimedFault, Truth, Tuned, Weather,
+};
 
 /// Virtual-time budget for a whole soak scenario (submission through
 /// the last job's terminal state). Generous: the backlog is long but
@@ -85,87 +89,27 @@ impl Default for ShardScale {
     }
 }
 
-/// One timed fault against a specific worker index.
-#[derive(Debug, Clone, Copy)]
-enum Fault {
-    Crash { at_ms: u64, worker: usize },
-    Restart { at_ms: u64, worker: usize },
-    Partition { at_ms: u64, worker: usize },
-    Heal { at_ms: u64, worker: usize },
-}
-
-impl Fault {
-    fn at_ms(self) -> u64 {
-        match self {
-            Fault::Crash { at_ms, .. }
-            | Fault::Restart { at_ms, .. }
-            | Fault::Partition { at_ms, .. }
-            | Fault::Heal { at_ms, .. } => at_ms,
-        }
-    }
-
-    fn fire(self, cluster: &Cluster) {
-        match self {
-            Fault::Crash { worker, .. } => cluster.crash_worker(worker),
-            Fault::Restart { worker, .. } => {
-                let _ = cluster.restart_worker(worker);
-            }
-            Fault::Partition { worker, .. } => cluster.partition_worker(worker),
-            Fault::Heal { worker, .. } => cluster.heal_worker(worker),
-        }
-    }
-}
-
-/// One soak scenario's report. Green iff `failures` is empty.
+/// A fully derived soak scenario: the weather, and which tenant and GA
+/// seed every client submits under.
 #[derive(Debug, Clone)]
-pub struct ShardSeedReport {
-    /// The scenario seed.
+pub struct ShardScenario {
+    /// The root seed.
     pub seed: u64,
-    /// Clients that submitted.
-    pub clients: usize,
-    /// Jobs the admission controller accepted.
-    pub admitted: u64,
-    /// Structured retryable `queue_full` rejects clients rode through.
-    pub queue_full_rejects: u64,
-    /// Structured terminal `quota` rejects (capped tenant only).
-    pub quota_rejects: u64,
-    /// Admitted jobs that reached `done` with the bit-exact result.
-    pub done: u64,
-    /// Broken invariants, in the order they were caught.
-    pub failures: Vec<String>,
-    /// Virtual ms from first submission to the last terminal state.
-    pub virtual_ms: u64,
-    /// p95 scheduling delay (enqueue → claim), virtual microseconds.
-    pub sched_delay_p95_micros: u64,
-}
-
-impl ShardSeedReport {
-    /// Whether every invariant held.
-    #[must_use]
-    pub fn is_ok(&self) -> bool {
-        self.failures.is_empty()
-    }
-}
-
-fn soak_broken(seed: u64, clients: usize, detail: String) -> ShardSeedReport {
-    ShardSeedReport {
-        seed,
-        clients,
-        admitted: 0,
-        queue_full_rejects: 0,
-        quota_rejects: 0,
-        done: 0,
-        failures: vec![detail],
-        virtual_ms: 0,
-        sched_delay_p95_micros: 0,
-    }
+    /// The scale it was derived at — the timeline aims at seeded
+    /// *worker indices*, so the same seed at another scale is another
+    /// scenario.
+    pub scale: ShardScale,
+    /// The fault plan and crash/partition timeline.
+    pub weather: Weather,
+    /// Each client's `(tenant, GA seed)`, in submission order.
+    pub clients: Vec<(&'static str, u64)>,
 }
 
 /// Derives the fault schedule a soak seed denotes: frame-level faults
 /// on every daemon↔worker link plus one or two crash/restart pairs and
 /// an optional partition/heal pair, each aimed at a seeded worker
 /// index.
-fn derive_faults(seed: u64, workers: usize) -> (FaultPlan, Vec<Fault>) {
+fn derive_faults(seed: u64, workers: usize) -> Weather {
     let mut rng = child_rng(seed, "sim/shard");
     let plan = FaultPlan {
         drop_p: rng.f64() * 0.08,
@@ -173,42 +117,25 @@ fn derive_faults(seed: u64, workers: usize) -> (FaultPlan, Vec<Fault>) {
         delay_p: rng.f64() * 0.30,
         delay_max_micros: 1_000 + rng.below(15_000),
     };
-    let mut faults = Vec::new();
+    let mut timeline = Vec::new();
+    let mut push = |at_ms, worker, kind| timeline.push(TimedFault::new(at_ms, worker, kind));
     for _ in 0..=rng.below(2) {
         let worker = rng.below(workers as u64) as usize;
         let crash_at = 40 + rng.below(400);
-        faults.push(Fault::Crash {
-            at_ms: crash_at,
-            worker,
-        });
-        faults.push(Fault::Restart {
-            at_ms: crash_at + 40 + rng.below(300),
-            worker,
-        });
+        push(crash_at, worker, FaultKind::Crash);
+        push(crash_at + 40 + rng.below(300), worker, FaultKind::Restart);
     }
     if rng.chance(0.6) {
         let worker = rng.below(workers as u64) as usize;
         let cut_at = 20 + rng.below(400);
-        faults.push(Fault::Partition {
-            at_ms: cut_at,
-            worker,
-        });
-        faults.push(Fault::Heal {
-            at_ms: cut_at + 30 + rng.below(250),
-            worker,
-        });
+        push(cut_at, worker, FaultKind::Partition);
+        push(cut_at + 30 + rng.below(250), worker, FaultKind::Heal);
     }
-    faults.sort_by_key(|f| f.at_ms());
-    (plan, faults)
-}
-
-fn fire_due(cluster: &Cluster, started_ms: u64, pending: &mut Vec<Fault>) {
-    let now = cluster.now_ms();
-    while pending
-        .first()
-        .is_some_and(|f| now.saturating_sub(started_ms) >= f.at_ms())
-    {
-        pending.remove(0).fire(cluster);
+    timeline.sort_by_key(|f| f.at_ms);
+    Weather {
+        workers,
+        plan,
+        timeline,
     }
 }
 
@@ -248,287 +175,312 @@ fn try_submit(client: &mut Client, spec: &JobSpec) -> Admission {
     }
 }
 
-/// Runs one soak scenario seed and checks every invariant. `expected`
-/// caches fault-free ground truths (shared across a sweep — clients
-/// draw from the same small GA-seed pool).
-#[must_use]
-#[allow(clippy::too_many_lines)]
-pub fn run_shard_seed(seed: u64, scale: &ShardScale, expected: &mut Expected) -> ShardSeedReport {
-    let (plan, faults) = derive_faults(seed, scale.workers);
-    let mut rng = child_rng(seed, "sim/shard/clients");
+impl Scenario for ShardScenario {
+    const NAME: &'static str = "shard";
+    type Truth = Truth<Tuned>;
 
-    // Ground truths up front (outside the cluster's virtual clock).
-    for ga_seed in GA_SEEDS {
-        let spec = Cluster::spec(ga_seed);
-        expected
-            .entry((spec.problem.clone(), ga_seed))
-            .or_insert_with(|| {
-                let (g, f) = Cluster::expected(&spec).expect("reference tune of a valid spec");
-                (g, f.to_bits())
-            });
+    fn derive(seed: u64, scale: &Scale) -> Self {
+        let scale = scale.shard.clone();
+        let weather = derive_faults(seed, scale.workers);
+        let mut rng = child_rng(seed, "sim/shard/clients");
+        let clients = (0..scale.clients)
+            .map(|c| (TENANTS[c % TENANTS.len()], *rng.choose(&GA_SEEDS)))
+            .collect();
+        Self {
+            seed,
+            scale,
+            weather,
+            clients,
+        }
     }
 
-    // Size the capped tenant's budget so roughly a quarter of its
-    // clients can admit by estimate — the rest must see `quota`.
-    let per_job = Cluster::spec(1).eval_estimate();
-    let capped_clients = scale.clients.div_ceil(TENANTS.len());
-    let quota = per_job * (capped_clients as u64 / 4).max(1);
+    fn replay_args(&self) -> String {
+        format!(
+            " --clients {} --workers {}",
+            self.scale.clients, self.scale.workers
+        )
+    }
 
-    let cluster = match Cluster::boot(&ClusterConfig {
-        seed,
-        workers: scale.workers,
-        plan,
-        redispatch: true,
-        shards: scale.shards,
-        runners: scale.runners,
-        // Deliberately smaller than the backlog: the soak must ride
-        // through structured queue_full rejects, not sidestep them.
-        queue_capacity: (scale.clients / (16 * scale.shards.max(1))).max(4),
-        tenant_quotas: vec![(CAPPED_TENANT.to_string(), quota)],
-        store: true,
-    }) {
-        Ok(c) => c,
-        Err(e) => return soak_broken(seed, scale.clients, format!("boot: {e}")),
-    };
-    let mut client = match cluster.client() {
-        Ok(c) => c,
-        Err(e) => {
-            cluster.abandon();
-            return soak_broken(seed, scale.clients, format!("connect: {e}"));
+    #[allow(clippy::too_many_lines)]
+    fn run(&self, truth: &mut Self::Truth, report: &mut SeedReport) {
+        let (seed, scale) = (self.seed, &self.scale);
+        for name in ["jobs_done", "queue_full_rejects"] {
+            report.counters.add(name, 0);
         }
-    };
 
-    let started_ms = cluster.now_ms();
-    let give_up_ms = started_ms + SOAK_DEADLINE.as_millis() as u64;
-    let mut pending = faults;
-    let mut failures = Vec::new();
-    let mut admitted: Vec<(u64, u64, String)> = Vec::new(); // (id, ga_seed, tenant)
-    let mut queue_full_rejects = 0u64;
-    let mut quota_rejects = 0u64;
-
-    // Submission phase: every client submits one job, riding through
-    // retryable rejects while the runners drain the backlog underneath.
-    'clients: for c in 0..scale.clients {
-        let tenant = TENANTS[c % TENANTS.len()];
-        let ga_seed = *rng.choose(&GA_SEEDS);
-        let spec = JobSpec {
-            name: format!("soak-{seed}-{c}"),
-            tenant: tenant.to_string(),
-            ..Cluster::spec(ga_seed)
-        };
-        loop {
-            fire_due(&cluster, started_ms, &mut pending);
-            match try_submit(&mut client, &spec) {
-                Admission::Admitted(id) => {
-                    admitted.push((id, ga_seed, tenant.to_string()));
-                    break;
-                }
-                Admission::QueueFull => {
-                    queue_full_rejects += 1;
-                    if cluster.now_ms() >= give_up_ms {
-                        failures.push(format!("client {c}: still queue_full at the soak deadline"));
-                        break 'clients;
-                    }
-                    cluster.advance(Duration::from_millis(20));
-                }
-                Admission::Quota => {
-                    quota_rejects += 1;
-                    if tenant != CAPPED_TENANT {
-                        failures.push(format!("client {c}: quota reject for uncapped '{tenant}'"));
-                    }
-                    break;
-                }
-                Admission::Broken(detail) => {
-                    failures.push(format!("client {c}: {detail}"));
-                    // The control link is fault-free; try a reconnect
-                    // once rather than abandoning the whole scenario.
-                    match cluster.client() {
-                        Ok(fresh) => client = fresh,
-                        Err(e) => {
-                            failures.push(format!("reconnect: {e}"));
-                            break 'clients;
-                        }
-                    }
-                    break;
-                }
+        // Ground truths up front (outside the cluster's virtual clock).
+        for ga_seed in GA_SEEDS {
+            if let Err(e) = tuned(truth, &Cluster::spec(ga_seed)) {
+                return report.broken(format!("reference tune: {e}"));
             }
         }
-    }
 
-    // Drain phase: poll every admitted job to a terminal state through
-    // the protocol, firing the remaining timed faults as the virtual
-    // clock passes them, then check results against the authoritative
-    // daemon record (exact bits, not JSON round-trips).
-    let mut done = 0u64;
-    let mut hung = false;
-    for (id, ga_seed, tenant) in &admitted {
-        loop {
-            fire_due(&cluster, started_ms, &mut pending);
-            let state = match client.status(*id) {
-                Ok(job) => job
-                    .get("state")
-                    .and_then(Json::as_str)
-                    .map(str::to_string)
-                    .unwrap_or_default(),
-                Err(_) => match cluster.client() {
-                    Ok(fresh) => {
-                        client = fresh;
-                        continue;
-                    }
-                    Err(e) => {
-                        failures.push(format!("job {id}: reconnect: {e}"));
-                        hung = true;
+        // Size the capped tenant's budget so roughly a quarter of its
+        // clients can admit by estimate — the rest must see `quota`.
+        let per_job = Cluster::spec(1).eval_estimate();
+        let capped_clients = scale.clients.div_ceil(TENANTS.len());
+        let quota = per_job * (capped_clients as u64 / 4).max(1);
+
+        let cluster = match Cluster::boot(&ClusterConfig {
+            seed,
+            workers: scale.workers,
+            plan: self.weather.plan,
+            redispatch: true,
+            shards: scale.shards,
+            runners: scale.runners,
+            // Deliberately smaller than the backlog: the soak must ride
+            // through structured queue_full rejects, not sidestep them.
+            queue_capacity: (scale.clients / (16 * scale.shards.max(1))).max(4),
+            tenant_quotas: vec![(CAPPED_TENANT.to_string(), quota)],
+            store: true,
+        }) {
+            Ok(c) => c,
+            Err(e) => return report.broken(format!("boot: {e}")),
+        };
+        let mut client = match cluster.client() {
+            Ok(c) => c,
+            Err(e) => {
+                cluster.abandon();
+                return report.broken(format!("connect: {e}"));
+            }
+        };
+
+        let started_ms = cluster.now_ms();
+        let give_up_ms = started_ms + SOAK_DEADLINE.as_millis() as u64;
+        let mut pending = self.weather.timeline.clone();
+        let mut admitted: Vec<(u64, u64, &str)> = Vec::new(); // (id, ga_seed, tenant)
+        let mut quota_rejects = 0u64;
+
+        // Submission phase: every client submits one job, riding through
+        // retryable rejects while the runners drain the backlog underneath.
+        'clients: for (c, &(tenant, ga_seed)) in self.clients.iter().enumerate() {
+            let spec = JobSpec {
+                name: format!("soak-{seed}-{c}"),
+                tenant: tenant.to_string(),
+                ..Cluster::spec(ga_seed)
+            };
+            loop {
+                fire_due(&cluster, cluster.now_ms() - started_ms, &mut pending);
+                match try_submit(&mut client, &spec) {
+                    Admission::Admitted(id) => {
+                        admitted.push((id, ga_seed, tenant));
                         break;
                     }
-                },
+                    Admission::QueueFull => {
+                        report.counters.add("queue_full_rejects", 1);
+                        if cluster.now_ms() >= give_up_ms {
+                            report.fail(
+                                FailureKind::Hang,
+                                format!("client {c}: still queue_full at the soak deadline"),
+                            );
+                            break 'clients;
+                        }
+                        cluster.advance(Duration::from_millis(20));
+                    }
+                    Admission::Quota => {
+                        quota_rejects += 1;
+                        if tenant != CAPPED_TENANT {
+                            report.broken(format!(
+                                "client {c}: quota reject for uncapped '{tenant}'"
+                            ));
+                        }
+                        break;
+                    }
+                    Admission::Broken(detail) => {
+                        report.broken(format!("client {c}: {detail}"));
+                        // The control link is fault-free; try a reconnect
+                        // once rather than abandoning the whole scenario.
+                        match cluster.client() {
+                            Ok(fresh) => client = fresh,
+                            Err(e) => {
+                                report.broken(format!("reconnect: {e}"));
+                                break 'clients;
+                            }
+                        }
+                        break;
+                    }
+                }
+            }
+        }
+        report.counters.add("admitted", admitted.len() as u64);
+        report.counters.add("quota_rejects", quota_rejects);
+
+        // Drain phase: poll every admitted job to a terminal state through
+        // the protocol, firing the remaining timed faults as the virtual
+        // clock passes them, then check results against the authoritative
+        // daemon record (exact bits, not JSON round-trips).
+        let mut hung = false;
+        for &(id, ga_seed, tenant) in &admitted {
+            loop {
+                fire_due(&cluster, cluster.now_ms() - started_ms, &mut pending);
+                let state = match client.status(id) {
+                    Ok(job) => job
+                        .get("state")
+                        .and_then(Json::as_str)
+                        .map(str::to_string)
+                        .unwrap_or_default(),
+                    Err(_) => match cluster.client() {
+                        Ok(fresh) => {
+                            client = fresh;
+                            continue;
+                        }
+                        Err(e) => {
+                            report.broken(format!("job {id}: reconnect: {e}"));
+                            hung = true;
+                            break;
+                        }
+                    },
+                };
+                if matches!(state.as_str(), "done" | "failed" | "canceled") {
+                    break;
+                }
+                if cluster.now_ms() >= give_up_ms {
+                    report.fail(
+                        FailureKind::Hang,
+                        format!(
+                            "job {id} (tenant {tenant}): still '{state}' at the soak deadline — \
+                             lost work"
+                        ),
+                    );
+                    hung = true;
+                    break;
+                }
+                cluster.advance(Duration::from_millis(20));
+            }
+            if hung {
+                break;
+            }
+            let Some(record) = cluster.daemon().status(id) else {
+                report.broken(format!("job {id}: vanished from the daemon"));
+                continue;
             };
-            if matches!(state.as_str(), "done" | "failed" | "canceled") {
-                break;
-            }
-            if cluster.now_ms() >= give_up_ms {
-                failures.push(format!(
-                    "job {id} (tenant {tenant}): still '{state}' at the soak deadline — lost work"
+            if record.state != JobState::Done {
+                report.broken(format!(
+                    "job {id} (tenant {tenant}): terminal '{:?}': {}",
+                    record.state,
+                    record.error.unwrap_or_default()
                 ));
-                hung = true;
-                break;
+                continue;
             }
-            cluster.advance(Duration::from_millis(20));
-        }
-        if hung {
-            break;
-        }
-        let Some(record) = cluster.daemon().status(*id) else {
-            failures.push(format!("job {id}: vanished from the daemon"));
-            continue;
-        };
-        if record.state != JobState::Done {
-            failures.push(format!(
-                "job {id} (tenant {tenant}): terminal '{:?}': {}",
-                record.state,
-                record.error.unwrap_or_default()
-            ));
-            continue;
-        }
-        let spec_problem = record.spec.problem.clone();
-        let Some((want_genes, want_bits)) = expected.get(&(spec_problem, *ga_seed)) else {
-            failures.push(format!("job {id}: no ground truth for ga seed {ga_seed}"));
-            continue;
-        };
-        match record.result {
-            Some((ref genes, fitness))
-                if genes == want_genes && fitness.to_bits() == *want_bits =>
-            {
-                done += 1;
+            let (want_genes, want_bits) = match tuned(truth, &record.spec) {
+                Ok(want) => want,
+                Err(e) => {
+                    report.broken(format!("job {id}: no ground truth: {e}"));
+                    continue;
+                }
+            };
+            match record.result {
+                Some((ref genes, fitness))
+                    if *genes == want_genes && fitness.to_bits() == want_bits =>
+                {
+                    report.counters.add("jobs_done", 1);
+                }
+                Some((genes, fitness)) => report.fail(
+                    FailureKind::Mismatch,
+                    format!(
+                        "job {id} (ga seed {ga_seed}): got {genes:?} @ {fitness}, fault-free \
+                         single-shard gives {want_genes:?} @ {}",
+                        f64::from_bits(want_bits)
+                    ),
+                ),
+                None => report.broken(format!("job {id}: done without a result")),
             }
-            Some((genes, fitness)) => failures.push(format!(
-                "job {id} (ga seed {ga_seed}): got {genes:?} @ {fitness}, fault-free single-shard \
-                 gives {want_genes:?} @ {}",
-                f64::from_bits(*want_bits)
-            )),
-            None => failures.push(format!("job {id}: done without a result")),
         }
-    }
-    let virtual_ms = cluster.now_ms() - started_ms;
+        report.virtual_ms = cluster.now_ms() - started_ms;
 
-    // Book-keeping invariants, straight from the daemon. A job's state
-    // flips terminal *before* its runner settles the quota reservation,
-    // so give the runners a moment of wall clock to finish their books
-    // — the settle lag is scheduling, not an invariant breach.
-    if !hung {
-        for _ in 0..500 {
-            let usage = cluster.daemon().tenant_usage();
-            let settled: u64 = usage.iter().map(|u| u.settled).sum();
-            if usage.iter().all(|u| u.reserved == 0) && settled >= admitted.len() as u64 {
-                break;
+        // Book-keeping invariants, straight from the daemon. A job's state
+        // flips terminal *before* its runner settles the quota reservation,
+        // so give the runners a moment of wall clock to finish their books
+        // — the settle lag is scheduling, not an invariant breach.
+        if !hung {
+            for _ in 0..500 {
+                let usage = cluster.daemon().tenant_usage();
+                let settled: u64 = usage.iter().map(|u| u.settled).sum();
+                if usage.iter().all(|u| u.reserved == 0) && settled >= admitted.len() as u64 {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(2));
             }
-            std::thread::sleep(Duration::from_millis(2));
+            audit_books(&cluster, &admitted, quota_rejects, scale, report);
+            if let Err(e) = cluster.checkpoints_loadable() {
+                report.broken(format!("checkpoint audit: {e}"));
+            }
         }
-        audit_books(&cluster, &admitted, quota_rejects, scale, &mut failures);
-        if let Err(e) = cluster.checkpoints_loadable() {
-            failures.push(format!("checkpoint audit: {e}"));
-        }
+        report
+            .counters
+            .add("sched_delay_p95_micros", sched_delay_p95(&cluster));
+        close(cluster, hung, report);
     }
-    let sched_delay_p95_micros = cluster
-        .daemon()
-        .obs()
-        .histogram("sched_delay_micros")
-        .snapshot()
-        .p95();
 
-    if hung {
-        cluster.abandon();
-    } else {
-        cluster.shutdown();
+    fn exercised(sweep: &SweepReport) -> Result<(), &'static str> {
+        (sweep.counters.get("queue_full_rejects") > 0)
+            .then_some(())
+            .ok_or("no client rode a queue_full reject — admission was never full")
     }
-    ShardSeedReport {
-        seed,
-        clients: scale.clients,
-        admitted: admitted.len() as u64,
-        queue_full_rejects,
-        quota_rejects,
-        done,
-        failures,
-        virtual_ms,
-        sched_delay_p95_micros,
-    }
+}
+
+/// p95 scheduling delay (enqueue → claim) so far, virtual microseconds.
+fn sched_delay_p95(cluster: &Cluster) -> u64 {
+    let delays = cluster.daemon().obs().histogram("sched_delay_micros");
+    delays.snapshot().p95()
 }
 
 /// Quota, starvation and shard-routing invariants over the daemon's own
 /// books once the backlog has drained.
 fn audit_books(
     cluster: &Cluster,
-    admitted: &[(u64, u64, String)],
+    admitted: &[(u64, u64, &str)],
     quota_rejects: u64,
     scale: &ShardScale,
-    failures: &mut Vec<String>,
+    report: &mut SeedReport,
 ) {
     let usage = cluster.daemon().tenant_usage();
     let mut admitted_by_tenant = std::collections::HashMap::new();
     for (_, _, tenant) in admitted {
-        *admitted_by_tenant.entry(tenant.as_str()).or_insert(0u64) += 1;
+        *admitted_by_tenant.entry(*tenant).or_insert(0u64) += 1;
     }
     for tenant in TENANTS {
         let Some(row) = usage.iter().find(|u| u.tenant == tenant) else {
-            failures.push(format!("tenant '{tenant}' missing from the accountant"));
+            report.broken(format!("tenant '{tenant}' missing from the accountant"));
             continue;
         };
         let client_admits = admitted_by_tenant.get(tenant).copied().unwrap_or(0);
         // Starvation: a tenant whose work was admitted must have had all
         // of it scheduled, run and settled — DRR may not park anyone.
         if row.settled < client_admits {
-            failures.push(format!(
+            report.broken(format!(
                 "tenant '{tenant}': {} settled of {client_admits} admitted — starved work",
                 row.settled
             ));
         }
         if row.reserved != 0 {
-            failures.push(format!(
+            report.broken(format!(
                 "tenant '{tenant}': {} evals still reserved after the drain",
                 row.reserved
             ));
         }
         if row.admitted < client_admits {
-            failures.push(format!(
+            report.broken(format!(
                 "tenant '{tenant}': accountant admitted {} but clients saw {client_admits}",
                 row.admitted
             ));
         }
         if scale.clients >= 2 * TENANTS.len() && client_admits == 0 && tenant != CAPPED_TENANT {
-            failures.push(format!("tenant '{tenant}': nothing admitted at soak scale"));
+            report.broken(format!("tenant '{tenant}': nothing admitted at soak scale"));
         }
         if tenant == CAPPED_TENANT {
             if let Some(cap) = row.quota {
                 if row.used > cap {
-                    failures.push(format!(
+                    report.broken(format!(
                         "capped tenant charged {} evals over its {cap} quota",
                         row.used
                     ));
                 }
             } else {
-                failures.push("capped tenant lost its quota".into());
+                report.broken("capped tenant lost its quota");
             }
             if row.rejected < quota_rejects {
-                failures.push(format!(
+                report.broken(format!(
                     "accountant counted {} quota rejects, clients saw {quota_rejects}",
                     row.rejected
                 ));
@@ -540,7 +492,7 @@ fn audit_books(
     let snaps = cluster.daemon().shard_snapshots();
     let busy_shards = snaps.iter().filter(|s| s.done > 0).count();
     if scale.shards > 1 && admitted.len() >= 4 * scale.shards && busy_shards < 2 {
-        failures.push(format!(
+        report.broken(format!(
             "{} jobs all landed in one of {} shards — routing is not spreading",
             admitted.len(),
             scale.shards
@@ -548,63 +500,12 @@ fn audit_books(
     }
     for s in &snaps {
         if s.queued != 0 || s.running != 0 {
-            failures.push(format!(
+            report.broken(format!(
                 "shard {}: {} queued / {} running after the drain",
                 s.shard, s.queued, s.running
             ));
         }
     }
-}
-
-/// A shard soak sweep's summary.
-#[derive(Debug, Clone)]
-pub struct ShardSweepReport {
-    /// First seed swept.
-    pub base_seed: u64,
-    /// Seeds swept.
-    pub seeds: u64,
-    /// Seeds on which every invariant held.
-    pub passed: u64,
-    /// Failing reports (empty on a green sweep).
-    pub failures: Vec<ShardSeedReport>,
-    /// Jobs driven to their bit-exact result across the sweep.
-    pub jobs_done: u64,
-    /// Structured queue_full rejects ridden through across the sweep —
-    /// evidence the admission controller was actually exercised.
-    pub queue_full_rejects: u64,
-    /// Structured quota rejects across the sweep.
-    pub quota_rejects: u64,
-    /// Accumulated virtual milliseconds.
-    pub virtual_ms: u64,
-}
-
-/// Sweeps `seeds` consecutive soak scenario seeds at `scale`.
-#[must_use]
-pub fn run_shard_sweep(base_seed: u64, seeds: u64, scale: &ShardScale) -> ShardSweepReport {
-    let mut expected = Expected::new();
-    let mut report = ShardSweepReport {
-        base_seed,
-        seeds,
-        passed: 0,
-        failures: Vec::new(),
-        jobs_done: 0,
-        queue_full_rejects: 0,
-        quota_rejects: 0,
-        virtual_ms: 0,
-    };
-    for seed in base_seed..base_seed + seeds {
-        let r = run_shard_seed(seed, scale, &mut expected);
-        report.jobs_done += r.done;
-        report.queue_full_rejects += r.queue_full_rejects;
-        report.quota_rejects += r.quota_rejects;
-        report.virtual_ms += r.virtual_ms;
-        if r.is_ok() {
-            report.passed += 1;
-        } else {
-            report.failures.push(r);
-        }
-    }
-    report
 }
 
 // ---------------------------------------------------------------------
@@ -660,6 +561,31 @@ impl ShardBenchReport {
     #[must_use]
     pub fn is_ok(&self) -> bool {
         self.sharded_beats_single() && self.points.iter().all(|p| p.all_done)
+    }
+
+    /// The `BENCH_shard.json` summary (`simtest shard-bench` appends
+    /// `wall_secs`).
+    #[must_use]
+    pub fn to_json(&self) -> Json {
+        let int = |n: u64| Json::Int(n as i64);
+        let points = self.points.iter().map(|p| {
+            Json::obj(vec![
+                ("shards", int(p.shards as u64)),
+                ("virtual_ms", int(p.virtual_ms)),
+                ("jobs_per_vsec", f64_to_json(p.jobs_per_vsec)),
+                ("sched_delay_p95_micros", int(p.sched_delay_p95_micros)),
+                ("all_done", Json::Bool(p.all_done)),
+            ])
+        });
+        let beats = Json::Bool(self.sharded_beats_single());
+        Json::obj(vec![
+            ("bench", Json::Str("shard".into())),
+            ("seed", int(self.seed)),
+            ("jobs", int(self.jobs as u64)),
+            ("points", Json::Arr(points.collect())),
+            ("sharded_beats_single", beats),
+            ("shard_bench_ok", Json::Bool(self.is_ok())),
+        ])
     }
 }
 
@@ -745,12 +671,7 @@ fn bench_point(seed: u64, jobs: usize, workers: usize, shards: usize) -> ShardBe
         }
     }
     let virtual_ms = (cluster.now_ms() - started_ms).max(1);
-    let sched_delay_p95_micros = cluster
-        .daemon()
-        .obs()
-        .histogram("sched_delay_micros")
-        .snapshot()
-        .p95();
+    let sched_delay_p95_micros = sched_delay_p95(&cluster);
     cluster.shutdown();
     #[allow(clippy::cast_precision_loss)]
     ShardBenchPoint {

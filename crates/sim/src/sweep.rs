@@ -1,356 +1,27 @@
-//! The seed sweep: hundreds of randomized fault scenarios, each fully
-//! determined by one `u64`, each checked against the cluster
-//! invariants, all in seconds of wall clock (the network is simulated
-//! and the clock is virtual — only fitness evaluation costs real CPU).
+//! The three off-line scenarios: `fault` (one inlining job under
+//! seeded fault weather), `mixed` (the same weather over a
+//! heterogeneous backlog) and `store` (the persistent fitness store
+//! killed mid-append) — hundreds of seeds in seconds of wall clock (the
+//! network is simulated and the clock is virtual — only fitness
+//! evaluation costs real CPU).
 //!
-//! A scenario is *derived from its seed*, never stored: frame-level
-//! fault probabilities, an optional mid-run worker crash + restart, an
-//! optional temporary partition, and the GA seed of the job itself all
-//! come out of [`simrng::child_rng`] streams rooted at the scenario
-//! seed. Re-running a failing seed therefore replays the identical
-//! schedule — `simtest --seed N --trace` is the whole reproduction
-//! recipe.
-//!
-//! The fault-free ground truth ([`Cluster::expected`]) is cached per GA
-//! seed: scenarios draw their GA seed from a small pool, so a 200-seed
-//! sweep pays for only a handful of in-process reference runs.
+//! `fault` is `mixed` with one problem: both derive the same weather
+//! and GA seed and run the one Cluster-backed body, which holds every
+//! job to **no lost jobs**, **bit-identical results** and **checkpoints
+//! stay loadable** (see [`crate::cluster`]).
 
 use std::collections::HashMap;
-use std::time::Duration;
 
 use simrng::child_rng;
 
-use crate::cluster::{Cluster, ClusterConfig, Outcome};
-use crate::net::FaultPlan;
+use crate::cluster::{Cluster, ClusterConfig};
+use crate::scenario::{
+    drain, tuned, FailureKind, Scale, Scenario, SeedReport, SweepReport, Truth, Tuned, Weather,
+};
 
-/// Virtual-time budget per scenario before a job counts as hung. Far
-/// beyond anything a healthy run needs (worst observed healthy runs
-/// finish in well under ten virtual seconds even through crash +
-/// partition schedules).
-pub const SCENARIO_DEADLINE: Duration = Duration::from_secs(60);
-
-/// GA seeds scenarios draw from (small on purpose — see the module docs
-/// on ground-truth caching).
+/// GA seeds scenarios draw from (small on purpose — ground truths are
+/// cached per `(problem, GA seed)`).
 const GA_SEEDS: [u64; 4] = [1, 7, 23, 77];
-
-/// One timed fault event in a scenario.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Event {
-    /// Crash worker `0` at this virtual time.
-    Crash {
-        /// Virtual ms after job submission.
-        at_ms: u64,
-    },
-    /// Restart the crashed worker.
-    Restart {
-        /// Virtual ms after job submission.
-        at_ms: u64,
-    },
-    /// Partition worker `1` (or `0` if only one) from the daemon.
-    Partition {
-        /// Virtual ms after job submission.
-        at_ms: u64,
-    },
-    /// Heal the partition.
-    Heal {
-        /// Virtual ms after job submission.
-        at_ms: u64,
-    },
-}
-
-impl Event {
-    /// The event's virtual fire time, in ms after job submission.
-    #[must_use]
-    pub fn at_ms(self) -> u64 {
-        match self {
-            Event::Crash { at_ms }
-            | Event::Restart { at_ms }
-            | Event::Partition { at_ms }
-            | Event::Heal { at_ms } => at_ms,
-        }
-    }
-}
-
-/// A fully derived scenario (everything [`run_seed`] will do).
-#[derive(Debug, Clone)]
-pub struct Scenario {
-    /// The root seed.
-    pub seed: u64,
-    /// Frame-level faults on every daemon↔worker link.
-    pub plan: FaultPlan,
-    /// Timed crash/partition events, ascending by time.
-    pub events: Vec<Event>,
-    /// The job's GA seed (picks the search trajectory).
-    pub ga_seed: u64,
-    /// Workers in the cluster.
-    pub workers: usize,
-}
-
-impl Scenario {
-    /// Derives the scenario a seed denotes. Pure: same seed, same
-    /// scenario, on every machine and every run.
-    #[must_use]
-    pub fn derive(seed: u64) -> Self {
-        let mut rng = child_rng(seed, "sim/scenario");
-        let plan = FaultPlan {
-            drop_p: rng.f64() * 0.12,
-            dup_p: rng.f64() * 0.04,
-            delay_p: rng.f64() * 0.35,
-            delay_max_micros: 1_000 + rng.below(25_000),
-        };
-        let mut events = Vec::new();
-        if rng.chance(0.5) {
-            let crash_at = 40 + rng.below(220);
-            let restart_at = crash_at + 40 + rng.below(180);
-            events.push(Event::Crash { at_ms: crash_at });
-            events.push(Event::Restart { at_ms: restart_at });
-        }
-        if rng.chance(0.35) {
-            let cut_at = 20 + rng.below(260);
-            let heal_at = cut_at + 30 + rng.below(200);
-            events.push(Event::Partition { at_ms: cut_at });
-            events.push(Event::Heal { at_ms: heal_at });
-        }
-        events.sort_by_key(|e| e.at_ms());
-        Self {
-            seed,
-            plan,
-            events,
-            ga_seed: *rng.choose(&GA_SEEDS),
-            workers: 2,
-        }
-    }
-}
-
-/// What one scenario produced.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Verdict {
-    /// All invariants held.
-    Ok,
-    /// The job finished but its result diverged from the fault-free
-    /// ground truth (the bit-identity invariant broke).
-    Mismatch {
-        /// What the cluster produced vs. what the tuner produces
-        /// fault-free.
-        detail: String,
-    },
-    /// The job ended `failed`/`canceled`, or a checkpoint would not
-    /// load.
-    Broken {
-        /// The failure message.
-        detail: String,
-    },
-    /// The job never terminated inside the virtual deadline.
-    Hang {
-        /// Virtual ms waited.
-        waited_ms: u64,
-    },
-}
-
-impl Verdict {
-    /// Whether every invariant held.
-    #[must_use]
-    pub fn is_ok(&self) -> bool {
-        matches!(self, Verdict::Ok)
-    }
-
-    /// A short machine-friendly tag.
-    #[must_use]
-    pub fn tag(&self) -> &'static str {
-        match self {
-            Verdict::Ok => "ok",
-            Verdict::Mismatch { .. } => "mismatch",
-            Verdict::Broken { .. } => "broken",
-            Verdict::Hang { .. } => "hang",
-        }
-    }
-}
-
-/// One scenario's full report.
-#[derive(Debug, Clone)]
-pub struct SeedReport {
-    /// The scenario seed.
-    pub seed: u64,
-    /// The invariant verdict.
-    pub verdict: Verdict,
-    /// Virtual ms from submission to terminal state (or to giving up).
-    pub virtual_ms: u64,
-    /// Fault-trace lines (drops, dups, delays, blackholes, crash marks).
-    /// Only populated for failing seeds — passing traces are noise.
-    pub trace: Vec<String>,
-    /// Frames dropped / duplicated / delayed / blackholed.
-    pub fault_counts: (u64, u64, u64, u64),
-}
-
-/// Expected-result cache shared across a sweep, keyed by
-/// `(problem id, GA seed)` — mixed sweeps tune three problems over the
-/// same GA-seed pool, and each (problem, seed) cell has its own
-/// fault-free trajectory.
-pub type Expected = HashMap<(String, u64), (Vec<i64>, u64)>;
-
-/// Runs one scenario seed against a cluster and checks every invariant.
-/// `expected` caches fault-free ground truths across calls;
-/// `redispatch = false` runs the intentionally-broken daemon (the sweep
-/// self-test expects it to get caught).
-#[must_use]
-pub fn run_seed(seed: u64, expected: &mut Expected, redispatch: bool) -> SeedReport {
-    let scenario = Scenario::derive(seed);
-    match run_scenario(&scenario, expected, redispatch) {
-        Ok(report) => report,
-        Err(e) => SeedReport {
-            seed,
-            verdict: Verdict::Broken { detail: e },
-            virtual_ms: 0,
-            trace: Vec::new(),
-            fault_counts: (0, 0, 0, 0),
-        },
-    }
-}
-
-fn run_scenario(
-    scenario: &Scenario,
-    expected: &mut Expected,
-    redispatch: bool,
-) -> Result<SeedReport, String> {
-    let spec = Cluster::spec(scenario.ga_seed);
-    let (want_genes, want_bits) = expected
-        .entry((spec.problem.clone(), scenario.ga_seed))
-        .or_insert_with(|| {
-            let (g, f) = Cluster::expected(&spec).expect("reference tune of a valid spec");
-            (g, f.to_bits())
-        })
-        .clone();
-
-    let cluster = Cluster::boot(&ClusterConfig {
-        seed: scenario.seed,
-        workers: scenario.workers,
-        plan: scenario.plan,
-        redispatch,
-        ..ClusterConfig::default()
-    })?;
-    let started_ms = cluster.now_ms();
-    let id = cluster.submit(&spec)?;
-
-    // Fire timed events as the virtual clock passes them. The partition
-    // targets the *last* worker so crash (worker 0) and partition
-    // schedules compose without stepping on each other.
-    let mut pending = scenario.events.clone();
-    let part_target = scenario.workers.saturating_sub(1);
-    let outcome = cluster.wait(id, SCENARIO_DEADLINE, |now_ms| {
-        while pending
-            .first()
-            .is_some_and(|e| now_ms.saturating_sub(started_ms) >= e.at_ms())
-        {
-            match pending.remove(0) {
-                Event::Crash { .. } => cluster.crash_worker(0),
-                Event::Restart { .. } => {
-                    let _ = cluster.restart_worker(0);
-                }
-                Event::Partition { .. } => cluster.partition_worker(part_target),
-                Event::Heal { .. } => cluster.heal_worker(part_target),
-            }
-        }
-    });
-    let virtual_ms = cluster.now_ms() - started_ms;
-    let counts = count_faults(&cluster);
-
-    let verdict = match &outcome {
-        Outcome::Hang { waited_ms } => {
-            let waited_ms = *waited_ms;
-            let trace = trace_lines(&cluster);
-            cluster.abandon();
-            return Ok(SeedReport {
-                seed: scenario.seed,
-                verdict: Verdict::Hang { waited_ms },
-                virtual_ms,
-                trace,
-                fault_counts: counts,
-            });
-        }
-        Outcome::Failed(msg) => Verdict::Broken {
-            detail: msg.clone(),
-        },
-        Outcome::Done { genes, fitness, .. } => {
-            if *genes != want_genes || fitness.to_bits() != want_bits {
-                Verdict::Mismatch {
-                    detail: format!(
-                        "got {genes:?} @ {fitness}, fault-free tune gives {want_genes:?} @ {}",
-                        f64::from_bits(want_bits)
-                    ),
-                }
-            } else if let Err(e) = cluster.checkpoints_loadable() {
-                Verdict::Broken { detail: e }
-            } else {
-                Verdict::Ok
-            }
-        }
-    };
-
-    let trace = if verdict.is_ok() {
-        Vec::new()
-    } else {
-        trace_lines(&cluster)
-    };
-    cluster.shutdown();
-    Ok(SeedReport {
-        seed: scenario.seed,
-        verdict,
-        virtual_ms,
-        trace,
-        fault_counts: counts,
-    })
-}
-
-fn trace_lines(cluster: &Cluster) -> Vec<String> {
-    cluster
-        .net()
-        .trace()
-        .iter()
-        .map(ToString::to_string)
-        .collect()
-}
-
-fn count_faults(cluster: &Cluster) -> (u64, u64, u64, u64) {
-    use crate::net::TraceEvent;
-    let mut c = (0, 0, 0, 0);
-    for e in cluster.net().trace() {
-        match e {
-            TraceEvent::Drop { .. } => c.0 += 1,
-            TraceEvent::Dup { .. } => c.1 += 1,
-            TraceEvent::Delay { .. } => c.2 += 1,
-            TraceEvent::Partitioned { .. } => c.3 += 1,
-            TraceEvent::Note { .. } => {}
-        }
-    }
-    c
-}
-
-/// A whole sweep's summary.
-#[derive(Debug, Clone)]
-pub struct SweepReport {
-    /// First seed swept.
-    pub base_seed: u64,
-    /// Seeds swept (`base_seed..base_seed + seeds`).
-    pub seeds: u64,
-    /// Seeds on which every invariant held.
-    pub passed: u64,
-    /// Failing reports (empty on a green sweep).
-    pub failures: Vec<SeedReport>,
-    /// Total frames dropped / duplicated / delayed / blackholed across
-    /// the sweep — evidence the schedules actually exercised faults.
-    pub fault_counts: (u64, u64, u64, u64),
-    /// Accumulated virtual milliseconds simulated.
-    pub virtual_ms: u64,
-    /// The slowest single scenario, in virtual ms — the sweep's
-    /// worst-case distance from the [`SCENARIO_DEADLINE`] hang cutoff.
-    pub worst_virtual_ms: u64,
-    /// The seed of that slowest scenario.
-    pub worst_seed: u64,
-}
-
-// ---------------------------------------------------------------------
-// Mixed-problem sweep
-// ---------------------------------------------------------------------
 
 /// The problem ids a mixed scenario submits — one job per id, all to
 /// the same daemon over the same worker pool (every id in
@@ -358,239 +29,108 @@ pub struct SweepReport {
 /// sweep decision, not a silent cost increase).
 pub const MIXED_PROBLEMS: [&str; 3] = ["inline", "flags", "dss"];
 
-/// One mixed-problem scenario's report: the verdict each job earned, in
-/// submission order, plus the shared fault trace when any failed.
+/// A fully derived `fault` scenario: one `inline` job on a two-worker
+/// cluster under seeded weather.
+#[derive(Debug, Clone)]
+pub struct FaultScenario {
+    /// The root seed.
+    pub seed: u64,
+    /// The fault plan and crash/partition timeline.
+    pub weather: Weather,
+    /// The GA seed of every job in the scenario (picks the search
+    /// trajectory).
+    pub ga_seed: u64,
+    /// The [`ClusterConfig::redispatch`] hook: `false` runs the
+    /// intentionally-broken daemon the sweep self-test must catch.
+    pub redispatch: bool,
+}
+
+impl FaultScenario {
+    /// Tunes one job per entry of `problems` under this scenario's
+    /// weather, all queued on one daemon.
+    fn run_backlog(&self, problems: &[&str], truth: &mut Truth<Tuned>, report: &mut SeedReport) {
+        let mut jobs = Vec::with_capacity(problems.len());
+        for problem in problems {
+            let spec = Cluster::spec_for(problem, self.ga_seed);
+            match tuned(truth, &spec) {
+                Ok(want) => jobs.push((spec, want)),
+                Err(e) => return report.broken(format!("reference tune: {e}")),
+            }
+        }
+        let config = ClusterConfig {
+            seed: self.seed,
+            workers: self.weather.workers,
+            plan: self.weather.plan,
+            redispatch: self.redispatch,
+            ..ClusterConfig::default()
+        };
+        drain(&config, &jobs, &self.weather.timeline, report, |_, _, _| {});
+    }
+}
+
+impl Scenario for FaultScenario {
+    const NAME: &'static str = "fault";
+    type Truth = Truth<Tuned>;
+
+    fn derive(seed: u64, scale: &Scale) -> Self {
+        let mut rng = child_rng(seed, "sim/scenario");
+        Self {
+            seed,
+            weather: Weather::draw(&mut rng),
+            ga_seed: *rng.choose(&GA_SEEDS),
+            redispatch: !scale.broken,
+        }
+    }
+
+    fn replay_args(&self) -> String {
+        if self.redispatch { "" } else { " --broken" }.to_string()
+    }
+
+    fn run(&self, truth: &mut Self::Truth, report: &mut SeedReport) {
+        self.run_backlog(&MIXED_PROBLEMS[..1], truth, report);
+    }
+
+    fn exercised(sweep: &SweepReport) -> Result<(), &'static str> {
+        let f = &sweep.faults;
+        (f.dropped + f.duplicated + f.delayed > 0)
+            .then_some(())
+            .ok_or("no frame fault was injected — the schedules are inert")
+    }
+}
+
+/// A fully derived `mixed` scenario: [`FaultScenario`]'s derivation
+/// (seed N means the same schedule in both sweeps) over one job per
+/// [`MIXED_PROBLEMS`] entry, always against the healthy daemon.
 ///
 /// The invariant here is **no lost jobs**: a daemon holding a
 /// heterogeneous backlog — an inlining job, a flag-selection job and a
 /// data-structure job queued together — must drive *every* one of them
-/// to `done` with its bit-exact fault-free result, through the same
-/// crash/partition/frame-fault schedule the single-job sweep runs.
+/// to `done` with its bit-exact fault-free result.
 #[derive(Debug, Clone)]
-pub struct MixedSeedReport {
-    /// The scenario seed (schedules derive from it exactly like
-    /// [`Scenario::derive`] — the mixed sweep reuses that derivation).
-    pub seed: u64,
-    /// The GA seed every job in the scenario uses.
-    pub ga_seed: u64,
-    /// Per-job verdicts, `(problem id, verdict)`, in submission order.
-    /// A checkpoint-audit failure appends an extra `("checkpoints", _)`
-    /// entry.
-    pub verdicts: Vec<(&'static str, Verdict)>,
-    /// Virtual ms from first submission to the last job's terminal
-    /// state (or to giving up).
-    pub virtual_ms: u64,
-    /// Fault-trace lines; only populated for failing seeds.
-    pub trace: Vec<String>,
-}
+pub struct MixedScenario(pub FaultScenario);
 
-impl MixedSeedReport {
-    /// Whether every job completed with its fault-free result.
-    #[must_use]
-    pub fn is_ok(&self) -> bool {
-        !self.verdicts.is_empty() && self.verdicts.iter().all(|(_, v)| v.is_ok())
-    }
-}
+impl Scenario for MixedScenario {
+    const NAME: &'static str = "mixed";
+    type Truth = Truth<Tuned>;
 
-fn mixed_broken(seed: u64, ga_seed: u64, detail: &str) -> MixedSeedReport {
-    MixedSeedReport {
-        seed,
-        ga_seed,
-        verdicts: MIXED_PROBLEMS
-            .iter()
-            .map(|p| {
-                (
-                    *p,
-                    Verdict::Broken {
-                        detail: detail.to_string(),
-                    },
-                )
-            })
-            .collect(),
-        virtual_ms: 0,
-        trace: Vec::new(),
-    }
-}
-
-/// Runs one mixed-problem scenario: derives the fault schedule from
-/// `seed`, submits one job per [`MIXED_PROBLEMS`] entry to a single
-/// daemon *before any of them completes*, fires the timed fault events
-/// while the backlog drains, and checks every job against its own
-/// fault-free ground truth. `expected` caches ground truths across
-/// calls, keyed by `(problem, ga_seed)`.
-#[must_use]
-pub fn run_mixed_seed(seed: u64, expected: &mut Expected) -> MixedSeedReport {
-    let scenario = Scenario::derive(seed);
-    let mut want = Vec::with_capacity(MIXED_PROBLEMS.len());
-    for problem in MIXED_PROBLEMS {
-        let spec = Cluster::spec_for(problem, scenario.ga_seed);
-        let (genes, bits) = expected
-            .entry((problem.to_string(), scenario.ga_seed))
-            .or_insert_with(|| {
-                let (g, f) = Cluster::expected(&spec).expect("reference tune of a valid spec");
-                (g, f.to_bits())
-            })
-            .clone();
-        want.push((spec, genes, bits));
+    fn derive(seed: u64, scale: &Scale) -> Self {
+        Self(FaultScenario {
+            redispatch: true,
+            ..FaultScenario::derive(seed, scale)
+        })
     }
 
-    let cluster = match Cluster::boot(&ClusterConfig {
-        seed: scenario.seed,
-        workers: scenario.workers,
-        plan: scenario.plan,
-        redispatch: true,
-        ..ClusterConfig::default()
-    }) {
-        Ok(c) => c,
-        Err(e) => return mixed_broken(seed, scenario.ga_seed, &format!("boot: {e}")),
-    };
-    let started_ms = cluster.now_ms();
-
-    // Submit the whole heterogeneous backlog up front: with one job
-    // worker, the daemon holds two queued problems while tuning the
-    // first — exactly the mixed-queue shape the invariant is about.
-    let mut ids = Vec::with_capacity(want.len());
-    for (spec, _, _) in &want {
-        match cluster.submit(spec) {
-            Ok(id) => ids.push(id),
-            Err(e) => {
-                cluster.abandon();
-                return mixed_broken(seed, scenario.ga_seed, &format!("submit: {e}"));
-            }
-        }
+    fn run(&self, truth: &mut Self::Truth, report: &mut SeedReport) {
+        self.0.run_backlog(&MIXED_PROBLEMS, truth, report);
     }
 
-    // Drain the backlog job by job, firing timed events as the virtual
-    // clock passes them (they land during whichever job is running —
-    // the schedule does not care which problem it interrupts).
-    let mut pending = scenario.events.clone();
-    let part_target = scenario.workers.saturating_sub(1);
-    let mut verdicts = Vec::with_capacity(want.len() + 1);
-    let mut hung = false;
-    for (i, id) in ids.iter().enumerate() {
-        let problem = MIXED_PROBLEMS[i];
-        if hung {
-            verdicts.push((
-                problem,
-                Verdict::Broken {
-                    detail: "not waited: an earlier job hung".into(),
-                },
-            ));
-            continue;
-        }
-        let outcome = cluster.wait(*id, SCENARIO_DEADLINE, |now_ms| {
-            while pending
-                .first()
-                .is_some_and(|e| now_ms.saturating_sub(started_ms) >= e.at_ms())
-            {
-                match pending.remove(0) {
-                    Event::Crash { .. } => cluster.crash_worker(0),
-                    Event::Restart { .. } => {
-                        let _ = cluster.restart_worker(0);
-                    }
-                    Event::Partition { .. } => cluster.partition_worker(part_target),
-                    Event::Heal { .. } => cluster.heal_worker(part_target),
-                }
-            }
-        });
-        let (_, want_genes, want_bits) = &want[i];
-        let verdict = match outcome {
-            Outcome::Hang { waited_ms } => {
-                hung = true;
-                Verdict::Hang { waited_ms }
-            }
-            Outcome::Failed(msg) => Verdict::Broken { detail: msg },
-            Outcome::Done { genes, fitness, .. } => {
-                if genes != *want_genes || fitness.to_bits() != *want_bits {
-                    Verdict::Mismatch {
-                        detail: format!(
-                            "{problem}: got {genes:?} @ {fitness}, fault-free tune gives \
-                             {want_genes:?} @ {}",
-                            f64::from_bits(*want_bits)
-                        ),
-                    }
-                } else {
-                    Verdict::Ok
-                }
-            }
-        };
-        verdicts.push((problem, verdict));
+    fn exercised(sweep: &SweepReport) -> Result<(), &'static str> {
+        FaultScenario::exercised(sweep)
     }
-    if !hung {
-        if let Err(e) = cluster.checkpoints_loadable() {
-            verdicts.push(("checkpoints", Verdict::Broken { detail: e }));
-        }
-    }
-
-    let virtual_ms = cluster.now_ms() - started_ms;
-    let failing = hung || verdicts.iter().any(|(_, v)| !v.is_ok());
-    let trace = if failing {
-        trace_lines(&cluster)
-    } else {
-        Vec::new()
-    };
-    if hung {
-        cluster.abandon();
-    } else {
-        cluster.shutdown();
-    }
-    MixedSeedReport {
-        seed,
-        ga_seed: scenario.ga_seed,
-        verdicts,
-        virtual_ms,
-        trace,
-    }
-}
-
-/// A mixed-problem sweep's summary.
-#[derive(Debug, Clone)]
-pub struct MixedSweepReport {
-    /// First seed swept.
-    pub base_seed: u64,
-    /// Seeds swept.
-    pub seeds: u64,
-    /// Seeds on which every job completed with its fault-free result.
-    pub passed: u64,
-    /// Failing reports (empty on a green sweep).
-    pub failures: Vec<MixedSeedReport>,
-    /// Jobs driven to their bit-exact result across the sweep.
-    pub jobs_done: u64,
-    /// Accumulated virtual milliseconds simulated.
-    pub virtual_ms: u64,
-}
-
-/// Sweeps `seeds` consecutive mixed-problem scenario seeds. Ground
-/// truths are cached across the sweep: scenarios draw their GA seed
-/// from the same small pool as the single-job sweep, so the whole
-/// sweep pays for at most `MIXED_PROBLEMS.len() × GA_SEEDS.len()`
-/// reference runs.
-#[must_use]
-pub fn run_mixed_sweep(base_seed: u64, seeds: u64) -> MixedSweepReport {
-    let mut expected = Expected::new();
-    let mut report = MixedSweepReport {
-        base_seed,
-        seeds,
-        passed: 0,
-        failures: Vec::new(),
-        jobs_done: 0,
-        virtual_ms: 0,
-    };
-    for seed in base_seed..base_seed + seeds {
-        let r = run_mixed_seed(seed, &mut expected);
-        report.virtual_ms += r.virtual_ms;
-        report.jobs_done += r.verdicts.iter().filter(|(_, v)| v.is_ok()).count() as u64;
-        if r.is_ok() {
-            report.passed += 1;
-        } else {
-            report.failures.push(r);
-        }
-    }
-    report
 }
 
 // ---------------------------------------------------------------------
-// Store crash/recovery sweep
+// Store crash/recovery
 // ---------------------------------------------------------------------
 
 /// One persistent-store crash/recovery scenario, fully derived from its
@@ -620,11 +160,11 @@ pub struct StoreScenario {
     pub torn_frac: Option<f64>,
 }
 
-impl StoreScenario {
-    /// Derives the scenario a seed denotes. Pure, like
-    /// [`Scenario::derive`].
-    #[must_use]
-    pub fn derive(seed: u64) -> Self {
+impl Scenario for StoreScenario {
+    const NAME: &'static str = "store";
+    type Truth = ();
+
+    fn derive(seed: u64, _: &Scale) -> Self {
         let mut rng = child_rng(seed, "sim/store");
         let records = 12 + rng.below(36) as usize;
         Self {
@@ -638,38 +178,22 @@ impl StoreScenario {
             torn_frac: rng.chance(0.8).then(|| rng.f64()),
         }
     }
-}
 
-/// One store scenario's report. Green iff `failures` is empty.
-#[derive(Debug, Clone)]
-pub struct StoreSeedReport {
-    /// The scenario seed.
-    pub seed: u64,
-    /// Broken invariants, in the order they were caught.
-    pub failures: Vec<String>,
-    /// Distinct record keys the scenario acknowledged.
-    pub records: usize,
-    /// Bytes of torn tail the kill left on the wal.
-    pub torn_bytes: u64,
-}
-
-impl StoreSeedReport {
-    /// Whether every invariant held.
-    #[must_use]
-    pub fn is_ok(&self) -> bool {
-        self.failures.is_empty()
+    /// Runs the three sessions in a scratch directory under the system
+    /// temp dir (removed afterwards).
+    fn run(&self, (): &mut (), report: &mut SeedReport) {
+        let dir =
+            std::env::temp_dir().join(format!("simstore-{}-{}", std::process::id(), self.seed));
+        let _ = std::fs::remove_dir_all(&dir);
+        sessions(self, &dir, report);
+        let _ = std::fs::remove_dir_all(&dir);
     }
-}
 
-/// Runs one store crash/recovery scenario in a scratch directory under
-/// the system temp dir (removed afterwards).
-#[must_use]
-pub fn run_store_seed(seed: u64) -> StoreSeedReport {
-    let dir = std::env::temp_dir().join(format!("simstore-{}-{seed}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let report = run_store_scenario(&StoreScenario::derive(seed), &dir);
-    let _ = std::fs::remove_dir_all(&dir);
-    report
+    fn exercised(sweep: &SweepReport) -> Result<(), &'static str> {
+        (sweep.counters.get("torn_scenarios") > 0)
+            .then_some(())
+            .ok_or("no scenario tore the wal — the recovery path never ran")
+    }
 }
 
 /// The deterministic record plan of a store scenario: `records` entries
@@ -722,23 +246,25 @@ fn store_options(sc: &StoreScenario) -> stored::StoreOptions {
 /// like [`stored::Record::key`] resolves lookups.
 type Acked = HashMap<(u64, Vec<i64>), f64>;
 
-fn check_served(store: &stored::Store, acked: &Acked, when: &str, failures: &mut Vec<String>) {
+fn check_served(store: &stored::Store, acked: &Acked, when: &str, report: &mut SeedReport) {
     for ((cell, genome), want) in acked {
         match store.get(*cell, genome) {
             Some(got) if got.to_bits() == want.to_bits() => {}
-            Some(got) => failures.push(format!(
-                "{when}: key ({cell:#x}, {genome:?}) served {got} (bits {:#x}), acked {want} (bits {:#x})",
-                got.to_bits(),
-                want.to_bits()
-            )),
-            None => failures.push(format!(
-                "{when}: acked record ({cell:#x}, {genome:?}) lost"
-            )),
+            Some(got) => report.fail(
+                FailureKind::Mismatch,
+                format!(
+                    "{when}: key ({cell:#x}, {genome:?}) served {got} (bits {:#x}), acked {want} \
+                     (bits {:#x})",
+                    got.to_bits(),
+                    want.to_bits()
+                ),
+            ),
+            None => report.broken(format!("{when}: acked record ({cell:#x}, {genome:?}) lost")),
         }
     }
     let stats = store.stats();
     if stats.records != acked.len() {
-        failures.push(format!(
+        report.broken(format!(
             "{when}: store indexes {} records, {} were acknowledged",
             stats.records,
             acked.len()
@@ -746,8 +272,9 @@ fn check_served(store: &stored::Store, acked: &Acked, when: &str, failures: &mut
     }
 }
 
-fn run_store_scenario(sc: &StoreScenario, dir: &std::path::Path) -> StoreSeedReport {
-    let mut failures = Vec::new();
+/// The three sessions: write until killed, recover and keep writing,
+/// reopen cleanly.
+fn sessions(sc: &StoreScenario, dir: &std::path::Path, report: &mut SeedReport) {
     let plan = store_plan(sc);
     let mut acked = Acked::new();
 
@@ -757,14 +284,14 @@ fn run_store_scenario(sc: &StoreScenario, dir: &std::path::Path) -> StoreSeedRep
     // killed, which by the ack contract is the only write that may be
     // lost.
     match stored::Store::open_with(dir, store_options(sc)) {
-        Err(e) => failures.push(format!("first open: {e}")),
+        Err(e) => report.broken(format!("first open: {e}")),
         Ok(store) => {
             for rec in &plan[..sc.kill_after] {
                 let dup = acked.contains_key(&(rec.fingerprint.cell_digest, rec.genome.clone()));
                 match store.append(rec) {
                     Ok(fresh) => {
                         if fresh == dup {
-                            failures.push(format!(
+                            report.broken(format!(
                                 "append said fresh={fresh} for {} key {:?}",
                                 if dup { "duplicate" } else { "new" },
                                 rec.genome
@@ -774,12 +301,12 @@ fn run_store_scenario(sc: &StoreScenario, dir: &std::path::Path) -> StoreSeedRep
                             .entry((rec.fingerprint.cell_digest, rec.genome.clone()))
                             .or_insert(rec.fitness);
                     }
-                    Err(e) => failures.push(format!("append: {e}")),
+                    Err(e) => report.broken(format!("append: {e}")),
                 }
             }
             if sc.compact_before_kill {
                 if let Err(e) = store.compact() {
-                    failures.push(format!("pre-kill compact: {e}"));
+                    report.broken(format!("pre-kill compact: {e}"));
                 }
             }
         }
@@ -798,7 +325,7 @@ fn run_store_scenario(sc: &StoreScenario, dir: &std::path::Path) -> StoreSeedRep
             .open(dir.join("wal.seg"))
             .and_then(|mut f| std::io::Write::write_all(&mut f, &encoded[..cut]));
         if let Err(e) = tail {
-            failures.push(format!("injecting torn tail: {e}"));
+            report.broken(format!("injecting torn tail: {e}"));
         }
     }
 
@@ -806,15 +333,15 @@ fn run_store_scenario(sc: &StoreScenario, dir: &std::path::Path) -> StoreSeedRep
     // bit-exactly, the torn tail must be measured and truncated, and the
     // remaining appends must land on the recovered wal.
     match stored::Store::open_with(dir, store_options(sc)) {
-        Err(e) => failures.push(format!("recovery open: {e}")),
+        Err(e) => report.broken(format!("recovery open: {e}")),
         Ok(store) => {
             let recovered = store.stats().recovered_torn_bytes;
             if recovered != torn_bytes {
-                failures.push(format!(
+                report.broken(format!(
                     "recovery truncated {recovered} bytes, kill tore {torn_bytes}"
                 ));
             }
-            check_served(&store, &acked, "after recovery", &mut failures);
+            check_served(&store, &acked, "after recovery", report);
             for rec in &plan[sc.kill_after..sc.records] {
                 match store.append(rec) {
                     Ok(_) => {
@@ -822,113 +349,36 @@ fn run_store_scenario(sc: &StoreScenario, dir: &std::path::Path) -> StoreSeedRep
                             .entry((rec.fingerprint.cell_digest, rec.genome.clone()))
                             .or_insert(rec.fitness);
                     }
-                    Err(e) => failures.push(format!("post-recovery append: {e}")),
+                    Err(e) => report.broken(format!("post-recovery append: {e}")),
                 }
             }
             if sc.compact_after_restart {
                 if let Err(e) = store.compact() {
-                    failures.push(format!("post-recovery compact: {e}"));
+                    report.broken(format!("post-recovery compact: {e}"));
                 }
             }
-            check_served(&store, &acked, "after restart writes", &mut failures);
+            check_served(&store, &acked, "after restart writes", report);
         }
     }
 
     // Session three: recovery must be idempotent — a clean reopen serves
     // the same records and finds nothing left to truncate.
     match stored::Store::open_with(dir, store_options(sc)) {
-        Err(e) => failures.push(format!("third open: {e}")),
+        Err(e) => report.broken(format!("third open: {e}")),
         Ok(store) => {
             let recovered = store.stats().recovered_torn_bytes;
             if recovered != 0 {
-                failures.push(format!(
+                report.broken(format!(
                     "clean reopen truncated {recovered} bytes; recovery was not idempotent"
                 ));
             }
-            check_served(&store, &acked, "after clean reopen", &mut failures);
+            check_served(&store, &acked, "after clean reopen", report);
         }
     }
 
-    StoreSeedReport {
-        seed: sc.seed,
-        failures,
-        records: acked.len(),
-        torn_bytes,
-    }
-}
-
-/// A store sweep's summary.
-#[derive(Debug, Clone)]
-pub struct StoreSweepReport {
-    /// First seed swept.
-    pub base_seed: u64,
-    /// Seeds swept.
-    pub seeds: u64,
-    /// Seeds on which every invariant held.
-    pub passed: u64,
-    /// Failing reports (empty on a green sweep).
-    pub failures: Vec<StoreSeedReport>,
-    /// Distinct acknowledged records across the sweep.
-    pub records: u64,
-    /// Scenarios whose kill actually tore the wal — evidence the sweep
-    /// exercised the recovery path, not just clean restarts.
-    pub torn_scenarios: u64,
-}
-
-/// Sweeps `seeds` consecutive store crash/recovery seeds.
-#[must_use]
-pub fn run_store_sweep(base_seed: u64, seeds: u64) -> StoreSweepReport {
-    let mut report = StoreSweepReport {
-        base_seed,
-        seeds,
-        passed: 0,
-        failures: Vec::new(),
-        records: 0,
-        torn_scenarios: 0,
-    };
-    for seed in base_seed..base_seed + seeds {
-        let r = run_store_seed(seed);
-        report.records += r.records as u64;
-        report.torn_scenarios += u64::from(r.torn_bytes > 0);
-        if r.is_ok() {
-            report.passed += 1;
-        } else {
-            report.failures.push(r);
-        }
-    }
+    report.counters.add("records", acked.len() as u64);
+    report.counters.add("torn_bytes", torn_bytes);
     report
-}
-
-/// Sweeps `seeds` consecutive scenario seeds starting at `base_seed`.
-#[must_use]
-pub fn run_sweep(base_seed: u64, seeds: u64, redispatch: bool) -> SweepReport {
-    let mut expected = Expected::new();
-    let mut report = SweepReport {
-        base_seed,
-        seeds,
-        passed: 0,
-        failures: Vec::new(),
-        fault_counts: (0, 0, 0, 0),
-        virtual_ms: 0,
-        worst_virtual_ms: 0,
-        worst_seed: base_seed,
-    };
-    for seed in base_seed..base_seed + seeds {
-        let r = run_seed(seed, &mut expected, redispatch);
-        report.fault_counts.0 += r.fault_counts.0;
-        report.fault_counts.1 += r.fault_counts.1;
-        report.fault_counts.2 += r.fault_counts.2;
-        report.fault_counts.3 += r.fault_counts.3;
-        report.virtual_ms += r.virtual_ms;
-        if r.virtual_ms > report.worst_virtual_ms {
-            report.worst_virtual_ms = r.virtual_ms;
-            report.worst_seed = seed;
-        }
-        if r.verdict.is_ok() {
-            report.passed += 1;
-        } else {
-            report.failures.push(r);
-        }
-    }
-    report
+        .counters
+        .add("torn_scenarios", u64::from(torn_bytes > 0));
 }

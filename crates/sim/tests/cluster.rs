@@ -1,6 +1,8 @@
 //! End-to-end simulation tests: the acceptance gates of the harness.
 //!
-//! * Same seed, repeated executions → bit-identical final results.
+//! * Every scenario (`fault`, `mixed`, `store`, `online`, `shard`)
+//!   sweeps green at small scale, demonstrably exercises its faults,
+//!   and replays a seed to the same verdict and evidence.
 //! * A seeded drop/partition/crash schedule that kills a worker
 //!   mid-generation still converges to the exact fault-free genome.
 //! * A daemon with re-dispatch disabled (lost work on retry) is caught
@@ -9,8 +11,11 @@
 
 use std::time::Duration;
 
-use sim::sweep::Expected;
-use sim::{run_seed, run_sweep, Cluster, ClusterConfig, FaultPlan, Outcome};
+use sim::scenario::{replay, sweep};
+use sim::{
+    Cluster, ClusterConfig, FaultPlan, FaultScenario, MixedScenario, OnlineScenario, Outcome,
+    Scale, Scenario, ShardScale, ShardScenario, StoreScenario, SweepReport, MIXED_PROBLEMS,
+};
 
 /// One timeout unit. Deadlines scale off `SIM_TIMEOUT_MS` (default
 /// 1000) so slow or loaded machines can stretch every bound with one
@@ -30,20 +35,99 @@ fn bound(units: u32) -> Duration {
     timeout_unit() * units
 }
 
-#[test]
-fn same_seed_is_bit_identical_across_executions() {
-    // Thread interleaving may vary retry counts between executions, but
-    // the *outcome* must not move: both runs have to reproduce the
-    // fault-free ground truth bit-for-bit (genome and fitness bits are
-    // compared inside run_seed).
-    for run in 0..2 {
-        let report = run_seed(3, &mut Expected::new(), true);
-        assert!(
-            report.verdict.is_ok(),
-            "run {run} of seed 3 diverged: {:?}",
-            report.verdict
-        );
+/// One row of the scenario table: a small sweep from `base` must be
+/// green and have teeth, and `twice` — replayed twice over one truth
+/// cache — must reach the same verdict and book the same `pure`
+/// counters both times. (Thread interleaving may move retry counts,
+/// virtual time and the trace between executions; the *outcome* and
+/// the evidence derived from the seed alone may not. That purity is
+/// what makes `simtest <scenario> --seed N` a complete recipe.)
+fn row<S: Scenario>(
+    base: u64,
+    seeds: u64,
+    twice: u64,
+    scale: &Scale,
+    pure: &[&str],
+) -> SweepReport {
+    let report = sweep::<S>(base, seeds, scale);
+    assert_eq!(
+        report.passed,
+        seeds,
+        "{} sweep failed seeds: {:?}",
+        S::NAME,
+        report
+            .failures
+            .iter()
+            .map(|f| (f.seed, &f.failures))
+            .collect::<Vec<_>>()
+    );
+    assert_eq!(S::exercised(&report), Ok(()), "{} has no teeth", S::NAME);
+
+    let mut truth = S::Truth::default();
+    let a = replay::<S>(twice, scale, &mut truth);
+    let b = replay::<S>(twice, scale, &mut truth);
+    assert!(a.is_ok(), "{} seed {twice}: {:?}", S::NAME, a.failures);
+    assert_eq!(a.failures, b.failures);
+    assert_eq!(a.replay_line(), b.replay_line());
+    for name in pure {
+        assert_eq!(a.counters.get(name), b.counters.get(name), "{name}");
     }
+    report
+}
+
+#[test]
+fn every_scenario_sweeps_green_with_teeth_and_replays_the_same() {
+    let plain = Scale::default();
+
+    // `fault`: the healthy daemon rides out every schedule, and the
+    // schedules are not inert.
+    let fault = row::<FaultScenario>(1, 6, 3, &plain, &["jobs_done"]);
+    assert_eq!(fault.counters.get("jobs_done"), 6);
+
+    // `mixed`: one daemon, three queued jobs — inline, flags, dss — per
+    // seed; every submitted job must land, none dropped from the queue.
+    let mixed = row::<MixedScenario>(1, 3, 2, &plain, &["jobs_done"]);
+    assert_eq!(
+        mixed.counters.get("jobs_done"),
+        3 * MIXED_PROBLEMS.len() as u64
+    );
+
+    // `store`: no acknowledged record lost, and the kill actually tore
+    // wal tails (the recovery path, not just clean restarts).
+    let store = row::<StoreScenario>(1, 16, 5, &plain, &["records", "torn_bytes"]);
+    assert!(store.counters.get("torn_scenarios") > 0);
+    assert!(store.counters.get("records") > 0);
+
+    // `online`: the daemon's whole epoch trajectory equals the
+    // in-process reference runner, and drift detection fired.
+    let online = row::<OnlineScenario>(1, 6, 2, &plain, &["retunes"]);
+    assert!(online.counters.get("retunes") > 0);
+
+    // `shard`: the soak at tier-1 scale — `simtest shard:50` runs the
+    // headline 1000-client / 100-worker sweep in CI.
+    let small = Scale {
+        shard: ShardScale {
+            clients: 32,
+            workers: 6,
+            shards: 4,
+            runners: 4,
+        },
+        broken: false,
+    };
+    let shard = row::<ShardScenario>(11, 2, 11, &small, &[]);
+    let admitted = shard.counters.get("admitted");
+    assert!(admitted > 0, "the soak admitted nothing");
+    assert_eq!(
+        shard.counters.get("jobs_done"),
+        admitted,
+        "every admitted job must finish"
+    );
+    // The capped tenant's budget admits roughly a quarter of its
+    // clients; the rest must have seen structured quota rejects.
+    assert!(
+        shard.counters.get("quota_rejects") > 0,
+        "the soak never exercised the quota path"
+    );
 }
 
 #[test]
@@ -121,7 +205,11 @@ fn sweep_catches_a_daemon_that_loses_redispatched_work() {
     // The intentionally-broken build: DispatchConfig::redispatch = false
     // silently drops work claimed by a failing worker. With frame drops
     // in the schedule, some seed must hang on the lost genome.
-    let report = run_sweep(9, 4, false);
+    let broken = Scale {
+        broken: true,
+        ..Scale::default()
+    };
+    let report = sweep::<FaultScenario>(9, 4, &broken);
     assert!(
         !report.failures.is_empty(),
         "no seed caught the lost-work bug — the sweep has no teeth"
@@ -132,108 +220,11 @@ fn sweep_catches_a_daemon_that_loses_redispatched_work() {
             "failing seed {} carries no fault trace to replay from",
             f.seed
         );
+        assert!(
+            f.replay_line()
+                .ends_with(&format!("fault --seed {} --broken", f.seed)),
+            "a seed caught under --broken must say so: {}",
+            f.replay_line()
+        );
     }
-}
-
-#[test]
-fn mixed_problem_backlog_loses_no_job_and_stays_bit_identical() {
-    // One daemon, three queued jobs — inline, flags, dss — per seed,
-    // under the same seeded fault weather as the single-job sweep.
-    // Every job must reach `done` with its own fault-free result.
-    let report = sim::run_mixed_sweep(1, 3);
-    assert_eq!(
-        report.passed,
-        3,
-        "mixed-problem backlog lost or corrupted jobs: {:?}",
-        report
-            .failures
-            .iter()
-            .map(|f| (f.seed, f.verdicts.clone()))
-            .collect::<Vec<_>>()
-    );
-    assert_eq!(
-        report.jobs_done,
-        3 * sim::MIXED_PROBLEMS.len() as u64,
-        "every submitted job must land, none dropped from the queue"
-    );
-}
-
-#[test]
-fn store_crash_recovery_sweep_passes_and_exercises_torn_tails() {
-    let report = sim::run_store_sweep(1, 16);
-    assert_eq!(
-        report.passed,
-        16,
-        "store lost or corrupted acknowledged records: {:?}",
-        report
-            .failures
-            .iter()
-            .map(|f| (f.seed, f.failures.clone()))
-            .collect::<Vec<_>>()
-    );
-    assert!(
-        report.torn_scenarios > 0,
-        "no scenario tore the wal — the sweep never hit the recovery path"
-    );
-    // A scenario is pure in its seed: replaying one yields the exact
-    // same shape, which is what makes `simtest --store-seed N` a
-    // complete reproduction recipe.
-    let a = sim::run_store_seed(5);
-    let b = sim::run_store_seed(5);
-    assert_eq!(a.records, b.records);
-    assert_eq!(a.torn_bytes, b.torn_bytes);
-    assert_eq!(a.failures, b.failures);
-}
-
-#[test]
-fn online_drift_sweep_stays_bit_identical_and_commits_retunes() {
-    // Online jobs under fault weather: the daemon's whole epoch
-    // trajectory — per-epoch probes, retune decisions, detection
-    // latencies, evaluation counts, final incumbent bits — must equal
-    // the in-process reference runner, and the bounded-regret
-    // invariants must hold on every seed.
-    let report = sim::run_online_sweep(1, 6);
-    assert_eq!(
-        report.passed,
-        6,
-        "online scenarios diverged from the reference runner: {:?}",
-        report
-            .failures
-            .iter()
-            .map(|f| (f.seed, f.verdict.tag()))
-            .collect::<Vec<_>>()
-    );
-    assert!(
-        report.retunes > 0,
-        "no scenario committed a retune — drift detection never fired"
-    );
-    // Scenario derivation is pure in the seed: the same seed replays
-    // the identical schedule and drift identity, which is what makes
-    // `simtest --online-seed N` a complete reproduction recipe.
-    let mut expected = sim::OnlineExpected::new();
-    let a = sim::run_online_seed(2, &mut expected);
-    let b = sim::run_online_seed(2, &mut expected);
-    assert_eq!(a.verdict, b.verdict);
-    assert_eq!(a.retunes, b.retunes);
-    assert_eq!(a.kind, b.kind);
-}
-
-#[test]
-fn clean_sweep_over_healthy_daemon_passes_and_injects_faults() {
-    let report = run_sweep(1, 6, true);
-    assert_eq!(
-        report.passed,
-        6,
-        "healthy daemon failed seeds: {:?}",
-        report
-            .failures
-            .iter()
-            .map(|f| (f.seed, f.verdict.tag()))
-            .collect::<Vec<_>>()
-    );
-    let (drops, dups, delays, _) = report.fault_counts;
-    assert!(
-        drops + dups + delays > 0,
-        "sweep injected no faults at all — the schedules are inert"
-    );
 }

@@ -1,34 +1,8 @@
-//! Tier-1 smoke over the multi-tenant shard soak and bench: small
-//! scale so `cargo test` stays fast — `simtest --shard-seeds` runs the
-//! headline 1000-client / 100-worker sweep in CI's soak stage.
+//! Tier-1 smoke over the shard throughput bench at small scale (the
+//! soak itself is a row of `tests/cluster.rs`'s scenario table;
+//! `simtest shard-bench` runs the 1/4/16-shard bench in CI).
 
-use sim::{run_shard_bench, run_shard_seed, ShardScale};
-
-#[test]
-fn a_small_soak_holds_every_invariant() {
-    let scale = ShardScale {
-        clients: 32,
-        workers: 6,
-        shards: 4,
-        runners: 4,
-    };
-    let mut expected = sim::sweep::Expected::new();
-    for seed in [11, 12] {
-        let r = run_shard_seed(seed, &scale, &mut expected);
-        assert!(r.is_ok(), "soak seed {seed} failed: {:?}", r.failures);
-        assert!(r.admitted > 0, "soak seed {seed} admitted nothing");
-        assert_eq!(
-            r.done, r.admitted,
-            "soak seed {seed}: every admitted job must finish"
-        );
-        // The capped tenant's budget admits roughly a quarter of its
-        // clients; the rest must have seen structured quota rejects.
-        assert!(
-            r.quota_rejects > 0,
-            "soak seed {seed} never exercised the quota path"
-        );
-    }
-}
+use sim::run_shard_bench;
 
 #[test]
 fn the_bench_gate_holds_at_small_scale() {

@@ -22,7 +22,7 @@
 #     processes cannot physically out-compute one — every eval
 #     serializes on the same core, so "distributed beats local" is not
 #     measurable here; the virtual-clock scaling suite (BENCH_scale.json,
-#     `simtest --scale`) is the scaling proof. What IS measurable — and
+#     `simtest scale`) is the scaling proof. What IS measurable — and
 #     what regressed in the one-RPC-per-genome days — is dispatch
 #     overhead: distributed must hold >= BENCH_MIN_SINGLECORE_RATIO of
 #     local throughput (the old per-genome dispatch and a 50ms accept
@@ -417,30 +417,6 @@ echo "== bench: wrote $STORE_OUT"
 cat "$STORE_OUT"
 grep -q '"warm_ok":true' "$STORE_OUT" \
   || { echo "bench: warm start needed more evaluations than cold!"; exit 1; }
-
-# ---------------------------------------------------------------------------
-# Sharded control plane: the same backlog of concurrent jobs pushed
-# through the simulated cluster at 1, 4 and 16 shards over one shared
-# worker fleet (runners scale with shards, so the 1-shard point IS the
-# old single-queue daemon). `simtest --shard-bench` measures jobs/sec on
-# the virtual clock plus the p95 scheduling delay (submit -> first
-# runner pickup) per shard count, writes BENCH_shard.json, and exits
-# nonzero unless every job finishes and the 16-shard throughput is at
-# least the single-queue baseline's.
-#
-# Knobs: BENCH_SHARD_JOBS (concurrent jobs per point), BENCH_SHARD_OUT.
-
-SHARD_JOBS=${BENCH_SHARD_JOBS:-16}
-SHARD_OUT=${BENCH_SHARD_OUT:-BENCH_shard.json}
-
-echo "== bench: sharded control plane (1/4/16 shards, ${SHARD_JOBS} concurrent jobs)"
-target/release/simtest --shard-bench --shard-bench-jobs "$SHARD_JOBS" \
-  --out "$SHARD_OUT" \
-  || { echo "bench: sharded throughput fell below the single-queue baseline!"; \
-       cat "$SHARD_OUT"; exit 1; }
-
-echo "== bench: wrote $SHARD_OUT"
-cat "$SHARD_OUT"
 
 # ---------------------------------------------------------------------------
 # Online drift study + calibrated perf gates: `experiments online` runs

@@ -12,12 +12,13 @@
 #      metrics / obs / Prometheus scrape, reload after restart
 #   7. scripts/bench.sh gates: evald 1-local vs 2-worker bit-identity and
 #      throughput, obs overhead, strategy shootout, store warm start,
-#      calibrated perf gates + online drift study, sharded bench
-#   8. sim sweep: seeded fault schedules, mixed-problem, store
-#      crash/recovery and online drift stages, broken-build self-test
-#      (replay a failing seed with scripts/replay.sh <seed>)
-#   9. sim throughput-scaling suite (`simtest --scale`)
-#  10. multi-tenant shard soak (`simtest --shard-seeds`)
+#      calibrated perf gates + online drift study
+#   8. sim sweep, one invocation: the fault, mixed, store, online and
+#      shard scenarios, then the broken-build self-test (replay a
+#      failing seed with the `replay: simtest <scenario> --seed N ...`
+#      line it prints, or scripts/replay.sh <scenario> <seed> [args])
+#   9. sim measurement suites: throughput scaling (`simtest scale`) and
+#      the sharded-control-plane bench (`simtest shard-bench`)
 #
 # The workspace must never need the network: `--offline` everywhere.
 set -euo pipefail
@@ -175,7 +176,7 @@ grep -q '"identical": true' BENCH_evald.json \
 # bench.sh picks the gate by host parallelism: strict beats-local on
 # >= 2 cores, a dispatch-overhead floor on single-core runners (where
 # two worker processes cannot physically out-compute one core and the
-# `simtest --scale` stage below is the scaling proof).
+# `simtest scale` stage below is the scaling proof).
 grep -q '"throughput_ok": true' BENCH_evald.json \
   || { echo "distributed throughput gate failed"; cat BENCH_evald.json; exit 1; }
 if [ "$(nproc)" -ge 2 ]; then
@@ -202,76 +203,52 @@ grep -q '"online_ok":true' BENCH_online.json \
   || { echo "online did not beat the frozen incumbent on enough schedules"; \
        cat BENCH_online.json; exit 1; }
 
-echo "== sim sweep (200 seeded fault schedules on the virtual clock)"
-# Fixed base seed so CI failures reproduce exactly: replay any failing
-# seed it prints with `scripts/replay.sh <seed>`.
-target/release/simtest --seeds "${SIM_SWEEP_SEEDS:-200}" --base-seed 1 \
-  --mixed-seeds "${SIM_MIXED_SEEDS:-8}" \
-  --online-seeds "${SIM_ONLINE_SEEDS:-50}" --out BENCH_sim.json
-grep -q '"failed":0' BENCH_sim.json \
-  || { echo "sim sweep caught failing seeds"; cat BENCH_sim.json; exit 1; }
-# The sweep's mixed-problem stage: per seed, an inline + a flags + a
-# dss job queued on one daemon under the same fault schedule; no job
-# may be lost and every result must bit-match its fault-free tune.
-grep -q '"mixed_failed":0' BENCH_sim.json \
-  || { echo "mixed-problem sweep lost or corrupted jobs"; cat BENCH_sim.json; exit 1; }
-# The sweep's store stage: seeded kill-mid-append crash/recovery
-# scenarios (torn wal tails, compactions straddling the kill); every
-# acknowledged record must survive bit-exactly.
-grep -q '"store_failed":0' BENCH_sim.json \
-  || { echo "store crash/recovery sweep lost acked records"; cat BENCH_sim.json; exit 1; }
-# The sweep's online stage: drifting workloads (step/ramp/cyclic) under
-# the same fault weather; every daemon epoch trajectory — probes,
-# retune decisions, detection latencies, final incumbent bits — must
-# equal the in-process reference runner, with checkpoints loadable at
-# every epoch (failing seeds replay with `simtest --online-seed N`).
-grep -q '"online_failed":0' BENCH_sim.json \
-  || { echo "online drift sweep diverged from the reference runner"; \
-       cat BENCH_sim.json; exit 1; }
-grep -q '"online_retunes":0' BENCH_sim.json \
-  && { echo "online sweep committed no retunes — drift detection inert"; \
-       cat BENCH_sim.json; exit 1; }
+echo "== sim sweep (fault, mixed, store, online and shard scenarios)"
+# One runner, five scenarios (what each derives and checks: DESIGN.md
+# §4.9), every one from base seed 1 so CI failures reproduce exactly:
+# a failing seed prints its broken invariants, its fault trace and a
+# complete `replay: simtest <scenario> --seed N ...` line. The shard
+# soak's headline scale is 1000 virtual clients over a 100-worker fleet
+# per seed; SIM_SHARD_CLIENTS / SIM_SHARD_WORKERS scale it down on slow
+# hosts (the replay line carries whatever scale ran). simtest exits
+# nonzero on any failing seed and also when a green sweep never
+# exercised what it is there for (no frame fault injected, no wal torn,
+# no retune committed, no queue_full ridden); the grep re-checks the
+# artifact so a stale file cannot pass.
+target/release/simtest "fault:${SIM_SWEEP_SEEDS:-200}" \
+  "mixed:${SIM_MIXED_SEEDS:-8}" store:60 "online:${SIM_ONLINE_SEEDS:-50}" \
+  "shard:${SIM_SHARD_SEEDS:-50}" --clients "${SIM_SHARD_CLIENTS:-1000}" \
+  --workers "${SIM_SHARD_WORKERS:-100}" --out BENCH_sim.json \
+  || { echo "sim sweep failed (replay lines above)"; cat BENCH_sim.json; exit 1; }
+grep -q '"failed_total":0' BENCH_sim.json \
+  || { echo "BENCH_sim.json missing the green verdict"; cat BENCH_sim.json; exit 1; }
 # The sweep must prove it has teeth: a build that loses re-dispatched
 # work has to be caught by at least one seed.
-target/release/simtest --broken --seeds 12 --base-seed 9 >/dev/null \
+target/release/simtest fault:12 --base-seed 9 --broken >/dev/null \
   || { echo "broken-build self-test: no seed caught the lost work"; exit 1; }
 
 echo "== sim throughput-scaling suite (virtual workers, batched dispatch)"
 # Fast profile: the 2-worker beats-serial point, the 16-worker
 # efficiency floor, and the three seeded fault variants (lossy links,
 # mid-run crash, unhealed partition) — every run must stay bit-identical
-# and exactly-once. The full 1..50 matrix runs via `simtest --scale`.
-target/release/simtest --scale \
-  --scale-workers "${SIM_SCALE_WORKERS:-2,16}" --out BENCH_scale.json \
+# and exactly-once. The full 1..50 matrix runs via `simtest scale`.
+target/release/simtest scale \
+  --workers "${SIM_SCALE_WORKERS:-2,16}" --out BENCH_scale.json \
   || { echo "throughput-scaling suite failed"; cat BENCH_scale.json; exit 1; }
 grep -q '"scale_ok":true' BENCH_scale.json \
   || { echo "BENCH_scale.json missing the green verdict"; cat BENCH_scale.json; exit 1; }
 
-# The sharded-control-plane bench that bench.sh wrote above: throughput
-# and p95 scheduling delay at 1/4/16 shards over one shared worker
-# fleet; the sharded run must beat the single-queue baseline at 16
-# concurrent jobs (bench.sh already exits nonzero when the gate fails —
-# this re-checks the artifact so a stale file cannot pass).
-grep -q '"shard_bench_ok":true' BENCH_shard.json \
+echo "== sharded control plane bench (1/4/16 shards, 16 concurrent jobs)"
+# The same backlog of concurrent jobs pushed through the simulated
+# cluster at 1, 4 and 16 shards over one shared worker fleet (runners
+# scale with shards, so the 1-shard point IS the old single-queue
+# daemon): jobs/sec on the virtual clock plus the p95 scheduling delay
+# (submit -> first runner pickup) per shard count. Exits nonzero unless
+# every job finishes and the 16-shard throughput is at least the
+# single-queue baseline's.
+target/release/simtest shard-bench --out BENCH_shard.json \
   || { echo "sharded >= single-queue bench gate failed"; cat BENCH_shard.json; exit 1; }
-
-echo "== multi-tenant shard soak (simtest --shard-seeds)"
-# The headline soak: per seed, 1000 virtual clients across four tenants
-# (one quota-capped) submit onto a sharded daemon over a shared
-# 100-worker fleet under crash/restart/partition weather. Invariants per
-# seed: no lost jobs, structured busy/quota rejects only, no tenant
-# starved, quotas never overdrawn, every result bit-identical to its
-# fault-free single-shard tune. Scale knobs for slow hosts:
-# SIM_SHARD_SEEDS / SIM_SHARD_CLIENTS / SIM_SHARD_WORKERS.
-target/release/simtest --seeds 0 --mixed-seeds 0 --store-seeds 0 \
-  --base-seed 1 --shard-seeds "${SIM_SHARD_SEEDS:-50}" \
-  --shard-clients "${SIM_SHARD_CLIENTS:-1000}" \
-  --shard-workers "${SIM_SHARD_WORKERS:-100}" \
-  --out BENCH_shard_soak.json \
-  || { echo "shard soak caught failing seeds (replay: simtest --shard-seed N)"; \
-       cat BENCH_shard_soak.json; exit 1; }
-grep -q '"shard_failed":0' BENCH_shard_soak.json \
-  || { echo "BENCH_shard_soak.json missing the green verdict"; \
-       cat BENCH_shard_soak.json; exit 1; }
+grep -q '"shard_bench_ok":true' BENCH_shard.json \
+  || { echo "BENCH_shard.json missing the green verdict"; cat BENCH_shard.json; exit 1; }
 
 echo "== CI OK"
