@@ -24,7 +24,7 @@
 //! one worker serves `inline`, `flags` and `dss` evals side by side.
 
 use std::io::{BufReader, BufWriter};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -49,19 +49,6 @@ const READ_TIMEOUT: Duration = Duration::from_secs(30);
 /// Poll interval of the accept loop.
 const POLL: Duration = Duration::from_millis(50);
 
-/// The worker's own counters (served by its `metrics` verb).
-#[derive(Debug, Default)]
-pub struct WorkerCounters {
-    /// Connections accepted.
-    pub connections: AtomicU64,
-    /// Eval requests answered.
-    pub evals: AtomicU64,
-    /// Connections dropped by chaos injection.
-    pub chaos_drops: AtomicU64,
-    /// Frames answered with an error envelope.
-    pub protocol_errors: AtomicU64,
-}
-
 /// The eval worker server. Owns the listener; serves until `shutdown`
 /// arrives or the stop flag is raised.
 pub struct EvalWorker {
@@ -69,7 +56,6 @@ pub struct EvalWorker {
     listener: Box<dyn NetListener>,
     cache: Arc<ProblemCache>,
     chaos: Arc<Chaos>,
-    counters: Arc<WorkerCounters>,
     obs: Arc<obs::Registry>,
     store: Option<Arc<StoreClient>>,
     stop: Arc<AtomicBool>,
@@ -77,7 +63,9 @@ pub struct EvalWorker {
 
 impl EvalWorker {
     /// Binds to `addr` over real TCP (use port 0 for an OS-assigned
-    /// port). Records into the process-wide [`obs::global`] registry.
+    /// port). Records into the process-wide [`obs::global`] registry —
+    /// which is also what its `metrics` verb reads, so workers sharing a
+    /// process share those totals.
     ///
     /// # Errors
     /// Propagates bind errors.
@@ -118,7 +106,6 @@ impl EvalWorker {
             listener,
             cache: Arc::new(ProblemCache::new()),
             chaos: Arc::new(chaos),
-            counters: Arc::new(WorkerCounters::default()),
             obs,
             store: None,
             stop: Arc::new(AtomicBool::new(false)),
@@ -146,12 +133,6 @@ impl EvalWorker {
         Arc::clone(&self.stop)
     }
 
-    /// The worker's counters.
-    #[must_use]
-    pub fn counters(&self) -> Arc<WorkerCounters> {
-        Arc::clone(&self.counters)
-    }
-
     /// Accepts and serves connections until stopped. Connection threads
     /// are detached and die with their sockets.
     ///
@@ -161,11 +142,9 @@ impl EvalWorker {
         while !self.stop.load(Ordering::SeqCst) {
             match self.listener.accept(POLL) {
                 Ok(Some(stream)) => {
-                    served::Metrics::bump(&self.counters.connections);
                     self.obs.counter("evald_connections").inc();
                     let cache = Arc::clone(&self.cache);
                     let chaos = Arc::clone(&self.chaos);
-                    let counters = Arc::clone(&self.counters);
                     let reg = Arc::clone(&self.obs);
                     let stop = Arc::clone(&self.stop);
                     let transport = Arc::clone(&self.transport);
@@ -178,7 +157,6 @@ impl EvalWorker {
                                     stream,
                                     &cache,
                                     &chaos,
-                                    &counters,
                                     &reg,
                                     &stop,
                                     &transport,
@@ -194,12 +172,10 @@ impl EvalWorker {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn serve_connection(
     stream: Box<dyn NetStream>,
     cache: &ProblemCache,
     chaos: &Chaos,
-    counters: &WorkerCounters,
     reg: &obs::Registry,
     stop: &AtomicBool,
     transport: &Arc<dyn Transport>,
@@ -224,8 +200,10 @@ fn serve_connection(
             Frame::Line(line) => line,
             Frame::Eof => return,
             Frame::Oversized => {
-                served::Metrics::bump(&counters.protocol_errors);
-                let _ = write_frame(&mut writer, &err("frame exceeds 1 MiB; closing"));
+                let _ = write_frame(
+                    &mut writer,
+                    &protocol_err(reg, "frame exceeds 1 MiB; closing"),
+                );
                 return;
             }
             Frame::Err(_) => return, // idle timeout or broken pipe
@@ -258,70 +236,49 @@ fn serve_connection(
                         Err(e) => err(e),
                     },
                 },
-                "eval" => match eval(
-                    &body,
-                    task.as_ref(),
-                    chaos,
-                    counters,
-                    reg,
-                    &**transport,
-                    store,
-                ) {
+                "eval" => match eval(&body, task.as_ref(), chaos, reg, &**transport, store) {
                     Ok(v) => v,
                     Err(Dropped) => return, // chaos: die without replying
                 },
-                "eval_batch" => match eval_batch(
-                    &body,
-                    task.as_ref(),
-                    chaos,
-                    counters,
-                    reg,
-                    &**transport,
-                    store,
-                ) {
-                    Ok(v) => v,
-                    Err(Dropped) => return, // chaos: die mid-batch, no reply
-                },
-                "metrics" => ok_with(vec![(
-                    "metrics",
-                    Json::obj(vec![
-                        (
-                            "connections",
-                            Json::Int(counters.connections.load(Ordering::Relaxed) as i64),
-                        ),
-                        (
-                            "evals",
-                            Json::Int(counters.evals.load(Ordering::Relaxed) as i64),
-                        ),
-                        (
-                            "chaos_drops",
-                            Json::Int(counters.chaos_drops.load(Ordering::Relaxed) as i64),
-                        ),
-                        (
-                            "protocol_errors",
-                            Json::Int(counters.protocol_errors.load(Ordering::Relaxed) as i64),
-                        ),
-                    ]),
-                )]),
+                "eval_batch" => {
+                    match eval_batch(&body, task.as_ref(), chaos, reg, &**transport, store) {
+                        Ok(v) => v,
+                        Err(Dropped) => return, // chaos: die mid-batch, no reply
+                    }
+                }
+                "metrics" => {
+                    // A view: each key reads the counter its events bump.
+                    let count = |name: &str| Json::Int(reg.counter_value(name) as i64);
+                    ok_with(vec![(
+                        "metrics",
+                        Json::obj(vec![
+                            ("connections", count("evald_connections")),
+                            ("evals", count("evald_evals")),
+                            ("chaos_drops", count("evald_chaos_drops")),
+                            ("protocol_errors", count("evald_protocol_errors")),
+                        ]),
+                    )])
+                }
                 "shutdown" => {
                     let _ = write_frame(&mut writer, &ok_with(vec![]));
                     stop.store(true, Ordering::SeqCst);
                     return;
                 }
-                other => {
-                    served::Metrics::bump(&counters.protocol_errors);
-                    err(format!("unknown cmd '{other}'"))
-                }
+                other => protocol_err(reg, format!("unknown cmd '{other}'")),
             },
-            Err(e) => {
-                served::Metrics::bump(&counters.protocol_errors);
-                err(e)
-            }
+            Err(e) => protocol_err(reg, e),
         };
         if write_frame(&mut writer, &response).is_err() {
             return;
         }
     }
+}
+
+/// An error envelope for a frame the worker could not act on, counted
+/// as a protocol error.
+fn protocol_err(reg: &obs::Registry, message: impl Into<String>) -> Json {
+    reg.counter("evald_protocol_errors").inc();
+    err(message)
 }
 
 /// Marker: chaos decided this connection dies without a reply.
@@ -331,35 +288,31 @@ struct Dropped;
 /// problem's space *before* evaluating — a remote peer must never be
 /// able to panic the worker (problem decoders may assert on arity), and
 /// an out-of-space genome would poison the shared fitness store.
-#[allow(clippy::too_many_arguments)]
 fn eval(
     body: &Json,
     task: Option<&(Arc<dyn Problem>, JobSpec)>,
     chaos: &Chaos,
-    counters: &WorkerCounters,
     reg: &obs::Registry,
     transport: &dyn Transport,
     store: Option<&StoreClient>,
 ) -> Result<Json, Dropped> {
     let Some((problem, spec)) = task else {
-        served::Metrics::bump(&counters.protocol_errors);
-        return Ok(err("no task set on this connection (send 'task' first)"));
+        return Ok(protocol_err(
+            reg,
+            "no task set on this connection (send 'task' first)",
+        ));
     };
     let Some(id) = body.get("id").and_then(Json::as_usize) else {
-        served::Metrics::bump(&counters.protocol_errors);
-        return Ok(err("eval needs a numeric 'id'"));
+        return Ok(protocol_err(reg, "eval needs a numeric 'id'"));
     };
     let genes: Option<Vec<i64>> = body
         .get("genes")
         .and_then(Json::as_arr)
         .and_then(|items| items.iter().map(Json::as_i64).collect());
     let Some(genes) = genes else {
-        served::Metrics::bump(&counters.protocol_errors);
-        return Ok(err("eval needs an integer 'genes' array"));
+        return Ok(protocol_err(reg, "eval needs an integer 'genes' array"));
     };
-    match measure(
-        &genes, problem, spec, chaos, counters, reg, transport, store,
-    )? {
+    match measure(&genes, problem, spec, chaos, reg, transport, store)? {
         Ok(fitness) => Ok(ok_with(vec![
             ("id", Json::Int(id as i64)),
             ("fitness", f64_to_json(fitness)),
@@ -375,32 +328,29 @@ fn eval(
 /// the connection mid-batch without a reply, exactly like the
 /// single-eval verb, so the dispatcher re-dispatches the whole
 /// unanswered remainder.
-#[allow(clippy::too_many_arguments)]
 fn eval_batch(
     body: &Json,
     task: Option<&(Arc<dyn Problem>, JobSpec)>,
     chaos: &Chaos,
-    counters: &WorkerCounters,
     reg: &obs::Registry,
     transport: &dyn Transport,
     store: Option<&StoreClient>,
 ) -> Result<Json, Dropped> {
     let Some((problem, spec)) = task else {
-        served::Metrics::bump(&counters.protocol_errors);
-        return Ok(err("no task set on this connection (send 'task' first)"));
+        return Ok(protocol_err(
+            reg,
+            "no task set on this connection (send 'task' first)",
+        ));
     };
     let (batch_id, evals) = match parse_eval_batch_request(body) {
         Ok(parsed) => parsed,
         Err(e) => {
-            served::Metrics::bump(&counters.protocol_errors);
-            return Ok(err(e));
+            return Ok(protocol_err(reg, e));
         }
     };
     let mut results = Vec::with_capacity(evals.len());
     for req in &evals {
-        let outcome = match measure(
-            &req.genes, problem, spec, chaos, counters, reg, transport, store,
-        )? {
+        let outcome = match measure(&req.genes, problem, spec, chaos, reg, transport, store)? {
             Ok(fitness) => EvalOutcome::Fitness(fitness),
             Err(e) => EvalOutcome::Error(e),
         };
@@ -414,26 +364,23 @@ fn eval_batch(
 /// read-through/write-behind, and the busy-bracketed fitness call —
 /// shared verbatim by the `eval` and `eval_batch` verbs so both speak
 /// the identical pure measurement path.
-#[allow(clippy::too_many_arguments)]
 fn measure(
     genes: &[i64],
     problem: &Arc<dyn Problem>,
     spec: &JobSpec,
     chaos: &Chaos,
-    counters: &WorkerCounters,
     reg: &obs::Registry,
     transport: &dyn Transport,
     store: Option<&StoreClient>,
 ) -> Result<Result<f64, String>, Dropped> {
     if !problem.space().contains(genes) {
-        served::Metrics::bump(&counters.protocol_errors);
+        reg.counter("evald_protocol_errors").inc();
         return Ok(Err(format!(
             "genes {genes:?} outside problem '{}'s space",
             problem.id()
         )));
     }
     if chaos.should_drop() {
-        served::Metrics::bump(&counters.chaos_drops);
         reg.counter("evald_chaos_drops").inc();
         return Err(Dropped);
     }
@@ -443,7 +390,6 @@ fn measure(
     // run, and a stored fitness is bit-identical to a fresh one.
     if let Some(hit) = store.and_then(|s| s.get(spec, genes)) {
         reg.counter("evald_store_hits").inc();
-        served::Metrics::bump(&counters.evals);
         reg.counter("evald_evals").inc();
         return Ok(Ok(hit));
     }
@@ -463,7 +409,6 @@ fn measure(
     if let Some(s) = store {
         s.put(spec, genes, fitness);
     }
-    served::Metrics::bump(&counters.evals);
     reg.counter("evald_evals").inc();
     Ok(Ok(fitness))
 }
@@ -814,14 +759,27 @@ mod tests {
 
     #[test]
     fn metrics_and_shutdown_verbs_work() {
-        let (addr, _stop) = start_worker(Chaos::inert());
+        // A registry of its own: the verb reads the worker's registry,
+        // and the global one is shared with every other test's worker.
+        let worker = EvalWorker::bind_with_obs(
+            "127.0.0.1:0",
+            Chaos::inert(),
+            Arc::new(obs::Registry::new()),
+        )
+        .unwrap();
+        let addr = worker.local_addr();
+        std::thread::spawn(move || worker.serve().unwrap());
         let mut conn = TestConn::open(&addr);
         conn.roundtrip(&task_frame());
         let genes = InlineParams::jikes_default().to_genes();
         conn.roundtrip(&eval_frame(0, &genes));
         let m = conn.roundtrip(&Json::obj(vec![("cmd", Json::Str("metrics".into()))]));
         assert_eq!(m.get("ok"), Some(&Json::Bool(true)));
-        assert_eq!(m.get("metrics").unwrap().get("evals"), Some(&Json::Int(1)));
+        let verb = m.get("metrics").unwrap();
+        assert_eq!(verb.get("evals"), Some(&Json::Int(1)));
+        assert_eq!(verb.get("connections"), Some(&Json::Int(1)));
+        assert_eq!(verb.get("chaos_drops"), Some(&Json::Int(0)));
+        assert_eq!(verb.get("protocol_errors"), Some(&Json::Int(0)));
         let down = conn.roundtrip(&Json::obj(vec![("cmd", Json::Str("shutdown".into()))]));
         assert_eq!(down.get("ok"), Some(&Json::Bool(true)));
         // The accept loop winds down; a new connect may linger in the

@@ -183,6 +183,10 @@ fn two_worker_job_is_bit_identical_to_single_process() {
             workers: 1,
             eval_workers: vec![w1.addr.clone(), w2.addr.clone()],
             dispatch: fast_dispatch(),
+            // The exact totals below are this daemon's alone only on a
+            // registry of its own; the default is shared process-wide
+            // with the chaos and kill tests' daemons.
+            obs: std::sync::Arc::new(obs::Registry::new()),
             ..DaemonConfig::default()
         },
         RunDir::open(&dir).unwrap(),

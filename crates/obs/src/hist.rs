@@ -154,7 +154,8 @@ impl HistSnapshot {
                 .map(|(a, b)| a + b)
                 .collect(),
             total: self.total + other.total,
-            sum: self.sum + other.sum,
+            // `record` accumulates the sum with a wrapping atomic add.
+            sum: self.sum.wrapping_add(other.sum),
             max: self.max.max(other.max),
         }
     }

@@ -169,6 +169,16 @@ impl Registry {
         Arc::clone(map.entry(name.to_string()).or_default())
     }
 
+    /// The current value of the counter named `name`, 0 if nothing has
+    /// recorded under that name. Unlike [`Registry::counter`], a read
+    /// never creates the series — typed views over the registry use it
+    /// so that looking at a number does not add a line to the scrape.
+    #[must_use]
+    pub fn counter_value(&self, name: &str) -> u64 {
+        let map = self.counters.lock().expect("counter map poisoned");
+        map.get(name).map_or(0, |c| c.get())
+    }
+
     /// The gauge named `name`, created on first use.
     #[must_use]
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {

@@ -1,14 +1,7 @@
-//! Property tests for histogram invariants.
-//!
-//! Gated behind the bare `proptest` cargo feature because the
-//! `proptest` crate is not vendored (this workspace builds offline with
-//! zero external dependencies). To run:
-//!
-//! ```text
-//! # on a networked machine:
-//! #   add `proptest = "1"` under [dev-dependencies] in crates/obs/Cargo.toml
-//! cargo test -p inlinetune-obs --features proptest
-//! ```
+//! Property tests for histogram invariants, as seeded case loops: plain
+//! `cargo test`, no external generator crate. Each case draws from its
+//! own `child_rng(SEED, "<property>/<case>")` stream, so a failure names
+//! a case that replays alone.
 //!
 //! Invariants under test:
 //!
@@ -18,10 +11,51 @@
 //! * quantiles are bracketed by the observed extremes;
 //! * `merged(a, b)` equals recording the concatenated sample stream.
 
-#![cfg(feature = "proptest")]
+#![cfg(not(feature = "off"))]
 
 use obs::{Histogram, NUM_BUCKETS};
-use proptest::prelude::*;
+use simrng::Rng;
+
+const SEED: u64 = 0x9e37_79b9;
+const CASES: usize = 256;
+
+/// Runs `body` once per case on that case's own random stream, naming
+/// the case if it panics.
+fn cases(property: &str, mut body: impl FnMut(&mut Rng)) {
+    struct Case<'a>(&'a str, usize);
+    impl Drop for Case<'_> {
+        fn drop(&mut self) {
+            if std::thread::panicking() {
+                eprintln!(
+                    "property '{}' failed at case {} (seed {SEED:#x})",
+                    self.0, self.1
+                );
+            }
+        }
+    }
+    for case in 0..CASES {
+        let _guard = Case(property, case);
+        body(&mut simrng::child_rng(SEED, &format!("{property}/{case}")));
+    }
+}
+
+/// `lo..=hi` samples of every magnitude (so every bucket, the overflow
+/// bucket included, gets traffic), with the extremes over-represented.
+fn any_samples(rng: &mut Rng, lo: usize, hi: usize) -> Vec<u64> {
+    (0..rng.range_usize(lo, hi))
+        .map(|_| {
+            let any = rng.next_u64() >> rng.below(64);
+            *rng.choose(&[0, any, any, any, u64::MAX])
+        })
+        .collect()
+}
+
+/// `lo..=hi` samples inside the finite buckets' range.
+fn latency_samples(rng: &mut Rng, lo: usize, hi: usize) -> Vec<u64> {
+    (0..rng.range_usize(lo, hi))
+        .map(|_| rng.below(100_000_000))
+        .collect()
+}
 
 fn record_all(samples: &[u64]) -> obs::HistSnapshot {
     let h = Histogram::default();
@@ -31,53 +65,55 @@ fn record_all(samples: &[u64]) -> obs::HistSnapshot {
     h.snapshot()
 }
 
-proptest! {
-    #[test]
-    fn bucket_counts_sum_to_total(samples in proptest::collection::vec(any::<u64>(), 0..200)) {
+#[test]
+fn bucket_counts_sum_to_total() {
+    cases("bucket_counts_sum_to_total", |rng| {
+        let samples = any_samples(rng, 0, 199);
         let snap = record_all(&samples);
-        prop_assert_eq!(snap.counts.len(), NUM_BUCKETS);
-        prop_assert_eq!(snap.counts.iter().sum::<u64>(), samples.len() as u64);
-        prop_assert_eq!(snap.total, samples.len() as u64);
-    }
+        assert_eq!(snap.counts.len(), NUM_BUCKETS);
+        assert_eq!(snap.counts.iter().sum::<u64>(), samples.len() as u64);
+        assert_eq!(snap.total, samples.len() as u64);
+    });
+}
 
-    #[test]
-    fn quantiles_are_monotone_in_rank(
-        samples in proptest::collection::vec(0u64..100_000_000, 1..200),
-        qa in 0.0f64..=1.0,
-        qb in 0.0f64..=1.0,
-    ) {
+#[test]
+fn quantiles_are_monotone_in_rank() {
+    cases("quantiles_are_monotone_in_rank", |rng| {
+        let snap = record_all(&latency_samples(rng, 1, 199));
+        let (qa, qb) = (rng.f64(), rng.f64());
         let (lo, hi) = if qa <= qb { (qa, qb) } else { (qb, qa) };
-        let snap = record_all(&samples);
-        prop_assert!(snap.quantile(lo) <= snap.quantile(hi));
-    }
+        assert!(snap.quantile(lo) <= snap.quantile(hi));
+        assert!(snap.quantile(0.0) <= snap.quantile(lo));
+        assert!(snap.quantile(hi) <= snap.quantile(1.0));
+    });
+}
 
-    #[test]
-    fn quantiles_are_bracketed_by_observed_extremes(
-        samples in proptest::collection::vec(0u64..100_000_000, 1..200),
-        q in 0.0f64..=1.0,
-    ) {
+#[test]
+fn quantiles_are_bracketed_by_observed_extremes() {
+    cases("quantiles_are_bracketed_by_observed_extremes", |rng| {
+        let samples = latency_samples(rng, 1, 199);
         let snap = record_all(&samples);
         let max = *samples.iter().max().unwrap();
         // A bucket quantile reports the bucket's upper bound (or the
         // observed max for the overflow bucket), so it never exceeds the
         // max's own bucket bound and never reports above the true max
         // for the overflow case.
-        prop_assert!(snap.quantile(q) <= snap.quantile(1.0));
-        prop_assert!(snap.quantile(1.0) >= max.min(snap.max));
-        prop_assert_eq!(snap.max, max);
-    }
+        assert!(snap.quantile(rng.f64()) <= snap.quantile(1.0));
+        assert!(snap.quantile(1.0) >= max.min(snap.max));
+        assert_eq!(snap.max, max);
+    });
+}
 
-    #[test]
-    fn merge_equals_recording_the_union(
-        a in proptest::collection::vec(any::<u64>(), 0..100),
-        b in proptest::collection::vec(any::<u64>(), 0..100),
-    ) {
+#[test]
+fn merge_equals_recording_the_union() {
+    cases("merge_equals_recording_the_union", |rng| {
+        let a = any_samples(rng, 0, 99);
+        let b = any_samples(rng, 0, 99);
         let merged = record_all(&a).merged(&record_all(&b));
         let mut union = a.clone();
         union.extend_from_slice(&b);
-        let direct = record_all(&union);
-        // Sums may wrap identically on both sides (wrapping add), so
+        // Sums wrap identically on both sides (wrapping add), so
         // whole-snapshot equality is the right comparison.
-        prop_assert_eq!(merged, direct);
-    }
+        assert_eq!(merged, record_all(&union));
+    });
 }

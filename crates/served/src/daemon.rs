@@ -24,7 +24,7 @@ use crate::checkpoint::RunDir;
 use crate::dispatch::{DispatchConfig, RemoteEvaluator, WorkerPool};
 use crate::fitstore::StoreTier;
 use crate::job::{JobSpec, JobState};
-use crate::metrics::{JobGauges, Metrics, MetricsSnapshot};
+use crate::metrics::{JobGauges, MetricsSnapshot};
 use crate::net::{TcpTransport, Transport};
 
 /// Daemon tunables.
@@ -63,9 +63,12 @@ pub struct DaemonConfig {
     pub eval_workers: Vec<String>,
     /// Remote-dispatch tunables.
     pub dispatch: DispatchConfig,
-    /// The observability registry jobs and the dispatch layer record
-    /// into. Defaults to the shared process registry (wall clock); tests
-    /// inject one built on an `obs::ManualClock`.
+    /// The observability registry the daemon, its jobs and the dispatch
+    /// layer record into — the one store behind the `metrics` verb, the
+    /// `obs` verb and the `/metrics` scrape. Defaults to the shared
+    /// process registry (wall clock), which every default-configured
+    /// daemon in the process adds into; to read totals from zero, inject
+    /// a fresh one (tests build theirs on an `obs::ManualClock`).
     pub obs: Arc<obs::Registry>,
     /// The network + clock the dispatch tier runs on. Defaults to real
     /// TCP; the simulation harness injects a `sim::SimTransport`.
@@ -239,7 +242,9 @@ struct Inner {
     run_dir: RunDir,
     jobs: Mutex<JobTable>,
     queue_cv: Condvar,
-    metrics: Arc<Metrics>,
+    /// The registry clock's reading at `Daemon::start`; uptime is the
+    /// same clock's distance from it.
+    started_micros: u64,
     shutdown: AtomicBool,
     budget: ThreadBudget,
     pool: Arc<WorkerPool>,
@@ -251,12 +256,23 @@ impl Inner {
         self.config.transport.now_micros()
     }
 
-    fn set_depth_gauge(&self, shard: usize, depth: usize) {
-        let s = shard.to_string();
+    /// Adds `n` to the registry counter `name`.
+    fn count(&self, name: &str, n: u64) {
+        self.config.obs.counter(name).add(n);
+    }
+
+    /// Sets the registry gauge `family{key="value"}` to `v` (clamped
+    /// into the gauge's signed range).
+    fn set_gauge(&self, family: &str, key: &str, value: &str, v: u64) {
         self.config
             .obs
-            .gauge(&obs::labeled("shard_queue_depth", &[("shard", &s)]))
-            .set(depth as i64);
+            .gauge(&obs::labeled(family, &[(key, value)]))
+            .set(v.min(i64::MAX as u64) as i64);
+    }
+
+    fn set_depth_gauge(&self, shard: usize, depth: usize) {
+        let s = shard.to_string();
+        self.set_gauge("shard_queue_depth", "shard", &s, depth as u64);
     }
 
     /// Per-tenant budget gauges — the obs mirror of the accountant's
@@ -266,17 +282,8 @@ impl Inner {
         let Some(u) = table.accountant.usage_of(tenant) else {
             return;
         };
-        self.config
-            .obs
-            .gauge(&obs::labeled("tenant_evals_used", &[("tenant", tenant)]))
-            .set(u.used.min(i64::MAX as u64) as i64);
-        self.config
-            .obs
-            .gauge(&obs::labeled(
-                "tenant_evals_reserved",
-                &[("tenant", tenant)],
-            ))
-            .set(u.reserved.min(i64::MAX as u64) as i64);
+        self.set_gauge("tenant_evals_used", "tenant", tenant, u.used);
+        self.set_gauge("tenant_evals_reserved", "tenant", tenant, u.reserved);
     }
 }
 
@@ -313,7 +320,7 @@ impl Daemon {
                 next_id: 1,
             }),
             queue_cv: Condvar::new(),
-            metrics: Arc::new(Metrics::new()),
+            started_micros: config.obs.now_micros(),
             shutdown: AtomicBool::new(false),
             budget: ThreadBudget::new(config.eval_threads),
             pool: {
@@ -337,6 +344,9 @@ impl Daemon {
             workers: Arc::new(Mutex::new(Vec::new())),
         };
         daemon.recover()?;
+        // The first reading creates every daemon counter and job gauge,
+        // so a scrape lists them all from the start, zeros included.
+        let _ = daemon.metrics_snapshot();
         // At least one runner per shard: shards are the unit of job
         // concurrency, so a 16-shard daemon runs 16 jobs even when
         // `workers` is lower.
@@ -439,7 +449,7 @@ impl Daemon {
                 table.queues[home].enqueue(&tenant, id, cost);
                 inner.set_depth_gauge(home, table.queues[home].len());
                 inner.set_tenant_gauges(&table, &tenant);
-                Metrics::bump(&inner.metrics.jobs_recovered);
+                inner.count("tuned_jobs_recovered_total", 1);
             }
             table.next_id = table.next_id.max(id + 1);
         }
@@ -478,7 +488,7 @@ impl Daemon {
         // what recovery will later derive from the id alone.
         let home = shard_of(table.next_id, inner.config.shards);
         if table.queues[home].len() >= inner.config.queue_capacity {
-            Metrics::bump(&inner.metrics.busy_rejects);
+            inner.count("tuned_busy_rejects_total", 1);
             return Err(SubmitError::Rejected(Reject::new(
                 RejectKind::QueueFull,
                 format!(
@@ -490,7 +500,7 @@ impl Daemon {
         let cost = spec.eval_estimate();
         let tenant = spec.tenant.clone();
         if let Err(reject) = table.accountant.admit(&tenant, cost) {
-            Metrics::bump(&inner.metrics.quota_rejects);
+            inner.count("tuned_quota_rejects_total", 1);
             return Err(SubmitError::Rejected(reject));
         }
         let id = table.next_id;
@@ -525,7 +535,7 @@ impl Daemon {
         inner.set_depth_gauge(home, table.queues[home].len());
         inner.set_tenant_gauges(&table, &tenant);
         drop(table);
-        Metrics::bump(&inner.metrics.jobs_submitted);
+        inner.count("tuned_jobs_submitted_total", 1);
         inner.queue_cv.notify_one();
         Ok(id)
     }
@@ -582,9 +592,10 @@ impl Daemon {
         Ok(was)
     }
 
-    /// A point-in-time metrics reading (counters + job-table gauges).
-    #[must_use]
-    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
+    /// Job counts by state, from the job table — and, as a side effect,
+    /// published as the `tuned_jobs{state=…}` registry gauges, so every
+    /// reader of the registry sees the counts this reader saw.
+    fn job_gauges(&self) -> JobGauges {
         let mut gauges = JobGauges::default();
         {
             let table = self.inner.jobs.lock().expect("job table poisoned");
@@ -598,21 +609,43 @@ impl Daemon {
                 }
             }
         }
-        self.inner.metrics.snapshot(gauges)
+        for (state, n) in [
+            ("queued", gauges.queued),
+            ("running", gauges.running),
+            ("done", gauges.done),
+            ("failed", gauges.failed),
+            ("canceled", gauges.canceled),
+        ] {
+            self.inner.set_gauge("tuned_jobs", "state", state, n);
+        }
+        gauges
     }
 
-    /// The daemon's counter set (for the protocol layer to bump
-    /// connection/error counters).
+    /// A point-in-time metrics reading: the daemon's counters as the
+    /// registry holds them, the job-table gauges, and uptime on the
+    /// registry's clock.
     #[must_use]
-    pub fn metrics(&self) -> &Metrics {
-        self.inner.metrics.as_ref()
+    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
+        let reg = self.obs();
+        let uptime = reg.now_micros().saturating_sub(self.inner.started_micros);
+        MetricsSnapshot::read(reg, self.job_gauges(), uptime)
     }
 
-    /// The observability registry (for the `obs` verb and the `/metrics`
-    /// exposition endpoint).
+    /// The observability registry: where the daemon, its jobs and its
+    /// worker pool record, and where the protocol layer counts
+    /// connections and protocol errors.
     #[must_use]
     pub fn obs(&self) -> &Arc<obs::Registry> {
         &self.inner.config.obs
+    }
+
+    /// A copy of the whole registry with the job-table gauges brought
+    /// up to date first (the body of the `obs` verb and of the
+    /// `/metrics` scrape).
+    #[must_use]
+    pub fn obs_snapshot(&self) -> obs::RegistrySnapshot {
+        self.job_gauges();
+        self.obs().snapshot()
     }
 
     /// The remote-evaluator worker pool (for the `register` / `heartbeat`
@@ -620,7 +653,7 @@ impl Daemon {
     /// before returning so callers always see current health.
     #[must_use]
     pub fn pool(&self) -> &WorkerPool {
-        self.inner.pool.sweep_stale(&self.inner.metrics);
+        self.inner.pool.sweep_stale();
         self.inner.pool.as_ref()
     }
 
@@ -839,11 +872,7 @@ fn run_job(
                 let seeds = store.warm_seeds(problem.fingerprint(), fresh.config().pop_size);
                 let planted = fresh.seed_population(&seeds);
                 if planted > 0 {
-                    inner
-                        .config
-                        .obs
-                        .counter("store_warm_seeds")
-                        .add(planted as u64);
+                    inner.count("store_warm_seeds", planted as u64);
                 }
             }
             fresh
@@ -872,7 +901,7 @@ fn run_job(
         if inner.shutdown.load(Ordering::SeqCst) {
             if checkpoint_lags {
                 inner.run_dir.save_checkpoint(id, &strategy.snapshot())?;
-                Metrics::bump(&inner.metrics.checkpoints_written);
+                inner.count("tuned_checkpoints_written_total", 1);
             }
             // Leave the job Queued on disk and in the table so the next
             // process resumes it from the checkpoint just written.
@@ -898,7 +927,7 @@ fn run_job(
             // never wait on local disk I/O.
             search::round(strategy.as_mut(), &tiers.remote, |s| {
                 match inner.run_dir.save_checkpoint(id, &s.snapshot()) {
-                    Ok(()) => Metrics::bump(&inner.metrics.checkpoints_written),
+                    Ok(()) => inner.count("tuned_checkpoints_written_total", 1),
                     Err(e) => deferred_save_err = Some(e),
                 }
             })
@@ -911,52 +940,20 @@ fn run_job(
         if let Some(e) = deferred_save_err {
             return Err(e);
         }
-        Metrics::bump(&inner.metrics.generations);
-        Metrics::add(
-            &inner.metrics.evaluations,
+        book_round(
+            inner,
+            id,
+            spec,
+            shard_idx,
             (strategy.evaluations() - evals_before) as u64,
-        );
-        Metrics::add(
-            &inner.metrics.cache_hits,
             (strategy.cache_hits() - hits_before) as u64,
         );
-
-        // Draw this round's fresh evaluations down from the tenant's
-        // reservation. Cache hits stay free — they consume no worker
-        // time — which is why `used` can finish under the admission
-        // estimate and the leftover gets settled back at job end.
-        let evals_delta = (strategy.evaluations() - evals_before) as u64;
-        if evals_delta > 0 {
-            {
-                let mut table = inner.jobs.lock().expect("job table poisoned");
-                table.accountant.charge(&spec.tenant, evals_delta);
-                if let Some(e) = table.jobs.get_mut(&id) {
-                    e.reserved = e.reserved.saturating_sub(evals_delta);
-                }
-                inner.set_tenant_gauges(&table, &spec.tenant);
-            }
-            let s = shard_idx.to_string();
-            inner
-                .config
-                .obs
-                .counter(&obs::labeled("shard_evals", &[("shard", &s)]))
-                .add(evals_delta);
-            if inner.config.store.is_some() {
-                // Each fresh score is one write-behind append keyed by
-                // this shard, so the same delta counts both.
-                inner
-                    .config
-                    .obs
-                    .counter(&obs::labeled("shard_store_writes", &[("shard", &s)]))
-                    .add(evals_delta);
-            }
-        }
 
         if use_remote && !done {
             checkpoint_lags = true;
         } else {
             inner.run_dir.save_checkpoint(id, &strategy.snapshot())?;
-            Metrics::bump(&inner.metrics.checkpoints_written);
+            inner.count("tuned_checkpoints_written_total", 1);
             checkpoint_lags = false;
         }
 
@@ -984,6 +981,46 @@ fn run_job(
             }
             return Ok(());
         }
+    }
+}
+
+/// Books one committed round — an offline job's search round, an online
+/// job's epoch — into the daemon's counters and the tenant's budget: the
+/// one place a job's work is counted. `evals` are fresh evaluations,
+/// `cache_hits` the lookups the strategy's memo answered instead.
+///
+/// Fresh evaluations are drawn down from the tenant's reservation.
+/// Cache hits stay free — they consume no worker time — which is why
+/// `used` can finish under the admission estimate and the leftover gets
+/// settled back at job end.
+fn book_round(
+    inner: &Inner,
+    id: u64,
+    spec: &JobSpec,
+    shard_idx: usize,
+    evals: u64,
+    cache_hits: u64,
+) {
+    inner.count("tuned_generations_total", 1);
+    inner.count("tuned_evaluations_total", evals);
+    inner.count("tuned_cache_hits_total", cache_hits);
+    if evals == 0 {
+        return;
+    }
+    {
+        let mut table = inner.jobs.lock().expect("job table poisoned");
+        table.accountant.charge(&spec.tenant, evals);
+        if let Some(e) = table.jobs.get_mut(&id) {
+            e.reserved = e.reserved.saturating_sub(evals);
+        }
+        inner.set_tenant_gauges(&table, &spec.tenant);
+    }
+    let s = shard_idx.to_string();
+    inner.count(&obs::labeled("shard_evals", &[("shard", &s)]), evals);
+    if inner.config.store.is_some() {
+        // Each fresh score is one write-behind append keyed by this
+        // shard, so the same delta counts both.
+        inner.count(&obs::labeled("shard_store_writes", &[("shard", &s)]), evals);
     }
 }
 
@@ -1072,9 +1109,10 @@ fn run_online_job(
         };
 
         let evals_before = st.evals();
+        let mut cache_hits = 0;
         let mut regret_pct = 0.0;
         if st.needs_initial_tune() {
-            let Some((genes, fitness, evals)) = online_tune(
+            let Some((genes, fitness, evals, hits)) = online_tune(
                 inner,
                 &phase_spec,
                 &problem,
@@ -1087,6 +1125,7 @@ fn run_online_job(
                 return interrupt(&st);
             };
             st.note_evals(evals);
+            cache_hits += hits;
             st.install(genes, fitness);
         } else {
             let incumbent: Vec<i64> = st
@@ -1102,7 +1141,7 @@ fn run_online_job(
             regret_pct = st.regression_pct();
             if triggered {
                 let seed = st.retune_seed(spec.ga.seed);
-                let Some((genes, fitness, evals)) = online_tune(
+                let Some((genes, fitness, evals, hits)) = online_tune(
                     inner,
                     &phase_spec,
                     &problem,
@@ -1117,8 +1156,9 @@ fn run_online_job(
                     return interrupt(&st);
                 };
                 st.note_evals(evals);
+                cache_hits += hits;
                 st.commit(Some((genes, fitness)));
-                inner.config.obs.counter("online_retunes").add(1);
+                inner.count("online_retunes", 1);
                 if let Some(latency) = st.detect_latencies().last() {
                     inner
                         .config
@@ -1131,30 +1171,13 @@ fn run_online_job(
             }
         }
 
-        // Epoch committed: charge the tenant for the epoch's fresh
-        // evaluations, checkpoint, and publish progress (the record's
-        // `generation` is the committed epoch, so `watch` emits one
-        // frame per epoch).
-        let evals_delta = st.evals() - evals_before;
-        if evals_delta > 0 {
-            let mut table = inner.jobs.lock().expect("job table poisoned");
-            table.accountant.charge(&spec.tenant, evals_delta);
-            if let Some(e) = table.jobs.get_mut(&id) {
-                e.reserved = e.reserved.saturating_sub(evals_delta);
-            }
-            inner.set_tenant_gauges(&table, &spec.tenant);
-            drop(table);
-            let s = shard_idx.to_string();
-            inner
-                .config
-                .obs
-                .counter(&obs::labeled("shard_evals", &[("shard", &s)]))
-                .add(evals_delta);
-        }
-        Metrics::bump(&inner.metrics.generations);
-        Metrics::add(&inner.metrics.evaluations, evals_delta);
+        // Epoch committed: book its evaluations, checkpoint, and publish
+        // progress (the record's `generation` is the committed epoch, so
+        // `watch` emits one frame per epoch).
+        let evals = st.evals() - evals_before;
+        book_round(inner, id, spec, shard_idx, evals, cache_hits);
         inner.run_dir.save_online(id, &st.snapshot())?;
-        Metrics::bump(&inner.metrics.checkpoints_written);
+        inner.count("tuned_checkpoints_written_total", 1);
         inner
             .config
             .obs
@@ -1216,10 +1239,9 @@ fn evaluator_tiers<'a>(
         store_cell.clone(),
         LocalEvaluator::new(move |genes: &[i64]| problem.fitness(genes), lease.granted),
     );
-    let mut remote =
-        RemoteEvaluator::new(&inner.pool, spec.to_json(), &inner.metrics, move |genes| {
-            problem.fitness(genes)
-        });
+    let mut remote = RemoteEvaluator::new(&inner.pool, spec.to_json(), move |genes| {
+        problem.fitness(genes)
+    });
     let directory = Arc::clone(&inner.directory);
     let transport = Arc::clone(&inner.config.transport);
     remote.set_worker_filter(Arc::new(move |addr: &str| {
@@ -1231,6 +1253,10 @@ fn evaluator_tiers<'a>(
         _lease: lease,
     }
 }
+
+/// What one tune inside an online epoch produced: `(genes, fitness,
+/// fresh evaluations, memo hits)`.
+type EpochTune = (Vec<i64>, f64, u64, u64);
 
 /// One tune to completion inside an online epoch: the strategy
 /// `online::epoch_strategy` defines (shared with the reference runner),
@@ -1245,7 +1271,7 @@ fn online_tune(
     seed: u64,
     cancel: &AtomicBool,
     shard_idx: usize,
-) -> Result<Option<(Vec<i64>, f64, u64)>, String> {
+) -> Result<Option<EpochTune>, String> {
     let (mut strategy, planted) = online::epoch_strategy(
         &phase_spec.strategy,
         &phase_spec.ga,
@@ -1256,11 +1282,7 @@ fn online_tune(
     )?;
     let from_store = planted.saturating_sub(incumbent.iter().len());
     if from_store > 0 {
-        inner
-            .config
-            .obs
-            .counter("store_warm_seeds")
-            .add(from_store as u64);
+        inner.count("store_warm_seeds", from_store as u64);
     }
     strategy.set_obs(Arc::clone(&inner.config.obs));
     let tiers = evaluator_tiers(
@@ -1286,7 +1308,12 @@ fn online_tune(
         }
     }
     let (genes, fitness) = search::finish(strategy.as_ref())?;
-    Ok(Some((genes, fitness, strategy.evaluations() as u64)))
+    Ok(Some((
+        genes,
+        fitness,
+        strategy.evaluations() as u64,
+        strategy.cache_hits() as u64,
+    )))
 }
 
 #[cfg(test)]
@@ -1750,7 +1777,14 @@ mod tests {
         wait_terminal(&d1, canceled_id);
         d1.shutdown();
 
-        let d2 = Daemon::start(DaemonConfig::default(), RunDir::open(&dir).unwrap()).unwrap();
+        // A registry of its own, so `jobs_recovered` below counts this
+        // daemon's recoveries and not those of restart tests running
+        // beside it on the global one.
+        let fresh = DaemonConfig {
+            obs: Arc::new(obs::Registry::new()),
+            ..DaemonConfig::default()
+        };
+        let d2 = Daemon::start(fresh, RunDir::open(&dir).unwrap()).unwrap();
         assert_eq!(d2.status(done_id).unwrap().state, JobState::Done);
         let st = d2.status(canceled_id).unwrap().state;
         assert!(

@@ -64,7 +64,6 @@ use std::time::Duration;
 use ga::{Evaluator, Genome, PendingScores, ReadyScores};
 
 use crate::json::Json;
-use crate::metrics::Metrics;
 use crate::net::{NetStream, TcpTransport, Transport};
 use crate::proto::{
     eval_batch_request, parse_eval_batch_response, read_frame, write_frame, EvalOutcome,
@@ -122,20 +121,15 @@ impl Default for DispatchConfig {
     }
 }
 
-/// One worker's counter values (mirrored into the daemon-wide
-/// [`Metrics`] aggregates as they are bumped).
+/// The per-worker values that must be read together. A worker's
+/// failure events (retries, timeouts, evictions) are not here: they
+/// are `obs` registry counters labelled with its address.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct WorkerCounters {
     /// Eval requests written to this worker (including re-sends).
     pub dispatched: u64,
     /// Eval results successfully received.
     pub completed: u64,
-    /// Requests returned to the queue after a failure on this worker.
-    pub retries: u64,
-    /// Batch waits that hit the read deadline.
-    pub timeouts: u64,
-    /// Times this worker was evicted from the live set.
-    pub evictions: u64,
     /// Accumulated batch round-trip latency, microseconds. One batch
     /// contributes its RTT once, so `rtt_micros / completed` is the
     /// amortized per-eval latency.
@@ -143,7 +137,7 @@ pub struct WorkerCounters {
 }
 
 /// Per-worker monotonic counters behind one lock, so related fields
-/// (e.g. `completed` and `rtt_micros`) always move — and are read —
+/// (`completed` and `rtt_micros`) always move — and are read —
 /// together. Independent atomics here once let a `metrics` reply observe
 /// `completed` bumped but `rtt_micros` not yet, skewing the derived mean
 /// RTT; a locked [`WorkerStats::update`] makes every snapshot a
@@ -231,6 +225,18 @@ impl BatchTuner {
     }
 }
 
+/// A worker failure event, counted at two grains by one
+/// [`Worker::count`] call: `(per-worker series, daemon-wide total)` —
+/// the series labelled `{worker="addr"}` that a `workers[]` row reads
+/// back, and the total the `metrics` verb's `remote` object reports.
+type WorkerEvent = (&'static str, &'static str);
+/// A claimed request returned to the queue after a failure on a worker.
+const RETRY: WorkerEvent = ("dispatch_retries", "tuned_remote_retries_total");
+/// A batch wait that hit the read deadline.
+const TIMEOUT: WorkerEvent = ("dispatch_timeouts", "tuned_remote_timeouts_total");
+/// A worker's transition out of the live set.
+const EVICTION: WorkerEvent = ("dispatch_evictions", "tuned_remote_evictions_total");
+
 /// One worker endpoint and its health. Liveness timestamps are
 /// transport-clock micros supplied by the pool, so a simulated run's
 /// staleness sweeps follow the virtual clock.
@@ -280,17 +286,22 @@ impl Worker {
         age <= window.as_micros() as u64
     }
 
-    /// Removes the worker from the live set, bumping eviction counters
+    /// The registry key of this worker's series in the `base` family.
+    fn labelled(&self, base: &str) -> String {
+        obs::labeled(base, &[("worker", &self.addr)])
+    }
+
+    /// Records `n` occurrences of `event` on this worker.
+    fn count(&self, reg: &obs::Registry, (per_worker, total): WorkerEvent, n: u64) {
+        reg.counter(&self.labelled(per_worker)).add(n);
+        reg.counter(total).add(n);
+    }
+
+    /// Removes the worker from the live set, counting the eviction
     /// exactly once per transition.
-    pub fn evict(&self, metrics: &Metrics, reg: &obs::Registry) {
+    pub fn evict(&self, reg: &obs::Registry) {
         if self.alive.swap(false, Ordering::SeqCst) {
-            self.stats.update(|s| s.evictions += 1);
-            Metrics::bump(&metrics.remote_evictions);
-            reg.counter(&obs::labeled(
-                "dispatch_evictions",
-                &[("worker", &self.addr)],
-            ))
-            .inc();
+            self.count(reg, EVICTION, 1);
         }
     }
 
@@ -330,20 +341,23 @@ impl Worker {
     }
 
     /// A plain-data copy of the worker's state for the `metrics` verb.
-    /// All counters come from **one** locked read, so derived values
-    /// (mean RTT) can never mix fields from different instants.
+    /// The [`WorkerStats`] fields come from **one** locked read, so
+    /// derived values (mean RTT) can never mix fields from different
+    /// instants; the failure-event counts are read back from this
+    /// worker's labelled series in `reg`.
     #[must_use]
-    pub fn snapshot(&self) -> WorkerSnapshot {
+    pub fn snapshot(&self, reg: &obs::Registry) -> WorkerSnapshot {
         let s = self.stats.read();
+        let counted = |event: WorkerEvent| reg.counter_value(&self.labelled(event.0));
         WorkerSnapshot {
             addr: self.addr.clone(),
             alive: self.is_alive(),
             registered: self.registered,
             dispatched: s.dispatched,
             completed: s.completed,
-            retries: s.retries,
-            timeouts: s.timeouts,
-            evictions: s.evictions,
+            retries: counted(RETRY),
+            timeouts: counted(TIMEOUT),
+            evictions: counted(EVICTION),
             mean_rtt_ms: if s.completed > 0 {
                 s.rtt_micros as f64 / s.completed as f64 / 1000.0
             } else {
@@ -388,7 +402,8 @@ pub struct WorkerPool {
 
 impl WorkerPool {
     /// An empty pool recording into the process-wide obs registry,
-    /// dialing over real TCP.
+    /// dialing over real TCP. A caller that reads totals back from zero
+    /// gives the pool a registry of its own ([`WorkerPool::set_obs`]).
     #[must_use]
     pub fn new(config: DispatchConfig) -> Self {
         Self {
@@ -399,8 +414,9 @@ impl WorkerPool {
         }
     }
 
-    /// Redirects the pool's latency histograms and event counters to
-    /// `registry` (tests inject one built on a `ManualClock`).
+    /// Redirects everything the pool records — the `tuned_remote_*`
+    /// totals, the per-worker event counters and the latency histograms
+    /// — to `registry` (tests inject one built on a `ManualClock`).
     pub fn set_obs(&mut self, registry: Arc<obs::Registry>) {
         self.obs = registry;
     }
@@ -488,17 +504,17 @@ impl WorkerPool {
     /// Point-in-time counters for every worker.
     #[must_use]
     pub fn snapshots(&self) -> Vec<WorkerSnapshot> {
-        self.all().iter().map(|w| w.snapshot()).collect()
+        self.all().iter().map(|w| w.snapshot(&self.obs)).collect()
     }
 
     /// Health check: evicts registered workers whose heartbeat went
     /// stale. Static workers are exempt (they never heartbeat; request
     /// failures evict them instead).
-    pub fn sweep_stale(&self, metrics: &Metrics) {
+    pub fn sweep_stale(&self) {
         let now = self.transport.now_micros();
         for w in self.all() {
             if w.registered && w.is_alive() && !w.seen_within(now, self.config.stale_after) {
-                w.evict(metrics, &self.obs);
+                w.evict(&self.obs);
             }
         }
     }
@@ -748,7 +764,6 @@ impl BatchLedger {
 pub struct RemoteEvaluator<'a> {
     pool: Arc<WorkerPool>,
     task: Json,
-    metrics: Arc<Metrics>,
     fallback: Box<dyn Fn(&[i64]) -> f64 + Sync + 'a>,
     /// Warm connections carried across generations, keyed by worker
     /// address. A fresh connect plus `task` handshake per generation
@@ -778,13 +793,11 @@ impl<'a> RemoteEvaluator<'a> {
     pub fn new(
         pool: &Arc<WorkerPool>,
         task: Json,
-        metrics: &Arc<Metrics>,
         fallback: impl Fn(&[i64]) -> f64 + Sync + 'a,
     ) -> Self {
         Self {
             pool: Arc::clone(pool),
             task,
-            metrics: Arc::clone(metrics),
             fallback: Box::new(fallback),
             conns: Arc::new(Mutex::new(HashMap::new())),
             filter: None,
@@ -807,12 +820,11 @@ impl<'a> RemoteEvaluator<'a> {
 fn dispatch_generation(
     pool: &WorkerPool,
     task: &Json,
-    metrics: &Metrics,
     genomes: &[Genome],
     conns: &Mutex<HashMap<String, Conn>>,
     filter: Option<&WorkerFilter>,
 ) -> Vec<Option<f64>> {
-    pool.sweep_stale(metrics);
+    pool.sweep_stale();
     pool.probe_dead();
     let workers = pool.live();
     let workers = match filter {
@@ -843,7 +855,6 @@ fn dispatch_generation(
                         genomes,
                         task,
                         pool.config(),
-                        metrics,
                         pool.obs(),
                         pool.transport(),
                         cached,
@@ -875,17 +886,20 @@ impl PendingScores for PendingRemote<'_, '_> {
             Ok(r) => r,
             Err(panic) => std::panic::resume_unwind(panic),
         };
+        let unanswered = results.iter().filter(|r| r.is_none()).count() as u64;
+        if unanswered > 0 {
+            // One event, published under two names that predate each
+            // other; dashboards exist on both, so both stay.
+            let reg = self.eval.pool.obs();
+            reg.counter("dispatch_fallback_evals").add(unanswered);
+            reg.counter("tuned_remote_fallback_evals_total")
+                .add(unanswered);
+        }
         results
             .into_iter()
             .enumerate()
             .map(|(i, r)| {
                 r.unwrap_or_else(|| {
-                    Metrics::bump(&self.eval.metrics.remote_fallback_evals);
-                    self.eval
-                        .pool
-                        .obs()
-                        .counter("dispatch_fallback_evals")
-                        .inc();
                     // Fallback fitness is real compute: hold the busy
                     // bracket so a simulated clock can't advance past
                     // request deadlines elsewhere while we measure.
@@ -909,21 +923,13 @@ impl Evaluator for RemoteEvaluator<'_> {
         let genomes = Arc::new(genomes.to_vec());
         let pool = Arc::clone(&self.pool);
         let task = self.task.clone();
-        let metrics = Arc::clone(&self.metrics);
         let conns = Arc::clone(&self.conns);
         let filter = self.filter.clone();
         let thread_genomes = Arc::clone(&genomes);
         let handle = std::thread::Builder::new()
             .name("dispatch-coordinator".into())
             .spawn(move || {
-                dispatch_generation(
-                    &pool,
-                    &task,
-                    &metrics,
-                    &thread_genomes,
-                    &conns,
-                    filter.as_ref(),
-                )
+                dispatch_generation(&pool, &task, &thread_genomes, &conns, filter.as_ref())
             })
             .expect("spawn dispatch coordinator");
         Box::new(PendingRemote {
@@ -943,19 +949,12 @@ fn requeue(
     idxs: &[usize],
     worker: &Worker,
     cfg: &DispatchConfig,
-    metrics: &Metrics,
     reg: &obs::Registry,
 ) {
     if idxs.is_empty() {
         return;
     }
-    worker.stats.update(|s| s.retries += idxs.len() as u64);
-    Metrics::add(&metrics.remote_retries, idxs.len() as u64);
-    reg.counter(&obs::labeled(
-        "dispatch_retries",
-        &[("worker", &worker.addr)],
-    ))
-    .add(idxs.len() as u64);
+    worker.count(reg, RETRY, idxs.len() as u64);
     if !cfg.redispatch {
         return;
     }
@@ -983,7 +982,6 @@ fn drive_worker(
     genomes: &[Genome],
     task: &Json,
     cfg: &DispatchConfig,
-    metrics: &Metrics,
     reg: &obs::Registry,
     transport: &Arc<dyn Transport>,
     cached: Option<Conn>,
@@ -996,7 +994,6 @@ fn drive_worker(
         genomes,
         task,
         cfg,
-        metrics,
         reg,
         transport,
         cached,
@@ -1008,11 +1005,8 @@ fn drive_worker(
     // frozen test clock makes the window zero-width.
     let elapsed = reg.now_micros().saturating_sub(started_at);
     if elapsed > 0 {
-        reg.histogram(&obs::labeled(
-            "dispatch_pipeline_occupancy_pct",
-            &[("worker", &worker.addr)],
-        ))
-        .record(busy_micros.saturating_mul(100) / elapsed);
+        reg.histogram(&worker.labelled("dispatch_pipeline_occupancy_pct"))
+            .record(busy_micros.saturating_mul(100) / elapsed);
     }
     kept
 }
@@ -1024,18 +1018,21 @@ fn drive_worker_inner(
     genomes: &[Genome],
     task: &Json,
     cfg: &DispatchConfig,
-    metrics: &Metrics,
     reg: &obs::Registry,
     transport: &Arc<dyn Transport>,
     cached: Option<Conn>,
     busy_micros: &mut u64,
 ) -> Option<Conn> {
-    let worker_label: [(&str, &str); 1] = [("worker", &worker.addr)];
-    let rpc_latency = reg.histogram(&obs::labeled("rpc_latency_micros", &worker_label));
-    let batch_sizes = reg.histogram(&obs::labeled("dispatch_batch_size", &worker_label));
-    let batch_fill = reg.histogram(&obs::labeled("dispatch_batch_fill_micros", &worker_label));
-    let backoffs = reg.counter(&obs::labeled("dispatch_backoffs", &worker_label));
-    let stale_batches = reg.counter(&obs::labeled("dispatch_stale_batches", &worker_label));
+    // Everything recorded per batch or per eval resolves its handle
+    // once here; the loop below then pays an atomic add, not a lookup.
+    let rpc_latency = reg.histogram(&worker.labelled("rpc_latency_micros"));
+    let batch_sizes = reg.histogram(&worker.labelled("dispatch_batch_size"));
+    let batch_fill = reg.histogram(&worker.labelled("dispatch_batch_fill_micros"));
+    let backoffs = reg.counter(&worker.labelled("dispatch_backoffs"));
+    let stale_batches = reg.counter(&worker.labelled("dispatch_stale_batches"));
+    let dispatched = reg.counter("tuned_remote_dispatched_total");
+    let batches = reg.counter("tuned_remote_batches_total");
+    let completed = reg.counter("tuned_remote_completed_total");
     let mut conn: Option<Conn> = cached;
     let mut consecutive: u32 = 0;
     let mut backoff = cfg.backoff_base;
@@ -1058,10 +1055,10 @@ fn drive_worker_inner(
         // Transient-failure bookkeeping, shared by every retry path.
         let mut transient = |conn: &mut Option<Conn>, pending: &[usize]| -> bool {
             *conn = None;
-            requeue(ledger, pending, worker, cfg, metrics, reg);
+            requeue(ledger, pending, worker, cfg, reg);
             consecutive += 1;
             if consecutive >= cfg.max_consecutive_failures {
-                worker.evict(metrics, reg);
+                worker.evict(reg);
                 return true; // exit the loop
             }
             backoffs.inc();
@@ -1108,8 +1105,8 @@ fn drive_worker_inner(
             worker
                 .stats
                 .update(|s| s.dispatched += claimed.len() as u64);
-            Metrics::add(&metrics.remote_dispatched, claimed.len() as u64);
-            Metrics::bump(&metrics.remote_batches);
+            dispatched.add(claimed.len() as u64);
+            batches.inc();
             started = reg.now_micros();
             conn.as_mut().expect("connection exists").send_batch(&evals)
         };
@@ -1167,7 +1164,6 @@ fn drive_worker_inner(
                                 pending.swap_remove(pos);
                                 if ledger.resolve(id, fitness) {
                                     delivered += 1;
-                                    Metrics::bump(&metrics.remote_completed);
                                 }
                             }
                             EvalOutcome::Error(_) => {
@@ -1183,6 +1179,7 @@ fn drive_worker_inner(
                 if delivered > 0 {
                     rpc_latency.record(rtt);
                     batch_sizes.record(delivered);
+                    completed.add(delivered);
                     worker.stats.update(|s| {
                         s.completed += delivered;
                         s.rtt_micros += rtt;
@@ -1194,18 +1191,15 @@ fn drive_worker_inner(
                     // A batch-id mismatch, a bogus id, a per-item error,
                     // or silently omitted answers: this worker cannot be
                     // trusted with re-sends.
-                    worker.evict(metrics, reg);
-                    requeue(ledger, &pending, worker, cfg, metrics, reg);
+                    worker.evict(reg);
+                    requeue(ledger, &pending, worker, cfg, reg);
                     return None;
                 }
                 consecutive = 0;
                 backoff = cfg.backoff_base;
             }
             RecvBatch::Timeout => {
-                worker.stats.update(|s| s.timeouts += 1);
-                Metrics::bump(&metrics.remote_timeouts);
-                reg.counter(&obs::labeled("dispatch_timeouts", &worker_label))
-                    .inc();
+                worker.count(reg, TIMEOUT, 1);
                 if transient(&mut conn, &pending) {
                     return None;
                 }
@@ -1216,8 +1210,8 @@ fn drive_worker_inner(
                 }
             }
             RecvBatch::Violation => {
-                worker.evict(metrics, reg);
-                requeue(ledger, &pending, worker, cfg, metrics, reg);
+                worker.evict(reg);
+                requeue(ledger, &pending, worker, cfg, reg);
                 return None;
             }
         }
@@ -1239,6 +1233,14 @@ mod tests {
         }
     }
 
+    /// A pool counting into a registry of its own, so totals read back
+    /// from zero whatever other tests do to the global one.
+    fn private_pool(addrs: &[String]) -> WorkerPool {
+        let mut pool = WorkerPool::with_workers(fast_cfg(), addrs);
+        pool.set_obs(Arc::new(obs::Registry::new()));
+        pool
+    }
+
     #[test]
     fn pool_add_register_heartbeat() {
         let pool = WorkerPool::new(fast_cfg());
@@ -1253,22 +1255,20 @@ mod tests {
 
     #[test]
     fn static_workers_are_not_swept() {
-        let metrics = Metrics::new();
         let pool = WorkerPool::with_workers(fast_cfg(), &["127.0.0.1:9".into()]);
         std::thread::sleep(Duration::from_millis(150));
-        pool.sweep_stale(&metrics);
+        pool.sweep_stale();
         assert_eq!(pool.live().len(), 1);
     }
 
     #[test]
     fn stale_registered_worker_is_evicted_and_heartbeat_revives() {
-        let metrics = Metrics::new();
-        let pool = WorkerPool::new(fast_cfg());
+        let pool = private_pool(&[]);
         pool.register("127.0.0.1:9");
         std::thread::sleep(Duration::from_millis(150));
-        pool.sweep_stale(&metrics);
+        pool.sweep_stale();
         assert!(pool.live().is_empty());
-        assert_eq!(metrics.remote_evictions.load(Ordering::Relaxed), 1);
+        assert_eq!(pool.obs().counter_value("tuned_remote_evictions_total"), 1);
         pool.heartbeat("127.0.0.1:9");
         assert_eq!(pool.live().len(), 1);
         assert_eq!(pool.all().len(), 1, "revival must not duplicate");
@@ -1276,16 +1276,13 @@ mod tests {
 
     #[test]
     fn eviction_counts_once_per_transition() {
-        let metrics = Metrics::new();
         let reg = obs::Registry::new();
         let w = Worker::new("x:1".into(), false);
-        w.evict(&metrics, &reg);
-        w.evict(&metrics, &reg);
-        assert_eq!(w.stats.read().evictions, 1);
-        assert_eq!(
-            reg.snapshot().counter("dispatch_evictions{worker=\"x:1\"}"),
-            1
-        );
+        w.evict(&reg);
+        w.evict(&reg);
+        assert_eq!(w.snapshot(&reg).evictions, 1);
+        assert_eq!(reg.counter_value("dispatch_evictions{worker=\"x:1\"}"), 1);
+        assert_eq!(reg.counter_value("tuned_remote_evictions_total"), 1);
         assert!(!w.is_alive());
     }
 
@@ -1307,7 +1304,7 @@ mod tests {
             s.completed += 4;
             s.rtt_micros += 8000;
         });
-        let s = w.snapshot();
+        let s = w.snapshot(&obs::Registry::new());
         assert_eq!(s.addr, "x:1");
         assert!(s.registered);
         assert!((s.mean_rtt_ms - 2.0).abs() < 1e-9);
@@ -1388,26 +1385,23 @@ mod tests {
 
     #[test]
     fn unreachable_pool_falls_back_to_local() {
-        let metrics = Arc::new(Metrics::new());
         // A port nothing listens on: connect fails fast, worker evicts,
         // and every genome lands on the fallback path.
-        let pool = Arc::new(WorkerPool::with_workers(
-            fast_cfg(),
-            &["127.0.0.1:1".into()],
-        ));
-        let eval = RemoteEvaluator::new(&pool, Json::Null, &metrics, |g| g[0] as f64 * 2.0);
+        let pool = Arc::new(private_pool(&["127.0.0.1:1".into()]));
+        let eval = RemoteEvaluator::new(&pool, Json::Null, |g| g[0] as f64 * 2.0);
         let scores = eval.evaluate(&[vec![3], vec![5]]);
         assert_eq!(scores, vec![6.0, 10.0]);
-        assert_eq!(metrics.remote_fallback_evals.load(Ordering::Relaxed), 2);
-        assert!(metrics.remote_evictions.load(Ordering::Relaxed) >= 1);
+        let reg = pool.obs();
+        assert_eq!(reg.counter_value("tuned_remote_fallback_evals_total"), 2);
+        assert_eq!(reg.counter_value("dispatch_fallback_evals"), 2);
+        assert_eq!(reg.counter_value("tuned_remote_evictions_total"), 1);
         assert!(pool.live().is_empty());
     }
 
     #[test]
     fn empty_batch_is_a_no_op() {
-        let metrics = Arc::new(Metrics::new());
         let pool = Arc::new(WorkerPool::new(fast_cfg()));
-        let eval = RemoteEvaluator::new(&pool, Json::Null, &metrics, |_| 0.0);
+        let eval = RemoteEvaluator::new(&pool, Json::Null, |_| 0.0);
         assert!(eval.evaluate(&[]).is_empty());
         assert!(eval.begin(&[]).wait().is_empty());
     }

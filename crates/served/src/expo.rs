@@ -2,9 +2,8 @@
 //!
 //! A deliberately tiny HTTP/1.0 server: the only route is
 //! `GET /metrics`, which renders the daemon's observability registry
-//! (via [`obs::render_prometheus`]) plus a hand-written block of
-//! `tuned_*` series derived from the daemon's own
-//! [`MetricsSnapshot`]. Anything else is a 404. Requests are served
+//! (via [`obs::render_prometheus`]) — the one place every count in the
+//! daemon is kept. Anything else is a 404. Requests are served
 //! inline on the accept thread — scrapes are rare and the response is
 //! a single buffered write, so there is nothing to parallelize. Like
 //! every other listener in the workspace, the socket comes from the
@@ -17,7 +16,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crate::daemon::Daemon;
-use crate::metrics::MetricsSnapshot;
 use crate::net::{NetListener, NetStream, TcpTransport, Transport};
 
 /// How long a scrape connection may sit idle before it is dropped.
@@ -26,140 +24,16 @@ const READ_TIMEOUT: Duration = Duration::from_secs(5);
 /// Poll interval of the accept loop.
 const POLL: Duration = Duration::from_millis(50);
 
-/// The `tuned_*` series derived from the daemon's counter snapshot, in
-/// Prometheus text format. Kept separate from the obs registry: these
-/// counters predate it and remain the source of truth for the
-/// `metrics` protocol verb.
-#[must_use]
-pub fn render_daemon_metrics(s: &MetricsSnapshot) -> String {
-    let mut out = String::new();
-    let mut gauge = |name: &str, help: &str, value: String| {
-        out.push_str(&format!(
-            "# HELP {name} {help}\n# TYPE {name} gauge\n{name} {value}\n"
-        ));
-    };
-    gauge(
-        "tuned_uptime_seconds",
-        "Seconds since the daemon started.",
-        format!("{:.3}", s.uptime_secs),
-    );
-    let jobs = [
-        ("queued", s.jobs.queued),
-        ("running", s.jobs.running),
-        ("done", s.jobs.done),
-        ("failed", s.jobs.failed),
-        ("canceled", s.jobs.canceled),
-    ];
-    out.push_str("# HELP tuned_jobs Jobs in the table by state.\n# TYPE tuned_jobs gauge\n");
-    for (state, n) in jobs {
-        out.push_str(&format!("tuned_jobs{{state=\"{state}\"}} {n}\n"));
-    }
-    let counters = [
-        (
-            "tuned_jobs_submitted_total",
-            "Jobs accepted by submit.",
-            s.jobs_submitted,
-        ),
-        (
-            "tuned_jobs_recovered_total",
-            "Jobs recovered at startup.",
-            s.jobs_recovered,
-        ),
-        (
-            "tuned_generations_total",
-            "GA generations completed.",
-            s.generations,
-        ),
-        (
-            "tuned_evaluations_total",
-            "Distinct fitness evaluations.",
-            s.evaluations,
-        ),
-        (
-            "tuned_cache_hits_total",
-            "Memoized fitness lookups.",
-            s.cache_hits,
-        ),
-        (
-            "tuned_checkpoints_written_total",
-            "Checkpoint files written.",
-            s.checkpoints_written,
-        ),
-        (
-            "tuned_connections_total",
-            "Protocol connections accepted.",
-            s.connections,
-        ),
-        (
-            "tuned_protocol_errors_total",
-            "Frames answered with an error.",
-            s.protocol_errors,
-        ),
-        (
-            "tuned_remote_dispatched_total",
-            "Eval requests sent to workers.",
-            s.remote_dispatched,
-        ),
-        (
-            "tuned_remote_batches_total",
-            "Batched eval frames sent to workers.",
-            s.remote_batches,
-        ),
-        (
-            "tuned_remote_completed_total",
-            "Eval responses from workers.",
-            s.remote_completed,
-        ),
-        (
-            "tuned_remote_retries_total",
-            "Evals re-dispatched after failures.",
-            s.remote_retries,
-        ),
-        (
-            "tuned_remote_timeouts_total",
-            "Eval response timeouts.",
-            s.remote_timeouts,
-        ),
-        (
-            "tuned_remote_evictions_total",
-            "Workers evicted from the pool.",
-            s.remote_evictions,
-        ),
-        (
-            "tuned_busy_rejects_total",
-            "Structured busy rejects (queue or connection cap).",
-            s.busy_rejects,
-        ),
-        (
-            "tuned_quota_rejects_total",
-            "Submissions rejected by tenant quota.",
-            s.quota_rejects,
-        ),
-        (
-            "tuned_slow_watch_disconnects_total",
-            "Slow watch consumers disconnected.",
-            s.slow_watch_disconnects,
-        ),
-        (
-            "tuned_remote_fallback_evals_total",
-            "Evals served by the local fallback.",
-            s.remote_fallback_evals,
-        ),
-    ];
-    for (name, help, value) in counters {
-        out.push_str(&format!(
-            "# HELP {name} {help}\n# TYPE {name} counter\n{name} {value}\n"
-        ));
-    }
-    out
-}
-
-/// The full scrape body: obs registry first, daemon counters after.
+/// The full scrape body: one rendering of one registry snapshot. The
+/// daemon's own `tuned_*` counters and `tuned_jobs{state=…}` gauges are
+/// registry series like any other, so they sort into the registry's
+/// order. `tuned_uptime_seconds` alone is written by hand — it is a
+/// float, and registry gauges are integers.
 #[must_use]
 pub fn render_scrape(daemon: &Daemon) -> String {
-    let mut body = obs::render_prometheus(&daemon.obs().snapshot());
-    body.push_str(&render_daemon_metrics(&daemon.metrics_snapshot()));
-    body
+    let uptime = daemon.metrics_snapshot().uptime_secs;
+    obs::render_prometheus(&daemon.obs_snapshot())
+        + &format!("# TYPE tuned_uptime_seconds gauge\ntuned_uptime_seconds {uptime:.3}\n")
 }
 
 /// The `/metrics` HTTP endpoint. Owns its listener; runs until the
@@ -276,7 +150,6 @@ mod tests {
     use super::*;
     use crate::checkpoint::RunDir;
     use crate::daemon::DaemonConfig;
-    use crate::metrics::JobGauges;
     use std::io::Read;
     use std::net::TcpStream;
 
@@ -292,47 +165,15 @@ mod tests {
     }
 
     #[test]
-    fn daemon_metrics_render_all_series() {
-        let s = MetricsSnapshot {
-            uptime_secs: 1.5,
-            jobs: JobGauges {
-                queued: 2,
-                ..JobGauges::default()
-            },
-            jobs_submitted: 3,
-            jobs_recovered: 0,
-            generations: 7,
-            generations_per_sec: 4.2,
-            evaluations: 40,
-            cache_hits: 10,
-            cache_hit_rate: 0.2,
-            checkpoints_written: 7,
-            connections: 1,
-            protocol_errors: 0,
-            remote_dispatched: 0,
-            remote_batches: 0,
-            remote_completed: 0,
-            remote_retries: 0,
-            remote_timeouts: 0,
-            remote_evictions: 0,
-            remote_fallback_evals: 0,
-            busy_rejects: 2,
-            quota_rejects: 1,
-            slow_watch_disconnects: 0,
-        };
-        let text = render_daemon_metrics(&s);
-        assert!(text.contains("tuned_uptime_seconds 1.500\n"));
-        assert!(text.contains("tuned_jobs{state=\"queued\"} 2\n"));
-        assert!(text.contains("tuned_generations_total 7\n"));
-        assert!(text.contains("# TYPE tuned_evaluations_total counter\n"));
-        assert!(text.contains("tuned_busy_rejects_total 2\n"));
-        assert!(text.contains("tuned_quota_rejects_total 1\n"));
-    }
-
-    #[test]
     fn scrape_endpoint_serves_metrics_and_404s_the_rest() {
         let dir = std::env::temp_dir().join(format!("expo-test-{}", std::process::id()));
-        let daemon = Daemon::start(DaemonConfig::default(), RunDir::open(&dir).unwrap()).unwrap();
+        // A registry of its own: the job gauges asserted below are
+        // last-writer-wins among daemons sharing the global one.
+        let config = DaemonConfig {
+            obs: Arc::new(obs::Registry::new()),
+            ..DaemonConfig::default()
+        };
+        let daemon = Daemon::start(config, RunDir::open(&dir).unwrap()).unwrap();
         daemon.obs().counter("expo_test_counter").add(5);
         let exporter = MetricsExporter::bind("127.0.0.1:0", daemon.clone()).unwrap();
         let addr = exporter.local_addr();
@@ -344,6 +185,7 @@ mod tests {
         assert!(ok.contains("text/plain; version=0.0.4"), "{ok}");
         assert!(ok.contains("expo_test_counter 5\n"), "{ok}");
         assert!(ok.contains("tuned_jobs{state=\"queued\"} 0\n"), "{ok}");
+        assert!(ok.contains("\ntuned_uptime_seconds "), "{ok}");
 
         let missing = http_get(&addr, "/nope");
         assert!(missing.starts_with("HTTP/1.0 404"), "{missing}");

@@ -21,11 +21,12 @@
 //!   fans generation batches out with timeouts, capped-exponential-backoff
 //!   retries, eviction of misbehaving workers, re-dispatch of orphaned
 //!   work, and a local fallback — bit-identical to in-process runs;
-//! * [`metrics`] — live counters: jobs by state, fitness evaluations,
+//! * [`metrics`] — the names the daemon's counters carry in the `obs`
+//!   registry (the only place a count is kept) and the typed reading
+//!   the `metrics` verb serves: jobs by state, fitness evaluations,
 //!   memo-table hit rate, generations per second;
-//! * [`expo`] — a Prometheus-style text exposition of the `obs`
-//!   observability registry plus the daemon counters, served over a
-//!   tiny `GET /metrics` HTTP endpoint;
+//! * [`expo`] — a Prometheus-style text exposition of that registry,
+//!   served over a tiny `GET /metrics` HTTP endpoint;
 //! * [`json`] — the hand-rolled JSON layer (the workspace builds with no
 //!   external crates; floats round-trip bit-exactly);
 //! * `codec` — how every value is spelled in that JSON and what an
@@ -60,7 +61,7 @@ pub use dispatch::{
 };
 pub use expo::MetricsExporter;
 pub use job::{JobSpec, JobState};
-pub use metrics::{JobGauges, Metrics, MetricsSnapshot};
+pub use metrics::{JobGauges, MetricsSnapshot};
 pub use net::{NetListener, NetStream, TcpTransport, Transport};
 pub use server::Server;
 

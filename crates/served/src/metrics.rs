@@ -1,148 +1,12 @@
-//! Lightweight daemon observability: monotonic counters on atomics.
+//! The typed view of the daemon's counters that the `metrics` verb
+//! serves.
 //!
-//! Workers bump counters as they drive jobs; any number of protocol
-//! threads snapshot them without taking a lock. Gauges that derive from
-//! the job table (queued/running/done counts) are passed in at snapshot
-//! time by the daemon, which owns that table.
-
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
-
-/// The daemon's counter set. All counters are monotonic; relaxed ordering
-/// is fine because readers only want eventually-consistent totals.
-#[derive(Debug)]
-pub struct Metrics {
-    started: Instant,
-    /// Jobs accepted by `submit`.
-    pub jobs_submitted: AtomicU64,
-    /// Jobs recovered from a run directory at startup.
-    pub jobs_recovered: AtomicU64,
-    /// GA generations completed across all jobs.
-    pub generations: AtomicU64,
-    /// Distinct fitness evaluations (GA memo-table misses) across all jobs.
-    pub evaluations: AtomicU64,
-    /// Fitness evaluations answered from GA memo tables.
-    pub cache_hits: AtomicU64,
-    /// Checkpoint files written.
-    pub checkpoints_written: AtomicU64,
-    /// Protocol connections accepted.
-    pub connections: AtomicU64,
-    /// Malformed / oversized / unparseable frames answered with an error.
-    pub protocol_errors: AtomicU64,
-    /// Eval requests written to remote workers (including re-sends).
-    pub remote_dispatched: AtomicU64,
-    /// `eval_batch` frames written to remote workers (each carries one or
-    /// more eval requests).
-    pub remote_batches: AtomicU64,
-    /// Eval responses received from remote workers.
-    pub remote_completed: AtomicU64,
-    /// Eval requests re-dispatched after a worker failure.
-    pub remote_retries: AtomicU64,
-    /// Eval response waits that hit the request timeout.
-    pub remote_timeouts: AtomicU64,
-    /// Workers evicted from the pool (stale heartbeat, repeated failures,
-    /// or protocol violations).
-    pub remote_evictions: AtomicU64,
-    /// Evaluations that fell back to the local path because no live
-    /// worker answered.
-    pub remote_fallback_evals: AtomicU64,
-    /// Submissions and connections turned away with a structured `busy`
-    /// frame (full shard queue or connection cap).
-    pub busy_rejects: AtomicU64,
-    /// Submissions rejected because a tenant's eval-budget quota could
-    /// not cover the job's estimate.
-    pub quota_rejects: AtomicU64,
-    /// `watch` consumers disconnected because their frame backlog
-    /// exceeded the bound.
-    pub slow_watch_disconnects: AtomicU64,
-}
-
-impl Default for Metrics {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Metrics {
-    /// Fresh counters; the generations/sec clock starts now.
-    #[must_use]
-    pub fn new() -> Self {
-        Self {
-            started: Instant::now(),
-            jobs_submitted: AtomicU64::new(0),
-            jobs_recovered: AtomicU64::new(0),
-            generations: AtomicU64::new(0),
-            evaluations: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            checkpoints_written: AtomicU64::new(0),
-            connections: AtomicU64::new(0),
-            protocol_errors: AtomicU64::new(0),
-            remote_dispatched: AtomicU64::new(0),
-            remote_batches: AtomicU64::new(0),
-            remote_completed: AtomicU64::new(0),
-            remote_retries: AtomicU64::new(0),
-            remote_timeouts: AtomicU64::new(0),
-            remote_evictions: AtomicU64::new(0),
-            remote_fallback_evals: AtomicU64::new(0),
-            busy_rejects: AtomicU64::new(0),
-            quota_rejects: AtomicU64::new(0),
-            slow_watch_disconnects: AtomicU64::new(0),
-        }
-    }
-
-    /// Adds `n` to a counter.
-    pub fn add(counter: &AtomicU64, n: u64) {
-        counter.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Bumps a counter by one.
-    pub fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A consistent-enough copy of every counter, plus the job-table
-    /// gauges supplied by the caller.
-    #[must_use]
-    pub fn snapshot(&self, gauges: JobGauges) -> MetricsSnapshot {
-        let uptime = self.started.elapsed().as_secs_f64();
-        let generations = self.generations.load(Ordering::Relaxed);
-        let evaluations = self.evaluations.load(Ordering::Relaxed);
-        let cache_hits = self.cache_hits.load(Ordering::Relaxed);
-        let lookups = evaluations + cache_hits;
-        MetricsSnapshot {
-            uptime_secs: uptime,
-            jobs: gauges,
-            jobs_submitted: self.jobs_submitted.load(Ordering::Relaxed),
-            jobs_recovered: self.jobs_recovered.load(Ordering::Relaxed),
-            generations,
-            generations_per_sec: if uptime > 0.0 {
-                generations as f64 / uptime
-            } else {
-                0.0
-            },
-            evaluations,
-            cache_hits,
-            cache_hit_rate: if lookups > 0 {
-                cache_hits as f64 / lookups as f64
-            } else {
-                0.0
-            },
-            checkpoints_written: self.checkpoints_written.load(Ordering::Relaxed),
-            connections: self.connections.load(Ordering::Relaxed),
-            protocol_errors: self.protocol_errors.load(Ordering::Relaxed),
-            remote_dispatched: self.remote_dispatched.load(Ordering::Relaxed),
-            remote_batches: self.remote_batches.load(Ordering::Relaxed),
-            remote_completed: self.remote_completed.load(Ordering::Relaxed),
-            remote_retries: self.remote_retries.load(Ordering::Relaxed),
-            remote_timeouts: self.remote_timeouts.load(Ordering::Relaxed),
-            remote_evictions: self.remote_evictions.load(Ordering::Relaxed),
-            remote_fallback_evals: self.remote_fallback_evals.load(Ordering::Relaxed),
-            busy_rejects: self.busy_rejects.load(Ordering::Relaxed),
-            quota_rejects: self.quota_rejects.load(Ordering::Relaxed),
-            slow_watch_disconnects: self.slow_watch_disconnects.load(Ordering::Relaxed),
-        }
-    }
-}
+//! Counts live in exactly one place — the [`obs::Registry`] the daemon
+//! and its worker pool record into (`DaemonConfig::obs`) — and each
+//! event is recorded once, as a `tuned_*_total` counter, at the site
+//! where it happens. The `metrics` verb, `watch` frames, the `obs` verb
+//! and the `/metrics` scrape all read those counters;
+//! [`MetricsSnapshot::read`] is the list of their names.
 
 /// Point-in-time job counts by state, derived from the daemon's job table.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -159,10 +23,10 @@ pub struct JobGauges {
     pub canceled: u64,
 }
 
-/// One coherent reading of the daemon's counters.
+/// One reading of the daemon's counters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricsSnapshot {
-    /// Seconds since the daemon started.
+    /// Seconds since the daemon started, on the registry's clock.
     pub uptime_secs: f64,
     /// Job counts by state.
     pub jobs: JobGauges,
@@ -174,9 +38,10 @@ pub struct MetricsSnapshot {
     pub generations: u64,
     /// Generations per second of uptime.
     pub generations_per_sec: f64,
-    /// Distinct fitness evaluations.
+    /// Distinct fitness evaluations (strategy memo-table misses) across
+    /// all jobs.
     pub evaluations: u64,
-    /// Memoized fitness lookups.
+    /// Fitness lookups answered from strategy memo tables.
     pub cache_hits: u64,
     /// `cache_hits / (cache_hits + evaluations)`, 0 when nothing ran yet.
     pub cache_hit_rate: f64,
@@ -184,28 +49,80 @@ pub struct MetricsSnapshot {
     pub checkpoints_written: u64,
     /// Protocol connections accepted.
     pub connections: u64,
-    /// Frames answered with a protocol error.
+    /// Malformed / oversized / unparseable frames answered with an error.
     pub protocol_errors: u64,
-    /// Eval requests written to remote workers.
+    /// Eval requests written to remote workers (including re-sends).
     pub remote_dispatched: u64,
-    /// `eval_batch` frames written to remote workers.
+    /// `eval_batch` frames written to remote workers (each carries one or
+    /// more eval requests).
     pub remote_batches: u64,
     /// Eval responses received from remote workers.
     pub remote_completed: u64,
-    /// Eval requests re-dispatched after worker failures.
+    /// Eval requests re-dispatched after a worker failure (the sum of
+    /// the per-worker `dispatch_retries{worker=…}` series).
     pub remote_retries: u64,
-    /// Eval response timeouts.
+    /// Eval response waits that hit the request timeout (the sum of
+    /// `dispatch_timeouts{worker=…}`).
     pub remote_timeouts: u64,
-    /// Worker evictions.
+    /// Workers evicted from the pool — stale heartbeat, repeated
+    /// failures, or protocol violations (the sum of
+    /// `dispatch_evictions{worker=…}`).
     pub remote_evictions: u64,
-    /// Evaluations answered by the local fallback path.
+    /// Evaluations that fell back to the local path because no live
+    /// worker answered (also published as `dispatch_fallback_evals`).
     pub remote_fallback_evals: u64,
-    /// Structured `busy` rejects (full shard queue or connection cap).
+    /// Submissions and connections turned away with a structured `busy`
+    /// frame (full shard queue or connection cap).
     pub busy_rejects: u64,
-    /// Quota-exceeded submission rejects.
+    /// Submissions rejected because a tenant's eval-budget quota could
+    /// not cover the job's estimate.
     pub quota_rejects: u64,
-    /// Slow `watch` consumers force-disconnected.
+    /// `watch` consumers disconnected because their frame backlog
+    /// exceeded the bound.
     pub slow_watch_disconnects: u64,
+}
+
+impl MetricsSnapshot {
+    /// Reads the daemon's counters out of `reg`, name by name (not via
+    /// a registry-wide snapshot, which would also copy every histogram
+    /// and the span ring); `jobs` and `uptime_micros` come from the
+    /// daemon, which owns the job table and knows when it started. A
+    /// counter nothing has bumped yet is created at zero by the read:
+    /// the reading `Daemon::start` takes is what puts every
+    /// `tuned_*_total` series in the first scrape.
+    #[must_use]
+    pub fn read(reg: &obs::Registry, jobs: JobGauges, uptime_micros: u64) -> Self {
+        let count = |name: &str| reg.counter(name).get();
+        let ratio = |num: u64, den: f64| if den > 0.0 { num as f64 / den } else { 0.0 };
+        let uptime_secs = uptime_micros as f64 / 1e6;
+        let generations = count("tuned_generations_total");
+        let evaluations = count("tuned_evaluations_total");
+        let cache_hits = count("tuned_cache_hits_total");
+        Self {
+            uptime_secs,
+            jobs,
+            jobs_submitted: count("tuned_jobs_submitted_total"),
+            jobs_recovered: count("tuned_jobs_recovered_total"),
+            generations,
+            generations_per_sec: ratio(generations, uptime_secs),
+            evaluations,
+            cache_hits,
+            cache_hit_rate: ratio(cache_hits, (evaluations + cache_hits) as f64),
+            checkpoints_written: count("tuned_checkpoints_written_total"),
+            connections: count("tuned_connections_total"),
+            protocol_errors: count("tuned_protocol_errors_total"),
+            remote_dispatched: count("tuned_remote_dispatched_total"),
+            remote_batches: count("tuned_remote_batches_total"),
+            remote_completed: count("tuned_remote_completed_total"),
+            remote_retries: count("tuned_remote_retries_total"),
+            remote_timeouts: count("tuned_remote_timeouts_total"),
+            remote_evictions: count("tuned_remote_evictions_total"),
+            remote_fallback_evals: count("tuned_remote_fallback_evals_total"),
+            busy_rejects: count("tuned_busy_rejects_total"),
+            quota_rejects: count("tuned_quota_rejects_total"),
+            slow_watch_disconnects: count("tuned_slow_watch_disconnects_total"),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -214,29 +131,31 @@ mod tests {
 
     #[test]
     fn counters_accumulate_and_rates_derive() {
-        let m = Metrics::new();
-        Metrics::add(&m.evaluations, 30);
-        Metrics::add(&m.cache_hits, 10);
-        Metrics::bump(&m.generations);
-        Metrics::bump(&m.generations);
-        let s = m.snapshot(JobGauges {
+        let reg = obs::Registry::new();
+        reg.counter("tuned_evaluations_total").add(30);
+        reg.counter("tuned_cache_hits_total").add(10);
+        reg.counter("tuned_generations_total").add(2);
+        let jobs = JobGauges {
             queued: 1,
             running: 2,
             ..JobGauges::default()
-        });
+        };
+        let s = MetricsSnapshot::read(&reg, jobs, 4_000_000);
         assert_eq!(s.evaluations, 30);
         assert_eq!(s.cache_hits, 10);
         assert!((s.cache_hit_rate - 0.25).abs() < 1e-12);
         assert_eq!(s.generations, 2);
-        assert_eq!(s.jobs.queued, 1);
-        assert_eq!(s.jobs.running, 2);
-        assert!(s.uptime_secs >= 0.0);
+        assert_eq!(s.jobs, jobs);
+        assert_eq!(s.uptime_secs, 4.0);
+        assert_eq!(s.generations_per_sec, 0.5);
     }
 
     #[test]
-    fn empty_metrics_have_zero_rates() {
-        let s = Metrics::new().snapshot(JobGauges::default());
-        assert_eq!(s.cache_hit_rate, 0.0);
+    fn empty_metrics_have_zero_rates_and_publish_every_series() {
+        let reg = obs::Registry::new();
+        let s = MetricsSnapshot::read(&reg, JobGauges::default(), 0);
+        assert_eq!((s.cache_hit_rate, s.generations_per_sec), (0.0, 0.0));
         assert_eq!(s.evaluations, 0);
+        assert_eq!(reg.snapshot().counters.len(), 18, "one series per counter");
     }
 }

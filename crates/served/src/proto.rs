@@ -464,18 +464,22 @@ pub fn metrics_to_json(m: &MetricsSnapshot) -> Json {
             "slow_watch_disconnects",
             Json::Int(m.slow_watch_disconnects as i64),
         ),
-        (
-            "remote",
-            Json::obj(vec![
-                ("dispatched", Json::Int(m.remote_dispatched as i64)),
-                ("batches", Json::Int(m.remote_batches as i64)),
-                ("completed", Json::Int(m.remote_completed as i64)),
-                ("retries", Json::Int(m.remote_retries as i64)),
-                ("timeouts", Json::Int(m.remote_timeouts as i64)),
-                ("evictions", Json::Int(m.remote_evictions as i64)),
-                ("fallback_evals", Json::Int(m.remote_fallback_evals as i64)),
-            ]),
-        ),
+        ("remote", remote_to_json(m)),
+    ])
+}
+
+/// The remote-dispatch totals: the `remote` object of the `metrics`
+/// verb and of every `watch` frame of a distributed run.
+#[must_use]
+pub fn remote_to_json(m: &MetricsSnapshot) -> Json {
+    Json::obj(vec![
+        ("dispatched", Json::Int(m.remote_dispatched as i64)),
+        ("batches", Json::Int(m.remote_batches as i64)),
+        ("completed", Json::Int(m.remote_completed as i64)),
+        ("retries", Json::Int(m.remote_retries as i64)),
+        ("timeouts", Json::Int(m.remote_timeouts as i64)),
+        ("evictions", Json::Int(m.remote_evictions as i64)),
+        ("fallback_evals", Json::Int(m.remote_fallback_evals as i64)),
     ])
 }
 

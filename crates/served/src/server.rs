@@ -20,11 +20,11 @@ use crate::codec::{required, Genome};
 use crate::daemon::{Daemon, SubmitError};
 use crate::job::JobSpec;
 use crate::json::Json;
-use crate::metrics::Metrics;
 use crate::net::{NetListener, NetStream, TcpTransport, Transport};
 use crate::proto::{
     err, err_busy, metrics_to_json, ok_with, parse_request, read_frame, record_to_json,
-    registry_to_json, shard_to_json, tenant_to_json, worker_to_json, write_frame, Frame,
+    registry_to_json, remote_to_json, shard_to_json, tenant_to_json, worker_to_json, write_frame,
+    Frame,
 };
 
 /// How long a connection may sit idle (mid-read) before it is dropped.
@@ -119,7 +119,7 @@ impl Server {
                     // reject instead of an unbounded thread pile-up.
                     let cap = self.daemon.max_connections();
                     if self.active.load(Ordering::SeqCst) >= cap {
-                        Metrics::bump(&self.daemon.metrics().busy_rejects);
+                        self.daemon.obs().counter("tuned_busy_rejects_total").inc();
                         let reject = Reject::new(
                             RejectKind::Connections,
                             format!("server is at its connection cap ({cap})"),
@@ -130,7 +130,7 @@ impl Server {
                     }
                     self.active.fetch_add(1, Ordering::SeqCst);
                     let guard = ConnGuard(Arc::clone(&self.active));
-                    Metrics::bump(&self.daemon.metrics().connections);
+                    self.daemon.obs().counter("tuned_connections_total").inc();
                     let daemon = self.daemon.clone();
                     let stop = Arc::clone(&self.stop);
                     let transport = Arc::clone(&self.transport);
@@ -172,7 +172,7 @@ fn serve_connection(
             Frame::Line(line) => line,
             Frame::Eof => return,
             Frame::Oversized => {
-                Metrics::bump(&daemon.metrics().protocol_errors);
+                daemon.obs().counter("tuned_protocol_errors_total").inc();
                 let _ = write_frame(&mut writer, &err("frame exceeds 1 MiB; closing"));
                 return;
             }
@@ -184,7 +184,7 @@ fn serve_connection(
         let response = match parse_request(&line) {
             Ok((cmd, body)) => dispatch(&cmd, &body, daemon, &mut writer, stop, transport),
             Err(e) => {
-                Metrics::bump(&daemon.metrics().protocol_errors);
+                daemon.obs().counter("tuned_protocol_errors_total").inc();
                 Some(err(e))
             }
         };
@@ -272,7 +272,7 @@ fn dispatch(
         )])),
         "obs" => Some(ok_with(vec![(
             "obs",
-            registry_to_json(&daemon.obs().snapshot()),
+            registry_to_json(&daemon.obs_snapshot()),
         )])),
         "register" => Some(match worker_addr(body) {
             Err(e) => err(e),
@@ -311,7 +311,7 @@ fn dispatch(
             None
         }
         other => {
-            Metrics::bump(&daemon.metrics().protocol_errors);
+            daemon.obs().counter("tuned_protocol_errors_total").inc();
             Some(err(format!("unknown cmd '{other}'")))
         }
     }
@@ -372,23 +372,9 @@ fn watch(
             // During a distributed run, surface the remote dispatch
             // counters alongside each progress frame.
             if !daemon.pool().is_empty() {
-                let m = daemon.metrics();
-                let load =
-                    |c: &std::sync::atomic::AtomicU64| Json::Int(c.load(Ordering::Relaxed) as i64);
-                fields.push((
-                    "remote",
-                    Json::obj(vec![
-                        ("dispatched", load(&m.remote_dispatched)),
-                        ("batches", load(&m.remote_batches)),
-                        ("completed", load(&m.remote_completed)),
-                        ("retries", load(&m.remote_retries)),
-                        ("timeouts", load(&m.remote_timeouts)),
-                        ("evictions", load(&m.remote_evictions)),
-                        ("fallback_evals", load(&m.remote_fallback_evals)),
-                    ]),
-                ));
+                fields.push(("remote", remote_to_json(&daemon.metrics_snapshot())));
             }
-            match push_watch_frame(&tx, ok_with(fields), daemon.metrics()) {
+            match push_watch_frame(&tx, ok_with(fields), daemon.obs()) {
                 WatchPush::Sent => {}
                 WatchPush::TooSlow => {
                     // The consumer is WATCH_BACKLOG frames behind a
@@ -428,12 +414,12 @@ enum WatchPush {
 fn push_watch_frame(
     tx: &std::sync::mpsc::SyncSender<Json>,
     frame: Json,
-    metrics: &Metrics,
+    reg: &obs::Registry,
 ) -> WatchPush {
     match tx.try_send(frame) {
         Ok(()) => WatchPush::Sent,
         Err(TrySendError::Full(_)) => {
-            Metrics::bump(&metrics.slow_watch_disconnects);
+            reg.counter("tuned_slow_watch_disconnects_total").inc();
             WatchPush::TooSlow
         }
         Err(TrySendError::Disconnected(_)) => WatchPush::ConsumerGone,
@@ -555,38 +541,29 @@ mod tests {
 
     #[test]
     fn a_full_watch_queue_means_disconnect_and_a_counter_bump() {
-        let metrics = Metrics::new();
+        let reg = obs::Registry::new();
+        let slow = || reg.counter_value("tuned_slow_watch_disconnects_total");
         let (tx, rx) = sync_channel::<Json>(2);
         assert!(matches!(
-            push_watch_frame(&tx, Json::Null, &metrics),
+            push_watch_frame(&tx, Json::Null, &reg),
             WatchPush::Sent
         ));
         assert!(matches!(
-            push_watch_frame(&tx, Json::Null, &metrics),
+            push_watch_frame(&tx, Json::Null, &reg),
             WatchPush::Sent
         ));
         // Third frame with nobody reading: the backlog bound is hit.
         assert!(matches!(
-            push_watch_frame(&tx, Json::Null, &metrics),
+            push_watch_frame(&tx, Json::Null, &reg),
             WatchPush::TooSlow
         ));
-        assert_eq!(
-            metrics
-                .slow_watch_disconnects
-                .load(std::sync::atomic::Ordering::Relaxed),
-            1
-        );
+        assert_eq!(slow(), 1);
         // A hung-up consumer is not "slow" — no counter bump.
         drop(rx);
         assert!(matches!(
-            push_watch_frame(&tx, Json::Null, &metrics),
+            push_watch_frame(&tx, Json::Null, &reg),
             WatchPush::ConsumerGone
         ));
-        assert_eq!(
-            metrics
-                .slow_watch_disconnects
-                .load(std::sync::atomic::Ordering::Relaxed),
-            1
-        );
+        assert_eq!(slow(), 1);
     }
 }

@@ -24,7 +24,7 @@ use served::proto::{
     err, eval_batch_response, ok_with, parse_eval_batch_request, parse_request, read_frame,
     write_frame, EvalOutcome, Frame,
 };
-use served::{JobSpec, Metrics, NetStream, Transport};
+use served::{JobSpec, NetStream, Transport};
 use sim::SimNet;
 use tuner::{Goal, Tuner};
 
@@ -62,9 +62,12 @@ fn fast_cfg() -> DispatchConfig {
 }
 
 /// A pool dialing out of the simulated daemon node.
+/// A pool on the simulated network, counting into a registry of its
+/// own so each test reads its totals from zero.
 fn sim_pool(net: &Arc<SimNet>, addrs: &[String]) -> Arc<WorkerPool> {
     let mut pool = WorkerPool::with_workers(fast_cfg(), addrs);
     pool.set_transport(net.transport("daemon"));
+    pool.set_obs(Arc::new(obs::Registry::new()));
     Arc::new(pool)
 }
 
@@ -187,17 +190,13 @@ fn handle_conn(
 }
 
 /// Runs a full GA search through a [`RemoteEvaluator`] over `pool`.
-fn run_distributed(
-    spec: &JobSpec,
-    pool: &Arc<WorkerPool>,
-    metrics: &Arc<Metrics>,
-) -> (Vec<i64>, f64) {
+fn run_distributed(spec: &JobSpec, pool: &Arc<WorkerPool>) -> (Vec<i64>, f64) {
     let tuner = Tuner::new(
         spec.task().unwrap(),
         spec.training().unwrap(),
         spec.adapt_cfg(),
     );
-    let remote = RemoteEvaluator::new(pool, spec.to_json(), metrics, |genes| {
+    let remote = RemoteEvaluator::new(pool, spec.to_json(), |genes| {
         tuner.fitness(&inliner::InlineParams::from_genes(genes))
     });
     let mut strategy = search::build("ga", tuner.task().ranges(), spec.ga.clone()).unwrap();
@@ -223,18 +222,18 @@ fn distributed_run_is_bit_identical_to_local() {
     let (w1, s1) = fake_worker(&net, "w0", Behavior::Honest, &spec);
     let (w2, s2) = fake_worker(&net, "w1", Behavior::Honest, &spec);
     let pool = sim_pool(&net, &[w1, w2]);
-    let metrics = Arc::new(Metrics::new());
 
-    let (genes, fitness) = run_distributed(&spec, &pool, &metrics);
+    let (genes, fitness) = run_distributed(&spec, &pool);
     let (local_genes, local_fitness) = run_local(&spec);
     assert_eq!(genes, local_genes);
     assert_eq!(fitness.to_bits(), local_fitness.to_bits());
     assert!(
-        metrics.remote_completed.load(Ordering::Relaxed) > 0,
+        pool.obs().counter_value("tuned_remote_completed_total") > 0,
         "evaluations must actually have gone over the wire"
     );
     assert_eq!(
-        metrics.remote_fallback_evals.load(Ordering::Relaxed),
+        pool.obs()
+            .counter_value("tuned_remote_fallback_evals_total"),
         0,
         "healthy workers should answer everything"
     );
@@ -250,14 +249,13 @@ fn malformed_responses_evict_the_worker_without_wedging_the_run() {
     let (bad, sb) = fake_worker(&net, "w0", Behavior::Malformed, &spec);
     let (good, sg) = fake_worker(&net, "w1", Behavior::Honest, &spec);
     let pool = sim_pool(&net, &[bad, good]);
-    let metrics = Arc::new(Metrics::new());
 
-    let (genes, fitness) = run_distributed(&spec, &pool, &metrics);
+    let (genes, fitness) = run_distributed(&spec, &pool);
     let (local_genes, local_fitness) = run_local(&spec);
     assert_eq!(genes, local_genes);
     assert_eq!(fitness.to_bits(), local_fitness.to_bits());
     assert!(
-        metrics.remote_evictions.load(Ordering::Relaxed) >= 1,
+        pool.obs().counter_value("tuned_remote_evictions_total") >= 1,
         "garbage must get the worker evicted"
     );
     sb.store(true, Ordering::SeqCst);
@@ -272,13 +270,12 @@ fn oversized_responses_evict_the_worker_without_wedging_the_run() {
     let (bad, sb) = fake_worker(&net, "w0", Behavior::Oversized, &spec);
     let (good, sg) = fake_worker(&net, "w1", Behavior::Honest, &spec);
     let pool = sim_pool(&net, &[bad, good]);
-    let metrics = Arc::new(Metrics::new());
 
-    let (genes, fitness) = run_distributed(&spec, &pool, &metrics);
+    let (genes, fitness) = run_distributed(&spec, &pool);
     let (local_genes, local_fitness) = run_local(&spec);
     assert_eq!(genes, local_genes);
     assert_eq!(fitness.to_bits(), local_fitness.to_bits());
-    assert!(metrics.remote_evictions.load(Ordering::Relaxed) >= 1);
+    assert!(pool.obs().counter_value("tuned_remote_evictions_total") >= 1);
     sb.store(true, Ordering::SeqCst);
     sg.store(true, Ordering::SeqCst);
     net.shutdown();
@@ -294,18 +291,17 @@ fn silent_worker_times_out_and_work_is_redispatched() {
     let (mute, sm) = fake_worker(&net, "w0", Behavior::Silent, &spec);
     let (good, sg) = fake_worker(&net, "w1", Behavior::Honest, &spec);
     let pool = sim_pool(&net, &[mute, good]);
-    let metrics = Arc::new(Metrics::new());
 
-    let (genes, fitness) = run_distributed(&spec, &pool, &metrics);
+    let (genes, fitness) = run_distributed(&spec, &pool);
     let (local_genes, local_fitness) = run_local(&spec);
     assert_eq!(genes, local_genes);
     assert_eq!(fitness.to_bits(), local_fitness.to_bits());
     assert!(
-        metrics.remote_timeouts.load(Ordering::Relaxed) >= 1,
+        pool.obs().counter_value("tuned_remote_timeouts_total") >= 1,
         "the silent worker must have timed out at least once"
     );
     assert!(
-        metrics.remote_retries.load(Ordering::Relaxed) >= 1,
+        pool.obs().counter_value("tuned_remote_retries_total") >= 1,
         "timed-out work must have been re-dispatched"
     );
     sm.store(true, Ordering::SeqCst);
@@ -320,12 +316,15 @@ fn dead_pool_falls_back_to_local_and_still_matches() {
     // Nothing listens here: every connect fails, the worker is evicted,
     // and the whole generation lands on the fallback path.
     let pool = sim_pool(&net, &["ghost:7000".to_string()]);
-    let metrics = Arc::new(Metrics::new());
 
-    let (genes, fitness) = run_distributed(&spec, &pool, &metrics);
+    let (genes, fitness) = run_distributed(&spec, &pool);
     let (local_genes, local_fitness) = run_local(&spec);
     assert_eq!(genes, local_genes);
     assert_eq!(fitness.to_bits(), local_fitness.to_bits());
-    assert!(metrics.remote_fallback_evals.load(Ordering::Relaxed) > 0);
+    assert!(
+        pool.obs()
+            .counter_value("tuned_remote_fallback_evals_total")
+            > 0
+    );
     net.shutdown();
 }

@@ -25,7 +25,7 @@ use served::daemon::{Daemon, DaemonConfig};
 use served::dispatch::{DispatchConfig, RemoteEvaluator, Worker, WorkerPool};
 use served::json::{u64_from_json, Json};
 use served::proto::{registry_from_json, registry_to_json};
-use served::{Client, JobSpec, Metrics, RunDir, Server};
+use served::{Client, JobSpec, RunDir, Server};
 use tuner::{Goal, Tuner};
 
 fn tiny_spec(seed: u64) -> JobSpec {
@@ -100,8 +100,8 @@ impl Drop for TestWorker {
     }
 }
 
-/// A pool over the given workers, recording into its own manual-clock
-/// registry.
+/// A pool over the given workers, recording — daemon-wide totals
+/// included — into its own manual-clock registry.
 fn manual_pool(cfg: DispatchConfig, addrs: &[String]) -> (Arc<WorkerPool>, Arc<obs::Registry>) {
     let reg = manual_registry();
     let mut pool = WorkerPool::with_workers(cfg, addrs);
@@ -142,11 +142,10 @@ fn dead_dropping_worker_evicts_with_exact_counters() {
     let chaos = Chaos::new(ChaosConfig::parse("drop:1.0").unwrap(), 1);
     let worker = TestWorker::start(chaos);
     let (pool, reg) = manual_pool(fast_dispatch(4), &[worker.addr.clone()]);
-    let metrics = Arc::new(Metrics::new());
 
     let spec = tiny_spec(3001);
     let genomes: Vec<Vec<i64>> = vec![InlineParams::jikes_default().to_genes(); 4];
-    let eval = RemoteEvaluator::new(&pool, spec.to_json(), &metrics, |g| g[0] as f64);
+    let eval = RemoteEvaluator::new(&pool, spec.to_json(), |g| g[0] as f64);
     let scores = eval.evaluate(&genomes);
     assert_eq!(scores.len(), 4, "every genome resolves via the fallback");
 
@@ -162,14 +161,27 @@ fn dead_dropping_worker_evicts_with_exact_counters() {
         .expect("the latency histogram is created when dispatch starts");
     assert_eq!(rpc.total, 0, "nothing ever completed");
 
-    let stats = pool.all()[0].stats.read();
-    assert_eq!(stats.completed, 0);
-    assert_eq!(stats.retries, 12);
-    assert_eq!(stats.evictions, 1);
-    assert_eq!(metrics.remote_retries.load(Ordering::Relaxed), 12);
-    assert_eq!(metrics.remote_evictions.load(Ordering::Relaxed), 1);
-    assert_eq!(metrics.remote_fallback_evals.load(Ordering::Relaxed), 4);
-    assert_eq!(metrics.remote_completed.load(Ordering::Relaxed), 0);
+    assert_eq!(snap.counter("tuned_remote_completed_total"), 0);
+
+    // Each event was counted once, so the other grain of every series
+    // above — the daemon-wide total and the per-worker `workers[]` row
+    // — reads the same value rather than keeping a count of its own.
+    for (total, per_worker) in [
+        ("tuned_remote_retries_total", "dispatch_retries"),
+        ("tuned_remote_evictions_total", "dispatch_evictions"),
+        ("tuned_remote_timeouts_total", "dispatch_timeouts"),
+    ] {
+        assert_eq!(snap.counter(total), snap.counter(&label(per_worker)));
+    }
+    assert_eq!(
+        snap.counter("tuned_remote_fallback_evals_total"),
+        snap.counter("dispatch_fallback_evals")
+    );
+    let row = &pool.snapshots()[0];
+    assert_eq!(row.completed, 0);
+    assert_eq!(row.retries, snap.counter(&label("dispatch_retries")));
+    assert_eq!(row.evictions, snap.counter(&label("dispatch_evictions")));
+    assert_eq!(row.timeouts, snap.counter(&label("dispatch_timeouts")));
 
     let wsnap = worker.reg.snapshot();
     assert_eq!(wsnap.counter("evald_connections"), 3);
@@ -187,7 +199,6 @@ fn dead_dropping_worker_evicts_with_exact_counters() {
 fn healthy_worker_run_is_bit_identical_with_exact_histograms() {
     let worker = TestWorker::start(Chaos::inert());
     let (pool, reg) = manual_pool(fast_dispatch(8), &[worker.addr.clone()]);
-    let metrics = Arc::new(Metrics::new());
     let ga_reg = manual_registry();
 
     let spec = tiny_spec(3002);
@@ -198,7 +209,7 @@ fn healthy_worker_run_is_bit_identical_with_exact_histograms() {
     );
     let mut state = search::build("ga", tuner.task().ranges(), spec.ga.clone()).unwrap();
     state.set_obs(Arc::clone(&ga_reg));
-    let remote = RemoteEvaluator::new(&pool, spec.to_json(), &metrics, |genes| {
+    let remote = RemoteEvaluator::new(&pool, spec.to_json(), |genes| {
         tuner.fitness(&InlineParams::from_genes(genes))
     });
     search::drive(state.as_mut(), &remote);
@@ -216,11 +227,11 @@ fn healthy_worker_run_is_bit_identical_with_exact_histograms() {
 
     // Every distinct evaluation went remote, none fell back, and the
     // worker answered each exactly once.
-    let completed = metrics.remote_completed.load(Ordering::Relaxed);
+    let completed = reg.counter_value("tuned_remote_completed_total");
     assert_eq!(completed, state.evaluations() as u64);
-    assert_eq!(metrics.remote_fallback_evals.load(Ordering::Relaxed), 0);
-    assert_eq!(metrics.remote_retries.load(Ordering::Relaxed), 0);
-    assert_eq!(metrics.remote_evictions.load(Ordering::Relaxed), 0);
+    assert_eq!(reg.counter_value("tuned_remote_fallback_evals_total"), 0);
+    assert_eq!(reg.counter_value("tuned_remote_retries_total"), 0);
+    assert_eq!(reg.counter_value("tuned_remote_evictions_total"), 0);
     let stats = pool.all()[0].stats.read();
     assert_eq!(stats.completed, completed);
     assert_eq!(stats.rtt_micros, 0, "frozen clock: zero RTT");
@@ -235,7 +246,7 @@ fn healthy_worker_run_is_bit_identical_with_exact_histograms() {
             &[("worker", &worker.addr)],
         ))
         .unwrap();
-    let batches = metrics.remote_batches.load(Ordering::Relaxed);
+    let batches = snap.counter("tuned_remote_batches_total");
     assert!(batches > 0, "a distributed run must send batches");
     assert_eq!(rpc.total, batches, "one latency sample per batch");
     assert!(
@@ -345,6 +356,125 @@ fn daemon_watch_frames_time_the_evaluation_not_the_commit() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Every daemon counter: its path in the `metrics` verb's body and the
+/// registry name that is its one store.
+const DAEMON_COUNTERS: [(&str, &str); 18] = [
+    ("jobs_submitted", "tuned_jobs_submitted_total"),
+    ("jobs_recovered", "tuned_jobs_recovered_total"),
+    ("generations", "tuned_generations_total"),
+    ("evaluations", "tuned_evaluations_total"),
+    ("cache_hits", "tuned_cache_hits_total"),
+    ("checkpoints_written", "tuned_checkpoints_written_total"),
+    ("connections", "tuned_connections_total"),
+    ("protocol_errors", "tuned_protocol_errors_total"),
+    ("busy_rejects", "tuned_busy_rejects_total"),
+    ("quota_rejects", "tuned_quota_rejects_total"),
+    (
+        "slow_watch_disconnects",
+        "tuned_slow_watch_disconnects_total",
+    ),
+    ("remote.dispatched", "tuned_remote_dispatched_total"),
+    ("remote.batches", "tuned_remote_batches_total"),
+    ("remote.completed", "tuned_remote_completed_total"),
+    ("remote.retries", "tuned_remote_retries_total"),
+    ("remote.timeouts", "tuned_remote_timeouts_total"),
+    ("remote.evictions", "tuned_remote_evictions_total"),
+    ("remote.fallback_evals", "tuned_remote_fallback_evals_total"),
+];
+
+/// Three read paths, one source: after one distributed job — one of its
+/// two workers flaky, so the failure counters move too — the `metrics`
+/// verb, the `obs` verb and the `/metrics` scrape report the same value
+/// for every daemon counter and job gauge, a `watch` frame's `remote`
+/// object is the `metrics` verb's, and the daemon-wide retry total is
+/// the sum of the per-worker rows.
+#[test]
+fn metrics_verb_obs_verb_and_scrape_read_one_store() {
+    let flaky = TestWorker::start(Chaos::new(ChaosConfig::parse("drop:0.3").unwrap(), 7));
+    let steady = TestWorker::start(Chaos::inert());
+    let dir = std::env::temp_dir().join(format!("served-obs-paths-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let daemon = Daemon::start(
+        DaemonConfig {
+            workers: 1,
+            eval_workers: vec![flaky.addr.clone(), steady.addr.clone()],
+            dispatch: fast_dispatch(2),
+            obs: manual_registry(),
+            ..DaemonConfig::default()
+        },
+        RunDir::open(&dir).unwrap(),
+    )
+    .unwrap();
+    let server = Server::bind("127.0.0.1:0", daemon.clone()).unwrap();
+    let addr = server.local_addr().to_string();
+    let stop = server.stop_flag();
+    let serving = std::thread::spawn(move || server.serve().expect("serve"));
+
+    // Run the job to its end on one connection, keeping the raw frames.
+    let mut watcher = Client::connect(&addr).unwrap();
+    watcher.set_timeout(Some(Duration::from_secs(120))).unwrap();
+    let id = watcher.submit(&tiny_spec(3005)).unwrap();
+    let watch = Json::obj(vec![
+        ("cmd", Json::Str("watch".into())),
+        ("id", Json::Int(id as i64)),
+    ]);
+    let mut frame = watcher.request(&watch).unwrap();
+    while frame.get("job").and_then(|j| j.get("state")) != Some(&Json::Str("done".into())) {
+        frame = watcher.read_response().unwrap();
+    }
+
+    // The daemon is idle now; read it three ways. One client carries
+    // both verbs so `connections` does not move between the reads.
+    let mut client = Client::connect(&addr).unwrap();
+    let verb = client.metrics().unwrap();
+    let registry = registry_from_json(&client.obs().unwrap()).unwrap();
+    let scrape = format!("\n{}", served::expo::render_scrape(&daemon));
+    let verb_field = |path: &str| {
+        let leaf = path.split('.').try_fold(&verb, |v, key| v.get(key));
+        leaf.and_then(Json::as_u64)
+            .unwrap_or_else(|| panic!("metrics verb lacks {path}"))
+    };
+    for (path, name) in DAEMON_COUNTERS {
+        let v = verb_field(path);
+        assert_eq!(registry.counter(name), v, "obs verb vs metrics.{path}");
+        assert!(
+            scrape.contains(&format!("\n# TYPE {name} counter\n{name} {v}\n")),
+            "scrape vs metrics.{path} = {v}:\n{scrape}"
+        );
+    }
+    for state in ["queued", "running", "done", "failed", "canceled"] {
+        let v = verb_field(&format!("jobs.{state}"));
+        let gauge = obs::labeled("tuned_jobs", &[("state", state)]);
+        assert!(registry.gauges.contains(&(gauge.clone(), v as i64)));
+        assert!(scrape.contains(&format!("\n{gauge} {v}\n")), "{scrape}");
+    }
+    assert_eq!(verb_field("jobs.done"), 1);
+    assert_eq!(verb_field("generations"), 3);
+    assert!(verb_field("remote.completed") > 0);
+    assert!(
+        scrape.contains("\ntuned_uptime_seconds 0.000\n"),
+        "{scrape}"
+    );
+
+    assert_eq!(frame.get("remote"), verb.get("remote"), "watch vs metrics");
+    let rows = verb.get("workers").and_then(Json::as_arr).unwrap();
+    let row_sum = |key: &str| -> u64 {
+        rows.iter()
+            .map(|w| w.get(key).unwrap().as_u64().unwrap())
+            .sum()
+    };
+    assert_eq!(rows.len(), 2);
+    assert_eq!(verb_field("remote.retries"), row_sum("retries"));
+    assert_eq!(verb_field("remote.timeouts"), row_sum("timeouts"));
+    assert_eq!(verb_field("remote.evictions"), row_sum("evictions"));
+    assert_eq!(verb_field("remote.completed"), row_sum("completed"));
+
+    daemon.shutdown();
+    stop.store(true, Ordering::SeqCst);
+    serving.join().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Two workers — one dropping 30% of connections — still converge to the
 /// bit-identical result, per-worker completions add up to the batch
 /// totals, and the frozen clocks keep every histogram exact even though
@@ -354,7 +484,6 @@ fn chaos_and_healthy_worker_pair_keeps_exact_accounting() {
     let flaky = TestWorker::start(Chaos::new(ChaosConfig::parse("drop:0.3").unwrap(), 7));
     let steady = TestWorker::start(Chaos::inert());
     let (pool, reg) = manual_pool(fast_dispatch(2), &[flaky.addr.clone(), steady.addr.clone()]);
-    let metrics = Arc::new(Metrics::new());
 
     let spec = tiny_spec(3003);
     let tuner = Tuner::new(
@@ -364,7 +493,7 @@ fn chaos_and_healthy_worker_pair_keeps_exact_accounting() {
     );
     let mut state = search::build("ga", tuner.task().ranges(), spec.ga.clone()).unwrap();
     state.set_obs(manual_registry());
-    let remote = RemoteEvaluator::new(&pool, spec.to_json(), &metrics, |genes| {
+    let remote = RemoteEvaluator::new(&pool, spec.to_json(), |genes| {
         tuner.fitness(&InlineParams::from_genes(genes))
     });
     search::drive(state.as_mut(), &remote);
@@ -382,14 +511,14 @@ fn chaos_and_healthy_worker_pair_keeps_exact_accounting() {
     // Remote completions plus local fallbacks cover every distinct
     // evaluation exactly once (results merge by genome, so a retried
     // request that eventually lands still counts once per response).
-    let completed = metrics.remote_completed.load(Ordering::Relaxed);
+    let completed = reg.counter_value("tuned_remote_completed_total");
     let per_worker: u64 = pool.all().iter().map(|w| w.stats.read().completed).sum();
     assert_eq!(
         per_worker, completed,
         "worker counters account for every response"
     );
     assert_eq!(
-        completed + metrics.remote_fallback_evals.load(Ordering::Relaxed),
+        completed + reg.counter_value("tuned_remote_fallback_evals_total"),
         state.evaluations() as u64
     );
 
@@ -415,12 +544,111 @@ fn chaos_and_healthy_worker_pair_keeps_exact_accounting() {
         "one size sample per answered batch"
     );
     assert!(
-        rpc_total <= metrics.remote_batches.load(Ordering::Relaxed),
+        rpc_total <= snap.counter("tuned_remote_batches_total"),
         "chaos-killed batches send but never produce a latency sample"
     );
     assert_all_samples_zero(&snap);
     assert_all_samples_zero(&flaky.reg.snapshot());
     assert_all_samples_zero(&steady.reg.snapshot());
+}
+
+/// Polls `daemon` until job `id` is terminal.
+fn wait_terminal(daemon: &Daemon, id: u64) -> served::JobRecord {
+    for _ in 0..2400 {
+        let r = daemon.status(id).expect("job exists");
+        if r.state.is_terminal() {
+            return r;
+        }
+        std::thread::sleep(Duration::from_millis(25));
+    }
+    panic!("job {id} never reached a terminal state");
+}
+
+/// An online job's memo hits and store writes reach the daemon's
+/// counters like an offline job's do: the `metrics` verb and the GA's
+/// own registry counter give one answer to "evaluations spent vs
+/// saved", and every fresh evaluation is one shard store write.
+#[test]
+fn online_job_books_cache_hits_and_store_writes() {
+    let dir = std::env::temp_dir().join(format!("served-obs-online-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let reg = Arc::new(obs::Registry::new());
+    let store = stored::Store::open_with(
+        dir.join("store"),
+        stored::StoreOptions {
+            obs: Arc::clone(&reg),
+            ..stored::StoreOptions::default()
+        },
+    )
+    .unwrap();
+    let daemon = Daemon::start(
+        DaemonConfig {
+            store: Some(Arc::new(store)),
+            obs: Arc::clone(&reg),
+            ..DaemonConfig::default()
+        },
+        RunDir::open(dir.join("run")).unwrap(),
+    )
+    .unwrap();
+    let spec = JobSpec {
+        online: Some(served::job::OnlineSpec {
+            epochs: 5,
+            kind: workloads::DriftKind::Step,
+            period: 2,
+            phases: 2,
+            drift_seed: 11,
+            window: 1,
+            threshold_pct: 2.0,
+        }),
+        ..tiny_spec(7)
+    };
+    let id = daemon.submit(spec).unwrap();
+    assert_eq!(wait_terminal(&daemon, id).state.name(), "done");
+
+    let m = daemon.metrics_snapshot();
+    assert!(m.cache_hits > 0, "a GA tune revisits genomes");
+    assert_eq!(m.cache_hits, reg.counter_value("ga_cache_hits"));
+    // Epochs 1..=4 each probe the incumbent once, outside any GA.
+    assert_eq!(m.evaluations, reg.counter_value("ga_evaluations") + 4);
+    assert_eq!(
+        reg.counter_value("shard_store_writes{shard=\"0\"}"),
+        m.evaluations
+    );
+    assert_eq!(m.generations, 5, "one booked round per epoch");
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Uptime and the rate derived from it run on the registry's clock, so
+/// a manual clock pins both exactly.
+#[test]
+fn uptime_and_generation_rate_follow_the_registry_clock() {
+    let dir = std::env::temp_dir().join(format!("served-obs-uptime-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let clock = Arc::new(obs::ManualClock::new());
+    clock.set(7_000_000); // the daemon starts part-way through the clock's life
+    let daemon = Daemon::start(
+        DaemonConfig {
+            obs: Arc::new(obs::Registry::with_clock(Arc::clone(&clock) as _)),
+            ..DaemonConfig::default()
+        },
+        RunDir::open(&dir).unwrap(),
+    )
+    .unwrap();
+    let idle = daemon.metrics_snapshot();
+    assert_eq!((idle.uptime_secs, idle.generations_per_sec), (0.0, 0.0));
+
+    let mut spec = tiny_spec(4);
+    spec.ga.generations = 4;
+    let id = daemon.submit(spec).unwrap();
+    assert_eq!(wait_terminal(&daemon, id).generation, 4);
+    clock.advance(2_000_000);
+    let m = daemon.metrics_snapshot();
+    assert_eq!(m.generations, 4);
+    assert_eq!(m.uptime_secs, 2.0);
+    assert_eq!(m.generations_per_sec, 2.0);
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Hammers one worker's stats from many threads while a poller takes
@@ -448,11 +676,12 @@ fn worker_stats_snapshot_is_internally_consistent_under_load() {
 
     let poller = {
         let w = Arc::clone(&w);
+        let reg = obs::Registry::new();
         let stop = Arc::clone(&stop);
         std::thread::spawn(move || {
             let mut observed = 0u64;
             while !stop.load(Ordering::SeqCst) {
-                let s = w.snapshot();
+                let s = w.snapshot(&reg);
                 if s.completed > 0 {
                     assert_eq!(
                         s.mean_rtt_ms, 1.0,

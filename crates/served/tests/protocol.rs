@@ -78,6 +78,11 @@ impl TestServer {
                 workers,
                 queue_capacity: 16,
                 store,
+                // Each test server counts into a registry of its own:
+                // the tests below read exact totals, and the default
+                // (process-global) registry is shared by every daemon
+                // this test binary starts.
+                obs: std::sync::Arc::new(obs::Registry::new()),
                 ..DaemonConfig::default()
             }),
             RunDir::open(&dir).unwrap(),

@@ -57,7 +57,7 @@ use served::proto::{
     err, eval_batch_response, ok_with, parse_eval_batch_request, parse_request, read_frame,
     write_frame, EvalOutcome, Frame,
 };
-use served::{Metrics, NetStream, Transport};
+use served::{NetStream, Transport};
 
 use crate::net::{FaultPlan, SimNet};
 
@@ -428,8 +428,7 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleReport {
         TransportClock(net.transport("daemon")),
     ))));
     let pool = Arc::new(pool);
-    let metrics = Arc::new(Metrics::new());
-    let remote = RemoteEvaluator::new(&pool, Json::Null, &metrics, |g| synthetic_fitness(g));
+    let remote = RemoteEvaluator::new(&pool, Json::Null, |g| synthetic_fitness(g));
 
     let ga = GaConfig {
         pop_size: cfg.pop_size,
@@ -469,8 +468,12 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleReport {
     net.shutdown();
 
     let evaluations = strategy.evaluations();
-    let remote_evals = metrics.remote_completed.load(Ordering::Relaxed);
-    let fallback_evals = metrics.remote_fallback_evals.load(Ordering::Relaxed);
+    // The pool counts into the registry built for it above, so these
+    // totals are this run's alone.
+    let remote_evals = pool.obs().counter_value("tuned_remote_completed_total");
+    let fallback_evals = pool
+        .obs()
+        .counter_value("tuned_remote_fallback_evals_total");
     let evals_per_sec = evaluations as f64 * 1e6 / elapsed_micros as f64;
     let efficiency =
         evals_per_sec / (cfg.workers.max(1) as f64 * serial_evals_per_sec(cfg.eval_cost));
@@ -482,7 +485,7 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleReport {
         efficiency,
         remote_evals,
         fallback_evals,
-        batches: metrics.remote_batches.load(Ordering::Relaxed),
+        batches: pool.obs().counter_value("tuned_remote_batches_total"),
         bit_identical,
         lossless: remote_evals + fallback_evals == evaluations as u64,
         best_genes,

@@ -19,8 +19,7 @@ use inlinetune::evald::{Chaos, EvalWorker};
 use inlinetune::prelude::*;
 use inlinetune::served::dispatch::{DispatchConfig, RemoteEvaluator, WorkerPool};
 use inlinetune::served::job::JobSpec;
-use inlinetune::served::Metrics;
-use inlinetune::{ga, jit, search, tuner};
+use inlinetune::{ga, jit, obs, search, tuner};
 
 fn spec(seed: u64) -> JobSpec {
     JobSpec {
@@ -63,15 +62,17 @@ fn main() {
 
     // The dispatch side: a pool over those addresses and a remote
     // evaluator for this job. The fallback closure is the local fitness
-    // path — used only if every worker dies.
-    let pool = Arc::new(WorkerPool::with_workers(DispatchConfig::default(), &addrs));
-    let metrics = Arc::new(Metrics::new());
+    // path — used only if every worker dies. The pool counts into a
+    // registry of its own, so the totals read back below are this run's.
+    let mut pool = WorkerPool::with_workers(DispatchConfig::default(), &addrs);
+    pool.set_obs(Arc::new(obs::Registry::new()));
+    let pool = Arc::new(pool);
     let tuning = Tuner::new(
         spec.task().expect("task"),
         spec.training().expect("training suite"),
         spec.adapt_cfg(),
     );
-    let remote = RemoteEvaluator::new(&pool, spec.to_json(), &metrics, |genes| {
+    let remote = RemoteEvaluator::new(&pool, spec.to_json(), |genes| {
         tuning.fitness(&InlineParams::from_genes(genes))
     });
 
@@ -85,7 +86,7 @@ fn main() {
     loop {
         let done = search::round(strategy.as_mut(), &remote, |_| {});
         let best = strategy.best().map_or(f64::INFINITY, |(_, f)| f);
-        let remote_evals = metrics.remote_completed.load(Ordering::Relaxed);
+        let remote_evals = pool.obs().counter_value("tuned_remote_completed_total");
         let t = strategy
             .last_timing()
             .expect("the ga strategy times every round");

@@ -43,18 +43,17 @@ echo "== benchmark package (offline build + --quick smoke of every workload)"
 # compile it; this is what notices when a public-API change breaks it.
 benchmark/ci.sh
 
-# The property-test suites outside `served` (whose own run in the plain
-# test stage above, as seeded loops) need the external `proptest` crate,
-# which is not vendored: they are gated behind a bare `proptest` cargo
-# feature and skipped unless a dev-dependency on proptest has been added
-# (networked checkout).
+# The property-test suites outside `served` and `obs` (whose own run in
+# the plain test stage above, as seeded loops) need the external
+# `proptest` crate, which is not vendored: they are gated behind a bare
+# `proptest` cargo feature and skipped unless a dev-dependency on
+# proptest has been added (networked checkout).
 has_proptest_dep() { # manifest
   awk '/^\[dev-dependencies\]/ { f = 1; next } /^\[/ { f = 0 } f && /^proptest *=/' \
     "$1" | grep -q .
 }
-if has_proptest_dep crates/obs/Cargo.toml; then
+if has_proptest_dep crates/problems/Cargo.toml; then
   echo "== cargo test --features proptest (property suites)"
-  cargo test -p inlinetune-obs --offline --quiet --features proptest
   cargo test -p inlinetune-problems --offline --quiet --features proptest
   cargo test -p inlinetune-shard --offline --quiet --features proptest
   cargo test -p inlinetune-online --offline --quiet --features proptest
@@ -119,6 +118,13 @@ printf '%s' "$SCRAPE" | grep -q '^tuned_jobs{state="done"} 1' \
   || { echo "scrape missing tuned_jobs gauge"; printf '%s\n' "$SCRAPE"; exit 1; }
 printf '%s' "$SCRAPE" | grep -q '^# TYPE ga_generations counter' \
   || { echo "scrape missing obs registry counters"; exit 1; }
+# The scrape and the `metrics` verb read one store: on the now-idle
+# daemon they must report the same evaluation count.
+SCRAPED_EVALS=$(printf '%s' "$SCRAPE" \
+  | sed -n 's/^tuned_evaluations_total \([0-9]*\)$/\1/p')
+VERB_EVALS=$("$TUNED" metrics --addr "$ADDR" | sed -n 's/.*"evaluations":\([0-9]*\).*/\1/p')
+[ -n "$SCRAPED_EVALS" ] && [ "$SCRAPED_EVALS" = "$VERB_EVALS" ] \
+  || { echo "scrape says $SCRAPED_EVALS evaluations, metrics verb $VERB_EVALS"; exit 1; }
 
 # Smoke-tune each non-inlining problem domain through the same daemon:
 # one flags job, one dss job, both must converge over the same worker
