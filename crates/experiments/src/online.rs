@@ -19,8 +19,8 @@
 //! The acceptance bar (ROADMAP): online's mean delivered (probe)
 //! fitness beats frozen on at least two of the three schedules, with
 //! regret vs the oracle bounded after detection. Per-epoch rows land
-//! in `results/online.csv` (read back by `perfgate` for the calibrated
-//! gate) and the summary table in `results/online_summary.csv`.
+//! in `results/online.csv` and the summary table in
+//! `results/online_summary.csv`.
 
 use ga::GaConfig;
 use online::{DetectorConfig, OnlineConfig, OnlineJob, OnlineReport};
@@ -157,8 +157,7 @@ pub fn wins(cells: &[OnlineCell]) -> usize {
     cells.iter().filter(|c| c.online_won()).count()
 }
 
-/// The per-epoch CSV consumed by `perfgate`: one row per
-/// schedule × mode × epoch.
+/// The per-epoch CSV: one row per schedule × mode × epoch.
 #[must_use]
 pub fn to_rows_table(cells: &[OnlineCell]) -> Table {
     let mut t = Table::new(&[

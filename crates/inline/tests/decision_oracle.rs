@@ -1,15 +1,11 @@
-// Gated: needs the crates.io `proptest` crate (see the `proptest`
-// feature note in this crate's Cargo.toml).
-#![cfg(feature = "proptest")]
-
 //! Randomized cross-check of the decision procedures against independent
 //! oracle transliterations of the paper's Fig. 3 and Fig. 4 pseudo-code,
 //! plus end-to-end checks that the *transformer* obeys the decisions it
-//! is given.
-
-use proptest::prelude::*;
+//! is given. Seeded case loops (`simrng::cases`), so they run in plain
+//! `cargo test`.
 
 use inliner::{hot_decision, static_decision, InlineParams};
+use simrng::{cases, Rng};
 
 /// Literal transliteration of Fig. 3 (kept deliberately separate from the
 /// library implementation).
@@ -34,79 +30,79 @@ fn fig4_oracle(callee: u32, p: &InlineParams) -> bool {
     callee <= p.hot_callee_max_size
 }
 
-prop_compose! {
-    fn arb_params()(
-        a in 0u32..=80,
-        b in 0u32..=50,
-        c in 0u32..=20,
-        d in 0u32..=5000,
-        e in 0u32..=500,
-    ) -> InlineParams {
-        InlineParams {
-            callee_max_size: a,
-            always_inline_size: b,
-            max_inline_depth: c,
-            caller_max_size: d,
-            hot_callee_max_size: e,
-        }
+/// A `u32` in the inclusive range `0..=hi`.
+fn upto(rng: &mut Rng, hi: u32) -> u32 {
+    rng.below(u64::from(hi) + 1) as u32
+}
+
+fn arb_params(rng: &mut Rng) -> InlineParams {
+    InlineParams {
+        callee_max_size: upto(rng, 80),
+        always_inline_size: upto(rng, 50),
+        max_inline_depth: upto(rng, 20),
+        caller_max_size: upto(rng, 5000),
+        hot_callee_max_size: upto(rng, 500),
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(512))]
-
-    #[test]
-    fn static_decision_matches_fig3_oracle(
-        params in arb_params(),
-        callee in 0u32..=100,
-        depth in 0u32..=25,
-        caller in 0u32..=6000,
-    ) {
-        prop_assert_eq!(
+#[test]
+fn static_decision_matches_fig3_oracle() {
+    cases("static_decision_matches_fig3_oracle", |rng| {
+        let params = arb_params(rng);
+        let (callee, depth, caller) = (upto(rng, 100), upto(rng, 25), upto(rng, 6000));
+        assert_eq!(
             static_decision(callee, depth, caller, &params).is_inline(),
             fig3_oracle(callee, depth, caller, &params),
-            "callee={} depth={} caller={} params={}",
-            callee, depth, caller, params
+            "callee={callee} depth={depth} caller={caller} params={params}"
         );
-    }
+    });
+}
 
-    #[test]
-    fn hot_decision_matches_fig4_oracle(params in arb_params(), callee in 0u32..=600) {
-        prop_assert_eq!(
+#[test]
+fn hot_decision_matches_fig4_oracle() {
+    cases("hot_decision_matches_fig4_oracle", |rng| {
+        let (params, callee) = (arb_params(rng), upto(rng, 600));
+        assert_eq!(
             hot_decision(callee, &params).is_inline(),
             fig4_oracle(callee, &params),
-            "callee={} params={}",
-            callee, params
+            "callee={callee} params={params}"
         );
-    }
+    });
+}
 
-    /// The always-inline short-circuit: when the callee is below both
-    /// ALWAYS_INLINE_SIZE and CALLEE_MAX_SIZE, depth and caller size are
-    /// irrelevant — a subtle ordering property of the original heuristic.
-    #[test]
-    fn always_inline_ignores_depth_and_caller(
-        params in arb_params(),
-        frac in 0.0f64..1.0,
-        d1 in 0u32..=25, d2 in 0u32..=25,
-        c1 in 0u32..=6000, c2 in 0u32..=6000,
-    ) {
-        prop_assume!(params.always_inline_size > 0);
+/// The always-inline short-circuit: when the callee is below both
+/// ALWAYS_INLINE_SIZE and CALLEE_MAX_SIZE, depth and caller size are
+/// irrelevant — a subtle ordering property of the original heuristic.
+#[test]
+fn always_inline_ignores_depth_and_caller() {
+    cases("always_inline_ignores_depth_and_caller", |rng| {
+        let (params, frac) = (arb_params(rng), rng.f64());
+        let (d1, d2) = (upto(rng, 25), upto(rng, 25));
+        let (c1, c2) = (upto(rng, 6000), upto(rng, 6000));
+        if params.always_inline_size == 0 {
+            return;
+        }
         // Construct a callee inside the always-inline band directly.
         let upper = (params.always_inline_size - 1).min(params.callee_max_size);
         let callee = (frac * f64::from(upper + 1)).floor() as u32;
-        prop_assume!(callee < params.always_inline_size && callee <= params.callee_max_size);
-        prop_assert!(static_decision(callee, d1, c1, &params).is_inline());
-        prop_assert_eq!(
+        if callee >= params.always_inline_size || callee > params.callee_max_size {
+            return;
+        }
+        assert!(static_decision(callee, d1, c1, &params).is_inline());
+        assert_eq!(
             static_decision(callee, d1, c1, &params),
             static_decision(callee, d2, c2, &params)
         );
-    }
+    });
+}
 
-    /// Oversized callees are rejected regardless of everything else —
-    /// test 1 dominates even the always-inline test.
-    #[test]
-    fn callee_cap_dominates(params in arb_params(), depth in 0u32..=25, caller in 0u32..=6000) {
+/// Oversized callees are rejected regardless of everything else —
+/// test 1 dominates even the always-inline test.
+#[test]
+fn callee_cap_dominates() {
+    cases("callee_cap_dominates", |rng| {
+        let (params, depth, caller) = (arb_params(rng), upto(rng, 25), upto(rng, 6000));
         let callee = params.callee_max_size.saturating_add(1);
-        prop_assert!(!static_decision(callee, depth, caller, &params).is_inline());
-    }
+        assert!(!static_decision(callee, depth, caller, &params).is_inline());
+    });
 }

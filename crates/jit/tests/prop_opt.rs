@@ -1,12 +1,7 @@
-// Gated: needs the crates.io `proptest` crate (see the `proptest`
-// feature note in this crate's Cargo.toml).
-#![cfg(feature = "proptest")]
-
 //! Property-based tests for the post-inlining optimizer: on arbitrary
 //! random programs, the prop→DCE pipeline preserves observable semantics
 //! (return value and heap) while never increasing size or semantic work.
-
-use proptest::prelude::*;
+//! Seeded case loops (`simrng::cases`), so they run in plain `cargo test`.
 
 use ir::interp::{run, InterpLimits};
 use ir::method::MethodId;
@@ -14,7 +9,7 @@ use ir::size::method_size;
 use ir::testgen::{random_program, GenConfig};
 use ir::validate::validate;
 use jit::passes::{const_prop, dce, optimize_method};
-use simrng::Rng;
+use simrng::{cases, Rng};
 
 fn limits() -> InterpLimits {
     InterpLimits {
@@ -34,93 +29,120 @@ fn optimize_all(p: &mut ir::Program) -> (u32, u32) {
     (folded, removed)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+/// The headline soundness property: optimizing every method preserves
+/// the program's value and heap, and never increases the semantic
+/// step count or any method's size.
+fn pipeline_is_sound(seed: u64) {
+    let p = random_program(&mut Rng::seed_from_u64(seed), &GenConfig::default());
+    let Ok(before) = run(&p, &[], &limits()) else {
+        return;
+    };
+    let sizes_before: Vec<u32> = p.methods.iter().map(method_size).collect();
+    let mut q = p.clone();
+    let _ = optimize_all(&mut q);
+    assert!(validate(&q).is_empty(), "{:?}", validate(&q));
+    let after = run(&q, &[], &limits()).expect("optimized program runs");
+    assert_eq!(before.value, after.value);
+    assert_eq!(before.heap_digest, after.heap_digest);
+    assert!(after.fuel_used <= before.fuel_used, "optimizer added work");
+    for (m, &sz) in q.methods.iter().zip(&sizes_before) {
+        assert!(method_size(m) <= sz, "{} grew", m.name);
+    }
+}
 
-    /// The headline soundness property: optimizing every method preserves
-    /// the program's value and heap, and never increases the semantic
-    /// step count or any method's size.
-    #[test]
-    fn pipeline_preserves_observable_semantics(seed in any::<u64>()) {
-        let mut rng = Rng::seed_from_u64(seed);
-        let p = random_program(&mut rng, &GenConfig::default());
-        let before = match run(&p, &[], &limits()) {
-            Ok(o) => o,
-            Err(_) => { prop_assume!(false); unreachable!() }
-        };
-        let sizes_before: Vec<u32> = p.methods.iter().map(method_size).collect();
-        let mut q = p.clone();
-        let _ = optimize_all(&mut q);
-        prop_assert!(validate(&q).is_empty(), "{:?}", validate(&q));
-        let after = run(&q, &[], &limits()).expect("optimized program runs");
-        prop_assert_eq!(before.value, after.value);
-        prop_assert_eq!(before.heap_digest, after.heap_digest);
-        prop_assert!(after.fuel_used <= before.fuel_used, "optimizer added work");
-        for (m, &sz) in q.methods.iter().zip(&sizes_before) {
-            prop_assert!(method_size(m) <= sz, "{} grew", m.name);
+#[test]
+fn pipeline_preserves_observable_semantics() {
+    cases("pipeline_preserves_observable_semantics", |rng| {
+        pipeline_is_sound(rng.next_u64());
+    });
+}
+
+/// Each pass alone is also sound (the pipeline property could mask a
+/// bug where one pass breaks and the other repairs by accident).
+fn pass_is_sound(seed: u64, which: usize) {
+    let mut p = random_program(&mut Rng::seed_from_u64(seed), &GenConfig::default());
+    let Ok(before) = run(&p, &[], &limits()) else {
+        return;
+    };
+    let ids: Vec<MethodId> = p.methods.iter().map(|m| m.id).collect();
+    for id in ids {
+        if which == 0 {
+            let _ = const_prop(p.method_mut(id));
+        } else {
+            let _ = dce(p.method_mut(id));
         }
     }
+    assert!(validate(&p).is_empty());
+    let after = run(&p, &[], &limits()).unwrap();
+    assert_eq!(before.value, after.value);
+    assert_eq!(before.heap_digest, after.heap_digest);
+}
 
-    /// Each pass alone is also sound (the pipeline property could mask a
-    /// bug where one pass breaks and the other repairs by accident).
-    #[test]
-    fn individual_passes_are_sound(seed in any::<u64>(), which in 0usize..2) {
-        let mut rng = Rng::seed_from_u64(seed);
-        let mut p = random_program(&mut rng, &GenConfig::default());
-        let before = match run(&p, &[], &limits()) {
-            Ok(o) => o,
-            Err(_) => { prop_assume!(false); unreachable!() }
-        };
-        let ids: Vec<MethodId> = p.methods.iter().map(|m| m.id).collect();
-        for id in ids {
-            if which == 0 {
-                let _ = const_prop(p.method_mut(id));
-            } else {
-                let _ = dce(p.method_mut(id));
-            }
-        }
-        prop_assert!(validate(&p).is_empty());
-        let after = run(&p, &[], &limits()).unwrap();
-        prop_assert_eq!(before.value, after.value);
-        prop_assert_eq!(before.heap_digest, after.heap_digest);
-    }
+#[test]
+fn individual_passes_are_sound() {
+    cases("individual_passes_are_sound", |rng| {
+        let seed = rng.next_u64();
+        pass_is_sound(seed, rng.range_usize(0, 1));
+    });
+}
 
-    /// The pipeline reaches a fixpoint: running it twice changes nothing
-    /// the second time.
-    #[test]
-    fn pipeline_reaches_fixpoint(seed in any::<u64>()) {
-        let mut rng = Rng::seed_from_u64(seed);
-        let mut p = random_program(&mut rng, &GenConfig::default());
-        let _ = optimize_all(&mut p);
-        let snapshot = p.clone();
-        let (folded, removed) = optimize_all(&mut p);
-        prop_assert_eq!(folded, 0, "second run still folded");
-        prop_assert_eq!(removed, 0, "second run still removed");
-        prop_assert_eq!(p, snapshot);
-    }
+/// The pipeline reaches a fixpoint: running it twice changes nothing
+/// the second time.
+fn pipeline_settles(seed: u64) {
+    let mut p = random_program(&mut Rng::seed_from_u64(seed), &GenConfig::default());
+    let _ = optimize_all(&mut p);
+    let snapshot = p.clone();
+    let (folded, removed) = optimize_all(&mut p);
+    assert_eq!(folded, 0, "second run still folded");
+    assert_eq!(removed, 0, "second run still removed");
+    assert_eq!(p, snapshot);
+}
 
-    /// Optimization composes with inlining: inline-then-optimize preserves
-    /// semantics end to end (the path the optimizing compiler takes).
-    #[test]
-    fn inline_then_optimize_is_sound(seed in any::<u64>()) {
-        let mut rng = Rng::seed_from_u64(seed);
-        let p = random_program(&mut rng, &GenConfig::default());
-        let before = match run(&p, &[], &limits()) {
-            Ok(o) => o,
-            Err(_) => { prop_assume!(false); unreachable!() }
-        };
-        let ids: Vec<MethodId> = p.methods.iter().map(|m| m.id).collect();
-        let (mut q, _) = inliner::inline_program(
-            &p,
-            &inliner::InlineParams::jikes_default(),
-            &inliner::HotSites::new(),
-            &ids,
-        );
-        let _ = optimize_all(&mut q);
-        prop_assert!(validate(&q).is_empty());
-        let after = run(&q, &[], &limits()).unwrap();
-        prop_assert_eq!(before.value, after.value);
-        prop_assert_eq!(before.heap_digest, after.heap_digest);
-        prop_assert!(after.calls_executed <= before.calls_executed);
-    }
+#[test]
+fn pipeline_reaches_fixpoint() {
+    cases("pipeline_reaches_fixpoint", |rng| {
+        pipeline_settles(rng.next_u64());
+    });
+}
+
+/// Optimization composes with inlining: inline-then-optimize preserves
+/// semantics end to end (the path the optimizing compiler takes).
+fn inline_then_optimize(seed: u64) {
+    let p = random_program(&mut Rng::seed_from_u64(seed), &GenConfig::default());
+    let Ok(before) = run(&p, &[], &limits()) else {
+        return;
+    };
+    let ids: Vec<MethodId> = p.methods.iter().map(|m| m.id).collect();
+    let (mut q, _) = inliner::inline_program(
+        &p,
+        &inliner::InlineParams::jikes_default(),
+        &inliner::HotSites::new(),
+        &ids,
+    );
+    let _ = optimize_all(&mut q);
+    assert!(validate(&q).is_empty());
+    let after = run(&q, &[], &limits()).unwrap();
+    assert_eq!(before.value, after.value);
+    assert_eq!(before.heap_digest, after.heap_digest);
+    assert!(after.calls_executed <= before.calls_executed);
+}
+
+#[test]
+fn inline_then_optimize_is_sound() {
+    cases("inline_then_optimize_is_sound", |rng| {
+        inline_then_optimize(rng.next_u64());
+    });
+}
+
+/// The seed proptest once shrank a failure to (the retired
+/// `prop_opt.proptest-regressions` recorded it without naming the
+/// property), replayed on every run against every property.
+#[test]
+fn past_failure_stays_fixed() {
+    const SEED: u64 = 3743056505412035007;
+    pipeline_is_sound(SEED);
+    pass_is_sound(SEED, 0);
+    pass_is_sound(SEED, 1);
+    pipeline_settles(SEED);
+    inline_then_optimize(SEED);
 }

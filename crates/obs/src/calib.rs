@@ -1,12 +1,11 @@
-//! Machine-speed calibration for performance-regression gates.
+//! Machine-speed calibration for the benchmark ledger.
 //!
-//! Hard-coded wall-clock thresholds rot: a gate tuned on a laptop fails
-//! on a loaded CI runner and a gate tuned on CI never fires on fast
-//! hardware. Instead, every gate's threshold is expressed as a multiple
-//! of how long *this machine* takes to run a fixed, dependency-free
-//! reference kernel — measured once per process ([`get_calibration`])
-//! with a coefficient-of-variation check so a noisy measurement is
-//! visible rather than silently baked into thresholds.
+//! Hard-coded wall-clock numbers rot: a time recorded on a laptop means
+//! nothing on a loaded CI runner. Instead, `benchmark/` reports every
+//! timing as a multiple of how long *this machine* takes to run a
+//! fixed, dependency-free reference kernel ([`calibrate`]), with a
+//! coefficient-of-variation so a noisy measurement is visible rather
+//! than silently baked into the multiples.
 //!
 //! The reference kernel is a pure integer-mixing loop (the SplitMix64
 //! finalizer, the same mix `simrng` seeds with): no allocation, no I/O,
@@ -18,7 +17,6 @@
 //! injectable [`crate::clock::Clock`]: calibration *is* a measurement
 //! of the physical machine.
 
-use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Inner rounds of one calibration iteration, sized so an iteration
@@ -37,16 +35,6 @@ pub struct CalibrationBaseline {
     /// Coefficient of variation across iterations, percent — the
     /// noise level of the measurement itself.
     pub cv_percent: f64,
-}
-
-impl CalibrationBaseline {
-    /// A gate threshold: `multiplier` kernel-medians, floored at
-    /// `floor_ms` so gates never tighten below timer noise on very
-    /// fast machines.
-    #[must_use]
-    pub fn threshold_ms(&self, multiplier: f64, floor_ms: f64) -> f64 {
-        (self.median_ms * multiplier).max(floor_ms)
-    }
 }
 
 /// The fixed reference kernel: `rounds` SplitMix64 finalizer steps.
@@ -109,13 +97,6 @@ pub fn calibrate(iterations: usize) -> CalibrationBaseline {
     }
 }
 
-/// The process-wide calibration: measured once (10 iterations) on
-/// first use, then shared by every gate in the process.
-pub fn get_calibration() -> &'static CalibrationBaseline {
-    static CALIBRATION: OnceLock<CalibrationBaseline> = OnceLock::new();
-    CALIBRATION.get_or_init(|| calibrate(10))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,23 +114,5 @@ mod tests {
         assert_eq!(c.iteration_count, 3);
         assert!(c.median_ms > 0.0 && c.median_ms < 10_000.0);
         assert!(c.cv_percent >= 0.0);
-    }
-
-    #[test]
-    fn threshold_scales_with_multiplier_and_respects_floor() {
-        let c = CalibrationBaseline {
-            median_ms: 2.0,
-            iteration_count: 10,
-            cv_percent: 1.0,
-        };
-        assert!((c.threshold_ms(10.0, 10.0) - 20.0).abs() < 1e-12);
-        assert!((c.threshold_ms(1.0, 10.0) - 10.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn get_calibration_is_cached() {
-        let a = get_calibration();
-        let b = get_calibration();
-        assert!(std::ptr::eq(a, b));
     }
 }

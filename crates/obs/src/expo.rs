@@ -112,7 +112,7 @@ pub fn render_prometheus(snap: &RegistrySnapshot) -> String {
     out
 }
 
-#[cfg(all(test, not(feature = "off")))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::registry::{labeled, Registry};

@@ -42,12 +42,8 @@ impl Histogram {
         Self::default()
     }
 
-    /// Records one sample. A no-op when the crate is built with the
-    /// `off` feature.
+    /// Records one sample.
     pub fn record(&self, value: u64) {
-        if cfg!(feature = "off") {
-            return;
-        }
         self.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(value, Ordering::Relaxed);
@@ -165,7 +161,6 @@ impl HistSnapshot {
 mod tests {
     use super::*;
 
-    #[cfg(not(feature = "off"))]
     #[test]
     fn values_land_in_the_right_buckets() {
         let h = Histogram::new();
@@ -210,7 +205,6 @@ mod tests {
         assert_eq!(HistSnapshot::empty().p99(), 0);
     }
 
-    #[cfg(not(feature = "off"))]
     #[test]
     fn overflow_quantile_reports_observed_max() {
         let h = Histogram::new();
@@ -234,7 +228,6 @@ mod tests {
         assert_eq!(a.snapshot().merged(&b.snapshot()), u.snapshot());
     }
 
-    #[cfg(not(feature = "off"))]
     #[test]
     fn all_zero_samples_fill_the_first_bucket_exactly() {
         // The pattern every ManualClock test relies on.

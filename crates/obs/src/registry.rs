@@ -29,11 +29,8 @@ impl Counter {
         self.add(1);
     }
 
-    /// Adds `n`. A no-op when built with the `off` feature.
+    /// Adds `n`.
     pub fn add(&self, n: u64) {
-        if cfg!(feature = "off") {
-            return;
-        }
         self.0.fetch_add(n, Ordering::Relaxed);
     }
 
@@ -49,20 +46,13 @@ impl Counter {
 pub struct Gauge(AtomicI64);
 
 impl Gauge {
-    /// Sets the value. A no-op when built with the `off` feature.
+    /// Sets the value.
     pub fn set(&self, v: i64) {
-        if cfg!(feature = "off") {
-            return;
-        }
         self.0.store(v, Ordering::Relaxed);
     }
 
-    /// Adds `delta` (may be negative). A no-op when built with the `off`
-    /// feature.
+    /// Adds `delta` (may be negative).
     pub fn add(&self, delta: i64) {
-        if cfg!(feature = "off") {
-            return;
-        }
         self.0.fetch_add(delta, Ordering::Relaxed);
     }
 
@@ -239,13 +229,6 @@ impl Registry {
     }
 }
 
-/// Whether recording was compiled out with the `off` cargo feature (the
-/// overhead benchmark prints this to label its runs).
-#[must_use]
-pub const fn recording_compiled_out() -> bool {
-    cfg!(feature = "off")
-}
-
 /// A plain-data copy of a [`Registry`]'s contents.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct RegistrySnapshot {
@@ -299,7 +282,6 @@ mod tests {
         );
     }
 
-    #[cfg(not(feature = "off"))]
     #[test]
     fn instruments_are_shared_by_name() {
         let reg = Registry::new();
@@ -323,29 +305,11 @@ mod tests {
         assert_eq!(snap.counter("missing"), 0);
     }
 
-    #[cfg(not(feature = "off"))]
     #[test]
     fn detailed_defaults_off_and_toggles() {
         let reg = Registry::new();
         assert!(!reg.detailed());
         reg.set_detailed(true);
         assert!(reg.detailed());
-    }
-
-    #[cfg(feature = "off")]
-    #[test]
-    fn off_feature_compiles_recording_out() {
-        let reg = Arc::new(Registry::new());
-        reg.counter("c").inc();
-        reg.gauge("g").set(9);
-        reg.histogram("h").record(5);
-        {
-            let _g = reg.span("s");
-        }
-        assert!(recording_compiled_out());
-        let snap = reg.snapshot();
-        assert_eq!(snap.counter("c"), 0);
-        assert_eq!(snap.histogram("h").unwrap().total, 0);
-        assert!(snap.spans.is_empty());
     }
 }

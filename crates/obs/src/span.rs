@@ -68,8 +68,7 @@ impl SpanCollector {
 /// zero-width span.
 #[must_use = "a span records when dropped; binding to _ ends it immediately"]
 pub struct SpanGuard {
-    /// `None` for an inert guard (recording compiled out).
-    reg: Option<Arc<Registry>>,
+    reg: Arc<Registry>,
     path: String,
     label: String,
     start: u64,
@@ -77,14 +76,6 @@ pub struct SpanGuard {
 
 impl SpanGuard {
     pub(crate) fn open(reg: &Arc<Registry>, name: &str, label: String) -> Self {
-        if cfg!(feature = "off") {
-            return Self {
-                reg: None,
-                path: String::new(),
-                label,
-                start: 0,
-            };
-        }
         let path = SPAN_STACK.with(|stack| {
             let mut stack = stack.borrow_mut();
             let path = if stack.is_empty() {
@@ -96,7 +87,7 @@ impl SpanGuard {
             path
         });
         Self {
-            reg: Some(Arc::clone(reg)),
+            reg: Arc::clone(reg),
             path,
             label,
             start: reg.now_micros(),
@@ -115,9 +106,7 @@ impl SpanGuard {
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        let Some(reg) = self.reg.take() else {
-            return;
-        };
+        let reg = &self.reg;
         SPAN_STACK.with(|stack| {
             stack.borrow_mut().pop();
         });
@@ -151,7 +140,7 @@ macro_rules! span {
     }};
 }
 
-#[cfg(all(test, not(feature = "off")))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::clock::ManualClock;

@@ -1,12 +1,12 @@
-//! Calibration stability: the per-machine baseline the perf gates
-//! scale from must itself be a repeatable measurement.
+//! Calibration stability: the per-machine kernel time the benchmark
+//! divides by must itself be a repeatable measurement.
 //!
 //! The stability test is `#[ignore]`d so `cargo test` stays robust on
 //! arbitrarily-loaded developer machines; CI runs it explicitly
 //! (`scripts/ci.sh` stage "calibration stability") where the runner is
 //! expected to be quiet enough to hold a 20% CV.
 
-use obs::calib::{calibrate, get_calibration};
+use obs::calib::calibrate;
 
 /// Five independent calibration runs must each be low-noise (CV < 20%)
 /// and agree with each other (medians within 30%).
@@ -17,7 +17,7 @@ fn calibration_stability() {
     for (i, c) in runs.iter().enumerate() {
         assert!(
             c.cv_percent < 20.0,
-            "run {i}: CV {:.1}% >= 20% (median {:.3}ms) — machine too noisy to gate on",
+            "run {i}: CV {:.1}% >= 20% (median {:.3}ms) — machine too noisy to measure on",
             c.cv_percent,
             c.median_ms
         );
@@ -35,15 +35,12 @@ fn calibration_stability() {
     );
 }
 
-/// The cheap always-on smoke check: the process-wide calibration
-/// exists, is positive, and thresholds behave monotonically.
+/// The cheap always-on smoke check: a calibration is positive, finite
+/// and reports the iterations it was asked for.
 #[test]
 fn calibration_smoke() {
-    let c = get_calibration();
-    assert!(c.median_ms > 0.0);
+    let c = calibrate(10);
+    assert!(c.median_ms > 0.0 && c.median_ms.is_finite());
     assert_eq!(c.iteration_count, 10);
-    let tight = c.threshold_ms(2.0, 0.1);
-    let loose = c.threshold_ms(20.0, 0.1);
-    assert!(loose >= tight);
-    assert!(c.threshold_ms(0.0, 5.0) >= 5.0, "floor must hold");
+    assert!(c.cv_percent >= 0.0 && c.cv_percent.is_finite());
 }

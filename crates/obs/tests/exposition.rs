@@ -6,8 +6,6 @@
 //! change breaks this, regenerate the golden by running the test with
 //! `OBS_BLESS_GOLDEN=1` and committing the rewritten file.
 
-#![cfg(not(feature = "off"))]
-
 use std::sync::Arc;
 
 use obs::{labeled, render_prometheus, ManualClock, Registry};

@@ -1,7 +1,5 @@
 //! Property tests for histogram invariants, as seeded case loops: plain
-//! `cargo test`, no external generator crate. Each case draws from its
-//! own `child_rng(SEED, "<property>/<case>")` stream, so a failure names
-//! a case that replays alone.
+//! `cargo test`, no external generator crate (see `simrng::cases`).
 //!
 //! Invariants under test:
 //!
@@ -11,33 +9,8 @@
 //! * quantiles are bracketed by the observed extremes;
 //! * `merged(a, b)` equals recording the concatenated sample stream.
 
-#![cfg(not(feature = "off"))]
-
 use obs::{Histogram, NUM_BUCKETS};
-use simrng::Rng;
-
-const SEED: u64 = 0x9e37_79b9;
-const CASES: usize = 256;
-
-/// Runs `body` once per case on that case's own random stream, naming
-/// the case if it panics.
-fn cases(property: &str, mut body: impl FnMut(&mut Rng)) {
-    struct Case<'a>(&'a str, usize);
-    impl Drop for Case<'_> {
-        fn drop(&mut self) {
-            if std::thread::panicking() {
-                eprintln!(
-                    "property '{}' failed at case {} (seed {SEED:#x})",
-                    self.0, self.1
-                );
-            }
-        }
-    }
-    for case in 0..CASES {
-        let _guard = Case(property, case);
-        body(&mut simrng::child_rng(SEED, &format!("{property}/{case}")));
-    }
-}
+use simrng::{cases, Rng};
 
 /// `lo..=hi` samples of every magnitude (so every bucket, the overflow
 /// bucket included, gets traffic), with the extremes over-represented.

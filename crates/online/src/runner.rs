@@ -5,7 +5,7 @@
 //! [`OnlineState`] policy through its evaluator tiers (store, remote
 //! workers), so a store-free daemon run must produce bit-identical
 //! results to [`OnlineJob::run`] with no store — that equivalence is
-//! what the sim's `--online-seeds` sweep asserts under fault weather.
+//! what the sim's `simtest online:N` sweep asserts under fault weather.
 //!
 //! [`OnlineJob::run_frozen`] (tune once, never retune) and
 //! [`OnlineJob::oracle`] (offline tune against every distinct workload

@@ -241,6 +241,75 @@ mod tests {
         assert_eq!(warm, 0.0, "the optimum seed must be found immediately");
     }
 
+    /// Drives `s` through its whole budget, handing every evaluation to
+    /// `keep` in order; returns, per round, `(evaluations so far, best
+    /// so far)`.
+    fn logged_run(s: &mut dyn Strategy, mut keep: impl FnMut(Genome, f64)) -> Vec<(usize, f64)> {
+        let backend = LocalEvaluator::new(fitness, 1);
+        let mut trajectory = Vec::new();
+        while !s.is_done() {
+            let batch = s.ask();
+            let scores = backend.evaluate(&batch);
+            s.tell(&batch, &scores);
+            batch.into_iter().zip(scores).for_each(|(g, f)| keep(g, f));
+            trajectory.push((s.evaluations(), s.best().unwrap().1));
+        }
+        trajectory
+    }
+
+    fn evals_to(trajectory: &[(usize, f64)], target: f64) -> usize {
+        let reached = trajectory.iter().find(|(_, best)| *best <= target);
+        reached.expect("target never reached").0
+    }
+
+    /// Warm start pays, as a count: a cell re-tuned from its own cold
+    /// run's evaluation log, under the identical budget, ends no worse
+    /// than the cold run did and holds the cold run's final best after
+    /// its first round. An unseeded `WarmStart` is bit-identical to the
+    /// cold GA, so this fails if seeding stops planting.
+    #[test]
+    fn warm_start_from_the_cold_log_reaches_the_cold_best_in_round_one() {
+        let dir = std::env::temp_dir().join(format!("warmstart-pays-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = stored::Store::open(&dir).unwrap();
+        let fingerprint = stored::Fingerprint {
+            cell_digest: stored::digest_parts(&["warmstart-pays"]),
+            arch: "x86-p4".into(),
+            features: vec![0.0; stored::FEATURES],
+            problem: "inline".into(),
+        };
+
+        let cold = logged_run(&mut Ga::new(ranges(), cfg(5)), |genome, fitness| {
+            let rec = stored::Record {
+                fingerprint: fingerprint.clone(),
+                genome,
+                fitness,
+            };
+            store.append(&rec).unwrap();
+        });
+        let target = cold.last().unwrap().1;
+        let cold_evals = evals_to(&cold, target);
+        assert!(
+            cold_evals > 8,
+            "the cold run must improve after round one, or it cannot tell warm from cold"
+        );
+
+        let mut warm = WarmStart::new(ranges(), cfg(5));
+        assert_eq!(warm.seed_population(&store.warm_seeds(&fingerprint, 8)), 4);
+        let warm = logged_run(&mut warm, |_, _| {});
+        assert!(
+            warm.last().unwrap().1 <= target,
+            "warm ended worse than cold"
+        );
+        let warm_evals = evals_to(&warm, target);
+        assert!(
+            warm_evals <= 8 && warm_evals <= cold_evals,
+            "warm needed {warm_evals} evaluations, cold {cold_evals}"
+        );
+        drop(store);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn planting_is_capped_at_half_the_population() {
         let mut s = WarmStart::new(ranges(), cfg(6)); // pop_size 8 → cap 4

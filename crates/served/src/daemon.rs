@@ -1036,7 +1036,7 @@ fn book_round(
 ///
 /// The policy is the same state machine `online::OnlineJob::run` drives
 /// in-process, so a store-free daemon run is bit-identical to the
-/// reference runner — the equivalence the sim's `--online-seeds` sweep
+/// reference runner — the equivalence the sim's `simtest online:N` sweep
 /// asserts under fault weather.
 fn run_online_job(
     inner: &Inner,

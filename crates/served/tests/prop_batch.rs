@@ -9,17 +9,14 @@
 //! unit tests in `served::dispatch` (`ledger_resolve_is_exactly_once`,
 //! `batch_target_stays_within_bounds_as_the_model_moves`) and
 //! `served::proto`'s round-trip tests — this file widens them to
-//! seeded random inputs (see `common`).
+//! seeded random inputs (see `simrng::cases`).
 
-mod common;
-
-use common::{cases, string_of, vec_of};
 use served::dispatch::{BatchLedger, Worker};
 use served::proto::{
     eval_batch_request, eval_batch_response, parse_eval_batch_request, parse_eval_batch_response,
     parse_request, EvalOutcome, EvalRequest,
 };
-use simrng::Rng;
+use simrng::{cases, string_of, vec_of, Rng};
 
 fn arb_outcome(rng: &mut Rng) -> EvalOutcome {
     match rng.below(3) {

@@ -1,14 +1,11 @@
 //! Property tests: the `obs` verb's registry JSON survives a round trip
 //! through the hand-rolled JSON layer losslessly, on seeded random
-//! registries (see `common`).
-
-mod common;
+//! registries (see `simrng::cases`).
 
 use std::sync::Arc;
 
-use common::{cases, string_of, vec_of};
 use served::proto::{registry_from_json, registry_to_json};
-use simrng::Rng;
+use simrng::{cases, string_of, vec_of, Rng};
 
 /// A registry snapshot built by *recording* arbitrary activity — the
 /// only way production snapshots come to exist — rather than by

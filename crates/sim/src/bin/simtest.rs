@@ -336,6 +336,7 @@ fn sweep_json(sweeps: &[SweepReport], base_seed: u64) -> Json {
     let failed_total = sweeps.iter().map(|r| r.failures.len() as u64).sum();
     Json::obj(vec![
         ("bench", Json::Str("sim_sweep".into())),
+        ("clock", Json::Str("virtual".into())),
         ("base_seed", int(base_seed)),
         ("failed_total", int(failed_total)),
         ("scenarios", Json::Arr(scenarios)),

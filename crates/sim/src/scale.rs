@@ -137,7 +137,7 @@ pub struct ScaleConfig {
     /// machine load the grace-window clock can advance mid-handshake,
     /// poisoning the RTT model and skewing claim sizes. Adaptive
     /// sizing itself is covered by the `served::dispatch` unit tests
-    /// and the real-TCP bench (`scripts/bench.sh`).
+    /// and, over real TCP, by the benchmark's `remote_2w` workload.
     pub max_inflight: usize,
     /// Fault plan installed on every daemon↔worker link (both
     /// directions). Control links stay clean.
@@ -593,6 +593,7 @@ impl ScaleSuite {
         let serial = f64_to_json(serial_evals_per_sec(EVAL_COST));
         Json::obj(vec![
             ("bench", Json::Str("sim_scale".into())),
+            ("clock", Json::Str("virtual".into())),
             ("seed", Json::Int(seed as i64)),
             ("serial_evals_per_vsec", serial),
             ("sweep", Json::Arr(sweep.collect())),

@@ -580,6 +580,7 @@ impl ShardBenchReport {
         let beats = Json::Bool(self.sharded_beats_single());
         Json::obj(vec![
             ("bench", Json::Str("shard".into())),
+            ("clock", Json::Str("virtual".into())),
             ("seed", int(self.seed)),
             ("jobs", int(self.jobs as u64)),
             ("points", Json::Arr(points.collect())),

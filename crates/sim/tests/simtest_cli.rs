@@ -57,6 +57,8 @@ fn a_sweep_writes_one_uniform_summary() {
     let _ = std::fs::remove_file(&path);
     let json = served::json::parse(&text).expect("summary is JSON");
     assert!(text.contains("\"failed_total\":0"), "{text}");
+    // A correctness artefact on the virtual clock, and it says so.
+    assert_eq!(json.get("clock").and_then(|c| c.as_str()), Some("virtual"));
     let scenarios = json.get("scenarios").and_then(|s| s.as_arr());
     let names: Vec<_> = scenarios
         .expect("scenarios array")

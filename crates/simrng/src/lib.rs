@@ -27,8 +27,10 @@
 //! ```
 
 pub mod dist;
+mod prop;
 mod xoshiro;
 
+pub use prop::{cases, string_of, vec_of};
 pub use xoshiro::{Rng, SplitMix64};
 
 /// Derives a child seed from a parent seed and a string label.

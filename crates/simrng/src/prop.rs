@@ -1,12 +1,14 @@
-//! Seeded case loops for the property suites: plain `cargo test`, no
+//! Seeded case loops for property suites: plain `cargo test`, no
 //! external generator crate. Each case draws from its own
 //! `child_rng(SEED, "<property>/<case>")` stream, so a failure names a
 //! case that replays alone.
 
-use simrng::Rng;
+use crate::{child_rng, Rng};
 
-pub const SEED: u64 = 0x9e37_79b9;
-pub const CASES: usize = 256;
+/// Parent seed of every case stream.
+const SEED: u64 = 0x9e37_79b9;
+/// Cases per property.
+const CASES: usize = 256;
 
 /// Names the failing case on the way out of a panicking property.
 struct Case<'a>(&'a str, usize);
@@ -22,11 +24,12 @@ impl Drop for Case<'_> {
     }
 }
 
-/// Runs `body` once per case on that case's own random stream.
+/// Runs `body` once per case (256 of them) on that case's own random
+/// stream.
 pub fn cases(property: &str, mut body: impl FnMut(&mut Rng)) {
     for case in 0..CASES {
         let _guard = Case(property, case);
-        body(&mut simrng::child_rng(SEED, &format!("{property}/{case}")));
+        body(&mut child_rng(SEED, &format!("{property}/{case}")));
     }
 }
 
