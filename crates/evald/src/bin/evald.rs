@@ -3,7 +3,7 @@
 //! ```text
 //! evald [--addr HOST:PORT] [--addr-file PATH]
 //!       [--register DAEMON_ADDR] [--advertise HOST:PORT]
-//!       [--heartbeat-ms N] [--store DAEMON_ADDR]
+//!       [--heartbeat-ms N]
 //!       [--chaos drop:P,delay:D] [--chaos-seed N]
 //! ```
 //!
@@ -13,17 +13,16 @@
 //! `--register` names a `tuned` daemon — announces itself there and
 //! heartbeats every `--heartbeat-ms` (default 1000). `--advertise`
 //! overrides the address sent to the daemon (needed when the daemon must
-//! dial back through a different interface). `--store` points at a
-//! `tuned` daemon whose persistent fitness store this worker should
-//! consult before measuring (and report fresh measurements back to);
-//! usually the same address as `--register`. `--chaos` injects faults
-//! for integration testing; see `evald::chaos`.
+//! dial back through a different interface). `--chaos` injects faults
+//! for integration testing; see `evald::chaos`. Any other flag is an
+//! error.
 
 use std::process::ExitCode;
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 
-use evald::{spawn_registrar, Chaos, ChaosConfig, EvalWorker, StoreClient};
+use evald::{spawn_registrar, Chaos, ChaosConfig, EvalWorker};
+use served::Flags;
 
 fn main() -> ExitCode {
     match run(&std::env::args().skip(1).collect::<Vec<_>>()) {
@@ -35,30 +34,12 @@ fn main() -> ExitCode {
     }
 }
 
-/// Pulls `--key value` flags out of an argument list (same convention as
-/// the `tuned` binary).
-struct Flags<'a> {
-    args: &'a [String],
-}
-
-impl<'a> Flags<'a> {
-    fn get(&self, key: &str) -> Option<&'a str> {
-        self.args
-            .windows(2)
-            .rev()
-            .find(|w| w[0] == key)
-            .map(|w| w[1].as_str())
-    }
-
-    fn parse<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, String> {
-        self.get(key)
-            .map(|v| v.parse().map_err(|_| format!("bad value for {key}: '{v}'")))
-            .transpose()
-    }
-}
+/// Every flag of the usage block above (test-enforced); each takes a
+/// value.
+const FLAGS: &str = "--addr --addr-file --register --advertise --heartbeat-ms --chaos --chaos-seed";
 
 fn run(args: &[String]) -> Result<(), String> {
-    let flags = Flags { args };
+    let flags = Flags::new(args, FLAGS, "")?;
     let addr = flags.get("--addr").unwrap_or("127.0.0.1:0");
     let chaos_cfg = match flags.get("--chaos") {
         Some(spec) => ChaosConfig::parse(spec)?,
@@ -69,13 +50,7 @@ fn run(args: &[String]) -> Result<(), String> {
         eprintln!("evald: chaos mode active: {chaos_cfg:?} (seed {chaos_seed})");
     }
 
-    let store = flags.get("--store").map(|daemon_addr| {
-        std::sync::Arc::new(StoreClient::connect(
-            daemon_addr,
-            std::sync::Arc::clone(obs::global()),
-        ))
-    });
-    let worker = EvalWorker::bind(addr, Chaos::new(chaos_cfg, chaos_seed))?.with_store(store);
+    let worker = EvalWorker::bind(addr, Chaos::new(chaos_cfg, chaos_seed))?;
     let bound = worker.local_addr();
     if let Some(path) = flags.get("--addr-file") {
         std::fs::write(path, bound.to_string())
@@ -106,4 +81,22 @@ fn run(args: &[String]) -> Result<(), String> {
         let _ = handle.join();
     }
     result
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn every_flag_in_the_usage_block_is_accepted() {
+        let doc = include_str!("evald.rs").lines();
+        let block = doc.skip_while(|l| !l.contains("```text")).skip(1);
+        let mut checked = 0;
+        for line in block.take_while(|l| !l.contains("```")) {
+            let words = line.split(|c: char| c != '-' && !c.is_ascii_lowercase());
+            for flag in words.filter(|w| w.starts_with("--")) {
+                assert!(super::FLAGS.split_whitespace().any(|f| f == flag), "{flag}");
+                checked += 1;
+            }
+        }
+        assert_eq!(checked, 7, "the usage block lists 7 flags");
+    }
 }

@@ -7,8 +7,6 @@
 //! ```text
 //! → {"cmd":"task","job":{...JobSpec...}}    bind this connection to a cell
 //! ← {"ok":true}
-//! → {"cmd":"eval","id":7,"genes":[23,...]}  any number, pipelined
-//! ← {"ok":true,"id":7,"fitness":0.94...}
 //! → {"cmd":"eval_batch","id":"1","evals":[{"id":0,"genes":[...]},...]}
 //! ← {"ok":true,"id":"1","results":[{"id":0,"fitness":...},
 //!        {"id":3,"error":"..."}]}           one frame per whole batch
@@ -29,7 +27,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use problems::Problem;
-use served::checkpoint::f64_to_json;
 use served::json::Json;
 use served::proto::{
     err, eval_batch_response, ok_with, parse_eval_batch_request, parse_request, read_frame,
@@ -39,11 +36,11 @@ use served::{JobSpec, NetListener, NetStream, TcpTransport, Transport};
 
 use crate::cache::ProblemCache;
 use crate::chaos::Chaos;
-use crate::storec::StoreClient;
 
 /// How long a connection may sit idle before its thread is reclaimed.
-/// The dispatcher opens a fresh connection per generation batch, so idle
-/// connections are stale ones.
+/// The dispatcher keeps one warm connection per job and sends a batch
+/// every round, so a connection idle this long most likely belongs to a
+/// job that is gone (a live one just reconnects).
 const READ_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Poll interval of the accept loop.
@@ -57,7 +54,6 @@ pub struct EvalWorker {
     cache: Arc<ProblemCache>,
     chaos: Arc<Chaos>,
     obs: Arc<obs::Registry>,
-    store: Option<Arc<StoreClient>>,
     stop: Arc<AtomicBool>,
 }
 
@@ -107,18 +103,8 @@ impl EvalWorker {
             cache: Arc::new(ProblemCache::new()),
             chaos: Arc::new(chaos),
             obs,
-            store: None,
             stop: Arc::new(AtomicBool::new(false)),
         })
-    }
-
-    /// Attaches a persistent-fitness-store client: evals check the
-    /// cluster's store before measuring and report fresh measurements
-    /// back (write-behind). `None` leaves the worker store-free.
-    #[must_use]
-    pub fn with_store(mut self, store: Option<Arc<StoreClient>>) -> Self {
-        self.store = store;
-        self
     }
 
     /// The bound `host:port` (useful after binding port 0).
@@ -148,20 +134,11 @@ impl EvalWorker {
                     let reg = Arc::clone(&self.obs);
                     let stop = Arc::clone(&self.stop);
                     let transport = Arc::clone(&self.transport);
-                    let store = self.store.clone();
                     let _ =
                         std::thread::Builder::new()
                             .name("evald-conn".into())
                             .spawn(move || {
-                                serve_connection(
-                                    stream,
-                                    &cache,
-                                    &chaos,
-                                    &reg,
-                                    &stop,
-                                    &transport,
-                                    store.as_deref(),
-                                );
+                                serve_connection(stream, &cache, &chaos, &reg, &stop, &transport);
                             });
                 }
                 Ok(None) => {}
@@ -179,7 +156,6 @@ fn serve_connection(
     reg: &obs::Registry,
     stop: &AtomicBool,
     transport: &Arc<dyn Transport>,
-    store: Option<&StoreClient>,
 ) {
     let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
     let _ = stream.set_nodelay(true);
@@ -189,8 +165,7 @@ fn serve_connection(
     let mut reader = BufReader::new(stream);
     let mut writer = BufWriter::new(write_half);
     // The cell this connection evaluates for, set by the `task` verb.
-    // The spec rides along so store lookups can name the cell.
-    let mut task: Option<(Arc<dyn Problem>, JobSpec)> = None;
+    let mut task: Option<Arc<dyn Problem>> = None;
 
     loop {
         if stop.load(Ordering::SeqCst) {
@@ -221,31 +196,25 @@ fn serve_connection(
                     // cannot time the handshake out underneath it.
                     Some(job) => match {
                         let _busy = served::net::busy(&**transport);
-                        JobSpec::from_json(job).and_then(|s| cache.get(&s).map(|hit| (s, hit)))
+                        JobSpec::from_json(job).and_then(|s| cache.get(&s))
                     } {
-                        Ok((s, (t, was_cached))) => {
+                        Ok((t, was_cached)) => {
                             reg.counter(if was_cached {
                                 "evald_task_cache_hits"
                             } else {
                                 "evald_task_cache_misses"
                             })
                             .inc();
-                            task = Some((t, s));
+                            task = Some(t);
                             ok_with(vec![])
                         }
                         Err(e) => err(e),
                     },
                 },
-                "eval" => match eval(&body, task.as_ref(), chaos, reg, &**transport, store) {
+                "eval_batch" => match eval_batch(&body, task.as_ref(), chaos, reg, &**transport) {
                     Ok(v) => v,
-                    Err(Dropped) => return, // chaos: die without replying
+                    Err(Dropped) => return, // chaos: die mid-batch, no reply
                 },
-                "eval_batch" => {
-                    match eval_batch(&body, task.as_ref(), chaos, reg, &**transport, store) {
-                        Ok(v) => v,
-                        Err(Dropped) => return, // chaos: die mid-batch, no reply
-                    }
-                }
                 "metrics" => {
                     // A view: each key reads the counter its events bump.
                     let count = |name: &str| Json::Int(reg.counter_value(name) as i64);
@@ -284,59 +253,20 @@ fn protocol_err(reg: &obs::Registry, message: impl Into<String>) -> Json {
 /// Marker: chaos decided this connection dies without a reply.
 struct Dropped;
 
-/// Handles one `eval` request. Validates the genes against the
-/// problem's space *before* evaluating — a remote peer must never be
-/// able to panic the worker (problem decoders may assert on arity), and
-/// an out-of-space genome would poison the shared fitness store.
-fn eval(
-    body: &Json,
-    task: Option<&(Arc<dyn Problem>, JobSpec)>,
-    chaos: &Chaos,
-    reg: &obs::Registry,
-    transport: &dyn Transport,
-    store: Option<&StoreClient>,
-) -> Result<Json, Dropped> {
-    let Some((problem, spec)) = task else {
-        return Ok(protocol_err(
-            reg,
-            "no task set on this connection (send 'task' first)",
-        ));
-    };
-    let Some(id) = body.get("id").and_then(Json::as_usize) else {
-        return Ok(protocol_err(reg, "eval needs a numeric 'id'"));
-    };
-    let genes: Option<Vec<i64>> = body
-        .get("genes")
-        .and_then(Json::as_arr)
-        .and_then(|items| items.iter().map(Json::as_i64).collect());
-    let Some(genes) = genes else {
-        return Ok(protocol_err(reg, "eval needs an integer 'genes' array"));
-    };
-    match measure(&genes, problem, spec, chaos, reg, transport, store)? {
-        Ok(fitness) => Ok(ok_with(vec![
-            ("id", Json::Int(id as i64)),
-            ("fitness", f64_to_json(fitness)),
-        ])),
-        Err(e) => Ok(err(e)),
-    }
-}
-
-/// Handles one `eval_batch` request: every item is measured through the
-/// same path as a single `eval`, and per-item failures come back as
+/// Handles one `eval_batch` request: every item goes through
+/// [`measure`], and per-item failures come back as
 /// `{"id":N,"error":...}` entries instead of failing the envelope —
 /// partial-failure semantics at batch granularity. A chaos drop kills
-/// the connection mid-batch without a reply, exactly like the
-/// single-eval verb, so the dispatcher re-dispatches the whole
-/// unanswered remainder.
+/// the connection mid-batch without a reply, so the dispatcher
+/// re-dispatches the whole unanswered remainder.
 fn eval_batch(
     body: &Json,
-    task: Option<&(Arc<dyn Problem>, JobSpec)>,
+    task: Option<&Arc<dyn Problem>>,
     chaos: &Chaos,
     reg: &obs::Registry,
     transport: &dyn Transport,
-    store: Option<&StoreClient>,
 ) -> Result<Json, Dropped> {
-    let Some((problem, spec)) = task else {
+    let Some(problem) = task else {
         return Ok(protocol_err(
             reg,
             "no task set on this connection (send 'task' first)",
@@ -350,7 +280,7 @@ fn eval_batch(
     };
     let mut results = Vec::with_capacity(evals.len());
     for req in &evals {
-        let outcome = match measure(&req.genes, problem, spec, chaos, reg, transport, store)? {
+        let outcome = match measure(&req.genes, problem, chaos, reg, transport)? {
             Ok(fitness) => EvalOutcome::Fitness(fitness),
             Err(e) => EvalOutcome::Error(e),
         };
@@ -360,18 +290,18 @@ fn eval_batch(
     Ok(eval_batch_response(batch_id, &results))
 }
 
-/// Measures one genome: space validation, chaos injection, store
-/// read-through/write-behind, and the busy-bracketed fitness call —
-/// shared verbatim by the `eval` and `eval_batch` verbs so both speak
-/// the identical pure measurement path.
+/// Measures one genome: space validation, chaos injection and the
+/// busy-bracketed fitness call. The genes are validated against the
+/// problem's space *before* evaluating — a remote peer must never be
+/// able to panic the worker (problem decoders may assert on arity), and
+/// the daemon appends every score that comes back to the shared fitness
+/// store, where an out-of-space genome's would be poison.
 fn measure(
     genes: &[i64],
     problem: &Arc<dyn Problem>,
-    spec: &JobSpec,
     chaos: &Chaos,
     reg: &obs::Registry,
     transport: &dyn Transport,
-    store: Option<&StoreClient>,
 ) -> Result<Result<f64, String>, Dropped> {
     if !problem.space().contains(genes) {
         reg.counter("evald_protocol_errors").inc();
@@ -385,17 +315,6 @@ fn measure(
         return Err(Dropped);
     }
     chaos.delay();
-    // Another worker (or a past run) may already have measured this
-    // genome: one short store lookup is far cheaper than a benchmark
-    // run, and a stored fitness is bit-identical to a fresh one.
-    if let Some(hit) = store.and_then(|s| s.get(spec, genes)) {
-        reg.counter("evald_store_hits").inc();
-        reg.counter("evald_evals").inc();
-        return Ok(Ok(hit));
-    }
-    if store.is_some() {
-        reg.counter("evald_store_misses").inc();
-    }
     let started = reg.now_micros();
     // The measurement is real CPU work: hold the busy bracket so a
     // simulated clock cannot advance the dispatcher's request deadline
@@ -406,9 +325,6 @@ fn measure(
     };
     reg.histogram("evald_eval_micros")
         .record(reg.now_micros().saturating_sub(started));
-    if let Some(s) = store {
-        s.put(spec, genes, fitness);
-    }
     reg.counter("evald_evals").inc();
     Ok(Ok(fitness))
 }
@@ -419,7 +335,7 @@ mod tests {
     use ga::GaConfig;
     use inliner::InlineParams;
     use jit::Scenario;
-    use served::proto::read_frame;
+    use served::proto::{eval_batch_request, parse_eval_batch_response, EvalRequest};
     use std::io::Write;
     use std::net::TcpStream;
     use tuner::{Goal, Tuner};
@@ -465,22 +381,38 @@ mod tests {
             }
         }
 
-        fn roundtrip(&mut self, req: &Json) -> Json {
-            write_frame(&mut self.writer, req).unwrap();
+        fn read(&mut self) -> Json {
             match read_frame(&mut self.reader) {
                 Frame::Line(line) => served::json::parse(&line).unwrap(),
                 other => panic!("expected a response line, got {other:?}"),
             }
         }
 
+        fn roundtrip(&mut self, req: &Json) -> Json {
+            write_frame(&mut self.writer, req).unwrap();
+            self.read()
+        }
+
         fn raw(&mut self, text: &str) -> Json {
             self.writer.write_all(text.as_bytes()).unwrap();
             self.writer.write_all(b"\n").unwrap();
             self.writer.flush().unwrap();
-            match read_frame(&mut self.reader) {
-                Frame::Line(line) => served::json::parse(&line).unwrap(),
-                other => panic!("expected a response line, got {other:?}"),
-            }
+            self.read()
+        }
+
+        /// One `eval_batch` round trip; the outcomes in item order.
+        fn batch(&mut self, batch_id: u64, genomes: &[Vec<i64>]) -> Vec<EvalOutcome> {
+            let resp = self.roundtrip(&eval_batch_frame(batch_id, genomes));
+            let (echoed, results) = parse_eval_batch_response(&resp).unwrap();
+            assert_eq!(echoed, batch_id, "batch id must echo");
+            let ids: Vec<usize> = results.iter().map(|(id, _)| *id).collect();
+            assert_eq!(ids, (0..genomes.len()).collect::<Vec<_>>());
+            results.into_iter().map(|(_, outcome)| outcome).collect()
+        }
+
+        fn ping(&mut self) {
+            let pong = self.roundtrip(&Json::obj(vec![("cmd", Json::Str("ping".into()))]));
+            assert_eq!(pong.get("ok"), Some(&Json::Bool(true)));
         }
     }
 
@@ -492,43 +424,51 @@ mod tests {
         (addr, stop)
     }
 
-    fn task_frame() -> Json {
+    fn task_frame(s: &JobSpec) -> Json {
         Json::obj(vec![
             ("cmd", Json::Str("task".into())),
-            ("job", spec().to_json()),
+            ("job", s.to_json()),
         ])
     }
 
-    fn eval_frame(id: i64, genes: &[i64]) -> Json {
-        Json::obj(vec![
-            ("cmd", Json::Str("eval".into())),
-            ("id", Json::Int(id)),
-            (
-                "genes",
-                Json::Arr(genes.iter().map(|&g| Json::Int(g)).collect()),
-            ),
-        ])
+    /// The one request shape a worker is asked with: item `i` carries
+    /// `genomes[i]`.
+    fn eval_batch_frame(batch_id: u64, genomes: &[Vec<i64>]) -> Json {
+        let evals: Vec<EvalRequest> = genomes
+            .iter()
+            .enumerate()
+            .map(|(id, genes)| EvalRequest {
+                id,
+                genes: genes.clone(),
+            })
+            .collect();
+        eval_batch_request(batch_id, &evals)
+    }
+
+    fn bits(outcome: &EvalOutcome) -> u64 {
+        match outcome {
+            EvalOutcome::Fitness(f) => f.to_bits(),
+            EvalOutcome::Error(e) => panic!("expected a fitness, got error: {e}"),
+        }
     }
 
     #[test]
     fn answers_evals_with_the_exact_local_fitness() {
         let (addr, stop) = start_worker(Chaos::inert());
         let mut conn = TestConn::open(&addr);
+        let s = spec();
         assert_eq!(
-            conn.roundtrip(&task_frame()).get("ok"),
+            conn.roundtrip(&task_frame(&s)).get("ok"),
             Some(&Json::Bool(true))
         );
 
-        let s = spec();
+        // The direct tuner path, not the `Problem` wrapper the worker runs.
         let local = Tuner::new(s.task().unwrap(), s.training().unwrap(), s.adapt_cfg());
         let genes = InlineParams::jikes_default().to_genes();
         let expected = local.fitness(&InlineParams::from_genes(&genes));
 
-        let resp = conn.roundtrip(&eval_frame(3, &genes));
-        assert_eq!(resp.get("ok"), Some(&Json::Bool(true)));
-        assert_eq!(resp.get("id"), Some(&Json::Int(3)));
-        let got = served::checkpoint::f64_from_json(resp.get("fitness").unwrap()).unwrap();
-        assert_eq!(got.to_bits(), expected.to_bits(), "bit-identical fitness");
+        let got = conn.batch(3, &[genes]);
+        assert_eq!(bits(&got[0]), expected.to_bits(), "bit-identical fitness");
         stop.store(true, Ordering::SeqCst);
     }
 
@@ -545,65 +485,31 @@ mod tests {
             let expected = p.fitness(&genes);
 
             let mut conn = TestConn::open(&addr);
-            let bind = conn.roundtrip(&Json::obj(vec![
-                ("cmd", Json::Str("task".into())),
-                ("job", s.to_json()),
-            ]));
+            let bind = conn.roundtrip(&task_frame(&s));
             assert_eq!(bind.get("ok"), Some(&Json::Bool(true)), "{problem}");
-            let resp = conn.roundtrip(&eval_frame(1, &genes));
-            assert_eq!(resp.get("ok"), Some(&Json::Bool(true)), "{problem}");
-            let got = served::checkpoint::f64_from_json(resp.get("fitness").unwrap()).unwrap();
-            assert_eq!(got.to_bits(), expected.to_bits(), "{problem} fitness bits");
-
             // A genome of the wrong arity for *this* problem bounces.
             let wrong = vec![0i64; genes.len() + 1];
-            let bad = conn.roundtrip(&eval_frame(2, &wrong));
-            assert_eq!(bad.get("ok"), Some(&Json::Bool(false)), "{problem}");
+            let got = conn.batch(1, &[genes, wrong]);
+            assert_eq!(bits(&got[0]), expected.to_bits(), "{problem} fitness bits");
+            assert!(matches!(got[1], EvalOutcome::Error(_)), "{problem}");
         }
         stop.store(true, Ordering::SeqCst);
-    }
-
-    fn eval_batch_frame(batch_id: u64, items: &[(usize, Vec<i64>)]) -> Json {
-        let evals: Vec<served::proto::EvalRequest> = items
-            .iter()
-            .map(|(id, genes)| served::proto::EvalRequest {
-                id: *id,
-                genes: genes.clone(),
-            })
-            .collect();
-        served::proto::eval_batch_request(batch_id, &evals)
     }
 
     #[test]
     fn eval_batch_answers_every_item_bit_identically_in_one_frame() {
         let (addr, stop) = start_worker(Chaos::inert());
         let mut conn = TestConn::open(&addr);
-        conn.roundtrip(&task_frame());
-
         let s = spec();
+        conn.roundtrip(&task_frame(&s));
+
         let p = s.build_problem().unwrap();
         let mut rng = simrng::Rng::seed_from_u64(3);
         let genomes: Vec<Vec<i64>> = (0..5).map(|_| p.space().random(&mut rng)).collect();
 
-        let resp = conn.roundtrip(&eval_batch_frame(
-            42,
-            &genomes
-                .iter()
-                .enumerate()
-                .map(|(i, g)| (i, g.clone()))
-                .collect::<Vec<_>>(),
-        ));
-        let (batch_id, results) = served::proto::parse_eval_batch_response(&resp).unwrap();
-        assert_eq!(batch_id, 42, "batch id must echo");
-        assert_eq!(results.len(), genomes.len());
-        for (id, outcome) in &results {
-            let expected = p.fitness(&genomes[*id]);
-            match outcome {
-                served::proto::EvalOutcome::Fitness(f) => {
-                    assert_eq!(f.to_bits(), expected.to_bits(), "genome {id}");
-                }
-                served::proto::EvalOutcome::Error(e) => panic!("genome {id} errored: {e}"),
-            }
+        let got = conn.batch(42, &genomes);
+        for (genome, outcome) in genomes.iter().zip(&got) {
+            assert_eq!(bits(outcome), p.fitness(genome).to_bits(), "{genome:?}");
         }
         stop.store(true, Ordering::SeqCst);
     }
@@ -612,28 +518,27 @@ mod tests {
     fn eval_batch_reports_bad_items_without_failing_the_envelope() {
         let (addr, stop) = start_worker(Chaos::inert());
         let mut conn = TestConn::open(&addr);
-        conn.roundtrip(&task_frame());
+        conn.roundtrip(&task_frame(&spec()));
         let good = InlineParams::jikes_default().to_genes();
-        let resp = conn.roundtrip(&eval_batch_frame(
+        // Wrong length and wildly out-of-range values: both must come
+        // back as error entries, not a failed envelope, and the good
+        // items on either side must still be measured.
+        let got = conn.batch(
             1,
-            &[(0, good.clone()), (1, vec![-999, -999]), (2, good.clone())],
-        ));
-        let (_, results) = served::proto::parse_eval_batch_response(&resp).unwrap();
-        assert!(
-            matches!(results[0].1, served::proto::EvalOutcome::Fitness(_)),
-            "good item before the bad one must still be measured"
+            &[
+                good.clone(),
+                vec![1, 2],
+                good.clone(),
+                vec![-999; 5],
+                good.clone(),
+            ],
         );
-        assert!(
-            matches!(results[1].1, served::proto::EvalOutcome::Error(_)),
-            "out-of-space genes become a per-item error"
-        );
-        assert!(
-            matches!(results[2].1, served::proto::EvalOutcome::Fitness(_)),
-            "good item after the bad one must still be measured"
-        );
+        for (i, outcome) in got.iter().enumerate() {
+            let is_error = matches!(outcome, EvalOutcome::Error(_));
+            assert_eq!(is_error, i % 2 == 1, "item {i}: {outcome:?}");
+        }
         // The connection survives a partial failure.
-        let ping = conn.roundtrip(&Json::obj(vec![("cmd", Json::Str("ping".into()))]));
-        assert_eq!(ping.get("ok"), Some(&Json::Bool(true)));
+        conn.ping();
         stop.store(true, Ordering::SeqCst);
     }
 
@@ -641,34 +546,34 @@ mod tests {
     fn eval_batch_without_task_is_an_error_not_a_panic() {
         let (addr, stop) = start_worker(Chaos::inert());
         let mut conn = TestConn::open(&addr);
-        let resp = conn.roundtrip(&eval_batch_frame(0, &[(0, vec![1, 2, 3, 4, 5])]));
+        let resp = conn.roundtrip(&eval_batch_frame(0, &[vec![1, 2, 3, 4, 5]]));
         assert_eq!(resp.get("ok"), Some(&Json::Bool(false)));
         stop.store(true, Ordering::SeqCst);
     }
 
-    #[test]
-    fn eval_without_task_is_an_error_not_a_panic() {
-        let (addr, stop) = start_worker(Chaos::inert());
-        let mut conn = TestConn::open(&addr);
-        let resp = conn.roundtrip(&eval_frame(0, &[1, 2, 3, 4, 5]));
-        assert_eq!(resp.get("ok"), Some(&Json::Bool(false)));
-        stop.store(true, Ordering::SeqCst);
+    /// A registry of its own: the tests below read exact totals, and the
+    /// global one is shared with every other test's worker.
+    fn start_private_worker() -> (String, Arc<obs::Registry>) {
+        let reg = Arc::new(obs::Registry::new());
+        let worker =
+            EvalWorker::bind_with_obs("127.0.0.1:0", Chaos::inert(), Arc::clone(&reg)).unwrap();
+        let addr = worker.local_addr();
+        std::thread::spawn(move || worker.serve().unwrap());
+        (addr, reg)
     }
 
     #[test]
-    fn out_of_range_genes_are_rejected() {
-        let (addr, stop) = start_worker(Chaos::inert());
+    fn the_single_eval_verb_is_an_unknown_cmd() {
+        let (addr, reg) = start_private_worker();
         let mut conn = TestConn::open(&addr);
-        conn.roundtrip(&task_frame());
-        // Wrong length and wildly out-of-range values: both must come
-        // back as error envelopes, and the connection must survive.
-        for genes in [vec![1i64, 2], vec![-999, -999, -999, -999, -999]] {
-            let resp = conn.roundtrip(&eval_frame(0, &genes));
-            assert_eq!(resp.get("ok"), Some(&Json::Bool(false)), "{genes:?}");
-        }
-        let ping = conn.roundtrip(&Json::obj(vec![("cmd", Json::Str("ping".into()))]));
-        assert_eq!(ping.get("ok"), Some(&Json::Bool(true)));
-        stop.store(true, Ordering::SeqCst);
+        conn.roundtrip(&task_frame(&spec()));
+        let resp = conn.raw(r#"{"cmd":"eval","id":0,"genes":[1,2,3,4,5]}"#);
+        assert_eq!(resp.get("ok"), Some(&Json::Bool(false)));
+        let error = resp.get("error").and_then(Json::as_str).unwrap();
+        assert!(error.contains("unknown cmd 'eval'"), "{error}");
+        assert_eq!(reg.counter_value("evald_protocol_errors"), 1);
+        assert_eq!(reg.counter_value("evald_evals"), 0);
+        conn.roundtrip(&Json::obj(vec![("cmd", Json::Str("shutdown".into()))]));
     }
 
     #[test]
@@ -677,8 +582,7 @@ mod tests {
         let mut conn = TestConn::open(&addr);
         let resp = conn.raw("this is not json");
         assert_eq!(resp.get("ok"), Some(&Json::Bool(false)));
-        let ping = conn.roundtrip(&Json::obj(vec![("cmd", Json::Str("ping".into()))]));
-        assert_eq!(ping.get("ok"), Some(&Json::Bool(true)));
+        conn.ping();
         stop.store(true, Ordering::SeqCst);
     }
 
@@ -687,9 +591,9 @@ mod tests {
         let cfg = crate::chaos::ChaosConfig::parse("drop:1.0").unwrap();
         let (addr, stop) = start_worker(Chaos::new(cfg, 1));
         let mut conn = TestConn::open(&addr);
-        conn.roundtrip(&task_frame());
+        conn.roundtrip(&task_frame(&spec()));
         let genes = InlineParams::jikes_default().to_genes();
-        write_frame(&mut conn.writer, &eval_frame(0, &genes)).unwrap();
+        write_frame(&mut conn.writer, &eval_batch_frame(0, &[genes])).unwrap();
         // The worker must close without replying: EOF, not a frame.
         match read_frame(&mut conn.reader) {
             Frame::Eof => {}
@@ -699,80 +603,11 @@ mod tests {
     }
 
     #[test]
-    fn store_backed_worker_serves_repeat_genomes_from_the_store() {
-        // A real `tuned` server with a store, for the worker to lean on.
-        let dir = std::env::temp_dir().join(format!("evald-store-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let daemon = served::Daemon::start(
-            served::DaemonConfig {
-                workers: 1,
-                store: Some(Arc::new(stored::Store::open(dir.join("store")).unwrap())),
-                ..served::DaemonConfig::default()
-            },
-            served::RunDir::open(&dir).unwrap(),
-        )
-        .unwrap();
-        let server = served::Server::bind("127.0.0.1:0", daemon.clone()).unwrap();
-        let daemon_addr = server.local_addr().to_string();
-        std::thread::spawn(move || server.serve().expect("serve"));
-
-        let reg = Arc::new(obs::Registry::new());
-        let store = Arc::new(crate::StoreClient::connect(&daemon_addr, Arc::clone(&reg)));
-        let worker = EvalWorker::bind_with_obs("127.0.0.1:0", Chaos::inert(), Arc::clone(&reg))
-            .unwrap()
-            .with_store(Some(Arc::clone(&store)));
-        let addr = worker.local_addr();
-        let stop = worker.stop_flag();
-        std::thread::spawn(move || worker.serve().unwrap());
-
-        let mut conn = TestConn::open(&addr);
-        conn.roundtrip(&task_frame());
-        let genes = InlineParams::jikes_default().to_genes();
-
-        // First eval: a store miss, measured locally, put written behind.
-        let first = conn.roundtrip(&eval_frame(0, &genes));
-        assert_eq!(first.get("ok"), Some(&Json::Bool(true)));
-        assert_eq!(reg.counter("evald_store_misses").get(), 1);
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while store.pending_puts() > 0 {
-            assert!(std::time::Instant::now() < deadline, "put never drained");
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        assert_eq!(reg.counter("store_client_puts").get(), 1);
-
-        // Second eval of the same genome: answered from the store,
-        // bit-identical to the measured fitness.
-        let second = conn.roundtrip(&eval_frame(1, &genes));
-        assert_eq!(second.get("ok"), Some(&Json::Bool(true)));
-        assert_eq!(reg.counter("evald_store_hits").get(), 1);
-        assert_eq!(
-            first.get("fitness"),
-            second.get("fitness"),
-            "stored fitness must be bit-identical"
-        );
-
-        stop.store(true, Ordering::SeqCst);
-        daemon.shutdown();
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn metrics_and_shutdown_verbs_work() {
-        // A registry of its own: the verb reads the worker's registry,
-        // and the global one is shared with every other test's worker.
-        let worker = EvalWorker::bind_with_obs(
-            "127.0.0.1:0",
-            Chaos::inert(),
-            Arc::new(obs::Registry::new()),
-        )
-        .unwrap();
-        let addr = worker.local_addr();
-        std::thread::spawn(move || worker.serve().unwrap());
+        let (addr, _reg) = start_private_worker();
         let mut conn = TestConn::open(&addr);
-        conn.roundtrip(&task_frame());
-        let genes = InlineParams::jikes_default().to_genes();
-        conn.roundtrip(&eval_frame(0, &genes));
+        conn.roundtrip(&task_frame(&spec()));
+        conn.batch(0, &[InlineParams::jikes_default().to_genes()]);
         let m = conn.roundtrip(&Json::obj(vec![("cmd", Json::Str("metrics".into()))]));
         assert_eq!(m.get("ok"), Some(&Json::Bool(true)));
         let verb = m.get("metrics").unwrap();

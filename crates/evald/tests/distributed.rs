@@ -348,3 +348,17 @@ fn worker_registers_over_the_wire_and_metrics_report_it() {
     daemon.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `--store` went with the worker-side store client; a worker started
+/// with it (or with any other flag `evald` does not know) must say so
+/// and exit, not run without the thing the operator asked for.
+#[test]
+fn an_unknown_flag_is_refused_by_name() {
+    let out = Command::new(env!("CARGO_BIN_EXE_evald"))
+        .args(["--addr", "127.0.0.1:0", "--store", "127.0.0.1:1"])
+        .output()
+        .expect("spawn evald");
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown flag '--store'"), "{stderr}");
+}

@@ -113,26 +113,6 @@ pub fn is_known(id: &str) -> bool {
     KNOWN.contains(&id)
 }
 
-/// The store fingerprint [`build`] would hand back for this cell,
-/// without paying to construct the problem's evaluator — for store
-/// RPCs and warm-start lookups that only need cell addressing.
-///
-/// # Errors
-/// Unknown id.
-pub fn fingerprint(
-    id: &str,
-    task: &TuningTask,
-    training: &[Benchmark],
-) -> Result<stored::Fingerprint, String> {
-    if !is_known(id) {
-        return Err(format!(
-            "unknown problem '{id}' (known: {})",
-            KNOWN.join(", ")
-        ));
-    }
-    Ok(tagged_fingerprint(id, task, training))
-}
-
 /// The tagged store fingerprint of a non-inline problem's cell.
 ///
 /// Starts from the inlining cell fingerprint (same workload features,
@@ -218,16 +198,6 @@ mod tests {
         unique.sort_unstable();
         unique.dedup();
         assert_eq!(unique.len(), KNOWN.len(), "{digests:?}");
-    }
-
-    #[test]
-    fn the_cheap_fingerprint_matches_the_built_problem() {
-        for &id in KNOWN {
-            let p = build(id, &task(), &training(), AdaptConfig::default()).unwrap();
-            let cheap = fingerprint(id, &task(), &training()).unwrap();
-            assert_eq!(&cheap, p.fingerprint(), "{id}");
-        }
-        assert!(fingerprint("gradient", &task(), &training()).is_err());
     }
 
     #[test]

@@ -3,151 +3,124 @@
 //! round-trips, and categorical genes are re-drawn rather than
 //! interpolated.
 //!
-//! Gated behind the bare `proptest` cargo feature because the
-//! `proptest` crate is not vendored (offline, zero-dependency builds).
-//! To run:
-//!
-//! ```text
-//! # on a networked machine:
-//! #   add `proptest = "1"` under [dev-dependencies] in crates/problems/Cargo.toml
-//! cargo test -p inlinetune-problems --features proptest
-//! ```
-
-#![cfg(feature = "proptest")]
-
-use std::sync::OnceLock;
+//! Seeded case loops (`simrng::cases`), so they run in plain
+//! `cargo test`.
 
 use ga::ops::{mutate, one_point_crossover, two_point_crossover, uniform_crossover};
 use ga::{GeneKind, Ranges};
 use inliner::{InlineParams, ParamRanges};
-use proptest::prelude::*;
-use simrng::Rng;
+use simrng::{cases, vec_of, Rng};
 
 /// An arbitrary mixed-kind gene space plus one genome inside it.
-fn arb_space_and_genome() -> impl Strategy<Value = (Ranges, Vec<i64>)> {
-    proptest::collection::vec(
-        (0..3u8, -40i64..40, 0i64..40).prop_flat_map(|(kind, lo, width)| {
-            let kind = match kind {
-                0 => GeneKind::Int,
-                1 => GeneKind::Bool,
-                _ => GeneKind::Cat,
-            };
-            // Bools live on {0, 1}; others use the drawn bounds.
-            let (lo, hi) = if kind == GeneKind::Bool {
-                (0, 1)
-            } else {
-                (lo, lo + width)
-            };
-            (Just(kind), Just((lo, hi)), lo..=hi)
-        }),
-        1..=12,
-    )
-    .prop_map(|genes| {
-        let kinds: Vec<GeneKind> = genes.iter().map(|g| g.0).collect();
-        let bounds: Vec<(i64, i64)> = genes.iter().map(|g| g.1).collect();
-        let genome: Vec<i64> = genes.iter().map(|g| g.2).collect();
-        (Ranges::with_kinds(bounds, kinds), genome)
-    })
+fn arb_space_and_genome(rng: &mut Rng) -> (Ranges, Vec<i64>) {
+    let genes = vec_of(rng, 1, 12, |r| {
+        let kind = *r.choose(&[GeneKind::Int, GeneKind::Bool, GeneKind::Cat]);
+        // Bools live on {0, 1}; others use the drawn bounds.
+        let (lo, hi) = if kind == GeneKind::Bool {
+            (0, 1)
+        } else {
+            let lo = r.range_i64(-40, 39);
+            (lo, lo + r.range_i64(0, 39))
+        };
+        (kind, (lo, hi), r.range_i64(lo, hi))
+    });
+    let kinds = genes.iter().map(|g| g.0).collect();
+    let bounds = genes.iter().map(|g| g.1).collect();
+    let genome = genes.iter().map(|g| g.2).collect();
+    (Ranges::with_kinds(bounds, kinds), genome)
 }
 
-proptest! {
-    /// Mutation never leaves the space, whatever the kinds, bounds,
-    /// per-gene probability or seed.
-    #[test]
-    fn mutation_stays_in_bounds(
-        (ranges, genome) in arb_space_and_genome(),
-        prob in 0.0f64..=1.0,
-        seed in any::<u64>(),
-    ) {
-        let mut rng = Rng::seed_from_u64(seed);
+/// Mutation never leaves the space, whatever the kinds, bounds,
+/// per-gene probability or seed.
+#[test]
+fn mutation_stays_in_bounds() {
+    cases("mutation_stays_in_bounds", |rng| {
+        let (ranges, genome) = arb_space_and_genome(rng);
+        // `f64()` is half-open; the closed end is its own case.
+        let prob = if rng.chance(0.1) { 1.0 } else { rng.f64() };
         for _ in 0..8 {
             let mut g = genome.clone();
-            mutate(&mut g, &ranges, prob, &mut rng);
-            prop_assert!(ranges.contains(&g), "{g:?} left {ranges:?}");
+            mutate(&mut g, &ranges, prob, rng);
+            assert!(ranges.contains(&g), "{g:?} left {ranges:?}");
         }
-    }
+    });
+}
 
-    /// Every crossover operator only recombines parental genes, so
-    /// children of in-space parents stay in space — and each child gene
-    /// literally equals one parent's gene at that locus (categoricals
-    /// are never blended into values neither parent held).
-    #[test]
-    fn crossover_children_stay_in_bounds_and_never_blend(
-        (ranges, a) in arb_space_and_genome(),
-        seed in any::<u64>(),
-    ) {
-        let mut rng = Rng::seed_from_u64(seed);
-        let b = ranges.random(&mut rng);
+/// Every crossover operator only recombines parental genes, so
+/// children of in-space parents stay in space — and each child gene
+/// literally equals one parent's gene at that locus (categoricals
+/// are never blended into values neither parent held).
+#[test]
+fn crossover_children_stay_in_bounds_and_never_blend() {
+    cases("crossover_children_stay_in_bounds_and_never_blend", |rng| {
+        let (ranges, a) = arb_space_and_genome(rng);
+        let b = ranges.random(rng);
         for op in [one_point_crossover, two_point_crossover, uniform_crossover] {
-            let (c, d) = op(&a, &b, &mut rng);
+            let (c, d) = op(&a, &b, rng);
             for child in [&c, &d] {
-                prop_assert!(ranges.contains(child));
+                assert!(ranges.contains(child));
                 for (i, &g) in child.iter().enumerate() {
-                    prop_assert!(g == a[i] || g == b[i], "blended gene {i}: {g}");
+                    assert!(g == a[i] || g == b[i], "blended gene {i}: {g}");
                 }
             }
         }
-    }
+    });
+}
 
-    /// A mutated non-Int gene is a uniform *re-draw*: the outcome depends
-    /// only on the RNG stream, not on the starting value. Starting the
-    /// same seed from different categories lands on the same category —
-    /// the definition of "never interpolates".
-    #[test]
-    fn categorical_mutation_is_independent_of_the_current_value(
-        start_a in 0i64..=6,
-        start_b in 0i64..=6,
-        seed in any::<u64>(),
-    ) {
-        let ranges = Ranges::with_kinds(
-            vec![(0, 6), (0, 1)],
-            vec![GeneKind::Cat, GeneKind::Bool],
-        );
-        let mut rng_a = Rng::seed_from_u64(seed);
-        let mut rng_b = Rng::seed_from_u64(seed);
-        let mut a = vec![start_a, 0];
-        let mut b = vec![start_b, 1];
-        mutate(&mut a, &ranges, 1.0, &mut rng_a);
-        mutate(&mut b, &ranges, 1.0, &mut rng_b);
-        prop_assert_eq!(a, b);
-    }
+/// A mutated non-Int gene is a uniform *re-draw*: the outcome depends
+/// only on the RNG stream, not on the starting value. Starting the
+/// same seed from different categories lands on the same category —
+/// the definition of "never interpolates".
+#[test]
+fn categorical_mutation_is_independent_of_the_current_value() {
+    let ranges = Ranges::with_kinds(vec![(0, 6), (0, 1)], vec![GeneKind::Cat, GeneKind::Bool]);
+    cases(
+        "categorical_mutation_is_independent_of_the_current_value",
+        |rng| {
+            let mut a = vec![rng.range_i64(0, 6), 0];
+            let mut b = vec![rng.range_i64(0, 6), 1];
+            let seed = rng.next_u64();
+            mutate(&mut a, &ranges, 1.0, &mut Rng::seed_from_u64(seed));
+            mutate(&mut b, &ranges, 1.0, &mut Rng::seed_from_u64(seed));
+            assert_eq!(a, b);
+        },
+    );
+}
 
-    /// The inlining problem's genome codec round-trips across the paper's
-    /// Table 1 ranges.
-    #[test]
-    fn inline_params_round_trip_within_paper_ranges(
-        callee in 1i64..=50,
-        always in 1i64..=30,
-        depth in 1i64..=15,
-        caller in 1i64..=4000,
-        hot in 1i64..=400,
-    ) {
-        let genes = vec![callee, always, depth, caller, hot];
-        prop_assert!(ParamRanges::paper().contains(&genes));
+/// The inlining problem's genome codec round-trips across the paper's
+/// Table 1 ranges.
+#[test]
+fn inline_params_round_trip_within_paper_ranges() {
+    cases("inline_params_round_trip_within_paper_ranges", |rng| {
+        let genes: Vec<i64> = [50, 30, 15, 4000, 400]
+            .iter()
+            .map(|&hi| rng.range_i64(1, hi))
+            .collect();
+        assert!(ParamRanges::paper().contains(&genes));
         let params = InlineParams::from_genes(&genes);
-        prop_assert_eq!(params.to_genes(), genes);
-    }
+        assert_eq!(params.to_genes(), genes);
+    });
+}
 
-    /// The dss problem scores every genome in its space to a finite,
-    /// positive, deterministic fitness.
-    #[test]
-    fn dss_fitness_is_total_over_its_space(genes in proptest::collection::vec(0i64..=4, 8)) {
-        static PROBLEM: OnceLock<problems::DssProblem> = OnceLock::new();
-        let p = PROBLEM.get_or_init(|| {
-            problems::DssProblem::new(
-                tuner::TuningTask {
-                    name: "Opt:Tot".into(),
-                    scenario: jit::Scenario::Opt,
-                    goal: tuner::Goal::Total,
-                    arch: jit::ArchModel::pentium4(),
-                },
-                vec![workloads::benchmark_by_name("db").unwrap()],
-            )
-        });
-        use problems::Problem;
-        prop_assert!(p.space().contains(&genes));
+/// The dss problem scores every genome in its space to a finite,
+/// positive, deterministic fitness.
+#[test]
+fn dss_fitness_is_total_over_its_space() {
+    use problems::Problem;
+    let p = problems::DssProblem::new(
+        tuner::TuningTask {
+            name: "Opt:Tot".into(),
+            scenario: jit::Scenario::Opt,
+            goal: tuner::Goal::Total,
+            arch: jit::ArchModel::pentium4(),
+        },
+        vec![workloads::benchmark_by_name("db").unwrap()],
+    );
+    cases("dss_fitness_is_total_over_its_space", |rng| {
+        let genes: Vec<i64> = (0..8).map(|_| rng.range_i64(0, 4)).collect();
+        assert!(p.space().contains(&genes));
         let f = p.fitness(&genes);
-        prop_assert!(f.is_finite() && f > 0.0, "{f}");
-        prop_assert_eq!(f.to_bits(), p.fitness(&genes).to_bits());
-    }
+        assert!(f.is_finite() && f > 0.0, "{f}");
+        assert_eq!(f.to_bits(), p.fitness(&genes).to_bits());
+    });
 }

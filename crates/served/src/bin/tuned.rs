@@ -37,7 +37,8 @@
 //! warm-start from the best genomes of related past runs. `obs` dumps
 //! the daemon's full observability registry (counters, gauges, latency
 //! histograms, recent spans) as JSON. `store stats` / `store compact`
-//! inspect and fold the running daemon's store.
+//! inspect and fold the running daemon's store. A flag the subcommand
+//! does not list above is an error, not ignored.
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -46,7 +47,7 @@ use ga::GaConfig;
 use served::daemon::{Daemon, DaemonConfig};
 use served::job::{goal_by_name, scenario_by_name, JobSpec, OnlineSpec};
 use served::json::Json;
-use served::{Client, MetricsExporter, RunDir, Server};
+use served::{Client, Flags, MetricsExporter, RunDir, Server};
 use workloads::DriftKind;
 
 const DEFAULT_ADDR: &str = "127.0.0.1:7421";
@@ -59,47 +60,7 @@ fn main() -> ExitCode {
         );
         return ExitCode::FAILURE;
     };
-    let result = match cmd.as_str() {
-        "serve" => serve(&args[1..]),
-        "tenants" => with_client(&args[1..], |client| {
-            for t in client.tenants()? {
-                println!("{}", t.to_text());
-            }
-            Ok(())
-        }),
-        "submit" => submit(&args[1..]),
-        "status" => with_id(&args[1..], |client, id| {
-            client.status(id).map(|j| println!("{}", j.to_text()))
-        }),
-        "watch" => with_id(&args[1..], |client, id| {
-            client
-                .watch(id, |j| println!("{}", j.to_text()))
-                .map(|_| ())
-        }),
-        "list" => with_client(&args[1..], |client| {
-            for j in client.list()? {
-                println!("{}", j.to_text());
-            }
-            Ok(())
-        }),
-        "cancel" => with_id(&args[1..], |client, id| {
-            client
-                .cancel(id)
-                .map(|was| println!("canceled (was {was})"))
-        }),
-        "metrics" => with_client(&args[1..], |client| {
-            client.metrics().map(|m| println!("{}", m.to_text()))
-        }),
-        "obs" => with_client(&args[1..], |client| {
-            client.obs().map(|o| println!("{}", o.to_text()))
-        }),
-        "store" => store(&args[1..]),
-        "shutdown" => with_client(&args[1..], |client| {
-            client.shutdown().map(|()| println!("daemon stopped"))
-        }),
-        other => Err(format!("unknown command '{other}'")),
-    };
-    match result {
+    match run(cmd, &args[1..]) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("tuned: {e}");
@@ -108,42 +69,81 @@ fn main() -> ExitCode {
     }
 }
 
-/// Pulls `--key value` flags out of an argument list.
-struct Flags<'a> {
-    args: &'a [String],
+/// The flags each subcommand knows, as `(valued, switches)`: at least
+/// the usage block above (test-enforced). `store`'s operation is a bare
+/// word, so it is declared as a switch.
+fn known_flags(cmd: &str) -> Option<(&'static str, &'static str)> {
+    Some(match cmd {
+        "serve" => (
+            "--addr --dir --workers --queue --eval-threads --worker --shards --tenant-quota \
+             --max-connections --store-path --metrics-listen",
+            "--obs-detail",
+        ),
+        "submit" => (
+            "--addr --name --scenario --goal --arch --problem --tenant --strategy --bench --pop \
+             --gens --seed --threads --stagnation --epochs --drift --period --phases \
+             --drift-seed --window --threshold-pct",
+            "--online",
+        ),
+        "status" | "watch" | "cancel" => ("--addr --id", ""),
+        "list" | "metrics" | "tenants" | "obs" | "shutdown" => ("--addr", ""),
+        "store" => ("--addr", "stats compact"),
+        _ => return None,
+    })
 }
 
-impl<'a> Flags<'a> {
-    fn get(&self, key: &str) -> Option<&'a str> {
-        self.args
-            .windows(2)
-            .rev()
-            .find(|w| w[0] == key)
-            .map(|w| w[1].as_str())
-    }
-
-    fn get_all(&self, key: &str) -> Vec<&'a str> {
-        self.args
-            .windows(2)
-            .filter(|w| w[0] == key)
-            .map(|w| w[1].as_str())
-            .collect()
-    }
-
-    fn parse<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, String> {
-        self.get(key)
-            .map(|v| v.parse().map_err(|_| format!("bad value for {key}: '{v}'")))
-            .transpose()
-    }
-
-    /// Presence of a bare (valueless) flag like `--online`.
-    fn has(&self, key: &str) -> bool {
-        self.args.iter().any(|a| a == key)
+fn run(cmd: &str, args: &[String]) -> Result<(), String> {
+    let (valued, switches) = known_flags(cmd).ok_or_else(|| format!("unknown command '{cmd}'"))?;
+    let flags = &Flags::new(args, valued, switches)?;
+    match cmd {
+        "serve" => serve(flags),
+        "tenants" => with_client(flags, |client| {
+            for t in client.tenants()? {
+                println!("{}", t.to_text());
+            }
+            Ok(())
+        }),
+        "submit" => submit(flags),
+        "status" => with_id(flags, |client, id| {
+            client.status(id).map(|j| println!("{}", j.to_text()))
+        }),
+        "watch" => with_id(flags, |client, id| {
+            client
+                .watch(id, |j| println!("{}", j.to_text()))
+                .map(|_| ())
+        }),
+        "list" => with_client(flags, |client| {
+            for j in client.list()? {
+                println!("{}", j.to_text());
+            }
+            Ok(())
+        }),
+        "cancel" => with_id(flags, |client, id| {
+            client
+                .cancel(id)
+                .map(|was| println!("canceled (was {was})"))
+        }),
+        "metrics" => with_client(flags, |client| {
+            client.metrics().map(|m| println!("{}", m.to_text()))
+        }),
+        "obs" => with_client(flags, |client| {
+            client.obs().map(|o| println!("{}", o.to_text()))
+        }),
+        "store" if flags.has("stats") => with_client(flags, |client| {
+            client.store_stats().map(|s| println!("{}", s.to_text()))
+        }),
+        "store" if flags.has("compact") => with_client(flags, |client| {
+            client.store_compact().map(|c| println!("{}", c.to_text()))
+        }),
+        "store" => Err("store needs an operation: stats|compact".into()),
+        // `shutdown`: `known_flags` lets no other command through.
+        _ => with_client(flags, |client| {
+            client.shutdown().map(|()| println!("daemon stopped"))
+        }),
     }
 }
 
-fn serve(args: &[String]) -> Result<(), String> {
-    let flags = Flags { args };
+fn serve(flags: &Flags) -> Result<(), String> {
     let addr = flags.get("--addr").unwrap_or(DEFAULT_ADDR);
     let dir = flags.get("--dir").unwrap_or("tuned-run");
     let base = DaemonConfig::default();
@@ -200,7 +200,7 @@ fn serve(args: &[String]) -> Result<(), String> {
     }
     let run_dir = RunDir::open(dir)?;
     let daemon = Daemon::start(config, run_dir.clone())?;
-    if args.iter().any(|a| a == "--obs-detail") {
+    if flags.has("--obs-detail") {
         daemon.obs().set_detailed(true);
     }
     let server = Server::bind(addr, daemon.clone())?;
@@ -229,47 +229,23 @@ fn serve(args: &[String]) -> Result<(), String> {
     server.serve()
 }
 
-fn connect(args: &[String]) -> Result<Client, String> {
-    let flags = Flags { args };
-    Client::connect(flags.get("--addr").unwrap_or(DEFAULT_ADDR))
-}
-
 fn with_client(
-    args: &[String],
+    flags: &Flags,
     f: impl FnOnce(&mut Client) -> Result<(), String>,
 ) -> Result<(), String> {
-    let mut client = connect(args)?;
+    let mut client = Client::connect(flags.get("--addr").unwrap_or(DEFAULT_ADDR))?;
     f(&mut client)
 }
 
 fn with_id(
-    args: &[String],
+    flags: &Flags,
     f: impl FnOnce(&mut Client, u64) -> Result<(), String>,
 ) -> Result<(), String> {
-    let flags = Flags { args };
     let id = flags.parse("--id")?.ok_or("missing --id")?;
-    let mut client = connect(args)?;
-    f(&mut client, id)
+    with_client(flags, |client| f(client, id))
 }
 
-fn store(args: &[String]) -> Result<(), String> {
-    let op = args
-        .iter()
-        .find(|a| a.as_str() == "stats" || a.as_str() == "compact")
-        .cloned()
-        .ok_or("store needs an operation: stats|compact")?;
-    with_client(args, |client| {
-        let out = match op.as_str() {
-            "stats" => client.store_stats()?,
-            _ => client.store_compact()?,
-        };
-        println!("{}", out.to_text());
-        Ok(())
-    })
-}
-
-fn submit(args: &[String]) -> Result<(), String> {
-    let flags = Flags { args };
+fn submit(flags: &Flags) -> Result<(), String> {
     let base = GaConfig::default();
     let spec = JobSpec {
         name: flags.get("--name").unwrap_or("job").to_string(),
@@ -311,11 +287,35 @@ fn submit(args: &[String]) -> Result<(), String> {
     };
     // Validate locally (names, GA shape) before going on the wire.
     let spec = JobSpec::from_json(&spec.to_json())?;
-    let mut client = connect(args)?;
-    let id = client.submit(&spec)?;
-    println!(
-        "{}",
-        Json::obj(vec![("id", Json::Int(id as i64))]).to_text()
-    );
-    Ok(())
+    with_client(flags, |client| {
+        let id = client.submit(&spec)?;
+        println!(
+            "{}",
+            Json::obj(vec![("id", Json::Int(id as i64))]).to_text()
+        );
+        Ok(())
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn every_flag_in_the_usage_block_is_accepted() {
+        let doc = include_str!("tuned.rs").lines();
+        let block = doc.skip_while(|l| !l.contains("```text")).skip(1);
+        let (mut cmd, mut checked) = ("", 0);
+        for line in block.take_while(|l| !l.contains("```")) {
+            if let Some(rest) = line.strip_prefix("//! tuned ") {
+                cmd = rest.split_whitespace().next().unwrap();
+            }
+            let (valued, switches) = super::known_flags(cmd).unwrap();
+            let words = line.split(|c: char| c != '-' && !c.is_ascii_lowercase());
+            for flag in words.filter(|w| w.starts_with("--")) {
+                let mut known = valued.split_whitespace().chain(switches.split_whitespace());
+                assert!(known.any(|f| f == flag), "tuned {cmd} {flag}");
+                checked += 1;
+            }
+        }
+        assert_eq!(checked, 46, "the usage block lists 46 flags");
+    }
 }

@@ -4,7 +4,6 @@ use std::io::{BufReader, BufWriter};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::codec::Genome;
 use crate::job::JobSpec;
 use crate::json::Json;
 use crate::net::{NetStream, TcpTransport, Transport};
@@ -210,47 +209,6 @@ impl Client {
         resp.get("compaction")
             .cloned()
             .ok_or_else(|| "store response missing 'compaction'".into())
-    }
-
-    /// Looks up one genome's stored fitness for the cell `spec` defines.
-    ///
-    /// # Errors
-    /// Transport failure or no store configured.
-    pub fn store_get(&mut self, spec: &JobSpec, genes: &[i64]) -> Result<Option<f64>, String> {
-        let resp = self.call(&Json::obj(vec![
-            ("cmd", Json::Str("store".into())),
-            ("op", Json::Str("get".into())),
-            ("job", spec.to_json()),
-            ("genes", Genome::of(genes)),
-        ]))?;
-        if resp.get("found").and_then(Json::as_bool) != Some(true) {
-            return Ok(None);
-        }
-        resp.get("fitness")
-            .and_then(crate::checkpoint::f64_from_json)
-            .map(Some)
-            .ok_or_else(|| "store get response missing 'fitness'".into())
-    }
-
-    /// Records one genome's fitness for the cell `spec` defines;
-    /// returns whether the record was fresh (false = already present).
-    ///
-    /// # Errors
-    /// Transport failure, no store configured, or append I/O error.
-    pub fn store_put(
-        &mut self,
-        spec: &JobSpec,
-        genes: &[i64],
-        fitness: f64,
-    ) -> Result<bool, String> {
-        let resp = self.call(&Json::obj(vec![
-            ("cmd", Json::Str("store".into())),
-            ("op", Json::Str("put".into())),
-            ("job", spec.to_json()),
-            ("genes", Genome::of(genes)),
-            ("fitness", crate::checkpoint::f64_to_json(fitness)),
-        ]))?;
-        Ok(resp.get("fresh").and_then(Json::as_bool) == Some(true))
     }
 
     /// Asks the daemon to shut down gracefully.

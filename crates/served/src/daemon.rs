@@ -1017,11 +1017,6 @@ fn book_round(
     }
     let s = shard_idx.to_string();
     inner.count(&obs::labeled("shard_evals", &[("shard", &s)]), evals);
-    if inner.config.store.is_some() {
-        // Each fresh score is one write-behind append keyed by this
-        // shard, so the same delta counts both.
-        inner.count(&obs::labeled("shard_store_writes", &[("shard", &s)]), evals);
-    }
 }
 
 /// Drives one online job: the [`OnlineState`] policy from
@@ -1229,11 +1224,12 @@ fn evaluator_tiers<'a>(
     threads: usize,
     shard_idx: usize,
 ) -> Tiers<'a, impl Fn(&[i64]) -> f64 + Sync + 'a> {
-    let store_cell = inner
-        .config
-        .store
-        .as_ref()
-        .map(|s| (Arc::clone(s), problem.fingerprint().clone()));
+    let store_cell = inner.config.store.as_ref().map(|s| {
+        let shard = shard_idx.to_string();
+        let name = obs::labeled("shard_store_writes", &[("shard", &shard)]);
+        let writes = inner.config.obs.counter(&name);
+        (Arc::clone(s), problem.fingerprint().clone(), writes)
+    });
     let lease = inner.budget.lease(threads);
     let local = StoreTier::new(
         store_cell.clone(),

@@ -10,6 +10,10 @@
 //! identical bits, inserting this tier can never change a search
 //! trajectory — it only changes how much compute the trajectory costs.
 //!
+//! This is the one place the serving stack reads or writes the store:
+//! the daemon looks a genome up here before dispatching it, and nothing
+//! arriving on a socket can append a record.
+//!
 //! With no store configured the tier is a transparent pass-through, so
 //! the daemon builds it unconditionally.
 
@@ -19,14 +23,19 @@ use stored::{Fingerprint, Record, Store};
 
 /// A read-through/write-behind store tier over an evaluation backend.
 pub struct StoreTier<E> {
-    tier: Option<(Arc<Store>, Fingerprint)>,
+    tier: Option<StoreCell>,
     inner: E,
 }
 
+/// The store, the job's cell fingerprint in it, and the counter that
+/// ticks once per record this job adds (`shard_store_writes{shard=…}`
+/// in the daemon): fresh appends — not hits, and not re-appends of a
+/// record another job got in first.
+pub type StoreCell = (Arc<Store>, Fingerprint, Arc<obs::Counter>);
+
 impl<E: Evaluator> StoreTier<E> {
-    /// Wraps `inner`. `tier` is the store plus the job's cell
-    /// fingerprint; `None` makes the wrapper a pass-through.
-    pub fn new(tier: Option<(Arc<Store>, Fingerprint)>, inner: E) -> Self {
+    /// Wraps `inner`; `None` makes the wrapper a pass-through.
+    pub fn new(tier: Option<StoreCell>, inner: E) -> Self {
         StoreTier { tier, inner }
     }
 }
@@ -52,17 +61,20 @@ impl<E: Evaluator> PendingScores for StorePending<'_, E> {
             pending,
         } = *self;
         let scores = pending.wait();
-        let (store, fp) = tier.tier.as_ref().expect("pending batch implies a store");
+        let (store, fp, writes) = tier.tier.as_ref().expect("pending batch implies a store");
         for (slot, (genome, &fitness)) in miss_at.into_iter().zip(misses.iter().zip(&scores)) {
             out[slot] = fitness;
             // Append failures (disk full, store torn down mid-job)
             // must not fail the evaluation: the score is already in
             // hand, the store just misses one record.
-            let _ = store.append(&Record {
+            let appended = store.append(&Record {
                 fingerprint: fp.clone(),
                 genome: genome.clone(),
                 fitness,
             });
+            if appended == Ok(true) {
+                writes.inc();
+            }
         }
         out
     }
@@ -74,7 +86,7 @@ impl<E: Evaluator> Evaluator for StoreTier<E> {
     }
 
     fn begin<'s>(&'s self, genomes: &[Genome]) -> Box<dyn PendingScores + 's> {
-        let Some((store, fp)) = &self.tier else {
+        let Some((store, fp, _)) = &self.tier else {
             return self.inner.begin(genomes);
         };
         let mut out = vec![f64::NAN; genomes.len()];
@@ -113,13 +125,14 @@ mod tests {
         d
     }
 
-    fn fp(cell: u64) -> Fingerprint {
-        Fingerprint {
-            cell_digest: cell,
+    fn cell(store: &Arc<Store>, cell_digest: u64) -> StoreCell {
+        let fp = Fingerprint {
+            cell_digest,
             arch: "x86-p4".into(),
             features: vec![0.0; stored::FEATURES],
             problem: "inline".into(),
-        }
+        };
+        (Arc::clone(store), fp, Arc::default())
     }
 
     #[test]
@@ -140,7 +153,8 @@ mod tests {
             },
             1,
         );
-        let tier = StoreTier::new(Some((Arc::clone(&store), fp(1))), inner);
+        let at = cell(&store, 1);
+        let tier = StoreTier::new(Some(at.clone()), inner);
         let first = tier.evaluate(&[vec![4], vec![6]]);
         assert_eq!(calls.load(Ordering::SeqCst), 2);
         let second = tier.evaluate(&[vec![6], vec![4], vec![8]]);
@@ -149,6 +163,7 @@ mod tests {
             3,
             "only the new genome computes"
         );
+        assert_eq!(at.2.get(), 3, "one write per fresh record, none per hit");
         assert_eq!(second[0].to_bits(), first[1].to_bits());
         assert_eq!(second[1].to_bits(), first[0].to_bits());
         assert_eq!(second[2], 4.0);
@@ -162,7 +177,7 @@ mod tests {
         let dir = tmp_dir("pipe");
         let store = Arc::new(Store::open(&dir).unwrap());
         let f = |g: &[i64]| g[0] as f64 * 0.25 + 0.1;
-        let tier = StoreTier::new(Some((Arc::clone(&store), fp(3))), LocalEvaluator::new(f, 1));
+        let tier = StoreTier::new(Some(cell(&store, 3)), LocalEvaluator::new(f, 1));
         // First pass populates the store.
         let first = tier.begin(&[vec![1], vec![2], vec![3]]).wait();
         // Second pass mixes hits with a fresh miss, out of order.
@@ -186,11 +201,11 @@ mod tests {
         let dir = tmp_dir("cells");
         let store = Arc::new(Store::open(&dir).unwrap());
         let a = StoreTier::new(
-            Some((Arc::clone(&store), fp(1))),
+            Some(cell(&store, 1)),
             LocalEvaluator::new(|_: &[i64]| 1.0, 1),
         );
         let b = StoreTier::new(
-            Some((Arc::clone(&store), fp(2))),
+            Some(cell(&store, 2)),
             LocalEvaluator::new(|_: &[i64]| 2.0, 1),
         );
         assert_eq!(a.evaluate(&[vec![5]]), vec![1.0]);

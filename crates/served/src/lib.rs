@@ -32,6 +32,8 @@
 //! * `codec` — how every value is spelled in that JSON and what an
 //!   absent key means; each persisted or wire format is one row list
 //!   from which both directions derive;
+//! * [`flags`] — the strict `--key value` command-line reader the
+//!   `tuned` and `evald` binaries share;
 //! * [`net`] — the transport seam: every socket and every sleep below
 //!   this crate goes through [`net::Transport`], so the whole cluster
 //!   runs identically on real TCP ([`net::TcpTransport`], the default)
@@ -46,6 +48,7 @@ pub mod daemon;
 pub mod dispatch;
 pub mod expo;
 pub mod fitstore;
+pub mod flags;
 pub mod job;
 pub mod json;
 pub mod metrics;
@@ -60,6 +63,7 @@ pub use dispatch::{
     DispatchConfig, RemoteEvaluator, Worker, WorkerFilter, WorkerPool, WorkerSnapshot,
 };
 pub use expo::MetricsExporter;
+pub use flags::Flags;
 pub use job::{JobSpec, JobState};
 pub use metrics::{JobGauges, MetricsSnapshot};
 pub use net::{NetListener, NetStream, TcpTransport, Transport};

@@ -16,7 +16,6 @@ use std::time::Duration;
 
 use shard::{Reject, RejectKind};
 
-use crate::codec::{required, Genome};
 use crate::daemon::{Daemon, SubmitError};
 use crate::job::JobSpec;
 use crate::json::Json;
@@ -426,11 +425,10 @@ fn push_watch_frame(
     }
 }
 
-/// The `store` verbs: `stats`, `compact`, and genome-level `get`/`put`
-/// so remote `evald` workers (and operators) share the daemon's
-/// persistent fitness store. `get`/`put` address records by the job
-/// spec — the server derives the cell fingerprint, so clients never
-/// handle digests.
+/// The `store` verb: `stats` and `compact`, for operators. Records
+/// themselves never cross the wire: the store is read and appended only
+/// by the daemon's own `fitstore::StoreTier`, so no peer can plant a
+/// fitness that later jobs would replay.
 fn store_verb(body: &Json, daemon: &Daemon) -> Json {
     let Some(store) = daemon.store() else {
         return err("no store configured (start tuned with --store-path)");
@@ -467,54 +465,10 @@ fn store_verb(body: &Json, daemon: &Daemon) -> Json {
             )]),
             Err(e) => err(e),
         },
-        "get" | "put" => {
-            let fp = match store_fingerprint(body) {
-                Ok(fp) => fp,
-                Err(e) => return err(e),
-            };
-            let genes = match required::<Genome>(body, "store", "genes") {
-                Ok(genes) => genes,
-                Err(e) => return err(e),
-            };
-            if op == "get" {
-                return match store.get(fp.cell_digest, &genes) {
-                    Some(fitness) => ok_with(vec![
-                        ("found", Json::Bool(true)),
-                        ("fitness", crate::checkpoint::f64_to_json(fitness)),
-                    ]),
-                    None => ok_with(vec![("found", Json::Bool(false))]),
-                };
-            }
-            let Some(fitness) = body
-                .get("fitness")
-                .and_then(crate::checkpoint::f64_from_json)
-            else {
-                return err("store put needs a 'fitness' number");
-            };
-            match store.append(&stored::Record {
-                fingerprint: fp,
-                genome: genes,
-                fitness,
-            }) {
-                Ok(fresh) => ok_with(vec![("fresh", Json::Bool(fresh))]),
-                Err(e) => err(e),
-            }
-        }
         other => err(format!(
-            "unknown store op '{other}' (known: stats, compact, get, put)"
+            "unknown store op '{other}' (known: stats, compact)"
         )),
     }
-}
-
-/// Derives the cell fingerprint of the job spec in `body.job` —
-/// problem-tagged, so `evald` write-backs for a `flags` job can never
-/// land in (or read from) an inlining cell.
-fn store_fingerprint(body: &Json) -> Result<stored::Fingerprint, String> {
-    let job = body
-        .get("job")
-        .ok_or("store get/put needs a 'job' object")?;
-    let spec = JobSpec::from_json(job)?;
-    problems::fingerprint(&spec.problem, &spec.task()?, &spec.training()?)
 }
 
 fn job_id(body: &Json) -> Result<u64, String> {

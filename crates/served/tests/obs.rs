@@ -564,10 +564,19 @@ fn wait_terminal(daemon: &Daemon, id: u64) -> served::JobRecord {
     panic!("job {id} never reached a terminal state");
 }
 
+/// `shard_store_writes`, summed over the shards.
+fn store_writes(reg: &obs::Registry) -> u64 {
+    let counters = reg.snapshot().counters;
+    let writes = counters
+        .iter()
+        .filter(|(name, _)| name.starts_with("shard_store_writes{"));
+    writes.map(|(_, n)| n).sum()
+}
+
 /// An online job's memo hits and store writes reach the daemon's
 /// counters like an offline job's do: the `metrics` verb and the GA's
 /// own registry counter give one answer to "evaluations spent vs
-/// saved", and every fresh evaluation is one shard store write.
+/// saved", and every record the store took is one shard store write.
 #[test]
 fn online_job_books_cache_hits_and_store_writes() {
     let dir = std::env::temp_dir().join(format!("served-obs-online-{}", std::process::id()));
@@ -610,11 +619,65 @@ fn online_job_books_cache_hits_and_store_writes() {
     assert_eq!(m.cache_hits, reg.counter_value("ga_cache_hits"));
     // Epochs 1..=4 each probe the incumbent once, outside any GA.
     assert_eq!(m.evaluations, reg.counter_value("ga_evaluations") + 4);
-    assert_eq!(
-        reg.counter_value("shard_store_writes{shard=\"0\"}"),
-        m.evaluations
-    );
+    // Those probes never go near the store, so it took fewer records
+    // than the job spent evaluations.
+    let appends = daemon.store().unwrap().stats().appends;
+    assert_eq!(store_writes(&reg), appends);
+    assert!(appends < m.evaluations, "{appends} vs {}", m.evaluations);
     assert_eq!(m.generations, 5, "one booked round per epoch");
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The store sits in front of the dispatcher: a genome any job measured
+/// is answered by the daemon and never reaches a worker again — which is
+/// why a worker has no store client of its own. And a store read-hit is
+/// not a store write, on whichever shard the job ran.
+#[test]
+fn a_repeat_job_is_served_from_the_store_and_reaches_no_worker() {
+    let dir = std::env::temp_dir().join(format!("served-obs-repeat-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let workers = [
+        TestWorker::start(Chaos::inert()),
+        TestWorker::start(Chaos::inert()),
+    ];
+    let measured = || -> u64 {
+        let regs = workers.iter().map(|w| &w.reg);
+        regs.map(|r| r.counter_value("evald_evals")).sum()
+    };
+    let reg = Arc::new(obs::Registry::new());
+    let store = Arc::new(stored::Store::open(dir.join("store")).unwrap());
+    let daemon = Daemon::start(
+        DaemonConfig {
+            shards: 2,
+            eval_workers: workers.iter().map(|w| w.addr.clone()).collect(),
+            store: Some(Arc::clone(&store)),
+            obs: Arc::clone(&reg),
+            ..DaemonConfig::default()
+        },
+        RunDir::open(dir.join("run")).unwrap(),
+    )
+    .unwrap();
+
+    let first = wait_terminal(&daemon, daemon.submit(tiny_spec(7)).unwrap());
+    let m = daemon.metrics_snapshot();
+    let (before, on_workers) = (store.stats(), measured());
+    assert!(m.remote_dispatched > 0 && on_workers > 0);
+    assert_eq!(before.appends, m.evaluations, "a fresh store takes it all");
+    assert_eq!(store_writes(&reg), before.appends);
+
+    let second = wait_terminal(&daemon, daemon.submit(tiny_spec(7)).unwrap());
+    let (a, b) = (first.result.unwrap(), second.result.unwrap());
+    assert_eq!((a.0, a.1.to_bits()), (b.0, b.1.to_bits()), "bit-identical");
+    let after = store.stats();
+    assert_eq!(after.hits, before.hits + m.evaluations, "all of it a hit");
+    assert_eq!(after.appends, before.appends, "nothing new to remember");
+    assert_eq!(store_writes(&reg), before.appends, "a hit is not a write");
+    assert_eq!(
+        daemon.metrics_snapshot().remote_dispatched,
+        m.remote_dispatched
+    );
+    assert_eq!(measured(), on_workers, "no worker saw the repeat job");
     daemon.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

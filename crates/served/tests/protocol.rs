@@ -48,7 +48,7 @@ impl TestServer {
 
     /// Like [`TestServer::start`], with the persistent fitness store
     /// enabled under the run directory.
-    fn start_with_store(tag: &str, workers: usize) -> Self {
+    fn start_store_backed(tag: &str, workers: usize) -> Self {
         Self::start_configured(tag, workers, true, |c| c)
     }
 
@@ -65,12 +65,12 @@ impl TestServer {
     fn start_configured(
         tag: &str,
         workers: usize,
-        with_store: bool,
+        store_backed: bool,
         tweak: impl FnOnce(DaemonConfig) -> DaemonConfig,
     ) -> Self {
         let dir = std::env::temp_dir().join(format!("tuned-proto-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let store = with_store.then(|| {
+        let store = store_backed.then(|| {
             std::sync::Arc::new(stored::Store::open(dir.join("store")).expect("open store"))
         });
         let daemon = Daemon::start(
@@ -385,49 +385,58 @@ fn watch_streams_generations_then_terminates() {
 
 #[test]
 fn store_verbs_roundtrip_over_the_wire() {
-    let ts = TestServer::start_with_store("store", 1);
+    let ts = TestServer::start_store_backed("store", 1);
     let mut c = Client::connect(&ts.addr).unwrap();
     let spec = job(61, 3);
-    let genes = vec![25, 15, 8, 4, 9];
 
-    // Empty store: get misses, stats are zero.
-    assert_eq!(c.store_get(&spec, &genes).unwrap(), None);
-    let stats = c.store_stats().unwrap();
-    assert_eq!(stats.get("records"), Some(&Json::Int(0)));
-
-    // Put, then read the exact bits back.
-    let fitness = 0.876_543_210_987_f64;
-    assert!(c.store_put(&spec, &genes, fitness).unwrap());
-    assert!(!c.store_put(&spec, &genes, fitness).unwrap(), "duplicate");
-    let got = c.store_get(&spec, &genes).unwrap().expect("present");
-    assert_eq!(got.to_bits(), fitness.to_bits());
-
-    // Another cell (different goal) does not see the record.
-    let other = JobSpec {
-        goal: Goal::Running,
-        ..job(61, 3)
-    };
-    assert_eq!(c.store_get(&other, &genes).unwrap(), None);
-
-    // Compaction folds the wal and the record survives.
-    let report = c.store_compact().unwrap();
-    assert_eq!(report.get("records"), Some(&Json::Int(1)));
-    assert_eq!(
-        c.store_get(&spec, &genes).unwrap().map(f64::to_bits),
-        Some(fitness.to_bits())
-    );
-    let stats = c.store_stats().unwrap();
-    assert_eq!(stats.get("records"), Some(&Json::Int(1)));
-    assert_eq!(stats.get("segments"), Some(&Json::Int(1)));
-    assert_eq!(stats.get("wal_records"), Some(&Json::Int(0)));
-
-    // Bad op is a structured error, connection survives.
+    // The closed door: records do not cross the wire. `get`, `put` and
+    // any other op are one structured error, the connection survives,
+    // and nothing lands in the store.
     let mut stream = TcpStream::connect(&ts.addr).unwrap();
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
         .unwrap();
-    let resp = raw_request(&mut stream, "{\"cmd\":\"store\",\"op\":\"drop\"}");
-    assert_eq!(resp.get("ok"), Some(&Json::Bool(false)));
+    for op in ["put", "get", "drop"] {
+        let frame = Json::obj(vec![
+            ("cmd", Json::Str("store".into())),
+            ("op", Json::Str(op.into())),
+            ("job", spec.to_json()),
+            ("genes", parse("[25,15,8,4,9]").unwrap()),
+            ("fitness", Json::Num(0.875)),
+        ]);
+        let resp = raw_request(&mut stream, &frame.to_text());
+        assert_eq!(resp.get("ok"), Some(&Json::Bool(false)), "{op}");
+        let error = resp.get("error").and_then(Json::as_str).unwrap();
+        assert!(
+            error.contains(&format!("unknown store op '{op}'")),
+            "{error}"
+        );
+    }
+    let pong = raw_request(&mut stream, "{\"cmd\":\"ping\"}");
+    assert_eq!(pong.get("ok"), Some(&Json::Bool(true)));
+    let stats = c.store_stats().unwrap();
+    assert_eq!(stats.get("records"), Some(&Json::Int(0)));
+
+    // The one way a record gets in: a job measures a genome.
+    let id = c.submit(&spec).unwrap();
+    c.set_timeout(Some(bound(120))).unwrap();
+    let last = c.watch(id, |_| {}).unwrap();
+    assert_eq!(last.get("state").and_then(Json::as_str), Some("done"));
+    let mut c = Client::connect(&ts.addr).unwrap();
+    let stats = c.store_stats().unwrap();
+    let records = stats.get("records").and_then(Json::as_i64).unwrap();
+    assert!(records > 0, "{}", stats.to_text());
+    assert_eq!(stats.get("appends"), Some(&Json::Int(records)));
+    assert_eq!(stats.get("wal_records"), Some(&Json::Int(records)));
+    assert_eq!(stats.get("cells"), Some(&Json::Int(1)));
+
+    // Compaction folds the wal and every record survives.
+    let report = c.store_compact().unwrap();
+    assert_eq!(report.get("records"), Some(&Json::Int(records)));
+    let stats = c.store_stats().unwrap();
+    assert_eq!(stats.get("records"), Some(&Json::Int(records)));
+    assert_eq!(stats.get("segments"), Some(&Json::Int(1)));
+    assert_eq!(stats.get("wal_records"), Some(&Json::Int(0)));
 }
 
 #[test]
@@ -436,7 +445,7 @@ fn store_verbs_without_a_store_are_structured_errors() {
     let mut c = Client::connect(&ts.addr).unwrap();
     let e = c.store_stats().unwrap_err();
     assert!(e.contains("no store configured"), "{e}");
-    let e = c.store_get(&job(1, 3), &[1, 2, 3, 4, 5]).unwrap_err();
+    let e = c.store_compact().unwrap_err();
     assert!(e.contains("no store configured"), "{e}");
 }
 

@@ -3,50 +3,39 @@
 //! offset keeps exactly the fully-written prefix, and compaction
 //! preserves the record multiset.
 //!
-//! Gated behind the bare `proptest` cargo feature because the
-//! `proptest` crate is not vendored (offline, zero-dependency builds).
-//! To run:
-//!
-//! ```text
-//! # on a networked machine:
-//! #   add `proptest = "1"` under [dev-dependencies] in crates/stored/Cargo.toml
-//! cargo test -p inlinetune-stored --features proptest
-//! ```
+//! Seeded case loops (`simrng::cases`), so they run in plain
+//! `cargo test`.
 
-#![cfg(feature = "proptest")]
-
-use proptest::prelude::*;
+use simrng::{cases, string_of, vec_of, Rng};
 use stored::{
     encode_record, header, scan_bytes, Fingerprint, Record, SegmentKind, Store, StoreOptions,
 };
 
-fn arb_fingerprint() -> impl Strategy<Value = Fingerprint> {
-    (
-        any::<u64>(),
-        "[a-z0-9-]{1,12}",
-        proptest::collection::vec(any::<u64>().prop_map(f64::from_bits), 0..=8),
-        // Exercise both the untagged ("inline") and tagged encodings.
-        prop_oneof![Just("inline".to_string()), "[a-z]{1,10}"],
-    )
-        .prop_map(|(cell_digest, arch, features, problem)| Fingerprint {
-            cell_digest,
-            arch,
-            features,
-            problem,
-        })
+/// Any `f64` bit pattern, NaNs and infinities included.
+fn arb_f64(rng: &mut Rng) -> f64 {
+    f64::from_bits(rng.next_u64())
 }
 
-fn arb_record() -> impl Strategy<Value = Record> {
-    (
-        arb_fingerprint(),
-        proptest::collection::vec(any::<i64>(), 1..=8),
-        any::<u64>().prop_map(f64::from_bits),
-    )
-        .prop_map(|(fingerprint, genome, fitness)| Record {
-            fingerprint,
-            genome,
-            fitness,
-        })
+fn arb_fingerprint(rng: &mut Rng) -> Fingerprint {
+    Fingerprint {
+        cell_digest: rng.next_u64(),
+        arch: string_of(rng, b"abcdefghijklmnopqrstuvwxyz0123456789-", 1, 12),
+        features: vec_of(rng, 0, 8, arb_f64),
+        // Exercise both the untagged ("inline") and tagged encodings.
+        problem: if rng.chance(0.5) {
+            "inline".to_string()
+        } else {
+            string_of(rng, b"abcdefghijklmnopqrstuvwxyz", 1, 10)
+        },
+    }
+}
+
+fn arb_record(rng: &mut Rng) -> Record {
+    Record {
+        fingerprint: arb_fingerprint(rng),
+        genome: vec_of(rng, 1, 8, |r| r.next_u64() as i64),
+        fitness: arb_f64(rng),
+    }
 }
 
 /// Bit-level equality (plain `==` would make NaN records unequal to
@@ -69,26 +58,27 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
     ))
 }
 
-proptest! {
-    /// Append/read round-trip: whatever goes in comes back bit-exact.
-    #[test]
-    fn encode_decode_round_trips(rec in arb_record()) {
-        let bytes = encode_record(&rec);
+/// Append/read round-trip: whatever goes in comes back bit-exact.
+#[test]
+fn encode_decode_round_trips() {
+    cases("encode_decode_round_trips", |rng| {
+        let rec = arb_record(rng);
         let mut seg = header(SegmentKind::Wal).to_vec();
-        seg.extend_from_slice(&bytes);
+        seg.extend_from_slice(&encode_record(&rec));
         let scan = scan_bytes(&seg, SegmentKind::Wal).unwrap();
-        prop_assert!(scan.torn.is_none());
-        prop_assert_eq!(scan.records.len(), 1);
-        prop_assert!(same(&scan.records[0], &rec));
-    }
+        assert!(scan.torn.is_none());
+        assert_eq!(scan.records.len(), 1);
+        assert!(same(&scan.records[0], &rec), "{rec:?}");
+    });
+}
 
-    /// Recovery after truncation at every byte offset: the scan returns
-    /// exactly the records whose bytes fully precede the cut, and the
-    /// reported valid length is a record boundary.
-    #[test]
-    fn truncation_recovers_exactly_the_prefix(
-        records in proptest::collection::vec(arb_record(), 1..6),
-    ) {
+/// Recovery after truncation at every byte offset: the scan returns
+/// exactly the records whose bytes fully precede the cut, and the
+/// reported valid length is a record boundary.
+#[test]
+fn truncation_recovers_exactly_the_prefix() {
+    cases("truncation_recovers_exactly_the_prefix", |rng| {
+        let records = vec_of(rng, 1, 5, arb_record);
         let mut seg = header(SegmentKind::Wal).to_vec();
         let mut ends = Vec::new();
         for r in &records {
@@ -98,55 +88,51 @@ proptest! {
         for cut in 0..seg.len() {
             let scan = scan_bytes(&seg[..cut], SegmentKind::Wal).unwrap();
             let want = ends.iter().filter(|&&e| e <= cut).count();
-            prop_assert_eq!(scan.records.len(), want, "cut={}", cut);
+            assert_eq!(scan.records.len(), want, "cut={cut}");
             for (got, expect) in scan.records.iter().zip(&records) {
-                prop_assert!(same(got, expect), "cut={}", cut);
+                assert!(same(got, expect), "cut={cut}");
             }
-            prop_assert!(
+            assert!(
                 scan.valid_len == 0
                     || scan.valid_len == stored::HEADER_LEN
-                    || ends.contains(&scan.valid_len)
+                    || ends.contains(&scan.valid_len),
+                "cut={cut}: valid_len {} is no record boundary",
+                scan.valid_len
             );
         }
-    }
+    });
+}
 
-    /// Compaction preserves the record multiset: the indexed
-    /// (key, fitness-bits) collection is identical before and after,
-    /// in memory and across a reopen.
-    #[test]
-    fn compaction_preserves_the_record_multiset(
-        records in proptest::collection::vec(arb_record(), 1..40),
-        rounds in 1usize..3,
-    ) {
-        let dir = temp_dir("compact");
+/// Compaction preserves the record multiset: the indexed
+/// (key, fitness-bits) collection is identical before and after,
+/// in memory and across a reopen.
+#[test]
+fn compaction_preserves_the_record_multiset() {
+    let dir = temp_dir("compact");
+    let opts = || StoreOptions {
+        compact_threshold: 0,
+        ..StoreOptions::default()
+    };
+    let indexed = |store: &Store| -> Vec<_> {
+        let records = store.snapshot_records();
+        records.iter().map(|(k, f)| (*k, f.to_bits())).collect()
+    };
+    cases("compaction_preserves_the_record_multiset", |rng| {
+        let records = vec_of(rng, 1, 39, arb_record);
+        let rounds = rng.range_usize(1, 2);
         std::fs::remove_dir_all(&dir).ok();
-        let opts = || StoreOptions { compact_threshold: 0, ..StoreOptions::default() };
         let store = Store::open_with(&dir, opts()).unwrap();
         for r in &records {
             store.append(r).unwrap();
         }
-        let before: Vec<_> = store
-            .snapshot_records()
-            .iter()
-            .map(|(k, f)| (*k, f.to_bits()))
-            .collect();
+        let before = indexed(&store);
         for _ in 0..rounds {
             store.compact().unwrap();
         }
-        let after: Vec<_> = store
-            .snapshot_records()
-            .iter()
-            .map(|(k, f)| (*k, f.to_bits()))
-            .collect();
-        prop_assert_eq!(&before, &after);
+        assert_eq!(before, indexed(&store));
         drop(store);
         let reopened = Store::open_with(&dir, opts()).unwrap();
-        let replayed: Vec<_> = reopened
-            .snapshot_records()
-            .iter()
-            .map(|(k, f)| (*k, f.to_bits()))
-            .collect();
-        prop_assert_eq!(&before, &replayed);
-        std::fs::remove_dir_all(&dir).ok();
-    }
+        assert_eq!(before, indexed(&reopened));
+    });
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -8,8 +8,10 @@
 #      all four workloads
 #   4. property suites (only when a proptest dev-dependency is present)
 #   5. calibration stability of the benchmark's reference kernel
-#   6. `tuned` daemon smoke: inline, flags and dss jobs over localhost,
-#      metrics / obs / Prometheus scrape, reload after restart
+#   6. `tuned` daemon smoke: inline, flags and dss jobs over localhost
+#      through a registered `evald` worker and a fitness store (a repeat
+#      job is all store hits), metrics / obs / Prometheus scrape, reload
+#      after restart; both binaries refuse a flag they do not know
 #   7. sim sweep, one invocation: the fault, mixed, store, online and
 #      shard scenarios, then the broken-build self-test (replay a
 #      failing seed with the `replay: simtest <scenario> --seed N ...`
@@ -43,10 +45,10 @@ echo "== benchmark package (offline build + --quick smoke of every workload)"
 # compile it; this is what notices when a public-API change breaks it.
 benchmark/ci.sh
 
-# The property suites of `served`, `obs`, `inline` and `jit` are seeded
-# `simrng::cases` loops and ran in the plain test stage above. The ten
-# not yet ported (`core`, `ga`, `ir`, `online`, `problems`, `search`,
-# `shard`, `simrng`, `stored`, `workloads`) need the external `proptest`
+# The property suites of `served`, `obs`, `inline`, `jit`, `stored` and
+# `problems` are seeded `simrng::cases` loops and ran in the plain test
+# stage above. The eight not yet ported (`core`, `ga`, `ir`, `online`,
+# `search`, `shard`, `simrng`, `workloads`) need the external `proptest`
 # crate, which is not vendored: they are gated behind a bare `proptest`
 # cargo feature and skipped unless a dev-dependency on proptest has been
 # added (networked checkout).
@@ -54,9 +56,8 @@ has_proptest_dep() { # manifest
   awk '/^\[dev-dependencies\]/ { f = 1; next } /^\[/ { f = 0 } f && /^proptest *=/' \
     "$1" | grep -q .
 }
-if has_proptest_dep crates/problems/Cargo.toml; then
+if has_proptest_dep crates/shard/Cargo.toml; then
   echo "== cargo test --features proptest (property suites)"
-  cargo test -p inlinetune-problems --offline --quiet --features proptest
   cargo test -p inlinetune-shard --offline --quiet --features proptest
   cargo test -p inlinetune-online --offline --quiet --features proptest
 else
@@ -75,11 +76,18 @@ cargo test -p inlinetune-obs --release --offline --test calibration \
 
 echo "== tuned smoke run"
 TUNED=target/release/tuned
+EVALD=target/release/evald
 RUN_DIR=$(mktemp -d)
-trap 'kill "$DAEMON_PID" 2>/dev/null || true; rm -rf "$RUN_DIR"' EXIT
+trap 'kill "$DAEMON_PID" "${WORKER_PID:-}" 2>/dev/null || true; rm -rf "$RUN_DIR"' EXIT
+
+# A retired flag must stop the command, not be ignored (`evald --store`
+# went with the worker-side store client).
+! "$EVALD" --store 127.0.0.1:1 2>"$RUN_DIR/refused" \
+  && grep -q "unknown flag '--store'" "$RUN_DIR/refused" \
+  || { echo "evald --store was not refused by name"; exit 1; }
 
 "$TUNED" serve --addr 127.0.0.1:0 --dir "$RUN_DIR" --workers 1 \
-  --metrics-listen 127.0.0.1:0 &
+  --store-path "$RUN_DIR/store" --metrics-listen 127.0.0.1:0 &
 DAEMON_PID=$!
 
 # The daemon publishes its OS-assigned port in <dir>/addr.
@@ -90,13 +98,28 @@ done
 ADDR=$(cat "$RUN_DIR/addr")
 echo "daemon at $ADDR"
 
-SUBMIT=$("$TUNED" submit --addr "$ADDR" --name smoke --scenario opt --goal tot \
-  --bench db --pop 6 --gens 2 --seed 7 --threads 1)
-echo "submitted: $SUBMIT"
-ID=$(printf '%s' "$SUBMIT" | sed -n 's/.*"id":\([0-9]*\).*/\1/p')
+# One eval worker joins over the wire; the jobs below evaluate on it.
+"$EVALD" --register "$ADDR" --heartbeat-ms 200 >/dev/null &
+WORKER_PID=$!
+for _ in $(seq 1 100); do
+  "$TUNED" metrics --addr "$ADDR" | grep -q '"registered":true' && break
+  sleep 0.1
+done
 
-"$TUNED" watch --addr "$ADDR" --id "$ID" | tail -n 1 | grep -q '"state":"done"' \
-  || { echo "smoke job did not finish"; exit 1; }
+smoke_job() { # submits the inlining smoke job and waits for it
+  SUBMIT=$("$TUNED" submit --addr "$ADDR" --name smoke --scenario opt --goal tot \
+    --bench db --pop 6 --gens 2 --seed 7 --threads 1)
+  echo "submitted: $SUBMIT"
+  ID=$(printf '%s' "$SUBMIT" | sed -n 's/.*"id":\([0-9]*\).*/\1/p')
+  "$TUNED" watch --addr "$ADDR" --id "$ID" | tail -n 1 | grep -q '"state":"done"' \
+    || { echo "smoke job did not finish"; exit 1; }
+}
+store_stat() { # key -> the count `tuned store stats` reports under it
+  "$TUNED" store stats --addr "$ADDR" | sed -n "s/.*\"$1\":\([0-9]*\).*/\1/p"
+}
+smoke_job
+"$TUNED" metrics --addr "$ADDR" | grep -q '"completed":[1-9]' \
+  || { echo "the registered worker evaluated nothing"; exit 1; }
 
 "$TUNED" metrics --addr "$ADDR" | grep -q '"generations":' \
   || { echo "metrics missing counters"; exit 1; }
@@ -128,6 +151,16 @@ VERB_EVALS=$("$TUNED" metrics --addr "$ADDR" | sed -n 's/.*"evaluations":\([0-9]
 [ -n "$SCRAPED_EVALS" ] && [ "$SCRAPED_EVALS" = "$VERB_EVALS" ] \
   || { echo "scrape says $SCRAPED_EVALS evaluations, metrics verb $VERB_EVALS"; exit 1; }
 
+# The daemon looks every genome up before dispatching it: the same job
+# again is answered from the store, which takes no new record.
+APPENDS=$(store_stat appends)
+HITS=$(store_stat hits)
+smoke_job
+[ "$APPENDS" -gt 0 ] && [ "$(store_stat appends)" = "$APPENDS" ] \
+  && [ "$(store_stat hits)" -gt "$HITS" ] \
+  || { echo "repeat job: appends $APPENDS -> $(store_stat appends)," \
+         "hits $HITS -> $(store_stat hits)"; exit 1; }
+
 # Smoke-tune each non-inlining problem domain through the same daemon:
 # one flags job, one dss job, both must converge over the same worker
 # pool that just tuned the inlining smoke job.
@@ -148,6 +181,7 @@ done
 
 "$TUNED" shutdown --addr "$ADDR"
 wait "$DAEMON_PID"
+kill "$WORKER_PID"
 
 # Checkpoint reload: restart the daemon on the same run directory; the
 # flags and dss jobs must come back from their on-disk specs/results as
