@@ -14,7 +14,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use inliner::InlineParams;
-use jit::{measure, AdaptConfig, ArchModel, Measurement, Scenario};
+use jit::{measure, AdaptConfig, ArchModel, Measurement, Prepared, Scenario};
 use workloads::Benchmark;
 
 /// The memo table. Keys are structural fingerprints (see [`fingerprint`]);
@@ -52,6 +52,19 @@ pub fn default_measurement(
     arch: &ArchModel,
     cfg: &AdaptConfig,
 ) -> Arc<Measurement> {
+    default_measurement_in(bench, scenario, arch, cfg, None)
+}
+
+/// [`default_measurement`] for a caller that already holds the cell's
+/// prepared context: a miss measures through `ctx` instead of preparing
+/// the program a second time.
+pub(crate) fn default_measurement_in(
+    bench: &Benchmark,
+    scenario: Scenario,
+    arch: &ArchModel,
+    cfg: &AdaptConfig,
+    ctx: Option<&Prepared>,
+) -> Arc<Measurement> {
     let key = fingerprint(bench, scenario, arch, cfg);
     if let Some(m) = cache().lock().expect("defaults cache poisoned").get(&key) {
         return Arc::clone(m);
@@ -60,33 +73,16 @@ pub fn default_measurement(
     // threads may want unrelated cells. A racing thread measuring the same
     // cell computes the identical value (the pipeline is deterministic),
     // so last-write-wins is harmless.
-    let m = Arc::new(measure(
-        &bench.program,
-        scenario,
-        arch,
-        &InlineParams::jikes_default(),
-        cfg,
-    ));
+    let params = InlineParams::jikes_default();
+    let m = Arc::new(match ctx {
+        Some(ctx) => ctx.measure(&bench.program, &params),
+        None => measure(&bench.program, scenario, arch, &params, cfg),
+    });
     cache()
         .lock()
         .expect("defaults cache poisoned")
         .insert(key, Arc::clone(&m));
     m
-}
-
-/// Default-heuristic measurements for a whole suite, memoized per
-/// benchmark.
-#[must_use]
-pub fn default_measurements(
-    suite: &[Benchmark],
-    scenario: Scenario,
-    arch: &ArchModel,
-    cfg: &AdaptConfig,
-) -> Vec<Arc<Measurement>> {
-    suite
-        .iter()
-        .map(|b| default_measurement(b, scenario, arch, cfg))
-        .collect()
 }
 
 #[cfg(test)]

@@ -6,8 +6,10 @@
 //! (bars below 1 = improvement) — plus the suite averages Table 5 reports.
 
 use inliner::InlineParams;
-use jit::{measure, AdaptConfig, ArchModel, Measurement, Scenario};
+use jit::{measure, AdaptConfig, ArchModel, Measurement, Prepared, Scenario};
 use workloads::Benchmark;
+
+use crate::defaults::default_measurement_in;
 
 /// One benchmark's result: the height of its two bars in Figures 5–9.
 #[derive(Debug, Clone, PartialEq)]
@@ -79,7 +81,9 @@ fn mean(values: impl Iterator<Item = f64>) -> f64 {
 /// The default-heuristic measurements come from the process-wide
 /// [`crate::defaults`] cache: evaluating many parameter vectors on the
 /// same suite (or evaluating after a [`crate::Tuner`] already measured the
-/// defaults) measures the default exactly once per benchmark.
+/// defaults) measures the default exactly once per benchmark. A benchmark
+/// whose default is not cached yet is prepared once for both of its
+/// measurements.
 #[must_use]
 pub fn evaluate_suite(
     suite: &[Benchmark],
@@ -88,12 +92,15 @@ pub fn evaluate_suite(
     params: &InlineParams,
     adapt_cfg: &AdaptConfig,
 ) -> SuiteEval {
-    let defaults: Vec<Measurement> =
-        crate::defaults::default_measurements(suite, scenario, arch, adapt_cfg)
-            .iter()
-            .map(|m| (**m).clone())
-            .collect();
-    evaluate_suite_with_defaults(suite, &defaults, scenario, arch, params, adapt_cfg)
+    let benches = suite
+        .iter()
+        .map(|b| {
+            let ctx = Prepared::new(&b.program, scenario, arch, adapt_cfg);
+            let default = default_measurement_in(b, scenario, arch, adapt_cfg, Some(&ctx));
+            bench_eval(b, ctx.measure(&b.program, params), &default)
+        })
+        .collect();
+    SuiteEval { benches }
 }
 
 /// Like [`evaluate_suite`], but against caller-provided default
@@ -121,16 +128,20 @@ pub fn evaluate_suite_with_defaults(
         .zip(defaults)
         .map(|(b, default)| {
             let tuned = measure(&b.program, scenario, arch, params, adapt_cfg);
-            BenchEval {
-                name: b.name(),
-                running_ratio: tuned.running_cycles / default.running_cycles,
-                total_ratio: tuned.total_cycles / default.total_cycles,
-                tuned,
-                default: default.clone(),
-            }
+            bench_eval(b, tuned, default)
         })
         .collect();
     SuiteEval { benches }
+}
+
+fn bench_eval(b: &Benchmark, tuned: Measurement, default: &Measurement) -> BenchEval {
+    BenchEval {
+        name: b.name(),
+        running_ratio: tuned.running_cycles / default.running_cycles,
+        total_ratio: tuned.total_cycles / default.total_cycles,
+        tuned,
+        default: default.clone(),
+    }
 }
 
 #[cfg(test)]

@@ -35,7 +35,7 @@ pub mod multi_seed;
 pub mod per_program;
 pub mod tuner;
 
-pub use defaults::{default_measurement, default_measurements};
+pub use defaults::default_measurement;
 pub use eval::{evaluate_suite, evaluate_suite_with_defaults, BenchEval, SuiteEval};
 pub use fingerprint::cell_fingerprint;
 pub use fitness::geometric_mean;

@@ -8,7 +8,7 @@
 
 use ga::{GaConfig, LocalEvaluator};
 use inliner::InlineParams;
-use jit::{measure, AdaptConfig, ArchModel, Scenario};
+use jit::{AdaptConfig, ArchModel, Prepared, Scenario};
 use workloads::Benchmark;
 
 use crate::tuner::TuningTask;
@@ -44,13 +44,9 @@ pub fn tune_per_program(
         .iter()
         .enumerate()
         .map(|(i, b)| {
-            let default = measure(
-                &b.program,
-                scenario,
-                arch,
-                &InlineParams::jikes_default(),
-                &adapt_cfg,
-            );
+            let ctx = Prepared::new(&b.program, scenario, arch, &adapt_cfg);
+            let memo = ctx.new_memo();
+            let default = ctx.measure(&b.program, &InlineParams::jikes_default());
             let task = TuningTask {
                 name: format!("PerProgram({})", b.name()),
                 scenario,
@@ -67,7 +63,7 @@ pub fn tune_per_program(
             let backend = LocalEvaluator::new(
                 |genes: &[i64]| {
                     let params = InlineParams::from_genes(genes);
-                    let m = measure(&b.program, scenario, arch, &params, &adapt_cfg);
+                    let m = ctx.measure_memo(&b.program, &params, &memo);
                     m.running_cycles / default.running_cycles
                 },
                 ga_config.threads,

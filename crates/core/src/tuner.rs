@@ -9,10 +9,10 @@ use std::sync::Arc;
 
 use ga::{GaConfig, GaResult, LocalEvaluator, Ranges};
 use inliner::{InlineParams, ParamRanges};
-use jit::{measure, AdaptConfig, ArchModel, Measurement, Scenario};
+use jit::{AdaptConfig, ArchModel, Measurement, MemoStats, Prepared, Scenario, UnitMemo};
 use workloads::Benchmark;
 
-use crate::defaults::default_measurements;
+use crate::defaults::default_measurement_in;
 use crate::fitness::geometric_mean;
 use crate::goal::Goal;
 
@@ -101,8 +101,12 @@ pub struct TuneOutcome {
 /// vectors.
 pub struct Tuner {
     task: TuningTask,
-    adapt_cfg: AdaptConfig,
     training: Vec<Benchmark>,
+    /// Per benchmark: everything a measurement needs that no parameter
+    /// vector changes, and the per-method units this tuner's own fitness
+    /// calls have compiled so far. The memo is never shared: a search is
+    /// exactly as fast as its own trajectory makes it.
+    contexts: Vec<(Prepared, UnitMemo)>,
     /// Per-benchmark measurement under the Jikes default heuristic — the
     /// normalization constants of the fitness function and the balance
     /// factors. Shared with every other consumer of the same cell through
@@ -117,21 +121,35 @@ impl Tuner {
     /// Creates a tuner over a training suite (the paper trains on
     /// SPECjvm98: pass [`workloads::specjvm98()`]).
     ///
-    /// The default-heuristic measurements are fetched through the
-    /// process-wide [`crate::defaults`] cache, so constructing many tuners
-    /// over the same suite (or evaluating the suite afterwards) measures
-    /// the defaults only once.
+    /// Prepares one measurement context per benchmark. The
+    /// default-heuristic measurements are fetched through the
+    /// process-wide [`crate::defaults`] cache (a miss is measured through
+    /// that context), so constructing many tuners over the same suite (or
+    /// evaluating the suite afterwards) measures the defaults only once.
     ///
     /// # Panics
     /// Panics if the suite is empty.
     #[must_use]
     pub fn new(task: TuningTask, training: Vec<Benchmark>, adapt_cfg: AdaptConfig) -> Self {
         assert!(!training.is_empty(), "training suite must not be empty");
-        let defaults = default_measurements(&training, task.scenario, &task.arch, &adapt_cfg);
+        let mut contexts = Vec::with_capacity(training.len());
+        let mut defaults = Vec::with_capacity(training.len());
+        for b in &training {
+            let ctx = Prepared::new(&b.program, task.scenario, &task.arch, &adapt_cfg);
+            defaults.push(default_measurement_in(
+                b,
+                task.scenario,
+                &task.arch,
+                &adapt_cfg,
+                Some(&ctx),
+            ));
+            let memo = ctx.new_memo();
+            contexts.push((ctx, memo));
+        }
         Self {
             task,
-            adapt_cfg,
             training,
+            contexts,
             defaults,
             fingerprint: std::sync::OnceLock::new(),
         }
@@ -159,6 +177,20 @@ impl Tuner {
         &self.defaults
     }
 
+    /// How many per-method units this tuner's fitness calls found already
+    /// compiled, had to compile, and dropped, summed over the suite.
+    #[must_use]
+    pub fn memo_stats(&self) -> MemoStats {
+        let mut total = MemoStats::default();
+        for (_, memo) in &self.contexts {
+            let s = memo.stats();
+            total.hits += s.hits;
+            total.misses += s.misses;
+            total.evictions += s.evictions;
+        }
+        total
+    }
+
     /// Fitness of a parameter vector: geometric mean over the training
     /// suite of `goal_metric(params) / goal_metric(default)` (§3.1,
     /// normalized). Lower is better; the default heuristic scores exactly
@@ -166,14 +198,10 @@ impl Tuner {
     #[must_use]
     pub fn fitness(&self, params: &InlineParams) -> f64 {
         let mut ratios = Vec::with_capacity(self.training.len());
-        for (b, default) in self.training.iter().zip(&self.defaults) {
-            let m = measure(
-                &b.program,
-                self.task.scenario,
-                &self.task.arch,
-                params,
-                &self.adapt_cfg,
-            );
+        for ((b, (ctx, memo)), default) in
+            self.training.iter().zip(&self.contexts).zip(&self.defaults)
+        {
+            let m = ctx.measure_memo(&b.program, params, memo);
             let num = self.task.goal.metric(&m, default);
             let den = self.task.goal.metric(default, default);
             if den <= 0.0 {
@@ -243,6 +271,47 @@ mod tests {
         let t = Tuner::new(task(), small_training(), AdaptConfig::default());
         let f = t.fitness(&InlineParams::jikes_default());
         assert!((f - 1.0).abs() < 1e-9, "fitness {f}");
+    }
+
+    #[test]
+    fn fitness_is_the_one_shot_formula_bit_for_bit() {
+        // What `fitness` computed before it measured through prepared
+        // contexts and a unit memo: a one-shot `jit::measure` per
+        // benchmark, the goal-metric ratio, the geometric mean.
+        let training = vec![
+            benchmark_by_name("compress").unwrap(),
+            benchmark_by_name("db").unwrap(),
+        ];
+        let cfg = AdaptConfig::default();
+        for task in paper_tasks() {
+            let t = Tuner::new(task.clone(), training.clone(), cfg);
+            let ranges = task.ranges();
+            let mut rng = simrng::child_rng(16, &task.name);
+            for _ in 0..16 {
+                let genes: Vec<i64> = (0..ranges.len())
+                    .map(|i| {
+                        let (lo, hi) = ranges.gene(i);
+                        rng.range_i64(lo, hi)
+                    })
+                    .collect();
+                let params = InlineParams::from_genes(&genes);
+                let ratios: Vec<f64> = training
+                    .iter()
+                    .zip(t.defaults())
+                    .map(|(b, default)| {
+                        let m = jit::measure(&b.program, task.scenario, &task.arch, &params, &cfg);
+                        task.goal.metric(&m, default) / task.goal.metric(default, default)
+                    })
+                    .collect();
+                let want = geometric_mean(&ratios);
+                assert_eq!(
+                    t.fitness(&params).to_bits(),
+                    want.to_bits(),
+                    "{} {params}",
+                    task.name
+                );
+            }
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   the depth sweeps become monotone.
 
 use inliner::InlineParams;
-use jit::{measure, ArchModel, Scenario};
+use jit::{ArchModel, Prepared, Scenario};
 
 use crate::table::{ratio, Table};
 use crate::Context;
@@ -68,8 +68,9 @@ pub fn run(ctx: &Context) -> Vec<AblationRow> {
             let mut spec_running = 0.0;
             let mut spec_total = 0.0;
             for b in &ctx.training {
-                let w = measure(&b.program, Scenario::Opt, &arch, &on, &ctx.adapt_cfg);
-                let wo = measure(&b.program, Scenario::Opt, &arch, &off, &ctx.adapt_cfg);
+                let prepared = Prepared::new(&b.program, Scenario::Opt, &arch, &ctx.adapt_cfg);
+                let w = prepared.measure(&b.program, &on);
+                let wo = prepared.measure(&b.program, &off);
                 spec_running += w.running_cycles / wo.running_cycles;
                 spec_total += w.total_cycles / wo.total_cycles;
             }
@@ -79,8 +80,9 @@ pub fn run(ctx: &Context) -> Vec<AblationRow> {
             let mut dacapo_total = 0.0;
             let mut dacapo_compile = 0.0;
             for b in &ctx.test {
-                let w = measure(&b.program, Scenario::Opt, &arch, &on, &ctx.adapt_cfg);
-                let wo = measure(&b.program, Scenario::Opt, &arch, &off, &ctx.adapt_cfg);
+                let prepared = Prepared::new(&b.program, Scenario::Opt, &arch, &ctx.adapt_cfg);
+                let w = prepared.measure(&b.program, &on);
+                let wo = prepared.measure(&b.program, &off);
                 dacapo_total += w.total_cycles / wo.total_cycles;
                 dacapo_compile += w.compile_cycles / wo.compile_cycles;
             }

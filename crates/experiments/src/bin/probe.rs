@@ -4,7 +4,7 @@
 //! qualitative shapes hold before running the full experiment suite.
 
 use inliner::InlineParams;
-use jit::{measure, AdaptConfig, ArchModel, Scenario};
+use jit::{AdaptConfig, ArchModel, Prepared, Scenario};
 use workloads::all_benchmarks;
 
 fn diagnostics() {
@@ -19,8 +19,9 @@ fn diagnostics() {
         let pct = |q: f64| sizes[(q * (sizes.len() - 1) as f64) as usize];
         let def = InlineParams::jikes_default();
         let off = InlineParams::disabled();
-        let m_def = measure(p, Scenario::Opt, &arch, &def, &cfg);
-        let m_off = measure(p, Scenario::Opt, &arch, &off, &cfg);
+        let opt = Prepared::new(p, Scenario::Opt, &arch, &cfg);
+        let m_def = opt.measure(p, &def);
+        let m_off = opt.measure(p, &off);
         let st = &m_def.inline_stats;
         println!(
             "{name}: sizes p10={} p50={} p90={} p99={} max={} | considered={} inlined={} always={} rej[size={} depth={} caller={} rec={}] | code {} -> {} ({:.2}x)",
@@ -41,12 +42,13 @@ fn depth_sweep() {
         println!("--- {name}: total(run) seconds vs MAX_INLINE_DEPTH ---");
         for scenario in [Scenario::Opt, Scenario::Adapt] {
             print!("{scenario:>6}: ");
+            let prepared = Prepared::new(&b.program, scenario, &arch, &cfg);
             for depth in 0..=10 {
                 let params = InlineParams {
                     max_inline_depth: depth,
                     ..InlineParams::jikes_default()
                 };
-                let m = measure(&b.program, scenario, &arch, &params, &cfg);
+                let m = prepared.measure(&b.program, &params);
                 print!(
                     "{:.3}({:.3}) ",
                     m.total_seconds(&arch),
@@ -104,14 +106,9 @@ fn adapt_diag() {
     );
     for name in ["antlr", "jython", "pmd", "pseudojbb", "jess", "javac"] {
         let b = workloads::benchmark_by_name(name).unwrap();
-        let d = measure(
-            &b.program,
-            Scenario::Adapt,
-            &arch,
-            &InlineParams::jikes_default(),
-            &cfg,
-        );
-        let t = measure(&b.program, Scenario::Adapt, &arch, &tuned, &cfg);
+        let adapt = Prepared::new(&b.program, Scenario::Adapt, &arch, &cfg);
+        let d = adapt.measure(&b.program, &InlineParams::jikes_default());
+        let t = adapt.measure(&b.program, &tuned);
         println!(
             "{name:<10} def: tot={:.1}ms run={:.1}ms optc={:.1}ms ic={:.2} code={} | tuned: tot={:.1}ms run={:.1}ms optc={:.1}ms ic={:.2} code={} | hot methods {}",
             arch.cycles_to_seconds(d.total_cycles)*1e3,
@@ -160,10 +157,12 @@ fn main() {
             let p = &b.program;
             let def = InlineParams::jikes_default();
             let off = InlineParams::disabled();
-            let o_def = measure(p, Scenario::Opt, arch, &def, &cfg);
-            let o_off = measure(p, Scenario::Opt, arch, &off, &cfg);
-            let a_def = measure(p, Scenario::Adapt, arch, &def, &cfg);
-            let a_off = measure(p, Scenario::Adapt, arch, &off, &cfg);
+            let opt = Prepared::new(p, Scenario::Opt, arch, &cfg);
+            let adapt = Prepared::new(p, Scenario::Adapt, arch, &cfg);
+            let o_def = opt.measure(p, &def);
+            let o_off = opt.measure(p, &off);
+            let a_def = adapt.measure(p, &def);
+            let a_off = adapt.measure(p, &off);
             let ms = |c: f64| arch.cycles_to_seconds(c) * 1e3;
             let call_share = 100.0 * o_off.steady.call_cycles
                 / (o_off.steady.call_cycles + o_off.steady.op_cycles);

@@ -6,7 +6,7 @@
 //! mean inlining helps.
 
 use inliner::InlineParams;
-use jit::{measure, ArchModel, Scenario};
+use jit::{ArchModel, Prepared, Scenario};
 
 use crate::table::{ratio, Table};
 use crate::Context;
@@ -62,8 +62,9 @@ pub fn run(ctx: &Context) -> Vec<Fig1> {
                 .training
                 .iter()
                 .map(|b| {
-                    let with = measure(&b.program, scenario, &arch, &on, &ctx.adapt_cfg);
-                    let without = measure(&b.program, scenario, &arch, &off, &ctx.adapt_cfg);
+                    let prepared = Prepared::new(&b.program, scenario, &arch, &ctx.adapt_cfg);
+                    let with = prepared.measure(&b.program, &on);
+                    let without = prepared.measure(&b.program, &off);
                     (
                         b.name(),
                         with.running_cycles / without.running_cycles,

@@ -7,7 +7,7 @@
 //! optimum for either program.
 
 use inliner::InlineParams;
-use jit::{measure, ArchModel, Scenario};
+use jit::{ArchModel, Prepared, Scenario};
 
 use crate::table::{secs, Table};
 use crate::Context;
@@ -73,14 +73,14 @@ pub fn run_for(ctx: &Context, names: &[&str]) -> Vec<Fig2> {
             let series = [Scenario::Opt, Scenario::Adapt]
                 .into_iter()
                 .map(|scenario| {
+                    let prepared = Prepared::new(&b.program, scenario, &arch, &ctx.adapt_cfg);
                     let ys = DEPTHS
                         .map(|depth| {
                             let params = InlineParams {
                                 max_inline_depth: depth,
                                 ..InlineParams::jikes_default()
                             };
-                            measure(&b.program, scenario, &arch, &params, &ctx.adapt_cfg)
-                                .total_seconds(&arch)
+                            prepared.measure(&b.program, &params).total_seconds(&arch)
                         })
                         .collect();
                     (scenario, ys)

@@ -8,7 +8,7 @@
 //! "parameter sensitivity" evidence of §2, produced for every knob.
 
 use inliner::{InlineParams, ParamRanges, PARAM_NAMES};
-use jit::{measure, ArchModel, Scenario};
+use jit::{ArchModel, Prepared, Scenario};
 
 use crate::table::{ratio, Table};
 use crate::Context;
@@ -67,26 +67,15 @@ pub fn sweep_param(
         .chain(&ctx.test)
         .find(|b| b.name() == benchmark)?;
     let arch = ArchModel::pentium4();
-    let default = measure(
-        &b.program,
-        scenario,
-        &arch,
-        &InlineParams::jikes_default(),
-        &ctx.adapt_cfg,
-    );
+    let prepared = Prepared::new(&b.program, scenario, &arch, &ctx.adapt_cfg);
+    let default = prepared.measure(&b.program, &InlineParams::jikes_default());
     let (lo, hi) = ParamRanges::paper().bounds[param];
     let pts = grid(lo, hi, points)
         .into_iter()
         .map(|v| {
             let mut genes = InlineParams::jikes_default().to_genes();
             genes[param] = v;
-            let m = measure(
-                &b.program,
-                scenario,
-                &arch,
-                &InlineParams::from_genes(&genes),
-                &ctx.adapt_cfg,
-            );
+            let m = prepared.measure(&b.program, &InlineParams::from_genes(&genes));
             (
                 v,
                 m.running_cycles / default.running_cycles,

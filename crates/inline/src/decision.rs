@@ -78,6 +78,73 @@ impl InlineDecision {
     }
 }
 
+/// The box of parameter vectors that answer a sequence of threshold tests
+/// identically: `lo[i] ≤ gene[i] ≤ hi[i]` in [`crate::PARAM_NAMES`] order.
+///
+/// Every test of Fig. 3 / Fig. 4 compares one observed value against one
+/// threshold, so each outcome confines that threshold to a half-line;
+/// the decision procedures intersect those half-lines as they go. Any
+/// parameter vector inside the box therefore takes the same branch at
+/// every test that narrowed it. Since what the inliner observes next
+/// (sizes, depths, the recursion stack, the frame) depends only on the
+/// decisions taken so far, two vectors in one box inline a method
+/// identically — and the boxes of one method are identical or disjoint,
+/// because every vector of a box records that very box.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct DecisionRegion {
+    /// Inclusive lower bound per gene.
+    pub lo: [u32; 5],
+    /// Inclusive upper bound per gene.
+    pub hi: [u32; 5],
+}
+
+impl DecisionRegion {
+    /// The whole parameter space: no test has been made yet.
+    #[must_use]
+    pub fn all() -> Self {
+        Self {
+            lo: [0; 5],
+            hi: [u32::MAX; 5],
+        }
+    }
+
+    /// Whether `params` lies inside the box.
+    #[must_use]
+    pub fn contains(&self, params: &InlineParams) -> bool {
+        let genes = [
+            params.callee_max_size,
+            params.always_inline_size,
+            params.max_inline_depth,
+            params.caller_max_size,
+            params.hot_callee_max_size,
+        ];
+        (0..5).all(|i| self.lo[i] <= genes[i] && genes[i] <= self.hi[i])
+    }
+
+    /// Evaluates `value > threshold` and confines gene `gene` (whose value
+    /// `threshold` is) to the thresholds that answer the same.
+    fn exceeds(&mut self, gene: usize, value: u32, threshold: u32) -> bool {
+        if value > threshold {
+            self.hi[gene] = self.hi[gene].min(value - 1);
+            true
+        } else {
+            self.lo[gene] = self.lo[gene].max(value);
+            false
+        }
+    }
+
+    /// Evaluates `value < threshold`, confining gene `gene` likewise.
+    fn below(&mut self, gene: usize, value: u32, threshold: u32) -> bool {
+        if value < threshold {
+            self.lo[gene] = self.lo[gene].max(value + 1);
+            true
+        } else {
+            self.hi[gene] = self.hi[gene].min(value);
+            false
+        }
+    }
+}
+
 /// Fig. 3: the optimizing-compiler heuristic.
 ///
 /// `inline_depth` is the number of inlining steps already taken at this
@@ -89,16 +156,34 @@ pub fn static_decision(
     caller_size: u32,
     params: &InlineParams,
 ) -> InlineDecision {
-    if callee_size > params.callee_max_size {
+    static_decision_in(
+        callee_size,
+        inline_depth,
+        caller_size,
+        params,
+        &mut DecisionRegion::all(),
+    )
+}
+
+/// [`static_decision`], narrowing `region` by every test it makes.
+#[must_use]
+pub fn static_decision_in(
+    callee_size: u32,
+    inline_depth: u32,
+    caller_size: u32,
+    params: &InlineParams,
+    region: &mut DecisionRegion,
+) -> InlineDecision {
+    if region.exceeds(0, callee_size, params.callee_max_size) {
         return InlineDecision::No(RejectReason::CalleeTooBig);
     }
-    if callee_size < params.always_inline_size {
+    if region.below(1, callee_size, params.always_inline_size) {
         return InlineDecision::YesAlways;
     }
-    if inline_depth > params.max_inline_depth {
+    if region.exceeds(2, inline_depth, params.max_inline_depth) {
         return InlineDecision::No(RejectReason::TooDeep);
     }
-    if caller_size > params.caller_max_size {
+    if region.exceeds(3, caller_size, params.caller_max_size) {
         return InlineDecision::No(RejectReason::CallerTooBig);
     }
     InlineDecision::Yes
@@ -107,7 +192,17 @@ pub fn static_decision(
 /// Fig. 4: the adaptive hot-call-site heuristic.
 #[must_use]
 pub fn hot_decision(callee_size: u32, params: &InlineParams) -> InlineDecision {
-    if callee_size > params.hot_callee_max_size {
+    hot_decision_in(callee_size, params, &mut DecisionRegion::all())
+}
+
+/// [`hot_decision`], narrowing `region` by the test it makes.
+#[must_use]
+pub fn hot_decision_in(
+    callee_size: u32,
+    params: &InlineParams,
+    region: &mut DecisionRegion,
+) -> InlineDecision {
+    if region.exceeds(4, callee_size, params.hot_callee_max_size) {
         return InlineDecision::No(RejectReason::HotCalleeTooBig);
     }
     InlineDecision::Yes
@@ -185,6 +280,30 @@ mod tests {
             hot_decision(136, &params()),
             InlineDecision::No(RejectReason::HotCalleeTooBig)
         );
+    }
+
+    #[test]
+    fn region_records_each_test_as_a_half_line() {
+        // callee 15: passes test 1 (lo[0] = 15), fails test 2 (hi[1] = 15),
+        // depth 6 > 5 rejects (hi[2] = 5); test 4 is never reached.
+        let mut r = DecisionRegion::all();
+        let d = static_decision_in(15, 6, 100, &params(), &mut r);
+        assert_eq!(d, InlineDecision::No(RejectReason::TooDeep));
+        assert_eq!(r.lo, [15, 0, 0, 0, 0]);
+        assert_eq!(r.hi, [u32::MAX, 15, 5, u32::MAX, u32::MAX]);
+        assert!(r.contains(&params()));
+        // One step outside a narrowed face flips that test.
+        let deeper = InlineParams {
+            max_inline_depth: 6,
+            ..params()
+        };
+        assert!(!r.contains(&deeper));
+        assert_eq!(static_decision(15, 6, 100, &deeper), InlineDecision::Yes);
+        // The hot test narrows only its own gene.
+        let mut h = DecisionRegion::all();
+        assert!(!hot_decision_in(136, &params(), &mut h).is_inline());
+        assert_eq!(h.hi, [u32::MAX, u32::MAX, u32::MAX, u32::MAX, 135]);
+        assert_eq!(h.lo, [0; 5]);
     }
 
     #[test]

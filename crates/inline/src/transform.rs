@@ -28,7 +28,9 @@ use ir::program::Program;
 use ir::size::{body_size, method_size};
 use ir::stmt::{CallSiteId, CallStmt, OpStmt, Stmt};
 
-use crate::decision::{hot_decision, static_decision, InlineDecision, RejectReason};
+use crate::decision::{
+    hot_decision_in, static_decision_in, DecisionRegion, InlineDecision, RejectReason,
+};
 use crate::params::InlineParams;
 
 /// One record of the `-verbose:inline`-style decision trace: what the
@@ -130,6 +132,9 @@ struct Inliner<'a> {
     caller_size: u32,
     /// Methods on the current inline chain (recursion guard).
     stack: Vec<MethodId>,
+    /// The parameter vectors that would have decided every site so far
+    /// the same way.
+    region: DecisionRegion,
     /// Optional `-verbose:inline` trace sink.
     trace: Option<Vec<DecisionRecord>>,
 }
@@ -153,9 +158,15 @@ impl Inliner<'_> {
         } else {
             let d = if is_hot {
                 self.stats.hot_considered += 1;
-                hot_decision(callee_size, self.params)
+                hot_decision_in(callee_size, self.params, &mut self.region)
             } else {
-                static_decision(callee_size, depth, self.caller_size, self.params)
+                static_decision_in(
+                    callee_size,
+                    depth,
+                    self.caller_size,
+                    self.params,
+                    &mut self.region,
+                )
             };
             if d.is_inline() && self.next_reg + u32::from(callee.n_regs) > u32::from(u16::MAX) {
                 InlineDecision::No(RejectReason::FrameLimit)
@@ -289,8 +300,22 @@ pub fn inline_method(
     params: &InlineParams,
     hot: &HotSites,
 ) -> (Method, InlineStats) {
-    let (m, stats, _) = inline_method_impl(program, id, params, hot, false);
+    let (m, stats, _) = inline_method_region(program, id, params, hot);
     (m, stats)
+}
+
+/// Like [`inline_method`], but also returns the [`DecisionRegion`] of this
+/// run: every parameter vector inside it makes the same decisions at the
+/// same sites, so it yields this very method and these very statistics.
+#[must_use]
+pub fn inline_method_region(
+    program: &Program,
+    id: MethodId,
+    params: &InlineParams,
+    hot: &HotSites,
+) -> (Method, InlineStats, DecisionRegion) {
+    let (m, stats, region, _) = inline_method_impl(program, id, params, hot, false);
+    (m, stats, region)
 }
 
 /// Like [`inline_method`], but also returns the full decision trace — the
@@ -304,7 +329,8 @@ pub fn inline_method_traced(
     params: &InlineParams,
     hot: &HotSites,
 ) -> (Method, InlineStats, Vec<DecisionRecord>) {
-    inline_method_impl(program, id, params, hot, true)
+    let (m, stats, _, trace) = inline_method_impl(program, id, params, hot, true);
+    (m, stats, trace)
 }
 
 fn inline_method_impl(
@@ -313,7 +339,7 @@ fn inline_method_impl(
     params: &InlineParams,
     hot: &HotSites,
     traced: bool,
-) -> (Method, InlineStats, Vec<DecisionRecord>) {
+) -> (Method, InlineStats, DecisionRegion, Vec<DecisionRecord>) {
     let m = program.method(id);
     let mut inliner = Inliner {
         program,
@@ -323,6 +349,7 @@ fn inline_method_impl(
         next_reg: u32::from(m.n_regs),
         caller_size: method_size(m),
         stack: vec![id],
+        region: DecisionRegion::all(),
         trace: if traced { Some(Vec::new()) } else { None },
     };
     let mut body = Vec::with_capacity(m.body.len());
@@ -342,7 +369,12 @@ fn inline_method_impl(
     inliner.stats.final_size = method_size(&out);
     // Frames never shrink below the original.
     out.n_regs = out.n_regs.max(m.n_regs);
-    (out, inliner.stats, inliner.trace.unwrap_or_default())
+    (
+        out,
+        inliner.stats,
+        inliner.region,
+        inliner.trace.unwrap_or_default(),
+    )
 }
 
 /// Applies [`inline_method`] to every listed method, producing a new

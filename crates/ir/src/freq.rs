@@ -166,59 +166,72 @@ const EPS: f64 = 1e-10;
 /// Entry counts are capped here to keep divergent inputs finite.
 const ENTRY_CAP: f64 = 1e18;
 
+/// Solves `entries = e0 + Fᵀ·entries` for the absolute entry count of
+/// every method, given one local profile per method (indexed by
+/// `MethodId`). Returns the counts and whether the iteration converged.
+///
+/// The profiles need not all come from one `Program`: the JIT cost model
+/// overlays the profiles of recompiled bodies on those of the original
+/// methods and propagates through the mix.
+#[must_use]
+pub fn entry_counts<L: std::borrow::Borrow<MethodLocal>>(
+    locals: &[L],
+    entry: MethodId,
+    entry_weight: f64,
+) -> (Vec<f64>, bool) {
+    let n = locals.len();
+    let mut entries = vec![0.0f64; n];
+    if entry.index() >= n {
+        return (entries, true);
+    }
+    // Jacobi iteration: each pass applies the call matrix to the previous
+    // iterate. A call chain of depth d settles in d passes; damped
+    // recursion (spectral radius < 1) converges geometrically thereafter.
+    entries[entry.index()] = entry_weight;
+    let mut next = vec![0.0f64; n];
+    for _ in 0..MAX_ITERS {
+        next.fill(0.0);
+        next[entry.index()] = entry_weight;
+        for (mi, local) in locals.iter().enumerate() {
+            let em = entries[mi];
+            if em == 0.0 {
+                continue;
+            }
+            for site in &local.borrow().sites {
+                if site.callee.index() < n {
+                    next[site.callee.index()] =
+                        (next[site.callee.index()] + em * site.freq_per_entry).min(ENTRY_CAP);
+                }
+            }
+        }
+        let max_rel = entries
+            .iter()
+            .zip(&next)
+            .map(|(a, b)| {
+                let denom = a.abs().max(b.abs()).max(1e-300);
+                (a - b).abs() / denom
+            })
+            .fold(0.0f64, f64::max);
+        std::mem::swap(&mut entries, &mut next);
+        if max_rel < EPS {
+            return (entries, true);
+        }
+    }
+    (entries, false)
+}
+
 /// Runs the global frequency analysis on a program.
 ///
 /// `entry_weight` is the number of times the entry method is invoked (one
 /// benchmark "iteration" is `entry_weight = 1`).
 #[must_use]
 pub fn analyze(program: &Program, entry_weight: f64) -> FreqAnalysis {
-    let n = program.methods.len();
     let locals: Vec<MethodLocal> = program
         .methods
         .iter()
         .map(|m| local_profile(&m.body))
         .collect();
-
-    let mut entries = vec![0.0f64; n];
-    let mut converged = false;
-    if program.entry.index() < n {
-        // Jacobi iteration on `entries = e0 + Fᵀ·entries`: each pass applies
-        // the call matrix to the previous iterate. A call chain of depth d
-        // settles in d passes; damped recursion (spectral radius < 1)
-        // converges geometrically thereafter.
-        entries[program.entry.index()] = entry_weight;
-        for _ in 0..MAX_ITERS {
-            let mut next = vec![0.0f64; n];
-            next[program.entry.index()] = entry_weight;
-            for (mi, local) in locals.iter().enumerate() {
-                let em = entries[mi];
-                if em == 0.0 {
-                    continue;
-                }
-                for site in &local.sites {
-                    if site.callee.index() < n {
-                        next[site.callee.index()] =
-                            (next[site.callee.index()] + em * site.freq_per_entry).min(ENTRY_CAP);
-                    }
-                }
-            }
-            let max_rel = entries
-                .iter()
-                .zip(&next)
-                .map(|(a, b)| {
-                    let denom = a.abs().max(b.abs()).max(1e-300);
-                    (a - b).abs() / denom
-                })
-                .fold(0.0f64, f64::max);
-            entries = next;
-            if max_rel < EPS {
-                converged = true;
-                break;
-            }
-        }
-    } else {
-        converged = true;
-    }
+    let (entries, converged) = entry_counts(&locals, program.entry, entry_weight);
 
     let mut site_counts = BTreeMap::new();
     for (mi, local) in locals.iter().enumerate() {

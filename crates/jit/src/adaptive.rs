@@ -14,11 +14,12 @@
 //! The plan deliberately does **not** depend on the inlining parameters:
 //! the controller decides *what* to recompile from the baseline profile
 //! before the optimizing compiler (and its heuristic) ever runs — exactly
-//! the information structure of the real system. This also makes the plan
-//! cacheable across the thousands of parameter vectors a GA evaluates.
+//! the information structure of the real system. That is why
+//! [`crate::prepared::Prepared`] computes the plan once per program and
+//! every parameter vector a search evaluates is measured against it.
 
 use inliner::HotSites;
-use ir::freq::analyze;
+use ir::freq::{analyze, FreqAnalysis};
 use ir::method::MethodId;
 use ir::program::Program;
 use ir::size::method_size;
@@ -76,8 +77,16 @@ impl AdaptivePlan {
 /// Runs the profile-driven cost/benefit analysis on the original program.
 #[must_use]
 pub fn plan(program: &Program, arch: &ArchModel, cfg: &AdaptConfig) -> AdaptivePlan {
-    let fa = analyze(program, 1.0);
+    plan_from(&analyze(program, 1.0), program, arch, cfg)
+}
 
+/// [`plan`] over an already computed profile `fa` of `program`.
+pub(crate) fn plan_from(
+    fa: &FreqAnalysis,
+    program: &Program,
+    arch: &ArchModel,
+    cfg: &AdaptConfig,
+) -> AdaptivePlan {
     // Savings factor: recompiling converts baseline-speed op cycles into
     // opt-speed ones.
     let saving_ratio = 1.0 - 1.0 / arch.baseline_slowdown;

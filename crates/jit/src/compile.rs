@@ -10,8 +10,8 @@
 
 use std::collections::BTreeMap;
 
-use inliner::{inline_method, HotSites, InlineParams, InlineStats};
-use ir::method::MethodId;
+use inliner::{inline_method_region, DecisionRegion, HotSites, InlineParams, InlineStats};
+use ir::method::{Method, MethodId};
 use ir::program::Program;
 use ir::size::method_size;
 
@@ -91,28 +91,31 @@ impl VmState {
     }
 }
 
+/// The baseline compiler's record for a method of `size` units: the code
+/// is the original body (the baseline compiler does not inline — the paper
+/// notes it performs "no optimizations, not even inlining").
+pub(crate) fn baseline_record(size: u32, arch: &ArchModel) -> CompiledMethod {
+    CompiledMethod {
+        level: CompileLevel::Baseline,
+        code_size: size,
+        original_size: size,
+        inline_stats: InlineStats::default(),
+        opt_stats: PassStats::default(),
+        compile_cycles: arch.baseline_compile_cycles(size),
+    }
+}
+
 /// Compiles every reachable method with the baseline compiler.
 ///
-/// This is the initial state of the `Adapt` scenario: bodies are untouched
-/// (the baseline compiler does not inline — the paper notes it performs
-/// "no optimizations, not even inlining").
+/// This is the initial state of the `Adapt` scenario: bodies are
+/// untouched.
 #[must_use]
 pub fn compile_all_baseline(program: &Program, arch: &ArchModel) -> VmState {
-    let mut compiled = BTreeMap::new();
-    for id in program.reachable() {
-        let size = method_size(program.method(id));
-        compiled.insert(
-            id,
-            CompiledMethod {
-                level: CompileLevel::Baseline,
-                code_size: size,
-                original_size: size,
-                inline_stats: InlineStats::default(),
-                opt_stats: PassStats::default(),
-                compile_cycles: arch.baseline_compile_cycles(size),
-            },
-        );
-    }
+    let compiled = program
+        .reachable()
+        .into_iter()
+        .map(|id| (id, baseline_record(method_size(program.method(id)), arch)))
+        .collect();
     VmState {
         program: program.clone(),
         compiled,
@@ -142,12 +145,40 @@ pub fn compile_all_opt(
     state
 }
 
-/// Opt-compiles (or recompiles) one method into an existing state,
-/// replacing its body and compile record. Returns the compile cycles spent.
+/// Opt-compiles one method: the compiled body, its record, and the
+/// [`DecisionRegion`] of parameter vectors that would have compiled it to
+/// exactly this body and record.
 ///
 /// Inlining decisions read the *original* program (bytecode sizes), exactly
-/// like a JIT inlining from bytecode, so recompilation order is
-/// irrelevant.
+/// like a JIT inlining from bytecode, so the result depends on nothing but
+/// the arguments: compilation order is irrelevant.
+#[must_use]
+pub fn opt_compile_method(
+    original: &Program,
+    id: MethodId,
+    arch: &ArchModel,
+    params: &InlineParams,
+    hot: &HotSites,
+) -> (Method, CompiledMethod, DecisionRegion) {
+    let (mut method, stats, region) = inline_method_region(original, id, params, hot);
+    // Post-inlining optimization: constant propagation through the spliced
+    // argument moves, then dead-code elimination of what the constants
+    // killed. Compile time is charged for the *pre-optimization* size (the
+    // optimizer has to chew through everything the inliner produced).
+    let opt_stats = optimize_method(&mut method);
+    let record = CompiledMethod {
+        level: CompileLevel::Opt,
+        code_size: method_size(&method),
+        original_size: method_size(original.method(id)),
+        inline_stats: stats,
+        opt_stats,
+        compile_cycles: arch.opt_compile_cycles(stats.final_size),
+    };
+    (method, record, region)
+}
+
+/// Opt-compiles (or recompiles) one method into an existing state,
+/// replacing its body and compile record. Returns the compile cycles spent.
 pub fn opt_compile_into(
     state: &mut VmState,
     original: &Program,
@@ -156,26 +187,10 @@ pub fn opt_compile_into(
     params: &InlineParams,
     hot: &HotSites,
 ) -> f64 {
-    let (mut method, stats) = inline_method(original, id, params, hot);
-    // Post-inlining optimization: constant propagation through the spliced
-    // argument moves, then dead-code elimination of what the constants
-    // killed. Compile time is charged for the *pre-optimization* size (the
-    // optimizer has to chew through everything the inliner produced).
-    let opt_stats = optimize_method(&mut method);
-    let compile_cycles = arch.opt_compile_cycles(stats.final_size);
-    let code_size = method_size(&method);
+    let (method, record, _) = opt_compile_method(original, id, arch, params, hot);
+    let compile_cycles = record.compile_cycles;
     state.program.methods[id.index()] = method;
-    state.compiled.insert(
-        id,
-        CompiledMethod {
-            level: CompileLevel::Opt,
-            code_size,
-            original_size: method_size(original.method(id)),
-            inline_stats: stats,
-            opt_stats,
-            compile_cycles,
-        },
-    );
+    state.compiled.insert(id, record);
     compile_cycles
 }
 

@@ -3,6 +3,8 @@
 //! Prices one *iteration* (one invocation of the program entry) of a
 //! [`VmState`] in cycles, with no interpretation: dynamic op counts come
 //! from `ir::freq` run on the state's (post-inlining) executable program.
+//! [`crate::prepared`] prices through the same function without building a
+//! state.
 //!
 //! The model charges:
 //!
@@ -19,10 +21,11 @@
 //!   footprint (execution-weighted compiled size vs. capacity): the cost of
 //!   over-aggressive inlining that the heuristic must balance.
 
-use ir::freq::{analyze, FreqAnalysis};
+use ir::freq::{entry_counts, local_profile, MethodLocal};
+use ir::method::MethodId;
 
 use crate::arch::ArchModel;
-use crate::compile::{CompileLevel, VmState};
+use crate::compile::{CompileLevel, CompiledMethod, VmState};
 
 /// A method is counted fully in the I-cache footprint once it is entered
 /// this many times per iteration; colder methods contribute
@@ -60,22 +63,42 @@ impl ExecBreakdown {
 /// nothing — the frequency analysis gives them zero entries.
 #[must_use]
 pub fn exec_cycles(state: &VmState, arch: &ArchModel) -> ExecBreakdown {
-    let fa: FreqAnalysis = analyze(&state.program, 1.0);
+    let locals: Vec<MethodLocal> = state
+        .program
+        .methods
+        .iter()
+        .map(|m| local_profile(&m.body))
+        .collect();
+    let (entries, _) = entry_counts(&locals, state.program.entry, 1.0);
+    price(
+        &entries,
+        |mi| (&locals[mi], state.compiled.get(&MethodId(mi as u32))),
+        arch,
+    )
+}
+
+/// The cost model proper: prices one iteration given every method's
+/// absolute entry count and, through `code`, the local profile and
+/// compile record of the code it currently runs (both by method index).
+///
+/// A method that is entered but has no compile record costs nothing, like
+/// an unreachable one. No state built by this crate contains one — every
+/// builder compiles the whole reachable set.
+pub(crate) fn price<'a>(
+    entries: &[f64],
+    code: impl Fn(usize) -> (&'a MethodLocal, Option<&'a CompiledMethod>),
+    arch: &ArchModel,
+) -> ExecBreakdown {
     let mut op_cycles = 0.0;
     let mut call_cycles = 0.0;
     let mut footprint = 0.0;
     let mut dynamic_calls = 0.0;
 
-    for (mi, local) in fa.locals.iter().enumerate() {
-        let entries = fa.entries[mi];
+    for (mi, &entries) in entries.iter().enumerate() {
         if entries <= 0.0 {
             continue;
         }
-        let id = state.program.methods[mi].id;
-        let Some(rec) = state.compiled.get(&id) else {
-            // Entered but never compiled: impossible for states built by
-            // this crate; priced as baseline defensively.
-            debug_assert!(false, "executed method {id} has no compile record");
+        let (local, Some(rec)) = code(mi) else {
             continue;
         };
         let speed = match rec.level {
@@ -159,6 +182,25 @@ mod tests {
         assert_eq!(inlined.dynamic_calls, 0.0);
         assert!(no_inline.dynamic_calls > 0.0);
         assert!(inlined.total_cycles < no_inline.total_cycles);
+    }
+
+    #[test]
+    fn entered_method_without_a_record_costs_nothing() {
+        // `main` calls `inc`; drop `inc`'s record and only `main`'s own
+        // ops, calls and footprint are priced.
+        let p = demo_program();
+        let arch = ArchModel::pentium4();
+        let full = compile_all_baseline(&p, &arch);
+        let mut partial = full.clone();
+        let inc = p.methods.iter().find(|m| m.id != p.entry).unwrap().id;
+        partial.compiled.remove(&inc);
+        let (full, partial) = (exec_cycles(&full, &arch), exec_cycles(&partial, &arch));
+        assert!(partial.op_cycles < full.op_cycles);
+        // `inc` makes no calls, so the call side is untouched.
+        assert_eq!(partial.call_cycles, full.call_cycles);
+        assert_eq!(partial.dynamic_calls, full.dynamic_calls);
+        let main_size = f64::from(ir::size::method_size(p.method(p.entry)));
+        assert_eq!(partial.hot_footprint, main_size / HOT_ENTRY_SCALE);
     }
 
     #[test]

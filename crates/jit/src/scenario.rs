@@ -17,14 +17,12 @@
 //! * **running time** — the best of the remaining iterations: steady-state
 //!   execution with all recompilation already done and no compile cycles.
 
-use inliner::{HotSites, InlineParams, InlineStats};
+use inliner::{InlineParams, InlineStats};
 
-use crate::adaptive::{plan, AdaptConfig};
+use crate::adaptive::AdaptConfig;
 use crate::arch::ArchModel;
-use crate::compile::{
-    compile_all_baseline, compile_all_opt, opt_compile_into, CompileLevel, VmState,
-};
-use crate::exec::{exec_cycles, ExecBreakdown};
+use crate::exec::ExecBreakdown;
+use crate::prepared::Prepared;
 
 use ir::program::Program;
 
@@ -87,33 +85,10 @@ impl Measurement {
     }
 }
 
-/// Runs `f`, recording its wall time into the global `hist` histogram
-/// when detailed observability is on. `detailed` is hoisted by the
-/// caller so the common (off) path costs one atomic load per
-/// [`measure`], not one per phase.
-fn timed<T>(detailed: bool, hist: &str, f: impl FnOnce() -> T) -> T {
-    if !detailed {
-        return f();
-    }
-    let reg = obs::global();
-    let started = reg.now_micros();
-    let out = f();
-    reg.histogram(hist)
-        .record(reg.now_micros().saturating_sub(started));
-    out
-}
-
-fn count_levels(state: &VmState) -> (usize, usize) {
-    let opt = state
-        .compiled
-        .values()
-        .filter(|c| c.level == CompileLevel::Opt)
-        .count();
-    (opt, state.compiled.len() - opt)
-}
-
 /// Measures a benchmark program under a scenario, architecture and
-/// inlining-parameter vector.
+/// inlining-parameter vector: [`Prepared::new`], then one
+/// [`Prepared::measure`]. Measure a program under many parameter vectors
+/// through one `Prepared` instead.
 ///
 /// `adapt_cfg` is only consulted under [`Scenario::Adapt`]; pass
 /// `AdaptConfig::default()` otherwise.
@@ -125,74 +100,7 @@ pub fn measure(
     params: &InlineParams,
     adapt_cfg: &AdaptConfig,
 ) -> Measurement {
-    // Cost-model timings are high-frequency (every fitness call measures
-    // every benchmark), so they only record under the registry's runtime
-    // `detailed` flag.
-    let detailed = obs::global().detailed();
-    match scenario {
-        Scenario::Opt => {
-            // No profile exists under Opt: the hot-site set is empty and
-            // only the Fig. 3 cascade applies.
-            let state = timed(detailed, "jit_compile_micros", || {
-                compile_all_opt(program, arch, params, &HotSites::new())
-            });
-            let steady = timed(detailed, "jit_exec_micros", || exec_cycles(&state, arch));
-            let opt_compile = state.total_compile_cycles();
-            let (n_opt, n_base) = count_levels(&state);
-            Measurement {
-                total_cycles: opt_compile + steady.total_cycles,
-                running_cycles: steady.total_cycles,
-                compile_cycles: opt_compile,
-                baseline_compile_cycles: 0.0,
-                opt_compile_cycles: opt_compile,
-                first_iter_exec_cycles: steady.total_cycles,
-                steady,
-                code_size: state.total_code_size(),
-                inline_stats: state.aggregate_inline_stats(),
-                n_opt_methods: n_opt,
-                n_baseline_methods: n_base,
-            }
-        }
-        Scenario::Adapt => {
-            let mut state = timed(detailed, "jit_compile_micros", || {
-                compile_all_baseline(program, arch)
-            });
-            let baseline_compile = state.total_compile_cycles();
-            let baseline_exec = timed(detailed, "jit_exec_micros", || exec_cycles(&state, arch));
-
-            let plan = plan(program, arch, adapt_cfg);
-            let opt_compile = timed(detailed, "jit_compile_micros", || {
-                let mut cycles = 0.0;
-                for &m in &plan.hot_methods {
-                    cycles +=
-                        opt_compile_into(&mut state, program, m, arch, params, &plan.hot_sites);
-                }
-                cycles
-            });
-            let steady = timed(detailed, "jit_exec_micros", || exec_cycles(&state, arch));
-
-            // First iteration: the warm-up fraction runs at all-baseline
-            // speed before recompilation lands, the rest at steady speed.
-            let phi = adapt_cfg.warmup_fraction.clamp(0.0, 1.0);
-            let first_iter_exec =
-                phi * baseline_exec.total_cycles + (1.0 - phi) * steady.total_cycles;
-
-            let (n_opt, n_base) = count_levels(&state);
-            Measurement {
-                total_cycles: baseline_compile + opt_compile + first_iter_exec,
-                running_cycles: steady.total_cycles,
-                compile_cycles: baseline_compile + opt_compile,
-                baseline_compile_cycles: baseline_compile,
-                opt_compile_cycles: opt_compile,
-                first_iter_exec_cycles: first_iter_exec,
-                steady,
-                code_size: state.total_code_size(),
-                inline_stats: state.aggregate_inline_stats(),
-                n_opt_methods: n_opt,
-                n_baseline_methods: n_base,
-            }
-        }
-    }
+    Prepared::new(program, scenario, arch, adapt_cfg).measure(program, params)
 }
 
 #[cfg(test)]

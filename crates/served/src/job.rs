@@ -12,7 +12,9 @@ use ga::GaConfig;
 use jit::{AdaptConfig, ArchModel, Scenario};
 use online::{DetectorConfig, OnlineConfig};
 use tuner::{Goal, TuningTask};
-use workloads::{benchmark_by_name, specjvm98, Benchmark, DriftKind, DriftPos, DriftSchedule};
+use workloads::{
+    benchmark_by_name, spec_by_name, specjvm98, Benchmark, DriftKind, DriftPos, DriftSchedule,
+};
 
 use crate::codec::{
     record, Codec, Crossover, Drift, GoalName, Int, List, Nullable, Num, Pos, ScenarioName, Str,
@@ -262,7 +264,8 @@ impl JobSpec {
                 problems::KNOWN.join("|")
             ));
         }
-        if let Some(b) = self.suite.iter().find(|b| benchmark_by_name(b).is_none()) {
+        // A name lookup only: generating the programs is `training`'s job.
+        if let Some(b) = self.suite.iter().find(|b| spec_by_name(b).is_none()) {
             return Err(format!("unknown benchmark '{b}'"));
         }
         self.ga.check()?;
@@ -660,6 +663,32 @@ mod tests {
         ] {
             assert!(JobSpec::from_text(bad).is_err(), "{bad}");
         }
+    }
+
+    #[test]
+    fn check_generates_no_program() {
+        // Validating the seven DaCapo names fifty times over must cost
+        // less than generating those programs once: it looks names up.
+        let mut s = spec();
+        s.suite = workloads::suites::dacapo_jbb_specs()
+            .iter()
+            .map(|b| b.name.to_string())
+            .collect();
+        let started = std::time::Instant::now();
+        let generated = s.training().unwrap();
+        let generate = started.elapsed();
+        assert_eq!(generated.len(), 7);
+        let started = std::time::Instant::now();
+        for _ in 0..50 {
+            s.check().unwrap();
+        }
+        let check = started.elapsed();
+        assert!(
+            check < generate,
+            "50 checks {check:?}, one suite {generate:?}"
+        );
+        s.suite.push("nope".into());
+        assert_eq!(s.check().unwrap_err(), "unknown benchmark 'nope'");
     }
 
     #[test]

@@ -29,4 +29,6 @@ pub mod suites;
 pub use drift::{DriftKind, DriftPos, DriftSchedule};
 pub use generate::generate;
 pub use spec::{BenchmarkSpec, OpMix, Suite};
-pub use suites::{all_benchmarks, benchmark_by_name, dacapo_jbb, specjvm98, Benchmark};
+pub use suites::{
+    all_benchmarks, benchmark_by_name, dacapo_jbb, spec_by_name, specjvm98, Benchmark,
+};

@@ -424,14 +424,21 @@ pub fn all_benchmarks() -> Vec<Benchmark> {
     v
 }
 
-/// Generates one benchmark by name (across both suites).
+/// The spec of the benchmark called `name` (across both suites). Looks
+/// the name up without generating any program — what validating a name
+/// should cost.
 #[must_use]
-pub fn benchmark_by_name(name: &str) -> Option<Benchmark> {
+pub fn spec_by_name(name: &str) -> Option<BenchmarkSpec> {
     specjvm98_specs()
         .into_iter()
         .chain(dacapo_jbb_specs())
         .find(|s| s.name == name)
-        .map(Benchmark::from_spec)
+}
+
+/// Generates one benchmark by name (across both suites).
+#[must_use]
+pub fn benchmark_by_name(name: &str) -> Option<Benchmark> {
+    spec_by_name(name).map(Benchmark::from_spec)
 }
 
 #[cfg(test)]
@@ -462,6 +469,11 @@ mod tests {
         assert!(benchmark_by_name("compress").is_some());
         assert!(benchmark_by_name("antlr").is_some());
         assert!(benchmark_by_name("nope").is_none());
+        assert_eq!(
+            spec_by_name("antlr"),
+            Some(benchmark_by_name("antlr").unwrap().spec)
+        );
+        assert!(spec_by_name("nope").is_none());
     }
 
     #[test]

@@ -11,7 +11,9 @@
 #   6. `tuned` daemon smoke: inline, flags and dss jobs over localhost
 #      through a registered `evald` worker and a fitness store (a repeat
 #      job is all store hits), metrics / obs / Prometheus scrape, reload
-#      after restart; both binaries refuse a flag they do not know
+#      after restart, then the inlining job once more evaluated locally:
+#      the unit memo hits and the evaluation count is what it always was;
+#      both binaries refuse a flag they do not know
 #   7. sim sweep, one invocation: the fault, mixed, store, online and
 #      shard scenarios, then the broken-build self-test (replay a
 #      failing seed with the `replay: simtest <scenario> --seed N ...`
@@ -34,6 +36,9 @@ cargo build --workspace --release --offline
 
 echo "== cargo test --offline"
 cargo test --workspace --offline --quiet
+# The prepared-context differential suite once more with optimizations on,
+# where its four threads really do race for the memo's slots.
+cargo test --release --offline --quiet --test prepared
 # Golden fixtures are frozen bytes: a run with REGEN_FIXTURES left in the
 # environment re-blesses them silently and still passes, so fail here if
 # the test stage changed any.
@@ -201,6 +206,21 @@ for PROBLEM in flags dss; do
   printf '%s' "$STATUS" | grep -q "\"problem\":\"$PROBLEM\"" \
     || { echo "$PROBLEM job reloaded without its problem tag"; echo "$STATUS"; exit 1; }
 done
+
+# No worker and no store on this daemon: the inlining smoke job runs its
+# fitness calls here, through the job's own unit memo. The memo must hit,
+# and must not change what counts as an evaluation — the job computed 8
+# before the memo existed.
+obs_counter() { # name -> the registry counter's value (empty if absent)
+  "$TUNED" obs --addr "$ADDR" | sed -n "s/.*\"$1\":\"\([0-9]*\)\".*/\1/p"
+}
+smoke_job
+MEMO_HITS=$(obs_counter jit_unit_memo_hits_total)
+[ "${MEMO_HITS:-0}" -gt 0 ] \
+  || { echo "local smoke job: unit memo hits '${MEMO_HITS}', expected > 0"; exit 1; }
+[ "$(obs_counter tuned_evaluations_total)" = 8 ] \
+  || { echo "local smoke job computed $(obs_counter tuned_evaluations_total)" \
+         "evaluations, expected 8"; exit 1; }
 "$TUNED" shutdown --addr "$ADDR"
 wait "$DAEMON_PID"
 
