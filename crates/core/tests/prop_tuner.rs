@@ -1,22 +1,18 @@
-// Gated: needs the crates.io `proptest` crate (see the `proptest`
-// feature note in this crate's Cargo.toml).
-#![cfg(feature = "proptest")]
-
 //! Property-based tests of the tuning pipeline's fitness function.
-
-use proptest::prelude::*;
+//!
+//! Seeded case loops (`simrng::cases`) over tuners built once per
+//! property, so they run in plain `cargo test`.
 
 use inliner::InlineParams;
 use jit::{AdaptConfig, ArchModel, Scenario};
+use simrng::cases;
 use tuner::{Goal, Tuner, TuningTask};
 use workloads::benchmark_by_name;
 
-fn tuner_for(scenario: Scenario, goal: Goal, ppc: bool) -> Tuner {
-    let arch = if ppc {
-        ArchModel::powerpc_g4()
-    } else {
-        ArchModel::pentium4()
-    };
+const SCENARIOS: [Scenario; 2] = [Scenario::Opt, Scenario::Adapt];
+const GOALS: [Goal; 3] = [Goal::Running, Goal::Total, Goal::Balance];
+
+fn tuner_for(scenario: Scenario, goal: Goal, arch: ArchModel) -> Tuner {
     Tuner::new(
         TuningTask {
             name: format!("{scenario}:{goal}"),
@@ -32,47 +28,64 @@ fn tuner_for(scenario: Scenario, goal: Goal, ppc: bool) -> Tuner {
     )
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+/// One x86 tuner per (scenario, goal).
+fn x86_tuners() -> Vec<Tuner> {
+    let cells = SCENARIOS
+        .iter()
+        .flat_map(|s| GOALS.iter().map(move |g| (*s, *g)));
+    cells
+        .map(|(s, g)| tuner_for(s, g, ArchModel::pentium4()))
+        .collect()
+}
 
-    /// The default heuristic scores exactly 1 under every scenario, goal
-    /// and architecture (the fitness is normalized to it).
-    #[test]
-    fn default_params_score_exactly_one(scen in 0usize..2, goal in 0usize..3, ppc in any::<bool>()) {
-        let scenario = [Scenario::Opt, Scenario::Adapt][scen];
-        let goal = [Goal::Running, Goal::Total, Goal::Balance][goal];
-        let t = tuner_for(scenario, goal, ppc);
+/// The default heuristic scores exactly 1 under every scenario, goal
+/// and architecture (the fitness is normalized to it) — all twelve
+/// cells, exhaustively.
+#[test]
+fn default_params_score_exactly_one() {
+    let ppc = SCENARIOS
+        .iter()
+        .flat_map(|s| GOALS.iter().map(move |g| (*s, *g)))
+        .map(|(s, g)| tuner_for(s, g, ArchModel::powerpc_g4()));
+    for t in x86_tuners().into_iter().chain(ppc) {
         let f = t.fitness(&InlineParams::jikes_default());
-        prop_assert!((f - 1.0).abs() < 1e-12, "fitness {f}");
+        assert!((f - 1.0).abs() < 1e-12, "{}: fitness {f}", t.task().name);
     }
+}
 
-    /// Fitness is finite and positive for arbitrary in-domain genomes —
-    /// the GA never sees NaN/∞ from a legitimate vector.
-    #[test]
-    fn fitness_is_finite_positive_across_the_search_space(
-        callee in 0i64..=60,
-        always in 0i64..=35,
-        depth in 0i64..=16,
-        caller in 0i64..=4200,
-        hot in 0i64..=420,
-        scen in 0usize..2,
-        goal in 0usize..3,
-    ) {
-        let scenario = [Scenario::Opt, Scenario::Adapt][scen];
-        let goal = [Goal::Running, Goal::Total, Goal::Balance][goal];
-        let t = tuner_for(scenario, goal, false);
-        let f = t.fitness(&InlineParams::from_genes(&[callee, always, depth, caller, hot]));
-        prop_assert!(f.is_finite() && f > 0.0, "fitness {f}");
-        // No legitimate heuristic should be catastrophically far from the
-        // default in this simulator (sanity bound, not a theorem).
-        prop_assert!(f < 10.0, "fitness {f} suspiciously bad");
-    }
+/// Fitness is finite and positive for arbitrary in-domain genomes — the
+/// GA never sees NaN/∞ from a legitimate vector.
+#[test]
+fn fitness_is_finite_positive_across_the_search_space() {
+    let tuners = x86_tuners();
+    cases(
+        "fitness_is_finite_positive_across_the_search_space",
+        |rng| {
+            let genes = [
+                rng.range_i64(0, 60),
+                rng.range_i64(0, 35),
+                rng.range_i64(0, 16),
+                rng.range_i64(0, 4200),
+                rng.range_i64(0, 420),
+            ];
+            let f = rng
+                .choose(&tuners)
+                .fitness(&InlineParams::from_genes(&genes));
+            assert!(f.is_finite() && f > 0.0, "fitness {f}");
+            // No legitimate heuristic should be catastrophically far from the
+            // default in this simulator (sanity bound, not a theorem).
+            assert!(f < 10.0, "fitness {f} suspiciously bad");
+        },
+    );
+}
 
-    /// Fitness is a pure function of the genome.
-    #[test]
-    fn fitness_is_pure(callee in 1i64..=50, caller in 1i64..=4000) {
-        let t = tuner_for(Scenario::Opt, Goal::Total, false);
-        let p = InlineParams::from_genes(&[callee, 11, 5, caller, 135]);
-        prop_assert_eq!(t.fitness(&p).to_bits(), t.fitness(&p).to_bits());
-    }
+/// Fitness is a pure function of the genome.
+#[test]
+fn fitness_is_pure() {
+    let t = tuner_for(Scenario::Opt, Goal::Total, ArchModel::pentium4());
+    cases("fitness_is_pure", |rng| {
+        let genes = [rng.range_i64(1, 50), 11, 5, rng.range_i64(1, 4000), 135];
+        let p = InlineParams::from_genes(&genes);
+        assert_eq!(t.fitness(&p).to_bits(), t.fitness(&p).to_bits());
+    });
 }

@@ -108,6 +108,12 @@ impl Default for GaConfig {
     }
 }
 
+/// The upper bounds [`GaConfig::check`] enforces (in-tree maxima: the
+/// paper's 500 generations, a population of 64).
+pub const MAX_POP_SIZE: usize = 4096;
+pub const MAX_GENERATIONS: usize = 100_000;
+pub const MAX_THREADS: usize = 1024;
+
 impl GaConfig {
     /// The paper's §3.1 configuration: population 20, 500 generations, no
     /// early stopping.
@@ -127,6 +133,24 @@ impl GaConfig {
     /// # Errors
     /// Names the first degenerate field.
     pub fn check(&self) -> Result<(), String> {
+        // Upper bounds: a well-formed spec must not make the runner
+        // allocate (or spawn, or loop) without bound.
+        for (field, value, max) in [
+            ("pop_size", self.pop_size, MAX_POP_SIZE),
+            ("generations", self.generations, MAX_GENERATIONS),
+            (
+                "tournament_size",
+                self.tournament_size,
+                self.pop_size.max(2),
+            ),
+            ("threads", self.threads, MAX_THREADS),
+        ] {
+            if value > max {
+                return Err(format!(
+                    "degenerate GA config: {field} {value} is above the limit of {max}"
+                ));
+            }
+        }
         let broken = if self.pop_size < 2 {
             "population must be at least 2"
         } else if self.elitism >= self.pop_size {

@@ -1,16 +1,14 @@
-// Gated: needs the crates.io `proptest` crate (see the `proptest`
-// feature note in this crate's Cargo.toml).
-#![cfg(feature = "proptest")]
-
-//! Property-based tests for the GA engine: every genome the engine ever
+//! Property tests for the GA engine: every genome the engine ever
 //! evaluates is in range, runs are deterministic, and the engine actually
 //! optimizes.
+//!
+//! Seeded case loops (`simrng::cases`), so they run in plain
+//! `cargo test`.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use proptest::prelude::*;
-
 use ga::{GaConfig, GaResult, GaState, Ranges};
+use simrng::{cases, vec_of, Rng};
 
 /// A fresh search run to completion through the engine's closed-form
 /// step.
@@ -23,38 +21,33 @@ where
     state.result()
 }
 
-prop_compose! {
-    fn arb_ranges()(bounds in proptest::collection::vec((0i64..100, 0i64..4000), 2..8)) -> Ranges {
-        Ranges::new(bounds.into_iter().map(|(a, span)| (a, a + span)).collect())
-    }
+/// Two to seven genes, each `[a, a + span]` with `a < 100`, `span < 4000`.
+fn arb_ranges(rng: &mut Rng) -> Ranges {
+    Ranges::new(vec_of(rng, 2, 7, |r| {
+        let a = r.range_i64(0, 99);
+        (a, a + r.range_i64(0, 3999))
+    }))
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// The engine never proposes an out-of-range genome to the fitness
-    /// function, no matter the configuration.
-    #[test]
-    fn every_evaluated_genome_is_in_range(
-        ranges in arb_ranges(),
-        seed in any::<u64>(),
-        pop in 2usize..16,
-        gens in 1usize..12,
-        mutation in 0.0f64..1.0,
-        crossover in 0.0f64..1.0,
-    ) {
+/// The engine never proposes an out-of-range genome to the fitness
+/// function, no matter the configuration.
+#[test]
+fn every_evaluated_genome_is_in_range() {
+    cases("every_evaluated_genome_is_in_range", |rng| {
+        let ranges = arb_ranges(rng);
+        let pop = rng.range_usize(2, 15);
         let violations = AtomicUsize::new(0);
         let result = run(
             ranges.clone(),
             GaConfig {
                 pop_size: pop,
-                generations: gens,
-                mutation_prob: mutation,
-                crossover_prob: crossover,
+                generations: rng.range_usize(1, 11),
+                mutation_prob: rng.f64(),
+                crossover_prob: rng.f64(),
                 elitism: 1.min(pop - 1),
                 threads: 1,
                 stagnation_limit: None,
-                seed,
+                seed: rng.next_u64(),
                 ..GaConfig::default()
             },
             |g| {
@@ -64,34 +57,41 @@ proptest! {
                 g.iter().map(|&v| v as f64).sum()
             },
         );
-        prop_assert_eq!(violations.load(Ordering::Relaxed), 0);
-        prop_assert!(ranges.contains(&result.best_genome));
-    }
+        assert_eq!(violations.load(Ordering::Relaxed), 0);
+        assert!(ranges.contains(&result.best_genome));
+    });
+}
 
-    /// Whole runs are pure functions of (ranges, config).
-    #[test]
-    fn runs_are_deterministic(ranges in arb_ranges(), seed in any::<u64>()) {
+/// Whole runs are pure functions of (ranges, config).
+#[test]
+fn runs_are_deterministic() {
+    cases("runs_are_deterministic", |rng| {
+        let ranges = arb_ranges(rng);
         let cfg = GaConfig {
             pop_size: 8,
             generations: 6,
             threads: 1,
             stagnation_limit: None,
-            seed,
+            seed: rng.next_u64(),
             ..GaConfig::default()
         };
         let f = |g: &[i64]| g.iter().map(|&v| (v as f64).abs()).sum::<f64>();
         let a = run(ranges.clone(), cfg.clone(), f);
         let b = run(ranges, cfg, f);
-        prop_assert_eq!(a.best_genome, b.best_genome);
-        prop_assert_eq!(a.best_fitness, b.best_fitness);
-        prop_assert_eq!(a.evaluations, b.evaluations);
-        prop_assert_eq!(a.cache_hits, b.cache_hits);
-    }
+        assert_eq!(a.best_genome, b.best_genome);
+        assert_eq!(a.best_fitness, b.best_fitness);
+        assert_eq!(a.evaluations, b.evaluations);
+        assert_eq!(a.cache_hits, b.cache_hits);
+    });
+}
 
-    /// More generations never worsen the best (elitism + monotone best
-    /// tracking).
-    #[test]
-    fn longer_runs_are_no_worse(ranges in arb_ranges(), seed in any::<u64>()) {
+/// More generations never worsen the best (elitism + monotone best
+/// tracking).
+#[test]
+fn longer_runs_are_no_worse() {
+    cases("longer_runs_are_no_worse", |rng| {
+        let ranges = arb_ranges(rng);
+        let seed = rng.next_u64();
         let with_gens = |gens: usize| {
             run(
                 ranges.clone(),
@@ -108,6 +108,6 @@ proptest! {
         };
         let short = with_gens(3);
         let long = with_gens(12);
-        prop_assert!(long.best_fitness <= short.best_fitness);
-    }
+        assert!(long.best_fitness <= short.best_fitness);
+    });
 }

@@ -276,12 +276,6 @@ impl MethodBuilder {
         self.ret = v.into();
     }
 
-    /// Number of registers allocated so far.
-    #[must_use]
-    pub fn regs_used(&self) -> u16 {
-        self.next_reg
-    }
-
     fn finish(self, id: MethodId) -> Method {
         assert!(
             self.nesting.is_empty() && self.pending.is_empty(),

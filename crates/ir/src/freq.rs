@@ -66,14 +66,6 @@ pub struct MethodLocal {
     pub calls_per_entry: f64,
 }
 
-impl MethodLocal {
-    /// Total dynamic op units per entry (all classes).
-    #[must_use]
-    pub fn total_ops_per_entry(&self) -> f64 {
-        self.ops_per_entry.iter().sum()
-    }
-}
-
 /// Computes the local profile of a statement list.
 #[must_use]
 pub fn local_profile(body: &[Stmt]) -> MethodLocal {

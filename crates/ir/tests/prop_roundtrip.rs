@@ -1,44 +1,40 @@
-// Gated: needs the crates.io `proptest` crate (see the `proptest`
-// feature note in this crate's Cargo.toml).
-#![cfg(feature = "proptest")]
-
 //! Property test: the pretty-printer/parser pair is a faithful
 //! serialization — print→parse is the identity on arbitrary programs.
-
-use proptest::prelude::*;
+//!
+//! Seeded case loops (`simrng::cases`), so they run in plain
+//! `cargo test`.
 
 use ir::parse::parse_program;
 use ir::pretty::program_to_string;
 use ir::testgen::{random_program, GenConfig};
-use simrng::Rng;
+use simrng::cases;
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    #[test]
-    fn print_parse_is_identity(seed in any::<u64>(), n_methods in 1u32..14, branches in any::<bool>()) {
-        let mut rng = Rng::seed_from_u64(seed);
+#[test]
+fn print_parse_is_identity() {
+    cases("print_parse_is_identity", |rng| {
         let cfg = GenConfig {
-            n_methods,
-            branches,
+            n_methods: rng.range_usize(1, 13) as u32,
+            branches: rng.chance(0.5),
             ..GenConfig::default()
         };
-        let p = random_program(&mut rng, &cfg);
+        let p = random_program(rng, &cfg);
         let text = program_to_string(&p);
-        let q = parse_program(&text).map_err(|e| {
-            TestCaseError::fail(format!("{e}\n--- text ---\n{text}"))
-        })?;
-        prop_assert_eq!(p, q);
-    }
+        let q = parse_program(&text).unwrap_or_else(|e| panic!("{e}\n--- text ---\n{text}"));
+        assert_eq!(p, q);
+    });
+}
 
-    #[test]
-    fn parse_never_panics_on_mutilated_input(seed in any::<u64>(), cut in any::<prop::sample::Index>()) {
-        let mut rng = Rng::seed_from_u64(seed);
-        let p = random_program(&mut rng, &GenConfig::default());
+#[test]
+fn parse_never_panics_on_mutilated_input() {
+    cases("parse_never_panics_on_mutilated_input", |rng| {
+        let p = random_program(rng, &GenConfig::default());
         let text = program_to_string(&p);
-        // Truncate at an arbitrary char boundary: must error or parse, never panic.
-        let idx = cut.index(text.len().max(1));
-        let truncated = &text[..text.floor_char_boundary(idx)];
-        let _ = parse_program(truncated);
-    }
+        // Truncate at an arbitrary char boundary: must error or parse,
+        // never panic.
+        let mut cut = rng.range_usize(0, text.len());
+        while !text.is_char_boundary(cut) {
+            cut -= 1;
+        }
+        let _ = parse_program(&text[..cut]);
+    });
 }

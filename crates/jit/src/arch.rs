@@ -15,8 +15,7 @@
 //! `ir::freq`) and code sizes in *size units* (the static unit of
 //! `ir::size`, ≈ one machine instruction ≈ 4 bytes).
 
-use ir::freq::{class_index, N_COST_CLASSES};
-use ir::op::CostClass;
+use ir::freq::N_COST_CLASSES;
 
 /// A machine model: every architecture-dependent constant in one place.
 #[derive(Debug, Clone, PartialEq)]
@@ -152,12 +151,6 @@ impl ArchModel {
         self.opt_compile_fixed
             + self.opt_compile_per_unit * s
             + self.opt_compile_super_coeff * s.powf(self.opt_compile_exponent)
-    }
-
-    /// Cycles per dynamic op unit of the given class.
-    #[must_use]
-    pub fn class_cost(&self, c: CostClass) -> f64 {
-        self.class_cycles[class_index(c)]
     }
 
     /// Multiplicative run-time penalty for a hot-code footprint of

@@ -6,8 +6,8 @@
 //! *median* of that window regresses more than `threshold_pct` percent
 //! over the baseline. Using the median (not the latest probe) makes a
 //! single noisy probe harmless while guaranteeing a sustained step is
-//! caught within `window` probes — the two properties the proptest
-//! suite pins down.
+//! caught within `window` probes — the two properties
+//! `tests/prop_detect.rs` pins down.
 //!
 //! The detector is plain data: [`DriftDetector::snapshot`] /
 //! [`DriftDetector::restore`] round-trip its entire state bit-exactly,

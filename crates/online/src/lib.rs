@@ -12,7 +12,7 @@
 //! Structure:
 //!
 //! * [`detect`] — the windowed median-regression detector (plain-data
-//!   snapshots, proptest-pinned trigger guarantees);
+//!   snapshots, trigger guarantees pinned by `tests/prop_detect.rs`);
 //! * [`state`] — [`OnlineState`], the whole policy as one pure state
 //!   machine shared by the daemon and the reference runner;
 //! * [`runner`] — [`OnlineJob`], the in-process reference execution

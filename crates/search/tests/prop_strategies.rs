@@ -2,21 +2,11 @@
 //! snapshot/restore cycle replays exactly the batch an uninterrupted
 //! run would ask next.
 //!
-//! Gated behind the bare `proptest` cargo feature because the
-//! `proptest` crate is not vendored (offline, zero-dependency builds).
-//! To run:
-//!
-//! ```text
-//! # on a networked machine:
-//! #   add `proptest = "1"` under [dev-dependencies] in crates/search/Cargo.toml
-//! cargo test -p inlinetune-search --features proptest
-//! ```
-
-#![cfg(feature = "proptest")]
+//! Seeded case loops (`simrng::cases`), so they run in plain
+//! `cargo test`.
 
 use ga::{GaConfig, LocalEvaluator, Ranges};
-use proptest::prelude::*;
-use search::Strategy as _;
+use simrng::{cases, vec_of, Rng};
 
 /// Deterministic synthetic fitness over arbitrary-arity genomes.
 fn fitness(g: &[i64]) -> f64 {
@@ -30,27 +20,33 @@ fn fitness(g: &[i64]) -> f64 {
 /// inclusive range with positive low ends (the paper's cascade never
 /// admits zero), including degenerate pinned genes like the Opt
 /// scenario's fixed adaptive threshold.
-fn arb_bounds() -> impl Strategy<Value = Vec<(i64, i64)>> {
-    proptest::collection::vec((1i64..=200, 0i64..=400), 2..=6)
-        .prop_map(|v| v.into_iter().map(|(lo, w)| (lo, lo + w)).collect())
+fn arb_ranges(rng: &mut Rng) -> Ranges {
+    Ranges::new(vec_of(rng, 2, 6, |r| {
+        let lo = r.range_i64(1, 200);
+        (lo, lo + r.range_i64(0, 400))
+    }))
 }
 
-fn arb_spec() -> impl Strategy<Value = &'static str> {
-    prop_oneof![
-        Just("ga"),
-        Just("random"),
-        Just("hillclimb"),
-        Just("anneal"),
-        Just("grid"),
-        Just("race"),
-        Just("race:anneal+grid"),
-    ]
+const SPECS: [&str; 7] = [
+    "ga",
+    "random",
+    "hillclimb",
+    "anneal",
+    "grid",
+    "race",
+    "race:anneal+grid",
+];
+
+fn arb_spec(rng: &mut Rng) -> &'static str {
+    *rng.choose(&SPECS)
 }
 
 fn cfg(seed: u64, pop: usize, gens: usize) -> GaConfig {
     GaConfig {
         pop_size: pop,
         generations: gens,
+        // The default of 2 would leave a population of 2 no room to breed.
+        elitism: 1,
         threads: 1,
         seed,
         stagnation_limit: None,
@@ -58,24 +54,22 @@ fn cfg(seed: u64, pop: usize, gens: usize) -> GaConfig {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn every_ask_stays_within_bounds(
-        bounds in arb_bounds(),
-        spec in arb_spec(),
-        seed in any::<u64>(),
-        pop in 2usize..=10,
-        gens in 1usize..=8,
-    ) {
-        let ranges = Ranges::new(bounds);
-        let mut s = search::build(spec, ranges.clone(), cfg(seed, pop, gens)).unwrap();
+#[test]
+fn every_ask_stays_within_bounds() {
+    cases("every_ask_stays_within_bounds", |rng| {
+        let ranges = arb_ranges(rng);
+        let spec = arb_spec(rng);
+        let cfg = cfg(
+            rng.next_u64(),
+            rng.range_usize(2, 10),
+            rng.range_usize(1, 8),
+        );
+        let mut s = search::build(spec, ranges.clone(), cfg).unwrap();
         let mut guard = 0;
         while !s.is_done() {
             let batch = s.ask();
             for g in &batch {
-                prop_assert!(
+                assert!(
                     ranges.contains(g),
                     "{spec} proposed {g:?} outside {ranges:?}"
                 );
@@ -83,37 +77,34 @@ proptest! {
             let scores: Vec<f64> = batch.iter().map(|g| fitness(g)).collect();
             s.tell(&batch, &scores);
             guard += 1;
-            prop_assert!(guard < 2_000, "{spec} never terminated");
+            assert!(guard < 2_000, "{spec} never terminated");
         }
         if let Some((g, _)) = s.best() {
-            prop_assert!(ranges.contains(&g));
+            assert!(ranges.contains(&g));
         }
-    }
+    });
+}
 
-    #[test]
-    fn snapshot_restore_ask_equals_uninterrupted_ask(
-        bounds in arb_bounds(),
-        spec in arb_spec(),
-        seed in any::<u64>(),
-        rounds_before in 0usize..6,
-    ) {
-        let ranges = Ranges::new(bounds);
-        let mut s = search::build(spec, ranges, cfg(seed, 6, 8)).unwrap();
+#[test]
+fn snapshot_restore_ask_equals_uninterrupted_ask() {
+    cases("snapshot_restore_ask_equals_uninterrupted_ask", |rng| {
+        let ranges = arb_ranges(rng);
+        let spec = arb_spec(rng);
+        let mut s = search::build(spec, ranges, cfg(rng.next_u64(), 6, 8)).unwrap();
         let backend = LocalEvaluator::new(fitness, 1);
-        for _ in 0..rounds_before {
+        for _ in 0..rng.range_usize(0, 5) {
             if search::round(s.as_mut(), &backend, |_| {}) {
                 break;
             }
         }
         let uninterrupted = s.ask();
         let mut resumed = search::restore(s.snapshot()).unwrap();
-        prop_assert_eq!(
+        assert_eq!(
             resumed.ask(),
             uninterrupted,
-            "{} restore replayed a different batch",
-            spec
+            "{spec} restore replayed a different batch"
         );
-        prop_assert_eq!(resumed.rounds(), s.rounds());
-        prop_assert_eq!(resumed.evaluations(), s.evaluations());
-    }
+        assert_eq!(resumed.rounds(), s.rounds());
+        assert_eq!(resumed.evaluations(), s.evaluations());
+    });
 }

@@ -8,7 +8,7 @@
 //! checkpoint, cancel, or shut down between generations without losing
 //! more than one generation of work.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -199,6 +199,31 @@ struct JobEntry {
     /// The unspent part of the job's quota reservation; settled back to
     /// the tenant when the job leaves the system.
     reserved: u64,
+}
+
+impl JobEntry {
+    /// A `Queued` job that has not run yet.
+    fn queued(id: u64, spec: JobSpec, shard: usize, enqueued_at: u64, reserved: u64) -> Self {
+        let record = JobRecord {
+            id,
+            spec,
+            state: JobState::Queued,
+            generation: 0,
+            best_fitness: None,
+            result: None,
+            error: None,
+            timing: None,
+            standings: Vec::new(),
+            shard,
+            online: None,
+        };
+        Self {
+            record,
+            cancel: Arc::new(AtomicBool::new(false)),
+            enqueued_at,
+            reserved,
+        }
+    }
 }
 
 struct JobTable {
@@ -424,27 +449,12 @@ impl Daemon {
             } else {
                 0
             };
-            table.jobs.insert(
-                id,
-                JobEntry {
-                    record: JobRecord {
-                        id,
-                        spec,
-                        state,
-                        generation,
-                        best_fitness,
-                        result,
-                        error: None,
-                        timing: None,
-                        standings: Vec::new(),
-                        shard: home,
-                        online: None,
-                    },
-                    cancel: Arc::new(AtomicBool::new(false)),
-                    enqueued_at: now,
-                    reserved,
-                },
-            );
+            let mut entry = JobEntry::queued(id, spec, home, now, reserved);
+            entry.record.state = state;
+            entry.record.generation = generation;
+            entry.record.best_fitness = best_fitness;
+            entry.record.result = result;
+            table.jobs.insert(id, entry);
             if requeue {
                 table.queues[home].enqueue(&tenant, id, cost);
                 inner.set_depth_gauge(home, table.queues[home].len());
@@ -510,27 +520,8 @@ impl Daemon {
             table.accountant.settle(&tenant, cost);
             return Err(SubmitError::Internal(e));
         }
-        table.jobs.insert(
-            id,
-            JobEntry {
-                record: JobRecord {
-                    id,
-                    spec,
-                    state: JobState::Queued,
-                    generation: 0,
-                    best_fitness: None,
-                    result: None,
-                    error: None,
-                    timing: None,
-                    standings: Vec::new(),
-                    shard: home,
-                    online: None,
-                },
-                cancel: Arc::new(AtomicBool::new(false)),
-                enqueued_at: inner.now_micros(),
-                reserved: cost,
-            },
-        );
+        let entry = JobEntry::queued(id, spec, home, inner.now_micros(), cost);
+        table.jobs.insert(id, entry);
         table.queues[home].enqueue(&tenant, id, cost);
         inner.set_depth_gauge(home, table.queues[home].len());
         inner.set_tenant_gauges(&table, &tenant);
@@ -676,12 +667,6 @@ impl Daemon {
         self.inner.config.max_connections
     }
 
-    /// The cluster-wide worker directory (liveness + shard leases).
-    #[must_use]
-    pub fn directory(&self) -> &Arc<Directory> {
-        &self.inner.directory
-    }
-
     /// Registers a worker with both the dispatch pool and the shard
     /// directory — one call per `register` frame keeps the two views of
     /// the fleet in lockstep. Returns `true` if the address was new.
@@ -731,12 +716,6 @@ impl Daemon {
         table.accountant.usage()
     }
 
-    /// Whether shutdown has been requested.
-    #[must_use]
-    pub fn is_shutting_down(&self) -> bool {
-        self.inner.shutdown.load(Ordering::SeqCst)
-    }
-
     /// Graceful shutdown: stops accepting work, lets every running job
     /// checkpoint at its current generation boundary, and joins the
     /// workers. Idempotent.
@@ -750,435 +729,370 @@ impl Daemon {
     }
 }
 
+/// A claimed job on its runner thread: what every step of running it
+/// needs to know.
+struct Run<'a> {
+    inner: &'a Inner,
+    id: u64,
+    spec: JobSpec,
+    cancel: Arc<AtomicBool>,
+    shard: usize,
+}
+
+/// How a tune left its runner. [`worker_loop`] alone turns this (or an
+/// `Err`) into the job's on-disk terminal marker, its [`JobState`] and
+/// its quota settlement; nothing below it writes a job's `state`.
+enum Exit {
+    /// The search finished: its best genome after `rounds` rounds.
+    Done {
+        genes: Vec<i64>,
+        fitness: f64,
+        rounds: usize,
+    },
+    /// The job's cancel flag was raised.
+    Canceled,
+    /// The daemon is shutting down: what is on disk is the resume point
+    /// and the job — with its budget — stays alive for the next process.
+    Parked,
+}
+
 /// Claims the next queued job, blocking on the queue condvar. Runners
 /// scan shards starting from their home shard (affinity) and rotate
 /// through the rest (work conservation: no runner idles while any shard
 /// has queued jobs). Returns `None` when the daemon is shutting down.
-fn claim_next(inner: &Inner, home: usize) -> Option<(u64, JobSpec, Arc<AtomicBool>, usize)> {
+fn claim_next(inner: &Inner, home: usize) -> Option<Run<'_>> {
     let shards = inner.config.shards;
+    let reg = &inner.config.obs;
     let mut table = inner.jobs.lock().expect("job table poisoned");
     loop {
         if inner.shutdown.load(Ordering::SeqCst) {
             return None;
         }
-        let mut claimed = None;
-        'scan: for k in 0..shards {
-            let s = (home + k) % shards;
-            while let Some((id, _tenant)) = table.queues[s].dequeue() {
-                inner.set_depth_gauge(s, table.queues[s].len());
+        for shard in (0..shards).map(|k| (home + k) % shards) {
+            while let Some((id, _tenant)) = table.queues[shard].dequeue() {
+                inner.set_depth_gauge(shard, table.queues[shard].len());
                 let entry = table.jobs.get_mut(&id).expect("queued job has an entry");
                 if entry.record.state != JobState::Queued {
                     continue; // canceled while queued
                 }
                 entry.record.state = JobState::Running;
                 let delay = inner.now_micros().saturating_sub(entry.enqueued_at);
-                claimed = Some((id, entry.record.spec.clone(), Arc::clone(&entry.cancel), s));
-                let label = s.to_string();
-                inner
-                    .config
-                    .obs
-                    .histogram(&obs::labeled(
-                        "shard_sched_delay_micros",
-                        &[("shard", &label)],
-                    ))
-                    .record(delay);
-                inner
-                    .config
-                    .obs
-                    .histogram("sched_delay_micros")
-                    .record(delay);
-                break 'scan;
+                let label =
+                    obs::labeled("shard_sched_delay_micros", &[("shard", &shard.to_string())]);
+                reg.histogram(&label).record(delay);
+                reg.histogram("sched_delay_micros").record(delay);
+                return Some(Run {
+                    inner,
+                    id,
+                    spec: entry.record.spec.clone(),
+                    cancel: Arc::clone(&entry.cancel),
+                    shard,
+                });
             }
-        }
-        if let Some(hit) = claimed {
-            return Some(hit);
         }
         table = inner.queue_cv.wait(table).expect("job table poisoned");
     }
 }
 
-fn set_failed(inner: &Inner, id: u64, msg: String) {
-    let mut table = inner.jobs.lock().expect("job table poisoned");
-    if let Some(e) = table.jobs.get_mut(&id) {
-        e.record.state = JobState::Failed;
-        e.record.error = Some(msg);
-    }
-}
-
-/// The worker loop: claim → build tuner → restore-or-start → step /
-/// checkpoint until done, canceled, or shutdown.
+/// The worker loop: claim a job, run it, and write how it ended — the
+/// tombstone or `result.json` first, then the record, then the tenant's
+/// unspent reservation (kept only by a job parked for shutdown).
 fn worker_loop(inner: &Inner, home: usize) {
-    while let Some((id, spec, cancel, shard_idx)) = claim_next(inner, home) {
-        let outcome = run_job(inner, id, &spec, &cancel, shard_idx);
-        // Whatever the outcome, the job has left its runner: release the
-        // unspent part of its quota reservation (unless it merely parked
-        // for shutdown, which keeps the job — and its budget — alive).
-        let parked = inner.shutdown.load(Ordering::SeqCst)
-            && matches!(
-                inner
-                    .jobs
-                    .lock()
-                    .expect("job table poisoned")
-                    .jobs
-                    .get(&id)
-                    .map(|e| e.record.state),
-                Some(JobState::Queued)
-            );
-        if !parked {
-            let mut table = inner.jobs.lock().expect("job table poisoned");
-            if let Some(e) = table.jobs.get_mut(&id) {
-                let unspent = std::mem::take(&mut e.reserved);
-                let tenant = e.record.spec.tenant.clone();
-                table.accountant.settle(&tenant, unspent);
-                inner.set_tenant_gauges(&table, &tenant);
+    while let Some(run) = claim_next(inner, home) {
+        let id = run.id;
+        let exit = run.job().and_then(|exit| {
+            match &exit {
+                Exit::Done {
+                    genes,
+                    fitness,
+                    rounds,
+                } => inner.run_dir.save_result(id, genes, *fitness, *rounds)?,
+                Exit::Canceled => inner.run_dir.mark_canceled(id)?,
+                Exit::Parked => {}
             }
-        }
-        if let Err(msg) = outcome {
-            set_failed(inner, id, msg);
-        }
-    }
-}
-
-fn run_job(
-    inner: &Inner,
-    id: u64,
-    spec: &JobSpec,
-    cancel: &AtomicBool,
-    shard_idx: usize,
-) -> Result<(), String> {
-    if spec.online.is_some() {
-        return run_online_job(inner, id, spec, cancel, shard_idx);
-    }
-    // Everything below this line is problem-generic: the strategy
-    // searches the problem's gene space, evaluators call the problem's
-    // fitness, and the store keys by the problem's tagged fingerprint.
-    // One daemon therefore tunes heterogeneous problems over one pool.
-    let problem = spec.build_problem()?;
-
-    // Resume from the checkpoint when one exists and is consistent with
-    // the spec; otherwise start fresh under the submitted strategy —
-    // warm-started from the store's best prior genomes when both a store
-    // and a seedable strategy are configured. Resumed jobs never re-seed:
-    // the seeded population is already inside their checkpoint.
-    let mut strategy: Box<dyn Strategy> = match inner.run_dir.load_checkpoint(id) {
-        Some(Ok(snap)) => search::restore(snap).map_err(|e| format!("checkpoint rejected: {e}"))?,
-        Some(Err(e)) => return Err(format!("corrupt checkpoint: {e}")),
-        None => {
-            let mut fresh =
-                search::build(&spec.strategy, problem.space().clone(), spec.ga.clone())?;
-            if let Some(store) = &inner.config.store {
-                // warm_seeds only returns same-problem cells, so a dss
-                // job never inherits an inlining genome.
-                let seeds = store.warm_seeds(problem.fingerprint(), fresh.config().pop_size);
-                let planted = fresh.seed_population(&seeds);
-                if planted > 0 {
-                    inner.count("store_warm_seeds", planted as u64);
-                }
-            }
-            fresh
-        }
-    };
-    strategy.set_obs(Arc::clone(&inner.config.obs));
-
-    let tiers = evaluator_tiers(inner, spec, &*problem, strategy.config().threads, shard_idx);
-
-    // On the pipelined remote path, the on-disk checkpoint intentionally
-    // lags the strategy by one round: each round's write rides the next
-    // round's in-flight evals. This flag tracks the lag so shutdown can
-    // flush before parking the job back in the queue. (A lagging
-    // checkpoint is still crash-safe either way — recovery replays the
-    // missing round deterministically to the same bits.)
-    let mut checkpoint_lags = false;
-    loop {
-        if cancel.load(Ordering::SeqCst) {
-            inner.run_dir.mark_canceled(id)?;
-            let mut table = inner.jobs.lock().expect("job table poisoned");
-            if let Some(e) = table.jobs.get_mut(&id) {
-                e.record.state = JobState::Canceled;
-            }
-            return Ok(());
-        }
-        if inner.shutdown.load(Ordering::SeqCst) {
-            if checkpoint_lags {
-                inner.run_dir.save_checkpoint(id, &strategy.snapshot())?;
-                inner.count("tuned_checkpoints_written_total", 1);
-            }
-            // Leave the job Queued on disk and in the table so the next
-            // process resumes it from the checkpoint just written.
-            let mut table = inner.jobs.lock().expect("job table poisoned");
-            if let Some(e) = table.jobs.get_mut(&id) {
-                e.record.state = JobState::Queued;
-            }
-            return Ok(());
-        }
-
-        let evals_before = strategy.evaluations();
-        let hits_before = strategy.cache_hits();
-        // Checked every round so workers registering mid-job start
-        // taking load at the next round boundary. The backend never
-        // influences results (strategies are deterministic in their
-        // seed), so flipping tiers mid-job is safe.
-        let use_remote = !inner.pool.is_empty();
-        let mut deferred_save_err: Option<String> = None;
-        let done = if use_remote {
-            // Pipelined: the batch fans out to the workers while this
-            // thread writes the previous round's checkpoint — the daemon
-            // never sits idle at a generation boundary, and the workers
-            // never wait on local disk I/O.
-            search::round(strategy.as_mut(), &tiers.remote, |s| {
-                match inner.run_dir.save_checkpoint(id, &s.snapshot()) {
-                    Ok(()) => inner.count("tuned_checkpoints_written_total", 1),
-                    Err(e) => deferred_save_err = Some(e),
-                }
-            })
-        } else {
-            // Local evaluation is real compute: hold the busy bracket so
-            // a simulated clock cannot advance through it.
-            let _busy = crate::net::busy(&*inner.config.transport);
-            search::round(strategy.as_mut(), &tiers.local, |_| {})
+            Ok(exit)
+        });
+        let mut table = inner.jobs.lock().expect("job table poisoned");
+        let Some(e) = table.jobs.get_mut(&id) else {
+            continue;
         };
-        if let Some(e) = deferred_save_err {
-            return Err(e);
-        }
-        book_round(
-            inner,
-            id,
-            spec,
-            shard_idx,
-            (strategy.evaluations() - evals_before) as u64,
-            (strategy.cache_hits() - hits_before) as u64,
-        );
-
-        if use_remote && !done {
-            checkpoint_lags = true;
-        } else {
-            inner.run_dir.save_checkpoint(id, &strategy.snapshot())?;
-            inner.count("tuned_checkpoints_written_total", 1);
-            checkpoint_lags = false;
-        }
-
-        let best = strategy.best().map(|(_, f)| f);
-        {
-            let mut table = inner.jobs.lock().expect("job table poisoned");
-            if let Some(e) = table.jobs.get_mut(&id) {
-                e.record.generation = strategy.rounds();
-                e.record.best_fitness = best;
-                e.record.timing = strategy.last_timing();
-                e.record.standings = strategy.standings();
+        match exit {
+            Ok(Exit::Parked) => {
+                e.record.state = JobState::Queued;
+                continue;
             }
-        }
-
-        if done {
-            let (genome, fitness) = search::finish(strategy.as_ref())?;
-            inner
-                .run_dir
-                .save_result(id, &genome, fitness, strategy.rounds())?;
-            let mut table = inner.jobs.lock().expect("job table poisoned");
-            if let Some(e) = table.jobs.get_mut(&id) {
+            Ok(Exit::Done { genes, fitness, .. }) => {
                 e.record.state = JobState::Done;
-                e.record.result = Some((genome, fitness));
+                e.record.result = Some((genes, fitness));
                 e.record.best_fitness = Some(fitness);
             }
-            return Ok(());
+            Ok(Exit::Canceled) => e.record.state = JobState::Canceled,
+            Err(msg) => {
+                e.record.state = JobState::Failed;
+                e.record.error = Some(msg);
+            }
         }
+        let unspent = std::mem::take(&mut e.reserved);
+        table.accountant.settle(&run.spec.tenant, unspent);
+        inner.set_tenant_gauges(&table, &run.spec.tenant);
     }
 }
 
-/// Books one committed round — an offline job's search round, an online
-/// job's epoch — into the daemon's counters and the tenant's budget: the
-/// one place a job's work is counted. `evals` are fresh evaluations,
-/// `cache_hits` the lookups the strategy's memo answered instead.
-///
-/// Fresh evaluations are drawn down from the tenant's reservation.
-/// Cache hits stay free — they consume no worker time — which is why
-/// `used` can finish under the admission estimate and the leftover gets
-/// settled back at job end.
-fn book_round(
-    inner: &Inner,
-    id: u64,
-    spec: &JobSpec,
-    shard_idx: usize,
-    evals: u64,
-    cache_hits: u64,
-) {
-    inner.count("tuned_generations_total", 1);
-    inner.count("tuned_evaluations_total", evals);
-    inner.count("tuned_cache_hits_total", cache_hits);
-    if evals == 0 {
-        return;
+impl Run<'_> {
+    /// The one round loop every tune in the daemon runs on: until the
+    /// strategy is done, the job is canceled or the daemon shuts down,
+    /// run a round with `persist` as its in-flight hook, then report the
+    /// committed round to `committed`. `persist` is also called once on
+    /// the way out at `Done` / `Parked`, so what it writes is current
+    /// then.
+    ///
+    /// Where a round was scored never shows in its result (strategies
+    /// are deterministic in their seed and fitness is pure), so the loop
+    /// knows no backend but `backend`.
+    fn rounds(
+        &self,
+        strategy: &mut dyn Strategy,
+        backend: &dyn ga::Evaluator,
+        mut persist: impl FnMut(&dyn Strategy) -> Result<(), String>,
+        mut committed: impl FnMut(&dyn Strategy),
+    ) -> Result<Exit, String> {
+        loop {
+            if self.cancel.load(Ordering::SeqCst) {
+                return Ok(Exit::Canceled);
+            }
+            if self.inner.shutdown.load(Ordering::SeqCst) {
+                persist(strategy)?;
+                return Ok(Exit::Parked);
+            }
+            let mut persisted = Ok(());
+            let done = search::round(strategy, backend, |s| persisted = persist(s));
+            persisted?;
+            committed(strategy);
+            if done {
+                persist(strategy)?;
+                let (genes, fitness) = search::finish(strategy)?;
+                let rounds = strategy.rounds();
+                return Ok(Exit::Done {
+                    genes,
+                    fitness,
+                    rounds,
+                });
+            }
+        }
     }
-    {
-        let mut table = inner.jobs.lock().expect("job table poisoned");
-        table.accountant.charge(&spec.tenant, evals);
-        if let Some(e) = table.jobs.get_mut(&id) {
-            e.reserved = e.reserved.saturating_sub(evals);
+
+    /// Runs the claimed job until it is done, canceled or parked.
+    fn job(&self) -> Result<Exit, String> {
+        let (inner, id, spec) = (self.inner, self.id, &self.spec);
+        if spec.online.is_some() {
+            return self.online_job();
         }
-        inner.set_tenant_gauges(&table, &spec.tenant);
-    }
-    let s = shard_idx.to_string();
-    inner.count(&obs::labeled("shard_evals", &[("shard", &s)]), evals);
-}
+        // Everything below this line is problem-generic: the strategy
+        // searches the problem's gene space, evaluators call the
+        // problem's fitness, and the store keys by the problem's tagged
+        // fingerprint. One daemon therefore tunes heterogeneous problems
+        // over one pool.
+        let problem = spec.build_problem()?;
 
-/// Drives one online job: the [`OnlineState`] policy from
-/// `crates/online`, with the daemon's mechanics — problems built from
-/// phase-pinned specs (so eval workers and store fingerprints see the
-/// morphed workload), evaluation through the store tier and, when the
-/// pool has workers, remote dispatch, and an epoch-boundary
-/// `online.json` checkpoint. Online jobs checkpoint per *epoch*, not
-/// per generation: an interrupted epoch replays deterministically from
-/// the last boundary (every replay input — workload, incumbent, retune
-/// seed — is a pure function of the restored state).
-///
-/// The policy is the same state machine `online::OnlineJob::run` drives
-/// in-process, so a store-free daemon run is bit-identical to the
-/// reference runner — the equivalence the sim's `simtest online:N` sweep
-/// asserts under fault weather.
-fn run_online_job(
-    inner: &Inner,
-    id: u64,
-    spec: &JobSpec,
-    cancel: &AtomicBool,
-    shard_idx: usize,
-) -> Result<(), String> {
-    let online_spec = spec
-        .online
-        .as_ref()
-        .expect("online job without an online spec");
-    let mut st = match inner.run_dir.load_online(id) {
-        Some(Ok(snap)) => OnlineState::restore(online_spec.config(), snap)
-            .map_err(|e| format!("online checkpoint rejected: {e}"))?,
-        Some(Err(e)) => return Err(format!("corrupt online checkpoint: {e}")),
-        None => OnlineState::new(online_spec.config())?,
-    };
-
-    // Interruption leaves the last epoch-boundary snapshot as the
-    // resume point: cancellation tombstones the job, shutdown parks it
-    // back in the queue for the next process.
-    let interrupt = |st: &OnlineState| -> Result<(), String> {
-        if cancel.load(Ordering::SeqCst) {
-            inner.run_dir.mark_canceled(id)?;
-            let mut table = inner.jobs.lock().expect("job table poisoned");
-            if let Some(e) = table.jobs.get_mut(&id) {
-                e.record.state = JobState::Canceled;
+        // Resume from the checkpoint when one exists and is consistent
+        // with the spec; otherwise start fresh under the submitted
+        // strategy — warm-started from the store's best prior genomes
+        // when both a store and a seedable strategy are configured.
+        // Resumed jobs never re-seed: the seeded population is already
+        // inside their checkpoint.
+        let mut strategy: Box<dyn Strategy> = match inner.run_dir.load_checkpoint(id) {
+            Some(Ok(snap)) => {
+                search::restore(snap).map_err(|e| format!("checkpoint rejected: {e}"))?
             }
-        } else {
-            // The snapshot on disk is already current (written at the
-            // last epoch commit); just hand the job back to the queue.
-            let _ = st;
-            let mut table = inner.jobs.lock().expect("job table poisoned");
-            if let Some(e) = table.jobs.get_mut(&id) {
-                e.record.state = JobState::Queued;
-            }
-        }
-        Ok(())
-    };
-
-    let mut problems_by_pos: HashMap<DriftPos, Arc<dyn Problem>> = HashMap::new();
-    loop {
-        if cancel.load(Ordering::SeqCst) || inner.shutdown.load(Ordering::SeqCst) {
-            return interrupt(&st);
-        }
-        if st.is_done() {
-            let report = st.into_report();
-            inner
-                .run_dir
-                .save_result(id, &report.genes, report.fitness, report.rows.len())?;
-            let mut table = inner.jobs.lock().expect("job table poisoned");
-            if let Some(e) = table.jobs.get_mut(&id) {
-                e.record.state = JobState::Done;
-                e.record.result = Some((report.genes, report.fitness));
-                e.record.best_fitness = Some(report.fitness);
-            }
-            return Ok(());
-        }
-
-        let pos = st.pos();
-        let phase_spec = spec.at_pos(pos);
-        let problem = match problems_by_pos.get(&pos) {
-            Some(p) => Arc::clone(p),
+            Some(Err(e)) => return Err(format!("corrupt checkpoint: {e}")),
             None => {
-                let p = phase_spec.build_problem()?;
-                problems_by_pos.insert(pos, Arc::clone(&p));
-                p
+                let mut fresh =
+                    search::build(&spec.strategy, problem.space().clone(), spec.ga.clone())?;
+                if let Some(store) = &inner.config.store {
+                    // warm_seeds only returns same-problem cells, so a
+                    // dss job never inherits an inlining genome.
+                    let seeds = store.warm_seeds(problem.fingerprint(), fresh.config().pop_size);
+                    let planted = fresh.seed_population(&seeds);
+                    if planted > 0 {
+                        inner.count("store_warm_seeds", planted as u64);
+                    }
+                }
+                fresh
             }
         };
+        strategy.set_obs(Arc::clone(&inner.config.obs));
 
-        let evals_before = st.evals();
-        let mut cache_hits = 0;
-        let mut regret_pct = 0.0;
-        if st.needs_initial_tune() {
-            let Some((genes, fitness, evals, hits)) = online_tune(
-                inner,
-                &phase_spec,
-                &problem,
-                None,
-                spec.ga.seed,
-                cancel,
-                shard_idx,
-            )?
-            else {
-                return interrupt(&st);
+        let lease = inner.budget.lease(strategy.config().threads);
+        let backend = self.evaluator(spec, &*problem, lease.granted);
+
+        // The one checkpoint rule: a committed round that is not on disk
+        // yet is written while the next round's evaluations are in
+        // flight (the workers never wait on local disk I/O, nor this
+        // thread on them) and once more on the way out — a job of N
+        // rounds writes N checkpoints. The file lagging the strategy by
+        // a round is crash-safe: recovery replays the missing round
+        // deterministically to the same bits.
+        let mut on_disk = strategy.rounds();
+        let persist = |s: &dyn Strategy| {
+            if s.rounds() > on_disk {
+                inner.run_dir.save_checkpoint(id, &s.snapshot())?;
+                inner.count("tuned_checkpoints_written_total", 1);
+                on_disk = s.rounds();
+            }
+            Ok(())
+        };
+        let mut booked = (strategy.evaluations(), strategy.cache_hits());
+        let committed = |s: &dyn Strategy| {
+            let now = (s.evaluations(), s.cache_hits());
+            self.book_round((now.0 - booked.0) as u64, (now.1 - booked.1) as u64);
+            booked = now;
+            let mut table = inner.jobs.lock().expect("job table poisoned");
+            if let Some(e) = table.jobs.get_mut(&id) {
+                e.record.generation = s.rounds();
+                e.record.best_fitness = s.best().map(|(_, f)| f);
+                e.record.timing = s.last_timing();
+                e.record.standings = s.standings();
+            }
+        };
+        self.rounds(strategy.as_mut(), &backend, persist, committed)
+    }
+
+    /// Books one committed round — an offline job's search round, an
+    /// online job's epoch — into the daemon's counters and the tenant's
+    /// budget: the one place a job's work is counted. `evals` are fresh
+    /// evaluations, `cache_hits` the lookups the strategy's memo
+    /// answered instead.
+    ///
+    /// Fresh evaluations are drawn down from the tenant's reservation.
+    /// Cache hits stay free — they consume no worker time — which is why
+    /// `used` can finish under the admission estimate and the leftover
+    /// gets settled back at job end.
+    fn book_round(&self, evals: u64, cache_hits: u64) {
+        let (inner, id, spec) = (self.inner, self.id, &self.spec);
+        inner.count("tuned_generations_total", 1);
+        inner.count("tuned_evaluations_total", evals);
+        inner.count("tuned_cache_hits_total", cache_hits);
+        if evals == 0 {
+            return;
+        }
+        {
+            let mut table = inner.jobs.lock().expect("job table poisoned");
+            table.accountant.charge(&spec.tenant, evals);
+            if let Some(e) = table.jobs.get_mut(&id) {
+                e.reserved = e.reserved.saturating_sub(evals);
+            }
+            inner.set_tenant_gauges(&table, &spec.tenant);
+        }
+        let s = self.shard.to_string();
+        inner.count(&obs::labeled("shard_evals", &[("shard", &s)]), evals);
+    }
+
+    /// Drives one online job: the [`OnlineState`] policy from
+    /// `crates/online`, with the daemon's mechanics — problems built
+    /// from phase-pinned specs (so eval workers and store fingerprints
+    /// see the morphed workload), each tune on [`Run::rounds`] over the
+    /// job's evaluator, and an epoch-boundary `online.json` checkpoint.
+    /// Online jobs checkpoint per *epoch*, not per generation: an
+    /// interrupted epoch is dropped and replays deterministically from
+    /// the last boundary (every replay input — workload, incumbent,
+    /// retune seed — is a pure function of the restored state), so the
+    /// snapshot on disk is always the resume point.
+    ///
+    /// The policy is the same state machine `online::OnlineJob::run`
+    /// drives in-process, so a store-free daemon run is bit-identical to
+    /// the reference runner — the equivalence the sim's `simtest
+    /// online:N` sweep asserts under fault weather.
+    fn online_job(&self) -> Result<Exit, String> {
+        let (inner, id, spec) = (self.inner, self.id, &self.spec);
+        let online_spec = spec
+            .online
+            .as_ref()
+            .expect("online job without an online spec");
+        let mut st = match inner.run_dir.load_online(id) {
+            Some(Ok(snap)) => OnlineState::restore(online_spec.config(), snap)
+                .map_err(|e| format!("online checkpoint rejected: {e}"))?,
+            Some(Err(e)) => return Err(format!("corrupt online checkpoint: {e}")),
+            None => OnlineState::new(online_spec.config())?,
+        };
+
+        let mut problems_by_pos: HashMap<DriftPos, Arc<dyn Problem>> = HashMap::new();
+        loop {
+            if self.cancel.load(Ordering::SeqCst) {
+                return Ok(Exit::Canceled);
+            }
+            if inner.shutdown.load(Ordering::SeqCst) {
+                return Ok(Exit::Parked);
+            }
+            if st.is_done() {
+                let report = st.into_report();
+                return Ok(Exit::Done {
+                    genes: report.genes,
+                    fitness: report.fitness,
+                    rounds: report.rows.len(),
+                });
+            }
+
+            let pos = st.pos();
+            let phase_spec = spec.at_pos(pos);
+            let problem: &dyn Problem = match problems_by_pos.entry(pos) {
+                Entry::Occupied(built) => &**built.into_mut(),
+                Entry::Vacant(slot) => &**slot.insert(phase_spec.build_problem()?),
             };
-            st.note_evals(evals);
-            cache_hits += hits;
-            st.install(genes, fitness);
-        } else {
-            let incumbent: Vec<i64> = st
-                .incumbent()
-                .map(|(g, _)| g.to_vec())
-                .expect("incumbent exists");
-            let probe = {
-                // A probe is real local compute, like local evaluation.
-                let _busy = crate::net::busy(&*inner.config.transport);
-                problem.fitness(&incumbent)
-            };
-            let triggered = st.observe_probe(probe);
-            regret_pct = st.regression_pct();
-            if triggered {
-                let seed = st.retune_seed(spec.ga.seed);
-                let Some((genes, fitness, evals, hits)) = online_tune(
-                    inner,
-                    &phase_spec,
-                    &problem,
-                    Some(&incumbent),
-                    seed,
-                    cancel,
-                    shard_idx,
-                )?
-                else {
-                    // Mid-epoch interruption: drop the open epoch; the
-                    // restore replays it from its probe.
-                    return interrupt(&st);
+
+            let evals_before = st.evals();
+            let mut cache_hits = 0;
+            let mut regret_pct = 0.0;
+            // A tune interrupted by cancellation or shutdown drops the
+            // open epoch: the restore replays it from the last boundary.
+            if st.needs_initial_tune() {
+                let (exit, evals, hits) =
+                    self.online_tune(&phase_spec, problem, None, spec.ga.seed)?;
+                let Exit::Done { genes, fitness, .. } = exit else {
+                    return Ok(exit);
                 };
                 st.note_evals(evals);
                 cache_hits += hits;
-                st.commit(Some((genes, fitness)));
-                inner.count("online_retunes", 1);
-                if let Some(latency) = st.detect_latencies().last() {
-                    inner
-                        .config
-                        .obs
-                        .histogram("drift_detect_latency")
-                        .record(*latency);
-                }
+                st.install(genes, fitness);
             } else {
-                st.commit(None);
+                let incumbent: Vec<i64> = st
+                    .incumbent()
+                    .map(|(g, _)| g.to_vec())
+                    .expect("incumbent exists");
+                let probe = {
+                    // A probe is real local compute, like local evaluation.
+                    let _busy = crate::net::busy(&*inner.config.transport);
+                    problem.fitness(&incumbent)
+                };
+                let triggered = st.observe_probe(probe);
+                regret_pct = st.regression_pct();
+                if triggered {
+                    let seed = st.retune_seed(spec.ga.seed);
+                    let (exit, evals, hits) =
+                        self.online_tune(&phase_spec, problem, Some(&incumbent), seed)?;
+                    let Exit::Done { genes, fitness, .. } = exit else {
+                        return Ok(exit);
+                    };
+                    st.note_evals(evals);
+                    cache_hits += hits;
+                    st.commit(Some((genes, fitness)));
+                    inner.count("online_retunes", 1);
+                    if let Some(latency) = st.detect_latencies().last() {
+                        let hist = inner.config.obs.histogram("drift_detect_latency");
+                        hist.record(*latency);
+                    }
+                } else {
+                    st.commit(None);
+                }
             }
-        }
 
-        // Epoch committed: book its evaluations, checkpoint, and publish
-        // progress (the record's `generation` is the committed epoch, so
-        // `watch` emits one frame per epoch).
-        let evals = st.evals() - evals_before;
-        book_round(inner, id, spec, shard_idx, evals, cache_hits);
-        inner.run_dir.save_online(id, &st.snapshot())?;
-        inner.count("tuned_checkpoints_written_total", 1);
-        inner
-            .config
-            .obs
-            .gauge("online_regret_pct")
-            .set(regret_pct.round() as i64);
-        {
+            // Epoch committed: book its evaluations, checkpoint, and
+            // publish progress (the record's `generation` is the
+            // committed epoch, so `watch` emits one frame per epoch).
+            self.book_round(st.evals() - evals_before, cache_hits);
+            inner.run_dir.save_online(id, &st.snapshot())?;
+            inner.count("tuned_checkpoints_written_total", 1);
+            let regret = inner.config.obs.gauge("online_regret_pct");
+            regret.set(regret_pct.round() as i64);
             let mut table = inner.jobs.lock().expect("job table poisoned");
             if let Some(e) = table.jobs.get_mut(&id) {
                 e.record.generation = usize::try_from(st.epoch()).unwrap_or(usize::MAX);
@@ -1192,124 +1106,77 @@ fn run_online_job(
             }
         }
     }
-}
 
-/// The two evaluation tiers a tune in the daemon runs on, and the
-/// job's slice of the local thread budget for as long as they live.
-struct Tiers<'a, F> {
-    local: StoreTier<LocalEvaluator<F>>,
-    remote: StoreTier<RemoteEvaluator<'a>>,
-    _lease: ThreadLease<'a>,
-}
-
-/// Builds a job's evaluation tiers over `problem`'s fitness.
-///
-/// Both sit behind the store tier (a pass-through when no store is
-/// configured): reads answer from disk bit-exactly and fresh scores are
-/// appended, so the tier never changes results. The local tier leases
-/// up to `threads` of the shared local-eval budget (thread count
-/// affects wall-clock only, never results, so clamping is safe — and so
-/// is re-planning after a restore). The remote tier fans each round's
-/// memo misses out over the pool, with the problem's own fitness as the
-/// fallback for anything no live worker answers; workers rebuild the
-/// problem from `spec` (phase-pinned for an online epoch, so their
-/// problem cache splits per phase). The directory filter scopes
-/// dispatch to the workers leasing this job's shard (falling back to
-/// the whole fleet when the lease set is empty), so thousands of jobs
-/// multiplex the shared pool without all stampeding the same workers.
-fn evaluator_tiers<'a>(
-    inner: &'a Inner,
-    spec: &JobSpec,
-    problem: &'a dyn Problem,
-    threads: usize,
-    shard_idx: usize,
-) -> Tiers<'a, impl Fn(&[i64]) -> f64 + Sync + 'a> {
-    let store_cell = inner.config.store.as_ref().map(|s| {
-        let shard = shard_idx.to_string();
-        let name = obs::labeled("shard_store_writes", &[("shard", &shard)]);
-        let writes = inner.config.obs.counter(&name);
-        (Arc::clone(s), problem.fingerprint().clone(), writes)
-    });
-    let lease = inner.budget.lease(threads);
-    let local = StoreTier::new(
-        store_cell.clone(),
-        LocalEvaluator::new(move |genes: &[i64]| problem.fitness(genes), lease.granted),
-    );
-    let mut remote = RemoteEvaluator::new(&inner.pool, spec.to_json(), move |genes| {
-        problem.fitness(genes)
-    });
-    let directory = Arc::clone(&inner.directory);
-    let transport = Arc::clone(&inner.config.transport);
-    remote.set_worker_filter(Arc::new(move |addr: &str| {
-        directory.allows(shard_idx, addr, transport.now_micros())
-    }));
-    Tiers {
-        local,
-        remote: StoreTier::new(store_cell, remote),
-        _lease: lease,
+    /// Builds the one evaluator a tune in the daemon runs on, over
+    /// `problem`'s fitness: the store tier (a pass-through when no store
+    /// is configured; reads answer from disk bit-exactly and fresh
+    /// scores are appended, so it never changes results) over the remote
+    /// evaluator, whose fallback is the job's `threads` of the shared
+    /// local-eval budget. While the pool has no worker the fallback is
+    /// all there is; once it has, each round's memo misses fan out over
+    /// it and the fallback takes only what no live worker answers.
+    /// Thread count affects wall-clock only, never results, so a clamped
+    /// lease is safe — and so is re-planning after a restore. Workers
+    /// rebuild the problem from `spec` (phase-pinned for an online epoch,
+    /// so their problem cache splits per phase). The directory filter
+    /// scopes dispatch to the workers leasing this job's shard (falling
+    /// back to the whole fleet when the lease set is empty), so
+    /// thousands of jobs multiplex the shared pool without all
+    /// stampeding the same workers.
+    fn evaluator<'p>(
+        &'p self,
+        spec: &JobSpec,
+        problem: &'p dyn Problem,
+        threads: usize,
+    ) -> StoreTier<RemoteEvaluator<'p>> {
+        let (inner, shard) = (self.inner, self.shard);
+        let store_cell = inner.config.store.as_ref().map(|s| {
+            let name = obs::labeled("shard_store_writes", &[("shard", &shard.to_string())]);
+            let writes = inner.config.obs.counter(&name);
+            (Arc::clone(s), problem.fingerprint().clone(), writes)
+        });
+        let local = LocalEvaluator::new(move |genes: &[i64]| problem.fitness(genes), threads);
+        let mut remote = RemoteEvaluator::new(&inner.pool, spec.to_json(), local);
+        let directory = Arc::clone(&inner.directory);
+        let transport = Arc::clone(&inner.config.transport);
+        remote.set_worker_filter(Arc::new(move |addr: &str| {
+            directory.allows(shard, addr, transport.now_micros())
+        }));
+        StoreTier::new(store_cell, remote)
     }
-}
 
-/// What one tune inside an online epoch produced: `(genes, fitness,
-/// fresh evaluations, memo hits)`.
-type EpochTune = (Vec<i64>, f64, u64, u64);
-
-/// One tune to completion inside an online epoch: the strategy
-/// `online::epoch_strategy` defines (shared with the reference runner),
-/// driven on the daemon's evaluation tiers. Returns `None` when
-/// interrupted by cancellation or shutdown.
-#[allow(clippy::too_many_arguments)]
-fn online_tune(
-    inner: &Inner,
-    phase_spec: &JobSpec,
-    problem: &Arc<dyn Problem>,
-    incumbent: Option<&[i64]>,
-    seed: u64,
-    cancel: &AtomicBool,
-    shard_idx: usize,
-) -> Result<Option<EpochTune>, String> {
-    let (mut strategy, planted) = online::epoch_strategy(
-        &phase_spec.strategy,
-        &phase_spec.ga,
-        seed,
-        &**problem,
-        incumbent,
-        inner.config.store.as_deref(),
-    )?;
-    let from_store = planted.saturating_sub(incumbent.iter().len());
-    if from_store > 0 {
-        inner.count("store_warm_seeds", from_store as u64);
-    }
-    strategy.set_obs(Arc::clone(&inner.config.obs));
-    let tiers = evaluator_tiers(
-        inner,
-        phase_spec,
-        &**problem,
-        strategy.config().threads,
-        shard_idx,
-    );
-
-    loop {
-        if cancel.load(Ordering::SeqCst) || inner.shutdown.load(Ordering::SeqCst) {
-            return Ok(None);
+    /// One tune to completion inside an online epoch: the strategy
+    /// `online::epoch_strategy` defines (shared with the reference
+    /// runner), on [`Run::rounds`] with nothing to persist or report —
+    /// the epoch is the unit of both. Returns how the tune left the loop
+    /// and the `(fresh evaluations, memo hits)` it cost.
+    fn online_tune(
+        &self,
+        phase_spec: &JobSpec,
+        problem: &dyn Problem,
+        incumbent: Option<&[i64]>,
+        seed: u64,
+    ) -> Result<(Exit, u64, u64), String> {
+        let inner = self.inner;
+        let (mut strategy, planted) = online::epoch_strategy(
+            &phase_spec.strategy,
+            &phase_spec.ga,
+            seed,
+            problem,
+            incumbent,
+            inner.config.store.as_deref(),
+        )?;
+        let from_store = planted.saturating_sub(incumbent.iter().len());
+        if from_store > 0 {
+            inner.count("store_warm_seeds", from_store as u64);
         }
-        let done = if inner.pool.is_empty() {
-            let _busy = crate::net::busy(&*inner.config.transport);
-            search::round(strategy.as_mut(), &tiers.local, |_| {})
-        } else {
-            search::round(strategy.as_mut(), &tiers.remote, |_| {})
-        };
-        if done {
-            break;
-        }
+        strategy.set_obs(Arc::clone(&inner.config.obs));
+        let lease = inner.budget.lease(strategy.config().threads);
+        let backend = self.evaluator(phase_spec, problem, lease.granted);
+        let exit = self.rounds(strategy.as_mut(), &backend, |_| Ok(()), |_| {})?;
+        let (evals, hits) = (strategy.evaluations(), strategy.cache_hits());
+        Ok((exit, evals as u64, hits as u64))
     }
-    let (genes, fitness) = search::finish(strategy.as_ref())?;
-    Ok(Some((
-        genes,
-        fitness,
-        strategy.evaluations() as u64,
-        strategy.cache_hits() as u64,
-    )))
 }
 
 #[cfg(test)]

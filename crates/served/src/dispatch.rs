@@ -25,9 +25,11 @@
 //!   per-worker RTT model ([`Worker::batch_target`]) claims small
 //!   batches on fast links (better load balance across workers) and
 //!   large batches when the round-trip dominates the per-eval cost.
-//! * **Graceful degradation.** Genomes no live worker could answer are
-//!   evaluated through the caller-supplied local fallback, so a job
-//!   finishes even if every worker dies mid-generation.
+//! * **Graceful degradation.** Genomes no live worker could answer go,
+//!   as one batch, to the caller-supplied local evaluator, so a job
+//!   finishes even if every worker dies mid-generation — and a pool
+//!   nobody ever joined is that same local evaluator with nothing in
+//!   front of it.
 //!
 //! Every socket, sleep, and clock read goes through the
 //! [`crate::net::Transport`] seam, so the identical dispatch logic runs
@@ -551,15 +553,15 @@ fn ping(addr: &str, cfg: &DispatchConfig, transport: &dyn Transport) -> bool {
     }
     drop(writer);
     let mut reader = BufReader::new(read_half);
-    match read_frame(&mut reader) {
-        Frame::Line(line) => {
-            crate::json::parse(&line)
-                .ok()
-                .and_then(|v| v.get("ok").and_then(Json::as_bool))
-                == Some(true)
-        }
-        _ => false,
-    }
+    matches!(read_frame(&mut reader), Frame::Line(line) if says_ok(&line))
+}
+
+/// Whether a response line is an `{"ok":true,…}` envelope.
+fn says_ok(line: &str) -> bool {
+    let ok = crate::json::parse(line)
+        .ok()
+        .and_then(|v| v.get("ok").and_then(Json::as_bool));
+    ok == Some(true)
 }
 
 /// What one attempt to read an `eval_batch` response produced.
@@ -615,17 +617,8 @@ impl Conn {
         ]);
         write_frame(&mut conn.writer, &hello).map_err(|e| format!("task send: {e}"))?;
         match read_frame(&mut conn.reader) {
-            Frame::Line(line) => {
-                let ok = crate::json::parse(&line)
-                    .ok()
-                    .and_then(|v| v.get("ok").and_then(Json::as_bool))
-                    == Some(true);
-                if ok {
-                    Ok(conn)
-                } else {
-                    Err("task handshake rejected".into())
-                }
-            }
+            Frame::Line(line) if says_ok(&line) => Ok(conn),
+            Frame::Line(_) => Err("task handshake rejected".into()),
             Frame::Eof => Err("connection closed during handshake".into()),
             Frame::Oversized => Err("oversized handshake response".into()),
             Frame::Err(e) => Err(format!("handshake read: {e}")),
@@ -757,14 +750,15 @@ impl BatchLedger {
 }
 
 /// A [`ga::Evaluator`] that fans batches out over a [`WorkerPool`],
-/// falling back to a local fitness function for anything the pool could
-/// not answer. `begin` runs the dispatch fan-out on a coordinator thread
-/// so the caller can overlap its own work (writing a checkpoint) with
-/// the in-flight round-trips.
+/// handing anything the pool could not answer — everything, while the
+/// pool has no worker at all — to a local fallback evaluator. `begin`
+/// runs the dispatch fan-out on a coordinator thread so the caller can
+/// overlap its own work (writing a checkpoint) with the in-flight
+/// round-trips.
 pub struct RemoteEvaluator<'a> {
     pool: Arc<WorkerPool>,
-    task: Json,
-    fallback: Box<dyn Fn(&[i64]) -> f64 + Sync + 'a>,
+    task: Arc<Json>,
+    fallback: Box<dyn Evaluator + 'a>,
     /// Warm connections carried across generations, keyed by worker
     /// address. A fresh connect plus `task` handshake per generation
     /// once dominated small-generation round-trips (the listener's
@@ -788,16 +782,12 @@ pub type WorkerFilter = Arc<dyn Fn(&str) -> bool + Send + Sync>;
 impl<'a> RemoteEvaluator<'a> {
     /// Builds an evaluator for one job. `task` is the job-spec JSON sent
     /// to each worker in the per-connection `task` handshake; `fallback`
-    /// is the local fitness path (must compute the same pure function the
-    /// workers do).
-    pub fn new(
-        pool: &Arc<WorkerPool>,
-        task: Json,
-        fallback: impl Fn(&[i64]) -> f64 + Sync + 'a,
-    ) -> Self {
+    /// is the local evaluator (must compute the same pure function the
+    /// workers do), given whole batches, so its threads are used.
+    pub fn new(pool: &Arc<WorkerPool>, task: Json, fallback: impl Evaluator + 'a) -> Self {
         Self {
             pool: Arc::clone(pool),
-            task,
+            task: Arc::new(task),
             fallback: Box::new(fallback),
             conns: Arc::new(Mutex::new(HashMap::new())),
             filter: None,
@@ -849,16 +839,7 @@ fn dispatch_generation(
                 // one) rides into its driver and back out on healthy exit.
                 let cached = conns.lock().expect("conn cache poisoned").remove(&w.addr);
                 scope.spawn(move || {
-                    let kept = drive_worker(
-                        w,
-                        ledger,
-                        genomes,
-                        task,
-                        pool.config(),
-                        pool.obs(),
-                        pool.transport(),
-                        cached,
-                    );
+                    let kept = drive_worker(w, ledger, genomes, task, pool, cached);
                     if let Some(c) = kept {
                         conns
                             .lock()
@@ -873,7 +854,8 @@ fn dispatch_generation(
 }
 
 /// The handle for one in-flight generation: joins the coordinator
-/// thread, then fills any unanswered slot through the local fallback.
+/// thread, then hands every unanswered genome to the local fallback as
+/// one batch.
 struct PendingRemote<'e, 'a> {
     eval: &'e RemoteEvaluator<'a>,
     genomes: Arc<Vec<Genome>>,
@@ -886,28 +868,39 @@ impl PendingScores for PendingRemote<'_, '_> {
             Ok(r) => r,
             Err(panic) => std::panic::resume_unwind(panic),
         };
-        let unanswered = results.iter().filter(|r| r.is_none()).count() as u64;
-        if unanswered > 0 {
+        let unanswered: Vec<Genome> = results
+            .iter()
+            .zip(self.genomes.iter())
+            .filter(|(r, _)| r.is_none())
+            .map(|(_, g)| g.clone())
+            .collect();
+        let mut local = Vec::new();
+        if !unanswered.is_empty() {
             // One event, published under two names that predate each
             // other; dashboards exist on both, so both stay.
             let reg = self.eval.pool.obs();
-            reg.counter("dispatch_fallback_evals").add(unanswered);
-            reg.counter("tuned_remote_fallback_evals_total")
-                .add(unanswered);
+            let n = unanswered.len() as u64;
+            reg.counter("dispatch_fallback_evals").add(n);
+            reg.counter("tuned_remote_fallback_evals_total").add(n);
+            local = self.eval.local(&unanswered);
         }
+        let mut local = local.into_iter();
         results
             .into_iter()
-            .enumerate()
-            .map(|(i, r)| {
-                r.unwrap_or_else(|| {
-                    // Fallback fitness is real compute: hold the busy
-                    // bracket so a simulated clock can't advance past
-                    // request deadlines elsewhere while we measure.
-                    let _busy = crate::net::busy(&**self.eval.pool.transport());
-                    (self.eval.fallback)(&self.genomes[i])
-                })
+            .map(|r| {
+                r.unwrap_or_else(|| local.next().expect("a local score per unanswered genome"))
             })
             .collect()
+    }
+}
+
+impl RemoteEvaluator<'_> {
+    /// Scores `genomes` on the fallback evaluator. It is real compute:
+    /// the busy bracket keeps a simulated clock from advancing past
+    /// request deadlines elsewhere while it runs.
+    fn local(&self, genomes: &[Genome]) -> Vec<f64> {
+        let _busy = crate::net::busy(&**self.pool.transport());
+        self.fallback.evaluate(genomes)
     }
 }
 
@@ -920,9 +913,15 @@ impl Evaluator for RemoteEvaluator<'_> {
         if genomes.is_empty() {
             return Box::new(ReadyScores(Vec::new()));
         }
+        // Checked every round, so a worker registering mid-job takes
+        // load from the next round on. Until one exists there is nobody
+        // to fan out to — and nothing the pool failed to answer.
+        if self.pool.is_empty() {
+            return Box::new(ReadyScores(self.local(genomes)));
+        }
         let genomes = Arc::new(genomes.to_vec());
         let pool = Arc::clone(&self.pool);
-        let task = self.task.clone();
+        let task = Arc::clone(&self.task);
         let conns = Arc::clone(&self.conns);
         let filter = self.filter.clone();
         let thread_genomes = Arc::clone(&genomes);
@@ -975,17 +974,15 @@ fn requeue(
 /// generation, if any; a healthy exit hands the live connection back
 /// for the next one. Failure and eviction paths return `None` — the
 /// socket is dropped and the next generation reconnects.
-#[allow(clippy::too_many_arguments, clippy::too_many_lines)]
 fn drive_worker(
     worker: &Worker,
     ledger: &BatchLedger,
     genomes: &[Genome],
     task: &Json,
-    cfg: &DispatchConfig,
-    reg: &obs::Registry,
-    transport: &Arc<dyn Transport>,
+    pool: &WorkerPool,
     cached: Option<Conn>,
 ) -> Option<Conn> {
+    let reg = pool.obs();
     let started_at = reg.now_micros();
     let mut busy_micros: u64 = 0;
     let kept = drive_worker_inner(
@@ -993,9 +990,7 @@ fn drive_worker(
         ledger,
         genomes,
         task,
-        cfg,
-        reg,
-        transport,
+        pool,
         cached,
         &mut busy_micros,
     );
@@ -1011,18 +1006,17 @@ fn drive_worker(
     kept
 }
 
-#[allow(clippy::too_many_arguments, clippy::too_many_lines)]
+#[allow(clippy::too_many_lines)]
 fn drive_worker_inner(
     worker: &Worker,
     ledger: &BatchLedger,
     genomes: &[Genome],
     task: &Json,
-    cfg: &DispatchConfig,
-    reg: &obs::Registry,
-    transport: &Arc<dyn Transport>,
+    pool: &WorkerPool,
     cached: Option<Conn>,
     busy_micros: &mut u64,
 ) -> Option<Conn> {
+    let (cfg, reg, transport) = (pool.config(), pool.obs(), pool.transport());
     // Everything recorded per batch or per eval resolves its handle
     // once here; the loop below then pays an atomic add, not a lookup.
     let rpc_latency = reg.histogram(&worker.labelled("rpc_latency_micros"));
@@ -1221,6 +1215,7 @@ fn drive_worker_inner(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ga::LocalEvaluator;
 
     fn fast_cfg() -> DispatchConfig {
         DispatchConfig {
@@ -1388,7 +1383,11 @@ mod tests {
         // A port nothing listens on: connect fails fast, worker evicts,
         // and every genome lands on the fallback path.
         let pool = Arc::new(private_pool(&["127.0.0.1:1".into()]));
-        let eval = RemoteEvaluator::new(&pool, Json::Null, |g| g[0] as f64 * 2.0);
+        let eval = RemoteEvaluator::new(
+            &pool,
+            Json::Null,
+            LocalEvaluator::new(|g: &[i64]| g[0] as f64 * 2.0, 1),
+        );
         let scores = eval.evaluate(&[vec![3], vec![5]]);
         assert_eq!(scores, vec![6.0, 10.0]);
         let reg = pool.obs();
@@ -1401,7 +1400,7 @@ mod tests {
     #[test]
     fn empty_batch_is_a_no_op() {
         let pool = Arc::new(WorkerPool::new(fast_cfg()));
-        let eval = RemoteEvaluator::new(&pool, Json::Null, |_| 0.0);
+        let eval = RemoteEvaluator::new(&pool, Json::Null, LocalEvaluator::new(|_: &[i64]| 0.0, 1));
         assert!(eval.evaluate(&[]).is_empty());
         assert!(eval.begin(&[]).wait().is_empty());
     }

@@ -666,6 +666,33 @@ mod tests {
     }
 
     #[test]
+    fn spec_rejects_oversized_ga_fields() {
+        // Well-formed numbers a runner would try to allocate or spawn.
+        for (field, value) in [
+            ("pop_size", 1_000_000_000_usize),
+            ("pop_size", ga::engine::MAX_POP_SIZE + 1),
+            ("generations", 1_000_000_000),
+            ("tournament_size", 1_000_000_000),
+            ("tournament_size", ga_defaults().pop_size + 1),
+            ("threads", 1_000_000_000),
+        ] {
+            let text = format!(
+                r#"{{"name":"j","scenario":"opt","goal":"tot","arch":"x86-p4","ga":{{"{field}":{value}}}}}"#
+            );
+            let err = JobSpec::from_text(&text).unwrap_err();
+            assert!(err.starts_with("degenerate GA config: "), "{err}");
+            assert!(err.contains(field), "{err}");
+        }
+        let at_limit = format!(
+            r#"{{"name":"j","scenario":"opt","goal":"tot","arch":"x86-p4","ga":{{"pop_size":{},"generations":{},"threads":{}}}}}"#,
+            ga::engine::MAX_POP_SIZE,
+            ga::engine::MAX_GENERATIONS,
+            ga::engine::MAX_THREADS
+        );
+        JobSpec::from_text(&at_limit).unwrap();
+    }
+
+    #[test]
     fn check_generates_no_program() {
         // Validating the seven DaCapo names fifty times over must cost
         // less than generating those programs once: it looks names up.

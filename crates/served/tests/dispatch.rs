@@ -13,11 +13,11 @@
 //! by genome, so delivery faults can only cost time, never correctness.
 
 use std::io::{BufReader, BufWriter, Write};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use ga::GaConfig;
+use ga::{GaConfig, LocalEvaluator};
 use jit::Scenario;
 use served::dispatch::{DispatchConfig, RemoteEvaluator, WorkerPool};
 use served::proto::{
@@ -196,9 +196,7 @@ fn run_distributed(spec: &JobSpec, pool: &Arc<WorkerPool>) -> (Vec<i64>, f64) {
         spec.training().unwrap(),
         spec.adapt_cfg(),
     );
-    let remote = RemoteEvaluator::new(pool, spec.to_json(), |genes| {
-        tuner.fitness(&inliner::InlineParams::from_genes(genes))
-    });
+    let remote = RemoteEvaluator::new(pool, spec.to_json(), tuner.evaluator(1));
     let mut strategy = search::build("ga", tuner.task().ranges(), spec.ga.clone()).unwrap();
     search::drive(strategy.as_mut(), &remote);
     search::finish(strategy.as_ref()).unwrap()
@@ -325,6 +323,37 @@ fn dead_pool_falls_back_to_local_and_still_matches() {
         pool.obs()
             .counter_value("tuned_remote_fallback_evals_total")
             > 0
+    );
+
+    // The unanswered generation reaches the fallback as one batch, so a
+    // fallback with four threads scores it on more than one of them. The
+    // first caller waits (bounded) for a second to arrive: concurrency
+    // is then observed whenever it is possible at all.
+    let tuner = Tuner::new(
+        spec.task().unwrap(),
+        spec.training().unwrap(),
+        spec.adapt_cfg(),
+    );
+    let (inside, peak) = (AtomicUsize::new(0), AtomicUsize::new(0));
+    let fitness = |genes: &[i64]| {
+        peak.fetch_max(inside.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
+        let patience = Instant::now() + Duration::from_millis(250);
+        while peak.load(Ordering::SeqCst) < 2 && Instant::now() < patience {
+            std::thread::yield_now();
+        }
+        let f = tuner.fitness(&inliner::InlineParams::from_genes(genes));
+        inside.fetch_sub(1, Ordering::SeqCst);
+        f
+    };
+    let remote = RemoteEvaluator::new(&pool, spec.to_json(), LocalEvaluator::new(fitness, 4));
+    let mut strategy = search::build("ga", tuner.task().ranges(), spec.ga.clone()).unwrap();
+    search::drive(strategy.as_mut(), &remote);
+    let (genes, fitness) = search::finish(strategy.as_ref()).unwrap();
+    assert_eq!(genes, local_genes);
+    assert_eq!(fitness.to_bits(), local_fitness.to_bits());
+    assert!(
+        peak.load(Ordering::SeqCst) >= 2,
+        "a 4-thread fallback scored a whole generation one genome at a time"
     );
     net.shutdown();
 }

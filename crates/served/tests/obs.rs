@@ -145,7 +145,11 @@ fn dead_dropping_worker_evicts_with_exact_counters() {
 
     let spec = tiny_spec(3001);
     let genomes: Vec<Vec<i64>> = vec![InlineParams::jikes_default().to_genes(); 4];
-    let eval = RemoteEvaluator::new(&pool, spec.to_json(), |g| g[0] as f64);
+    let eval = RemoteEvaluator::new(
+        &pool,
+        spec.to_json(),
+        ga::LocalEvaluator::new(|g: &[i64]| g[0] as f64, 1),
+    );
     let scores = eval.evaluate(&genomes);
     assert_eq!(scores.len(), 4, "every genome resolves via the fallback");
 
@@ -209,9 +213,7 @@ fn healthy_worker_run_is_bit_identical_with_exact_histograms() {
     );
     let mut state = search::build("ga", tuner.task().ranges(), spec.ga.clone()).unwrap();
     state.set_obs(Arc::clone(&ga_reg));
-    let remote = RemoteEvaluator::new(&pool, spec.to_json(), |genes| {
-        tuner.fitness(&InlineParams::from_genes(genes))
-    });
+    let remote = RemoteEvaluator::new(&pool, spec.to_json(), tuner.evaluator(1));
     search::drive(state.as_mut(), &remote);
     let (genes, fitness) = search::finish(state.as_ref()).unwrap();
 
@@ -493,9 +495,7 @@ fn chaos_and_healthy_worker_pair_keeps_exact_accounting() {
     );
     let mut state = search::build("ga", tuner.task().ranges(), spec.ga.clone()).unwrap();
     state.set_obs(manual_registry());
-    let remote = RemoteEvaluator::new(&pool, spec.to_json(), |genes| {
-        tuner.fitness(&InlineParams::from_genes(genes))
-    });
+    let remote = RemoteEvaluator::new(&pool, spec.to_json(), tuner.evaluator(1));
     search::drive(state.as_mut(), &remote);
     let (genes, fitness) = search::finish(state.as_ref()).unwrap();
 

@@ -238,6 +238,37 @@ fn unknown_strategy_submit_gets_a_structured_error_frame() {
 }
 
 #[test]
+fn oversized_ga_fields_get_an_error_frame_and_the_daemon_keeps_answering() {
+    let ts = TestServer::start("huge-ga", 1);
+    let mut stream = TcpStream::connect(&ts.addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    // Well-formed, and a runner would try to allocate the population.
+    for field in ["pop_size", "generations", "tournament_size", "threads"] {
+        let submit = format!(
+            "{{\"cmd\":\"submit\",\"job\":{{\"name\":\"j\",\"scenario\":\"opt\",\
+             \"goal\":\"tot\",\"arch\":\"x86-p4\",\"suite\":[\"db\"],\
+             \"ga\":{{\"{field}\":1000000000}}}}}}"
+        );
+        let resp = raw_request(&mut stream, &submit);
+        assert_eq!(resp.get("ok"), Some(&Json::Bool(false)), "{field}");
+        let msg = resp.get("error").and_then(Json::as_str).unwrap();
+        assert!(
+            msg.contains("degenerate GA config") && msg.contains(field),
+            "{msg}"
+        );
+    }
+    assert!(ts.daemon.list().is_empty(), "nothing was enqueued");
+    let resp = raw_request(&mut stream, "{\"cmd\":\"status\",\"id\":1}");
+    assert_eq!(resp.get("ok"), Some(&Json::Bool(false)), "no job 1");
+    assert!(
+        resp.get("error").is_some(),
+        "status still answers: {resp:?}"
+    );
+}
+
+#[test]
 fn oversized_line_closes_the_connection_without_buffering_it() {
     let ts = TestServer::start("oversized", 1);
     let mut stream = TcpStream::connect(&ts.addr).unwrap();

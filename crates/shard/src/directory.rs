@@ -11,7 +11,7 @@
 //! worker's home shard is `argmax_s hash(addr, s)`, a pure function of
 //! its own address and the shard count. That makes assignment stable
 //! under churn — workers joining or leaving never reshuffle the
-//! survivors' leases (the property the proptest suite checks) — while
+//! survivors' leases (the property `tests/prop_shard.rs` checks) — while
 //! still spreading a fleet roughly evenly across shards.
 //!
 //! Rebalancing when a shard starves is the *fallback rule*: a shard

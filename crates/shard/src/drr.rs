@@ -242,7 +242,7 @@ mod tests {
 
     #[test]
     fn every_tenant_with_work_is_served_within_a_bounded_window() {
-        // The no-starvation bound the proptest suite stresses harder:
+        // The no-starvation bound `tests/prop_shard.rs` stresses harder:
         // with T tenants and max cost C, any tenant with queued work is
         // served within T * (C/quantum + 2) dequeues.
         let quantum = 5;

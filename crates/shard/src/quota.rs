@@ -14,7 +14,7 @@
 //!
 //! Because estimates are upper bounds, `used` can never exceed the
 //! quota; because every subtraction saturates, no counter ever
-//! underflows — the two invariants the proptest suite hammers.
+//! underflows — the two invariants `tests/prop_shard.rs` hammers.
 
 use std::collections::HashMap;
 

@@ -1,64 +1,55 @@
-// Gated: needs the crates.io `proptest` crate (see the `proptest`
-// feature note in this crate's Cargo.toml).
-#![cfg(feature = "proptest")]
-
 //! Property-based tests for the sharded control plane's three pure
 //! cores: the deficit-round-robin scheduler is work-conserving and
 //! starves no runnable tenant, the quota accountant's books never go
 //! negative or over budget, and worker shard leases are stable under
 //! fleet churn.
+//!
+//! Seeded case loops (`simrng::cases`), so they run in plain
+//! `cargo test`.
 
-use std::collections::{HashMap, HashSet};
-
-use proptest::prelude::*;
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 use shard::directory::Directory;
 use shard::drr::DrrScheduler;
 use shard::quota::QuotaAccountant;
 use shard::route::shard_of;
+use simrng::{cases, string_of, vec_of};
 
-prop_compose! {
-    /// A backlog: (tenant index, job cost) pairs over a small roster.
-    fn arb_backlog()(jobs in proptest::collection::vec((0usize..5, 1u64..2000), 1..120)) -> Vec<(usize, u64)> {
-        jobs
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Work conservation: as long as any job is queued, dequeue yields
-    /// one — the scheduler never idles a non-empty queue — and every
-    /// enqueued job comes out exactly once.
-    #[test]
-    fn drr_is_work_conserving(backlog in arb_backlog(), quantum in 1u64..4096) {
-        let mut drr = DrrScheduler::new(quantum);
+/// Work conservation: as long as any job is queued, dequeue yields one
+/// — the scheduler never idles a non-empty queue — and every enqueued
+/// job comes out exactly once.
+#[test]
+fn drr_is_work_conserving() {
+    cases("drr_is_work_conserving", |rng| {
+        // A backlog: (tenant index, job cost) pairs over a small roster.
+        let backlog = vec_of(rng, 1, 119, |r| (r.range_usize(0, 4), 1 + r.below(1999)));
+        let mut drr = DrrScheduler::new(1 + rng.below(4095));
         for (i, (tenant, cost)) in backlog.iter().enumerate() {
             drr.enqueue(&format!("t{tenant}"), i as u64, *cost);
         }
         let mut seen = HashSet::new();
         for _ in 0..backlog.len() {
-            prop_assert!(!drr.is_empty());
+            assert!(!drr.is_empty());
             let (job, _) = drr.dequeue().expect("non-empty scheduler must yield");
-            prop_assert!(seen.insert(job), "job {job} dequeued twice");
+            assert!(seen.insert(job), "job {job} dequeued twice");
         }
-        prop_assert!(drr.is_empty());
-        prop_assert_eq!(drr.dequeue(), None);
-        prop_assert_eq!(seen.len(), backlog.len());
-    }
+        assert!(drr.is_empty());
+        assert_eq!(drr.dequeue(), None);
+        assert_eq!(seen.len(), backlog.len());
+    });
+}
 
-    /// No starvation while runnable: with every tenant holding a
-    /// backlog, each tenant gets a job within one full round of the
-    /// roster times the worst cost/quantum ratio — a noisy tenant with
-    /// huge jobs cannot push a cheap tenant's first job arbitrarily far
-    /// back.
-    #[test]
-    fn drr_starves_no_runnable_tenant(
-        tenants in 2usize..6,
-        per_tenant in 1usize..20,
-        costs in proptest::collection::vec(1u64..1000, 6),
-        quantum in 100u64..2000,
-    ) {
+/// No starvation while runnable: with every tenant holding a backlog,
+/// each tenant gets a job within one full round of the roster times the
+/// worst cost/quantum ratio — a noisy tenant with huge jobs cannot push
+/// a cheap tenant's first job arbitrarily far back.
+#[test]
+fn drr_starves_no_runnable_tenant() {
+    cases("drr_starves_no_runnable_tenant", |rng| {
+        let tenants = rng.range_usize(2, 5);
+        let per_tenant = rng.range_usize(1, 19);
+        let costs = vec_of(rng, 6, 6, |r| 1 + r.below(999));
+        let quantum = 100 + rng.below(1900);
         let mut drr = DrrScheduler::new(quantum);
         let mut id = 0u64;
         for t in 0..tenants {
@@ -80,21 +71,22 @@ proptest! {
             served.insert(tenant);
         }
         for t in 0..tenants {
-            prop_assert!(
+            assert!(
                 served.contains(&format!("t{t}")),
                 "tenant t{t} got nothing in the first {window} dequeues (quantum {quantum})"
             );
         }
-    }
+    });
+}
 
-    /// The accountant's books: used + reserved never exceeds the quota,
-    /// nothing underflows, and a full admit/charge/settle lifecycle
-    /// returns every reservation.
-    #[test]
-    fn quota_books_never_go_negative_or_over_budget(
-        quota in 1u64..100_000,
-        ops in proptest::collection::vec((1u64..5000, 0.0f64..1.0), 1..60),
-    ) {
+/// The accountant's books: used + reserved never exceeds the quota,
+/// nothing underflows, and a full admit/charge/settle lifecycle returns
+/// every reservation.
+#[test]
+fn quota_books_never_go_negative_or_over_budget() {
+    cases("quota_books_never_go_negative_or_over_budget", |rng| {
+        let quota = 1 + rng.below(99_999);
+        let ops = vec_of(rng, 1, 59, |r| (1 + r.below(4999), r.f64()));
         let mut acct = QuotaAccountant::with_quotas(&[("t".to_string(), quota)]);
         let mut live: Vec<u64> = Vec::new(); // outstanding reservations
         for (estimate, spend_frac) in ops {
@@ -103,16 +95,21 @@ proptest! {
                 Err(reject) => {
                     // A reject must be the budget talking, not noise.
                     let u = acct.usage_of("t").expect("tenant exists");
-                    prop_assert!(
+                    assert!(
                         u.used + u.reserved + estimate > quota,
-                        "rejected ({}) with {} used + {} reserved + {estimate} <= {quota}",
-                        reject, u.used, u.reserved
+                        "rejected ({reject}) with {} used + {} reserved + {estimate} <= {quota}",
+                        u.used,
+                        u.reserved
                     );
                 }
             }
             let u = acct.usage_of("t").expect("tenant exists");
-            prop_assert!(u.used + u.reserved <= quota,
-                "{} used + {} reserved over the {quota} budget", u.used, u.reserved);
+            assert!(
+                u.used + u.reserved <= quota,
+                "{} used + {} reserved over the {quota} budget",
+                u.used,
+                u.reserved
+            );
             // Occasionally run one reservation to completion: charge
             // part of it, settle the rest.
             if spend_frac > 0.5 {
@@ -130,46 +127,63 @@ proptest! {
             acct.settle("t", reserved);
         }
         let u = acct.usage_of("t").expect("tenant exists");
-        prop_assert_eq!(u.reserved, 0, "settling everything must zero the reservations");
-        prop_assert!(u.used <= quota, "{} charged over the {quota} budget", u.used);
-        prop_assert_eq!(u.settled, u.admitted, "every admitted reservation settles");
-    }
+        assert_eq!(
+            u.reserved, 0,
+            "settling everything must zero the reservations"
+        );
+        assert!(
+            u.used <= quota,
+            "{} charged over the {quota} budget",
+            u.used
+        );
+        assert_eq!(u.settled, u.admitted, "every admitted reservation settles");
+    });
+}
 
-    /// Shard routing is total and stable: every id lands in range, and
-    /// the same id always lands in the same shard.
-    #[test]
-    fn shard_routing_is_total_and_stable(ids in proptest::collection::vec(any::<u64>(), 1..200), shards in 1usize..64) {
-        for id in ids {
+/// Shard routing is total and stable: every id lands in range, and the
+/// same id always lands in the same shard.
+#[test]
+fn shard_routing_is_total_and_stable() {
+    cases("shard_routing_is_total_and_stable", |rng| {
+        let shards = rng.range_usize(1, 63);
+        for id in vec_of(rng, 1, 199, |r| r.next_u64()) {
             let s = shard_of(id, shards);
-            prop_assert!(s < shards);
-            prop_assert_eq!(s, shard_of(id, shards));
+            assert!(s < shards);
+            assert_eq!(s, shard_of(id, shards));
         }
-    }
+    });
+}
 
-    /// Lease stability under churn: a worker's shard lease depends only
-    /// on its address and the shard count — adding or removing *other*
-    /// workers never moves it (rendezvous hashing), so worker churn
-    /// cannot stampede the directory.
-    #[test]
-    fn leases_are_stable_under_worker_churn(
-        fleet in proptest::collection::hash_set("[a-z]{2,8}:[0-9]{2,4}", 2..40),
-        shards in 1usize..16,
-        churn in proptest::collection::vec(any::<prop::sample::Index>(), 1..10),
-    ) {
+/// Lease stability under churn: a worker's shard lease depends only on
+/// its address and the shard count — adding or removing *other* workers
+/// never moves it (rendezvous hashing), so worker churn cannot stampede
+/// the directory.
+#[test]
+fn leases_are_stable_under_worker_churn() {
+    cases("leases_are_stable_under_worker_churn", |rng| {
+        // Distinct `host:port` addresses (the set drops duplicates).
+        let fleet: BTreeSet<String> = vec_of(rng, 2, 39, |r| {
+            let host = string_of(r, b"abcdefghijklmnopqrstuvwxyz", 2, 8);
+            format!("{host}:{}", string_of(r, b"0123456789", 2, 4))
+        })
+        .into_iter()
+        .collect();
         let fleet: Vec<String> = fleet.into_iter().collect();
-        let before: HashMap<&String, usize> =
-            fleet.iter().map(|w| (w, Directory::lease_of(w, shards))).collect();
+        let shards = rng.range_usize(1, 15);
+        let before: HashMap<&String, usize> = fleet
+            .iter()
+            .map(|w| (w, Directory::lease_of(w, shards)))
+            .collect();
 
         // Churn: drop a few workers from the fleet entirely.
-        let mut dropped = HashSet::new();
-        for idx in churn {
-            dropped.insert(idx.index(fleet.len()));
-        }
+        let dropped: HashSet<usize> = vec_of(rng, 1, 9, |r| r.range_usize(0, fleet.len() - 1))
+            .into_iter()
+            .collect();
         for (i, worker) in fleet.iter().enumerate() {
             if dropped.contains(&i) {
                 continue;
             }
-            prop_assert_eq!(
+            assert_eq!(
                 Directory::lease_of(worker, shards),
                 before[worker],
                 "{worker}'s lease moved when unrelated workers churned"
@@ -184,7 +198,7 @@ proptest! {
             }
         }
         for lease in dir.snapshot(1) {
-            prop_assert_eq!(lease.shard, before[&lease.addr]);
+            assert_eq!(lease.shard, before[&lease.addr]);
         }
-    }
+    });
 }

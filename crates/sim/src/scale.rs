@@ -428,7 +428,11 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleReport {
         TransportClock(net.transport("daemon")),
     ))));
     let pool = Arc::new(pool);
-    let remote = RemoteEvaluator::new(&pool, Json::Null, |g| synthetic_fitness(g));
+    let remote = RemoteEvaluator::new(
+        &pool,
+        Json::Null,
+        LocalEvaluator::new(|g: &[i64]| synthetic_fitness(g), 1),
+    );
 
     let ga = GaConfig {
         pop_size: cfg.pop_size,

@@ -346,24 +346,6 @@ impl Store {
         found
     }
 
-    /// The `k` best (lowest-fitness) measurements of one cell, ties
-    /// broken by insertion order.
-    #[must_use]
-    pub fn best_for_cell(&self, cell_digest: u64, k: usize) -> Vec<(Vec<i64>, f64)> {
-        let inner = self.shared.inner.lock().expect("store poisoned");
-        let Some(cell) = inner.cells.get(&cell_digest) else {
-            return Vec::new();
-        };
-        let mut ranked: Vec<(usize, &(Vec<i64>, f64))> =
-            cell.measurements.iter().enumerate().collect();
-        ranked.sort_by(|(ia, (_, fa)), (ib, (_, fb))| {
-            fa.partial_cmp(fb)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(ia.cmp(ib))
-        });
-        ranked.into_iter().take(k).map(|(_, m)| m.clone()).collect()
-    }
-
     /// Seed genomes for warm-starting a search over `target`: cells are
     /// ranked by fingerprint distance (ties by cell digest, so the
     /// result is a pure function of store contents), and the best

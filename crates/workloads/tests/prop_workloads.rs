@@ -1,105 +1,95 @@
-// Gated: needs the crates.io `proptest` crate (see the `proptest`
-// feature note in this crate's Cargo.toml).
-#![cfg(feature = "proptest")]
-
 //! Property-based tests of the synthetic-benchmark generator: any
 //! reasonable spec must yield a valid, fully reachable, analyzable
 //! program, deterministically.
+//!
+//! Seeded case loops (`simrng::cases`), so they run in plain
+//! `cargo test`.
 
-use proptest::prelude::*;
-
+use simrng::{cases, Rng};
 use workloads::{generate, BenchmarkSpec, OpMix, Suite};
 
-prop_compose! {
-    fn arb_spec()(
-        n_workers in 8u32..120,
-        n_accessors in 0u32..40,
-        n_layers in 1u32..8,
-        body_median in 4.0f64..20.0,
-        sigma in 0.3f64..1.5,
-        fanout in 0.5f64..3.5,
-        skew in 0.6f64..2.0,
-        n_phases in 1u32..5,
-        driver in 1u32..20,
-        trips in 1u32..20,
-        kernel_prob in 0.0f64..0.8,
-        kernel_trips in 1u32..80,
-        in_loop in 0.0f64..0.6,
-        cold in 0.0f64..0.5,
-        mix_idx in 0usize..4,
-    ) -> BenchmarkSpec {
-        BenchmarkSpec {
-            name: "prop",
-            description: "property-generated spec",
-            suite: Suite::SpecJvm98,
-            n_workers: n_workers.max(n_layers),
-            n_accessors,
-            n_layers,
-            body_median_ops: body_median,
-            body_sigma: sigma,
-            fanout_mean: fanout,
-            hot_skew: skew,
-            n_phases,
-            driver_iters: driver,
-            phase_trips: trips,
-            kernel_prob,
-            kernel_trips,
-            call_in_loop_prob: in_loop,
-            cold_branch_prob: cold,
-            mix: [OpMix::INT, OpMix::MEM, OpMix::FLOAT, OpMix::BYTES][mix_idx],
-        }
+fn arb_spec(rng: &mut Rng) -> BenchmarkSpec {
+    let n_layers = 1 + rng.below(7) as u32;
+    BenchmarkSpec {
+        name: "prop",
+        description: "property-generated spec",
+        suite: Suite::SpecJvm98,
+        n_workers: (8 + rng.below(112) as u32).max(n_layers),
+        n_accessors: rng.below(40) as u32,
+        n_layers,
+        body_median_ops: rng.f64_range(4.0, 20.0),
+        body_sigma: rng.f64_range(0.3, 1.5),
+        fanout_mean: rng.f64_range(0.5, 3.5),
+        hot_skew: rng.f64_range(0.6, 2.0),
+        n_phases: 1 + rng.below(4) as u32,
+        driver_iters: 1 + rng.below(19) as u32,
+        phase_trips: 1 + rng.below(19) as u32,
+        kernel_prob: rng.f64_range(0.0, 0.8),
+        kernel_trips: 1 + rng.below(79) as u32,
+        call_in_loop_prob: rng.f64_range(0.0, 0.6),
+        cold_branch_prob: rng.f64_range(0.0, 0.5),
+        mix: *rng.choose(&[OpMix::INT, OpMix::MEM, OpMix::FLOAT, OpMix::BYTES]),
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn any_reasonable_spec_generates_a_sound_program(spec in arb_spec(), seed in any::<u64>()) {
-        let p = generate(&spec, seed);
+#[test]
+fn any_reasonable_spec_generates_a_sound_program() {
+    cases("any_reasonable_spec_generates_a_sound_program", |rng| {
+        let spec = arb_spec(rng);
+        let p = generate(&spec, rng.next_u64());
         // Structurally valid with unique fresh call sites.
-        prop_assert!(ir::validate::validate(&p).is_empty());
-        prop_assert!(ir::validate::check_unique_sites(&p).is_empty());
+        assert!(ir::validate::validate(&p).is_empty());
+        assert!(ir::validate::check_unique_sites(&p).is_empty());
         // Exactly the promised population, all of it reachable.
-        prop_assert_eq!(p.method_count() as u32, spec.total_methods());
-        prop_assert_eq!(p.reachable().len(), p.method_count());
+        assert_eq!(p.method_count() as u32, spec.total_methods());
+        assert_eq!(p.reachable().len(), p.method_count());
         // The analytic profile must converge (no undamped recursion).
         let fa = ir::freq::analyze(&p, 1.0);
-        prop_assert!(fa.converged);
+        assert!(fa.converged);
         // Every reachable method is actually entered.
         for m in &p.methods {
-            prop_assert!(fa.entry_count(m.id) > 0.0, "{} never entered", m.name);
+            assert!(fa.entry_count(m.id) > 0.0, "{} never entered", m.name);
         }
-    }
+    });
+}
 
-    #[test]
-    fn generation_is_a_pure_function_of_spec_and_seed(spec in arb_spec(), seed in any::<u64>()) {
+#[test]
+fn generation_is_a_pure_function_of_spec_and_seed() {
+    cases("generation_is_a_pure_function_of_spec_and_seed", |rng| {
+        let spec = arb_spec(rng);
+        let seed = rng.next_u64();
         let a = generate(&spec, seed);
         let b = generate(&spec, seed);
-        prop_assert_eq!(&a, &b);
+        assert_eq!(&a, &b);
         let c = generate(&spec, seed.wrapping_add(1));
-        prop_assert_ne!(&a, &c);
-    }
+        assert_ne!(&a, &c);
+    });
+}
 
-    #[test]
-    fn accessors_stay_inside_the_inline_band(spec in arb_spec(), seed in any::<u64>()) {
-        prop_assume!(spec.n_accessors > 0);
-        let p = generate(&spec, seed);
+#[test]
+fn accessors_stay_inside_the_inline_band() {
+    cases("accessors_stay_inside_the_inline_band", |rng| {
+        let spec = arb_spec(rng);
+        let p = generate(&spec, rng.next_u64());
         for m in p.methods.iter().take(spec.n_accessors as usize) {
             let size = ir::size::method_size(m);
-            prop_assert!(size <= 26, "accessor {} has size {size}", m.name);
+            assert!(size <= 26, "accessor {} has size {size}", m.name);
         }
-    }
+    });
+}
 
-    #[test]
-    fn cost_model_accepts_any_generated_program(spec in arb_spec(), seed in any::<u64>()) {
-        let p = generate(&spec, seed);
+#[test]
+fn cost_model_accepts_any_generated_program() {
+    cases("cost_model_accepts_any_generated_program", |rng| {
+        let spec = arb_spec(rng);
+        let p = generate(&spec, rng.next_u64());
         let arch = jit::ArchModel::pentium4();
         let cfg = jit::AdaptConfig::default();
+        let params = inliner::InlineParams::jikes_default();
         for scenario in [jit::Scenario::Opt, jit::Scenario::Adapt] {
-            let m = jit::measure(&p, scenario, &arch, &inliner::InlineParams::jikes_default(), &cfg);
-            prop_assert!(m.total_cycles.is_finite() && m.total_cycles > 0.0);
-            prop_assert!(m.running_cycles.is_finite() && m.running_cycles > 0.0);
+            let m = jit::measure(&p, scenario, &arch, &params, &cfg);
+            assert!(m.total_cycles.is_finite() && m.total_cycles > 0.0);
+            assert!(m.running_cycles.is_finite() && m.running_cycles > 0.0);
         }
-    }
+    });
 }

@@ -61,8 +61,8 @@ fn main() {
     println!("workers: {addrs:?}");
 
     // The dispatch side: a pool over those addresses and a remote
-    // evaluator for this job. The fallback closure is the local fitness
-    // path — used only if every worker dies. The pool counts into a
+    // evaluator for this job. The fallback is the local evaluator —
+    // used only if every worker dies. The pool counts into a
     // registry of its own, so the totals read back below are this run's.
     let mut pool = WorkerPool::with_workers(DispatchConfig::default(), &addrs);
     pool.set_obs(Arc::new(obs::Registry::new()));
@@ -72,9 +72,7 @@ fn main() {
         spec.training().expect("training suite"),
         spec.adapt_cfg(),
     );
-    let remote = RemoteEvaluator::new(&pool, spec.to_json(), |genes| {
-        tuning.fitness(&InlineParams::from_genes(genes))
-    });
+    let remote = RemoteEvaluator::new(&pool, spec.to_json(), tuning.evaluator(1));
 
     // Drive the search one round at a time through the remote
     // evaluator. Only memo-table misses travel over the wire. Each

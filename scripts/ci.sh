@@ -2,23 +2,23 @@
 # CI for inlinetune. Stages, in order:
 #
 #   1. cargo fmt --check
-#   2. offline release build and offline test suite
+#   2. offline release build and offline test suite; the property suites
+#      (all seeded `simrng::cases` loops) run in it, debug and --release
 #   3. benchmark/ci.sh: the out-of-workspace benchmark package builds
 #      offline against the crates' public API and its --quick smoke runs
 #      all four workloads
-#   4. property suites (only when a proptest dev-dependency is present)
-#   5. calibration stability of the benchmark's reference kernel
-#   6. `tuned` daemon smoke: inline, flags and dss jobs over localhost
+#   4. calibration stability of the benchmark's reference kernel
+#   5. `tuned` daemon smoke: inline, flags and dss jobs over localhost
 #      through a registered `evald` worker and a fitness store (a repeat
 #      job is all store hits), metrics / obs / Prometheus scrape, reload
 #      after restart, then the inlining job once more evaluated locally:
 #      the unit memo hits and the evaluation count is what it always was;
 #      both binaries refuse a flag they do not know
-#   7. sim sweep, one invocation: the fault, mixed, store, online and
+#   6. sim sweep, one invocation: the fault, mixed, store, online and
 #      shard scenarios, then the broken-build self-test (replay a
 #      failing seed with the `replay: simtest <scenario> --seed N ...`
 #      line it prints, or scripts/replay.sh <scenario> <seed> [args])
-#   8. sim measurement suites: throughput scaling (`simtest scale`) and
+#   7. sim measurement suites: throughput scaling (`simtest scale`) and
 #      the sharded-control-plane bench (`simtest shard-bench`)
 #
 # No stage gates a speed: those are measured by `benchmark run` and
@@ -37,8 +37,10 @@ cargo build --workspace --release --offline
 echo "== cargo test --offline"
 cargo test --workspace --offline --quiet
 # The prepared-context differential suite once more with optimizations on,
-# where its four threads really do race for the memo's slots.
+# where its four threads really do race for the memo's slots — and the
+# property suites, whose arithmetic wraps there instead of trapping.
 cargo test --release --offline --quiet --test prepared
+cargo test --workspace --release --offline --quiet --test 'prop_*'
 # Golden fixtures are frozen bytes: a run with REGEN_FIXTURES left in the
 # environment re-blesses them silently and still passes, so fail here if
 # the test stage changed any.
@@ -49,25 +51,6 @@ echo "== benchmark package (offline build + --quick smoke of every workload)"
 # The benchmark is its own workspace, so the build and tests above never
 # compile it; this is what notices when a public-API change breaks it.
 benchmark/ci.sh
-
-# The property suites of `served`, `obs`, `inline`, `jit`, `stored` and
-# `problems` are seeded `simrng::cases` loops and ran in the plain test
-# stage above. The eight not yet ported (`core`, `ga`, `ir`, `online`,
-# `search`, `shard`, `simrng`, `workloads`) need the external `proptest`
-# crate, which is not vendored: they are gated behind a bare `proptest`
-# cargo feature and skipped unless a dev-dependency on proptest has been
-# added (networked checkout).
-has_proptest_dep() { # manifest
-  awk '/^\[dev-dependencies\]/ { f = 1; next } /^\[/ { f = 0 } f && /^proptest *=/' \
-    "$1" | grep -q .
-}
-if has_proptest_dep crates/shard/Cargo.toml; then
-  echo "== cargo test --features proptest (property suites)"
-  cargo test -p inlinetune-shard --offline --quiet --features proptest
-  cargo test -p inlinetune-online --offline --quiet --features proptest
-else
-  echo "== property suites skipped (proptest crate not vendored)"
-fi
 
 echo "== calibration stability (the benchmark's reference kernel)"
 # The `obs::calib` kernel time the benchmark divides every timing by
