@@ -1,21 +1,17 @@
 //! `simtest` — the seed-sweep runner: a thin CLI over [`sim::scenario`].
 //!
 //! ```text
-//! simtest fault:200 mixed:8 store:60 online:50 shard:50 --out BENCH_sim.json
-//!                                          # the CI sweep (`:N` = seed count)
+//! simtest fault:200 mixed:8 store:60 online:50 shard:50 scale:20 queue:10 \
+//!     --out BENCH_sim.json                 # the CI sweep (`:N` = seed count)
 //! simtest shard:5 --clients 60 --workers 8 # the soak, scaled down
 //! simtest fault --seed 42 --trace          # replay one seed
 //! simtest fault:12 --base-seed 9 --broken  # self-test: the redispatch-
 //!     disabled daemon must be caught (exit 0 iff >= 1 seed fails)
-//! simtest scale [--workers 2,16]           # throughput-scaling suite
-//!     (default 1/2/4/8/16/50 workers; exit 0 iff "scale_ok": true)
-//! simtest shard-bench --out BENCH_shard.json   # 1/4/16-shard throughput
-//!     bench (exit 0 iff sharded >= single-queue and no job lost)
 //! ```
 //!
-//! Scenarios: `fault`, `mixed`, `store`, `online`, `shard` (what each
-//! derives and checks: DESIGN.md §4.9). A sweep runs seeds
-//! `B .. B+N` for `--base-seed B` (default 1).
+//! Scenarios: `fault`, `mixed`, `store`, `online`, `shard`, `scale`,
+//! `queue` (what each derives and checks: DESIGN.md §4.9). A sweep runs
+//! seeds `B .. B+N` for `--base-seed B` (default 1).
 //!
 //! Exit status: 0 when every run's expectation holds (all seeds green
 //! and the sweep demonstrably exercised its faults, or — under
@@ -30,8 +26,8 @@ use served::checkpoint::f64_to_json;
 use served::json::Json;
 use sim::scenario::{replay, sweep};
 use sim::{
-    FaultScenario, MixedScenario, OnlineScenario, Scale, Scenario, SeedReport, ShardScenario,
-    StoreScenario, SweepReport,
+    FaultScenario, MixedScenario, OnlineScenario, QueueScenario, Scale, ScaleScenario, Scenario,
+    SeedReport, ShardScenario, StoreScenario, SweepReport,
 };
 
 /// A checked command line.
@@ -44,8 +40,6 @@ struct Args {
     out: Option<String>,
     trace: bool,
     scale: Scale,
-    /// `--workers` as given (`scale` takes a list).
-    workers: Option<Vec<usize>>,
 }
 
 /// What one `<scenario>[:N]` target ran: whether its expectation held,
@@ -60,6 +54,8 @@ fn scenario(name: &str) -> Option<fn(&Args, Option<u64>) -> Ran> {
         "store" => go::<StoreScenario>,
         "online" => go::<OnlineScenario>,
         "shard" => go::<ShardScenario>,
+        "scale" => go::<ScaleScenario>,
+        "queue" => go::<QueueScenario>,
         _ => return None,
     })
 }
@@ -70,7 +66,7 @@ fn num(s: &str) -> Result<u64, String> {
 
 fn parse(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut args = Args::default();
-    let (mut base_seed, mut clients) = (None, None);
+    let (mut base_seed, mut clients, mut workers) = (None, None, None);
     let mut it = argv.into_iter();
     while let Some(arg) = it.next() {
         let mut value = || it.next().ok_or_else(|| format!("{arg} needs a value"));
@@ -81,19 +77,14 @@ fn parse(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
             "--trace" => args.trace = true,
             "--broken" => args.scale.broken = true,
             "--clients" => clients = Some(num(&value()?)? as usize),
-            "--workers" => {
-                let list = value()?;
-                let list = list.split(',').map(|w| num(w).map(|n| n as usize));
-                args.workers = Some(list.collect::<Result<_, _>>()?);
-            }
+            "--workers" => workers = Some(num(&value()?)? as usize),
             flag if flag.starts_with('-') => return Err(format!("unknown flag '{flag}'")),
             target => {
                 let (name, n) = match target.split_once(':') {
                     Some((name, n)) => (name, Some(num(n)?)),
                     None => (target, None),
                 };
-                let suite = n.is_none() && matches!(name, "scale" | "shard-bench");
-                if !suite && scenario(name).is_none() {
+                if scenario(name).is_none() {
                     return Err(format!("unknown scenario '{target}'"));
                 }
                 args.targets.push((name.to_string(), n));
@@ -104,15 +95,11 @@ fn parse(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let has = |name: &str| args.targets.iter().any(|(n, _)| n == name);
     let alone = args.targets.len() == 1;
     let counted = args.targets.iter().filter(|t| t.1.is_some()).count();
-    let suite = has("scale") || has("shard-bench");
+    let base = base_seed.unwrap_or(1);
     let rules = [
         (
             args.targets.is_empty(),
-            "usage: simtest <scenario>:N... | <scenario> --seed S | scale | shard-bench",
-        ),
-        (
-            suite && (!alone || args.seed.is_some() || args.scale.broken || clients.is_some()),
-            "scale and shard-bench run alone, with --base-seed, --out and scale's --workers only",
+            "usage: simtest <scenario>:N... | <scenario> --seed S",
         ),
         (
             args.seed.is_some()
@@ -120,8 +107,14 @@ fn parse(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
             "--seed replays one seed of one scenario: no :N, --out or --base-seed",
         ),
         (
-            !suite && args.seed.is_none() && counted < args.targets.len(),
+            args.seed.is_none() && counted < args.targets.len(),
             "a scenario needs :N (sweep N seeds) or --seed S (replay one)",
+        ),
+        (
+            args.targets
+                .iter()
+                .any(|(_, n)| base.checked_add(n.unwrap_or(0)).is_none()),
+            "--base-seed + N runs past the largest seed",
         ),
         (
             args.trace && (args.seed.is_none() || has("store")),
@@ -132,23 +125,20 @@ fn parse(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
             "--broken applies to the fault scenario only",
         ),
         (
-            (clients.is_some() && !has("shard"))
-                || (args.workers.is_some() && !has("shard") && !has("scale")),
-            "--clients/--workers apply to the shard scenario (--workers also to scale)",
+            (clients.is_some() || workers.is_some()) && !has("shard"),
+            "--clients/--workers apply to the shard scenario",
         ),
         (
-            !has("scale") && args.workers.as_ref().is_some_and(|w| w.len() != 1),
-            "--workers takes one fleet size",
+            clients == Some(0) || workers == Some(0),
+            "--clients and --workers take at least 1",
         ),
     ];
     if let Some((_, message)) = rules.iter().find(|(broken, _)| *broken) {
         return Err((*message).to_string());
     }
-    args.base_seed = base_seed.unwrap_or(1);
+    args.base_seed = base;
     args.scale.shard.clients = clients.unwrap_or(args.scale.shard.clients);
-    if let (Some(workers), false) = (&args.workers, has("scale")) {
-        args.scale.shard.workers = workers[0];
-    }
+    args.scale.shard.workers = workers.unwrap_or(args.scale.shard.workers);
     Ok(args)
 }
 
@@ -158,29 +148,13 @@ fn main() {
         std::process::exit(2);
     });
     let started = Instant::now();
-    let (ok, json) = match args.targets[0].0.as_str() {
-        "scale" => {
-            let counts = args.workers.as_deref().unwrap_or(sim::WORKER_COUNTS);
-            let suite = sim::run_scale_suite(args.base_seed, counts);
-            (suite.ok(), print_suite(suite.to_json(args.base_seed)))
-        }
-        // 1/4/16 shards, 16 concurrent jobs over 16 workers: the
-        // `sharded >= single-queue` gate behind BENCH_shard.json.
-        "shard-bench" => {
-            let report = sim::run_shard_bench(args.base_seed, 16, 16, &sim::BENCH_SHARD_COUNTS);
-            (report.is_ok(), print_suite(report.to_json()))
-        }
-        _ => {
-            let (mut ok, mut sweeps) = (true, Vec::new());
-            for (name, seeds) in &args.targets {
-                let (held, report) = scenario(name).expect("parse checked the name")(&args, *seeds);
-                ok &= held;
-                sweeps.extend(report);
-            }
-            (ok, sweep_json(&sweeps, args.base_seed))
-        }
-    };
-    if let (Some(path), Json::Obj(mut summary)) = (&args.out, json) {
+    let (mut ok, mut sweeps) = (true, Vec::new());
+    for (name, seeds) in &args.targets {
+        let (held, report) = scenario(name).expect("parse checked the name")(&args, *seeds);
+        ok &= held;
+        sweeps.extend(report);
+    }
+    if let (Some(path), Json::Obj(mut summary)) = (&args.out, sweep_json(&sweeps, args.base_seed)) {
         let wall = f64_to_json(started.elapsed().as_secs_f64());
         summary.push(("wall_secs".into(), wall));
         if let Err(e) = std::fs::write(path, Json::Obj(summary).to_text() + "\n") {
@@ -190,23 +164,6 @@ fn main() {
         println!("summary written to {path}");
     }
     std::process::exit(i32::from(!ok));
-}
-
-/// Prints a measurement suite's summary — one line per row of its
-/// tables, then its verdicts — and hands it back.
-fn print_suite(summary: Json) -> Json {
-    let Json::Obj(fields) = &summary else {
-        unreachable!("every summary is an object");
-    };
-    for (key, value) in fields {
-        match value {
-            Json::Arr(rows) => rows
-                .iter()
-                .for_each(|r| println!("  {key}: {}", r.to_text())),
-            scalar => println!("{key}: {}", scalar.to_text()),
-        }
-    }
-    summary
 }
 
 /// Replays one seed of `S` (`--seed`) or sweeps it.
@@ -378,6 +335,8 @@ mod tests {
             reparsed::<OnlineScenario>(seed, &plain);
             reparsed::<ShardScenario>(seed, &plain);
             reparsed::<ShardScenario>(seed, &small);
+            reparsed::<ScaleScenario>(seed, &plain);
+            reparsed::<QueueScenario>(seed, &plain);
         }
     }
 }

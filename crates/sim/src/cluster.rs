@@ -305,7 +305,7 @@ impl Cluster {
     /// The fault-free ground truth for a spec: an in-process run of the
     /// same strategy over the same problem (what the daemon's result
     /// must bit-match, faults or no faults). For `inline` specs this is
-    /// exactly [`Tuner::tune`]'s trajectory — the problem wrapper is
+    /// exactly [`Tuner::tune`](tuner::Tuner::tune)'s trajectory — the problem wrapper is
     /// bit-identical to the direct tuner path (test-enforced in the
     /// `problems` crate).
     ///

@@ -35,17 +35,12 @@
 //!   virtual clock behind the [`served::Transport`] trait.
 //! * [`cluster`] — [`Cluster`]: boot a deployment, crash / partition /
 //!   heal / advance, check invariants.
-//! * [`scale`] — the throughput-scaling suite: a virtual 1–50-worker
-//!   fleet of synthetic eval servers proving the batched, pipelined
-//!   dispatcher beats serial at 2 workers and holds ≥ 70 % parallel
-//!   efficiency at 16, while staying exactly-once and bit-identical
-//!   under seeded fault sweeps.
 //! * [`scenario`] — what a seeded sweep *is*: the [`Scenario`] trait,
 //!   the one [`sweep`](scenario::sweep)/[`replay`](scenario::replay)
 //!   loop, the one [`SeedReport`]/[`SweepReport`] pair and replay
 //!   recipe, the fault timeline, the ground-truth cache and the
-//!   Cluster-backed body three scenarios share (`simtest` is a thin CLI
-//!   over this). Its five implementations:
+//!   Cluster-backed body most scenarios share (`simtest` is a thin CLI
+//!   over this). Its seven implementations:
 //! * [`sweep`] — `fault` (one inlining job under seeded weather),
 //!   `mixed` (one `inline`, one `flags` and one `dss` job queued on a
 //!   single daemon, proving a heterogeneous backlog loses no job under
@@ -59,8 +54,11 @@
 //! * [`shard_soak`] — `shard`, the multi-tenant soak: a thousand
 //!   virtual clients over a shared hundred-worker fleet against the
 //!   sharded control plane (admission, quotas, DRR fairness,
-//!   bit-identity), plus the 1/4/16-shard throughput bench behind
-//!   `BENCH_shard.json`.
+//!   bit-identity); and `queue`, one backlog drained at 1 shard and at
+//!   S shards.
+//! * [`scale`] — `scale`: one large job fanned out over a 2–16-worker
+//!   fleet, lossless and bit-identical under lossy links, a crash or a
+//!   partition, checked by the daemon's own counts.
 
 pub mod cluster;
 pub mod net;
@@ -73,16 +71,12 @@ pub mod sweep;
 pub use cluster::{Cluster, ClusterConfig, Outcome, DAEMON_ADDR};
 pub use net::{FaultPlan, SimNet, TraceEvent, GRACE};
 pub use online::OnlineScenario;
-pub use scale::{
-    run_scale, run_scale_suite, run_scale_to, ScaleConfig, ScaleReport, ScaleSuite,
-    MEASURE_ATTEMPTS, MIN_EFFICIENCY_AT_16, WORKER_COUNTS,
-};
+pub use scale::ScaleScenario;
 pub use scenario::{
     Counters, Failure, FailureKind, FaultCounts, FaultKind, Scale, Scenario, SeedReport,
     SweepReport, TimedFault,
 };
 pub use shard_soak::{
-    run_shard_bench, ShardBenchPoint, ShardBenchReport, ShardScale, ShardScenario,
-    BENCH_SHARD_COUNTS, CAPPED_TENANT, SOAK_DEADLINE, TENANTS,
+    QueueScenario, ShardScale, ShardScenario, CAPPED_TENANT, SOAK_DEADLINE, TENANTS,
 };
 pub use sweep::{FaultScenario, MixedScenario, StoreScenario, MIXED_PROBLEMS};

@@ -265,7 +265,6 @@ impl State {
 /// hand each node its own transport via [`SimNet::transport`].
 pub struct SimNet {
     seed: u64,
-    grace: Duration,
     state: Mutex<State>,
     cv: Condvar,
 }
@@ -274,22 +273,8 @@ impl SimNet {
     /// A fresh universe. `seed` roots every fault schedule in it.
     #[must_use]
     pub fn new(seed: u64) -> Arc<Self> {
-        Self::with_grace(seed, GRACE)
-    }
-
-    /// A fresh universe with a custom idle-grace slice. The default
-    /// [`GRACE`] keeps idle virtual hops cheap for sweeps with many
-    /// universes; measurements that *grade* elapsed virtual time (the
-    /// scaling suite) pass a larger slice, because every time the host
-    /// starves a runnable thread past the slice the advancement rule
-    /// mistakes the lull for idleness and charges spurious virtual
-    /// time. A longer slice trades wall-clock per legitimate hop for
-    /// tolerance of scheduler latency on a saturated machine.
-    #[must_use]
-    pub fn with_grace(seed: u64, grace: Duration) -> Arc<Self> {
         Arc::new(Self {
             seed,
-            grace,
             state: Mutex::new(State {
                 now: 0,
                 busy: 0,
@@ -475,10 +460,7 @@ impl SimNet {
     /// Parks on the condvar for one grace slice; on a quiet slice,
     /// idle-advances the clock. Returns the reacquired guard.
     fn park<'a>(&self, st: std::sync::MutexGuard<'a, State>) -> std::sync::MutexGuard<'a, State> {
-        let (mut st, timeout) = self
-            .cv
-            .wait_timeout(st, self.grace)
-            .expect("sim state poisoned");
+        let (mut st, timeout) = self.cv.wait_timeout(st, GRACE).expect("sim state poisoned");
         if timeout.timed_out() && st.try_advance() {
             self.cv.notify_all();
         }

@@ -5,7 +5,7 @@
 //!
 //! A scenario derives everything from its seed, exactly like
 //! [`crate::sweep::FaultScenario`] — the same weather
-//! ([`crate::scenario::weather`]) on its own stream — plus the job's
+//! ([`Weather::draw`](crate::scenario::Weather::draw)) on its own stream — plus the job's
 //! identity — drift kind, GA seed, drift seed — drawn from small
 //! pools so a 50-seed sweep pays for only a handful of reference runs.
 //! What the sweep asserts per seed, on top of the usual no-lost-jobs /

@@ -1,9 +1,10 @@
 //! What a seeded sweep *is*: derive a scenario from a seed, run it,
 //! judge it, total it, say how to replay it. Every sweep in this crate
 //! — `fault`, `mixed`, `store` ([`crate::sweep`]), `online`
-//! ([`crate::online`]) and `shard` ([`crate::shard_soak`]) — is one
-//! implementation of [`Scenario`] behind the one [`sweep`]/[`replay`]
-//! pair, reporting through the one [`SeedReport`]/[`SweepReport`] pair.
+//! ([`crate::online`]), `shard` and `queue` ([`crate::shard_soak`]) and
+//! `scale` ([`crate::scale`]) — is one implementation of [`Scenario`]
+//! behind the one [`sweep`]/[`replay`] pair, reporting through the one
+//! [`SeedReport`]/[`SweepReport`] pair.
 //!
 //! A scenario is *derived from its seed* (and the [`Scale`] it ran at),
 //! never stored, so re-running a failing seed replays the identical
@@ -401,11 +402,13 @@ pub fn tuned(truth: &mut Truth<Tuned>, spec: &JobSpec) -> Result<Tuned, String> 
     })
 }
 
-/// The body `fault`, `mixed` and `online` share: boot a cluster, submit
-/// every job *before any of them completes*, wait each to a terminal
-/// state while the timed faults fire, compare each result to its ground
-/// truth, run the scenario's own `after` check (only on an otherwise
-/// green run), audit the checkpoints, and tear down.
+/// The body every Cluster-backed scenario but the soak shares: boot a
+/// cluster, submit every job *before any of them completes*, wait each
+/// to a terminal state while the timed faults fire, compare each result
+/// to its ground truth, run the scenario's own `after` check (only on
+/// an otherwise green run), audit the checkpoints, and tear down. The
+/// run's virtual ms, fault counts and trace add to `report`'s, so one
+/// seed may drain more than one cluster.
 pub(crate) fn drain(
     config: &ClusterConfig,
     jobs: &[(JobSpec, Tuned)],
@@ -468,7 +471,7 @@ pub(crate) fn drain(
             Outcome::Done { .. } => report.counters.add("jobs_done", 1),
         }
     }
-    report.virtual_ms = cluster.now_ms() - started_ms;
+    report.virtual_ms += cluster.now_ms() - started_ms;
     if !hung {
         if report.is_ok() {
             after(&cluster, &ids, report);
@@ -480,13 +483,13 @@ pub(crate) fn drain(
     close(cluster, hung, report);
 }
 
-/// Ends a Cluster-backed run: books the fault counts and the trace,
-/// then shuts the cluster down — or, when work hung, abandons it (a
-/// hung cluster cannot be joined).
+/// Ends a Cluster-backed run: adds its fault counts and trace to
+/// `report`'s, then shuts the cluster down — or, when work hung,
+/// abandons it (a hung cluster cannot be joined).
 pub(crate) fn close(cluster: Cluster, hung: bool, report: &mut SeedReport) {
     let trace = cluster.net().trace();
-    report.faults = count_faults(&trace);
-    report.trace = trace_lines(&trace);
+    count_faults(&trace, &mut report.faults);
+    report.trace.extend(trace.iter().map(ToString::to_string));
     if hung {
         cluster.abandon();
     } else {
@@ -494,12 +497,7 @@ pub(crate) fn close(cluster: Cluster, hung: bool, report: &mut SeedReport) {
     }
 }
 
-fn trace_lines(trace: &[TraceEvent]) -> Vec<String> {
-    trace.iter().map(ToString::to_string).collect()
-}
-
-fn count_faults(trace: &[TraceEvent]) -> FaultCounts {
-    let mut c = FaultCounts::default();
+fn count_faults(trace: &[TraceEvent], c: &mut FaultCounts) {
     for e in trace {
         match e {
             TraceEvent::Drop { .. } => c.dropped += 1,
@@ -509,5 +507,4 @@ fn count_faults(trace: &[TraceEvent]) -> FaultCounts {
             TraceEvent::Note { .. } => {}
         }
     }
-    c
 }

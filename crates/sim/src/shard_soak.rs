@@ -25,16 +25,12 @@
 //! scheduling, quota accounting, shard routing, settle — not a fitness
 //! recomputation burner.
 //!
-//! [`run_shard_bench`] is the companion throughput probe: the same
-//! cluster at 1, 4 and 16 shards, 16 concurrent distinct-trajectory
-//! jobs, measuring submit-to-done throughput and p95 scheduling delay.
-//! One shard means one shard executor — the single-queue baseline this
-//! PR replaces — so the gate `sharded ≥ single-queue` is the whole
-//! point of the subsystem in one number.
+//! [`QueueScenario`] (`queue`) is the companion: one backlog of
+//! concurrent jobs drained by the single-queue daemon and again by the
+//! sharded one, held to the same answers at both.
 
 use std::time::Duration;
 
-use served::checkpoint::f64_to_json;
 use served::json::Json;
 use served::{Client, JobSpec, JobState};
 use simrng::child_rng;
@@ -42,8 +38,8 @@ use simrng::child_rng;
 use crate::cluster::{Cluster, ClusterConfig};
 use crate::net::FaultPlan;
 use crate::scenario::{
-    close, fire_due, tuned, FailureKind, FaultKind, Scale, Scenario, SeedReport, SweepReport,
-    TimedFault, Truth, Tuned, Weather,
+    close, drain, fire_due, tuned, FailureKind, FaultKind, Scale, Scenario, SeedReport,
+    SweepReport, TimedFault, Truth, Tuned, Weather,
 };
 
 /// Virtual-time budget for a whole soak scenario (submission through
@@ -509,178 +505,117 @@ fn audit_books(
 }
 
 // ---------------------------------------------------------------------
-// Shard throughput bench
+// Queue drain: one backlog at 1 shard and at S
 // ---------------------------------------------------------------------
 
-/// Shard counts the bench sweeps. One shard is the single-queue
-/// baseline this PR replaces.
-pub const BENCH_SHARD_COUNTS: [usize; 3] = [1, 4, 16];
+/// GA seeds of the `queue` backlog, one job each: every seed submits
+/// the whole pool, so ground truths are shared across the sweep.
+const QUEUE_GA_SEEDS: std::ops::Range<u64> = 1000..1016;
 
-/// One bench point: the cluster at one shard count.
-#[derive(Debug, Clone)]
-pub struct ShardBenchPoint {
-    /// Shards (and shard executors) in this configuration.
-    pub shards: usize,
-    /// Concurrent jobs submitted.
-    pub jobs: usize,
-    /// Virtual ms from first submit to the last job's terminal state.
-    pub virtual_ms: u64,
-    /// Submit-to-done throughput, jobs per virtual second.
-    pub jobs_per_vsec: f64,
-    /// p95 scheduling delay (enqueue → claim), virtual microseconds.
-    pub sched_delay_p95_micros: u64,
-    /// Whether every job finished `done` with a result.
-    pub all_done: bool,
-}
+/// Workers in the `queue` fleet.
+const QUEUE_WORKERS: usize = 16;
 
-/// The bench report across [`BENCH_SHARD_COUNTS`].
+/// Latency-only weather: every frame takes time, none is lost, so
+/// dispatch costs virtual time and the outcome is still exact.
+const LATENCY: FaultPlan = FaultPlan {
+    drop_p: 0.0,
+    dup_p: 0.0,
+    delay_p: 1.0,
+    delay_max_micros: 4_000,
+};
+
+/// A fully derived `queue` scenario: one backlog of concurrent jobs,
+/// drained once by the single-queue daemon (1 shard, 1 runner) and once
+/// at `shards` shards (as many runners). Every job must end `done` and
+/// bit-identical at both; the sharded drain must take fewer virtual ms
+/// and spread over at least two shards. Both drain times are booked as
+/// counters — reported, not a speed claim.
 #[derive(Debug, Clone)]
-pub struct ShardBenchReport {
-    /// The sim seed.
+pub struct QueueScenario {
+    /// The root seed.
     pub seed: u64,
-    /// Concurrent jobs per point.
-    pub jobs: usize,
-    /// One point per shard count, ascending.
-    pub points: Vec<ShardBenchPoint>,
+    /// Shards (and runners) of the sharded drain.
+    pub shards: usize,
+    /// The backlog's GA seeds, in submission order.
+    pub ga_seeds: Vec<u64>,
 }
 
-impl ShardBenchReport {
-    /// The acceptance gate: the most-sharded configuration's throughput
-    /// is at least the single-queue baseline's.
-    #[must_use]
-    pub fn sharded_beats_single(&self) -> bool {
-        match (self.points.first(), self.points.last()) {
-            (Some(single), Some(sharded)) if self.points.len() >= 2 => {
-                sharded.jobs_per_vsec >= single.jobs_per_vsec
-            }
-            _ => false,
-        }
-    }
-
-    /// Gate plus completeness: every point drove every job to `done`.
-    #[must_use]
-    pub fn is_ok(&self) -> bool {
-        self.sharded_beats_single() && self.points.iter().all(|p| p.all_done)
-    }
-
-    /// The `BENCH_shard.json` summary (`simtest shard-bench` appends
-    /// `wall_secs`).
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        let int = |n: u64| Json::Int(n as i64);
-        let points = self.points.iter().map(|p| {
-            Json::obj(vec![
-                ("shards", int(p.shards as u64)),
-                ("virtual_ms", int(p.virtual_ms)),
-                ("jobs_per_vsec", f64_to_json(p.jobs_per_vsec)),
-                ("sched_delay_p95_micros", int(p.sched_delay_p95_micros)),
-                ("all_done", Json::Bool(p.all_done)),
-            ])
-        });
-        let beats = Json::Bool(self.sharded_beats_single());
-        Json::obj(vec![
-            ("bench", Json::Str("shard".into())),
-            ("clock", Json::Str("virtual".into())),
-            ("seed", int(self.seed)),
-            ("jobs", int(self.jobs as u64)),
-            ("points", Json::Arr(points.collect())),
-            ("sharded_beats_single", beats),
-            ("shard_bench_ok", Json::Bool(self.is_ok())),
-        ])
-    }
-}
-
-/// Runs the shard bench: for each shard count, boots a fault-free
-/// cluster (network latency only — evaluations need a nonzero virtual
-/// cost for throughput to mean anything), submits `jobs` concurrent
-/// jobs with distinct GA trajectories, and measures submit-to-done
-/// throughput and p95 scheduling delay. Runner threads equal the shard
-/// count, so one shard *is* the serial single-queue daemon.
-#[must_use]
-pub fn run_shard_bench(
-    seed: u64,
-    jobs: usize,
-    workers: usize,
-    shard_counts: &[usize],
-) -> ShardBenchReport {
-    let mut points = Vec::with_capacity(shard_counts.len());
-    for &shards in shard_counts {
-        points.push(bench_point(seed, jobs, workers, shards));
-    }
-    ShardBenchReport { seed, jobs, points }
-}
-
-fn bench_point(seed: u64, jobs: usize, workers: usize, shards: usize) -> ShardBenchPoint {
-    let broken = |virtual_ms| ShardBenchPoint {
-        shards,
-        jobs,
-        virtual_ms,
-        jobs_per_vsec: 0.0,
-        sched_delay_p95_micros: 0,
-        all_done: false,
-    };
-    let cluster = match Cluster::boot(&ClusterConfig {
-        seed,
-        workers,
-        // Latency-only weather: every frame takes time, none are lost,
-        // so the point is deterministic-by-outcome and evals cost
-        // virtual time.
-        plan: FaultPlan {
-            drop_p: 0.0,
-            dup_p: 0.0,
-            delay_p: 1.0,
-            delay_max_micros: 4_000,
-        },
-        redispatch: true,
-        shards,
-        runners: shards,
-        queue_capacity: jobs.max(8),
-        tenant_quotas: Vec::new(),
-        store: true,
-    }) {
-        Ok(c) => c,
-        Err(_) => return broken(0),
-    };
-    let Ok(mut client) = cluster.client() else {
-        cluster.abandon();
-        return broken(0);
-    };
-
-    let started_ms = cluster.now_ms();
-    let mut ids = Vec::with_capacity(jobs);
-    for c in 0..jobs {
-        // Distinct trajectories: no cross-job store hits, every job
-        // pays its own evaluations.
-        let spec = JobSpec {
-            name: format!("bench-{shards}-{c}"),
-            ..Cluster::spec(1000 + c as u64)
+impl QueueScenario {
+    /// Drains `jobs` at `shards` shards: its virtual ms, and how many
+    /// shards finished a job.
+    fn drain_at(
+        &self,
+        shards: usize,
+        jobs: &[(JobSpec, Tuned)],
+        report: &mut SeedReport,
+    ) -> (u64, u64) {
+        let config = ClusterConfig {
+            seed: self.seed,
+            workers: QUEUE_WORKERS,
+            plan: LATENCY,
+            shards,
+            runners: shards,
+            queue_capacity: jobs.len(),
+            ..ClusterConfig::default()
         };
-        match client.submit(&spec) {
-            Ok(id) => ids.push(id),
-            Err(_) => {
-                let waited = cluster.now_ms() - started_ms;
-                cluster.abandon();
-                return broken(waited);
+        let (before, mut busy) = (report.virtual_ms, 0);
+        drain(&config, jobs, &[], report, |cluster, _, _| {
+            let snaps = cluster.daemon().shard_snapshots();
+            busy = snaps.iter().filter(|s| s.done > 0).count() as u64;
+        });
+        (report.virtual_ms - before, busy)
+    }
+}
+
+impl Scenario for QueueScenario {
+    const NAME: &'static str = "queue";
+    type Truth = Truth<Tuned>;
+
+    fn derive(seed: u64, _: &Scale) -> Self {
+        let mut rng = child_rng(seed, "sim/queue");
+        let shards = *rng.choose(&[4, 16]);
+        let mut ga_seeds: Vec<u64> = QUEUE_GA_SEEDS.collect();
+        rng.shuffle(&mut ga_seeds);
+        Self {
+            seed,
+            shards,
+            ga_seeds,
+        }
+    }
+
+    fn run(&self, truth: &mut Self::Truth, report: &mut SeedReport) {
+        let mut jobs = Vec::with_capacity(self.ga_seeds.len());
+        for &ga_seed in &self.ga_seeds {
+            let spec = Cluster::spec(ga_seed);
+            match tuned(truth, &spec) {
+                Ok(want) => jobs.push((spec, want)),
+                Err(e) => return report.broken(format!("reference tune: {e}")),
             }
         }
-    }
-    let mut all_done = true;
-    for id in &ids {
-        match cluster.wait(*id, SOAK_DEADLINE, |_| {}) {
-            crate::cluster::Outcome::Done { .. } => {}
-            _ => all_done = false,
+        let (single_ms, _) = self.drain_at(1, &jobs, report);
+        if !report.is_ok() {
+            return;
+        }
+        let (sharded_ms, busy) = self.drain_at(self.shards, &jobs, report);
+        report.counters.add("single_queue_ms", single_ms);
+        report.counters.add("sharded_ms", sharded_ms);
+        if !report.is_ok() {
+            return;
+        }
+        if sharded_ms >= single_ms {
+            report.broken(format!(
+                "{} shards drained in {sharded_ms} virtual ms, one in {single_ms}",
+                self.shards
+            ));
+        }
+        if busy < 2 {
+            report.broken(format!("{busy} of {} shards finished a job", self.shards));
         }
     }
-    let virtual_ms = (cluster.now_ms() - started_ms).max(1);
-    let sched_delay_p95_micros = sched_delay_p95(&cluster);
-    cluster.shutdown();
-    #[allow(clippy::cast_precision_loss)]
-    ShardBenchPoint {
-        shards,
-        jobs,
-        virtual_ms,
-        jobs_per_vsec: jobs as f64 / (virtual_ms as f64 / 1000.0),
-        sched_delay_p95_micros,
-        all_done,
+
+    fn exercised(sweep: &SweepReport) -> Result<(), &'static str> {
+        (sweep.faults.delayed > 0)
+            .then_some(())
+            .ok_or("no frame was delayed — the drains cost no virtual time")
     }
 }

@@ -1,8 +1,9 @@
 //! End-to-end simulation tests: the acceptance gates of the harness.
 //!
-//! * Every scenario (`fault`, `mixed`, `store`, `online`, `shard`)
-//!   sweeps green at small scale, demonstrably exercises its faults,
-//!   and replays a seed to the same verdict and evidence.
+//! * Every scenario (`fault`, `mixed`, `store`, `online`, `shard`,
+//!   `scale`, `queue`) sweeps green at small scale, demonstrably
+//!   exercises its faults, and replays a seed to the same verdict and
+//!   evidence.
 //! * A seeded drop/partition/crash schedule that kills a worker
 //!   mid-generation still converges to the exact fault-free genome.
 //! * A daemon with re-dispatch disabled (lost work on retry) is caught
@@ -14,7 +15,8 @@ use std::time::Duration;
 use sim::scenario::{replay, sweep};
 use sim::{
     Cluster, ClusterConfig, FaultPlan, FaultScenario, MixedScenario, OnlineScenario, Outcome,
-    Scale, Scenario, ShardScale, ShardScenario, StoreScenario, SweepReport, MIXED_PROBLEMS,
+    QueueScenario, Scale, ScaleScenario, Scenario, ShardScale, ShardScenario, StoreScenario,
+    SweepReport, MIXED_PROBLEMS,
 };
 
 /// One timeout unit. Deadlines scale off `SIM_TIMEOUT_MS` (default
@@ -128,6 +130,31 @@ fn every_scenario_sweeps_green_with_teeth_and_replays_the_same() {
         shard.counters.get("quota_rejects") > 0,
         "the soak never exercised the quota path"
     );
+}
+
+#[test]
+fn the_fleet_scenarios_sweep_green_with_teeth_and_replay_the_same() {
+    let plain = Scale::default();
+
+    // `scale`: seeds 1..=4 are one per fleet size (2, 4, 8, 16 workers
+    // by `seed % 4`) under a crash, no fault and lossy links; seed 11
+    // partitions w1 of a 16-worker fleet. Each must be bit-identical and
+    // lossless, the fault-free one all-remote and batched, and every
+    // fleet without a crash or partition fanned out (the checks inside
+    // the scenario); replaying one twice books the same evaluations.
+    let scale = row::<ScaleScenario>(1, 4, 11, &plain, &["jobs_done", "evaluations"]);
+    assert_eq!(scale.counters.get("jobs_done"), 4);
+    assert_eq!(
+        scale.counters.get("remote_completed") + scale.counters.get("remote_fallback_evals"),
+        scale.counters.get("evaluations"),
+        "a genome was lost or double-counted"
+    );
+
+    // `queue`: one backlog, every job done and bit-identical at 1 shard
+    // and at S; the sharded drain is the shorter one.
+    let queue = row::<QueueScenario>(1, 1, 3, &plain, &["jobs_done"]);
+    assert_eq!(queue.counters.get("jobs_done"), 32);
+    assert!(queue.counters.get("sharded_ms") < queue.counters.get("single_queue_ms"));
 }
 
 #[test]

@@ -38,7 +38,10 @@ fn contradictory_or_unknown_arguments_exit_two_with_one_line() {
         &["store", "--seed", "5", "--trace"],
         &["store:2", "--clients", "60"],
         &["fault:2", "--shard-shards", "4"],
+        // `scale` is a scenario like any other: it needs `:N` or `--seed`.
         &["scale", "fault:2"],
+        &["shard:1", "--workers", "0"],
+        &["fault:2", "--base-seed", "18446744073709551615"],
         &[],
     ] {
         let out = simtest(args);

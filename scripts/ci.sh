@@ -14,12 +14,11 @@
 #      after restart, then the inlining job once more evaluated locally:
 #      the unit memo hits and the evaluation count is what it always was;
 #      both binaries refuse a flag they do not know
-#   6. sim sweep, one invocation: the fault, mixed, store, online and
-#      shard scenarios, then the broken-build self-test (replay a
-#      failing seed with the `replay: simtest <scenario> --seed N ...`
+#   6. the `sim` crate's docs build with every intra-doc link resolved
+#   7. sim sweep, one invocation: the fault, mixed, store, online, shard,
+#      scale and queue scenarios, then the broken-build self-test (replay
+#      a failing seed with the `replay: simtest <scenario> --seed N ...`
 #      line it prints, or scripts/replay.sh <scenario> <seed> [args])
-#   7. sim measurement suites: throughput scaling (`simtest scale`) and
-#      the sharded-control-plane bench (`simtest shard-bench`)
 #
 # No stage gates a speed: those are measured by `benchmark run` and
 # judged by `benchmark compare` (README "Performance").
@@ -207,8 +206,11 @@ MEMO_HITS=$(obs_counter jit_unit_memo_hits_total)
 "$TUNED" shutdown --addr "$ADDR"
 wait "$DAEMON_PID"
 
-echo "== sim sweep (fault, mixed, store, online and shard scenarios)"
-# One runner, five scenarios (what each derives and checks: DESIGN.md
+echo "== sim docs (intra-doc links resolve)"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps -p inlinetune-sim
+
+echo "== sim sweep (fault, mixed, store, online, shard, scale and queue scenarios)"
+# One runner, seven scenarios (what each derives and checks: DESIGN.md
 # §4.9), every one from base seed 1 so CI failures reproduce exactly:
 # a failing seed prints its broken invariants, its fault trace and a
 # complete `replay: simtest <scenario> --seed N ...` line. The shard
@@ -222,7 +224,7 @@ echo "== sim sweep (fault, mixed, store, online and shard scenarios)"
 target/release/simtest "fault:${SIM_SWEEP_SEEDS:-200}" \
   "mixed:${SIM_MIXED_SEEDS:-8}" store:60 "online:${SIM_ONLINE_SEEDS:-50}" \
   "shard:${SIM_SHARD_SEEDS:-50}" --clients "${SIM_SHARD_CLIENTS:-1000}" \
-  --workers "${SIM_SHARD_WORKERS:-100}" --out BENCH_sim.json \
+  --workers "${SIM_SHARD_WORKERS:-100}" scale:20 queue:10 --out BENCH_sim.json \
   || { echo "sim sweep failed (replay lines above)"; cat BENCH_sim.json; exit 1; }
 grep -q '"failed_total":0' BENCH_sim.json \
   || { echo "BENCH_sim.json missing the green verdict"; cat BENCH_sim.json; exit 1; }
@@ -230,29 +232,5 @@ grep -q '"failed_total":0' BENCH_sim.json \
 # work has to be caught by at least one seed.
 target/release/simtest fault:12 --base-seed 9 --broken >/dev/null \
   || { echo "broken-build self-test: no seed caught the lost work"; exit 1; }
-
-echo "== sim throughput-scaling suite (virtual workers, batched dispatch)"
-# Fast profile: the 2-worker beats-serial point, the 16-worker
-# efficiency floor, and the three seeded fault variants (lossy links,
-# mid-run crash, unhealed partition) — every run must stay bit-identical
-# and exactly-once. The full 1..50 matrix runs via `simtest scale`.
-target/release/simtest scale \
-  --workers "${SIM_SCALE_WORKERS:-2,16}" --out BENCH_scale.json \
-  || { echo "throughput-scaling suite failed"; cat BENCH_scale.json; exit 1; }
-grep -q '"scale_ok":true' BENCH_scale.json \
-  || { echo "BENCH_scale.json missing the green verdict"; cat BENCH_scale.json; exit 1; }
-
-echo "== sharded control plane bench (1/4/16 shards, 16 concurrent jobs)"
-# The same backlog of concurrent jobs pushed through the simulated
-# cluster at 1, 4 and 16 shards over one shared worker fleet (runners
-# scale with shards, so the 1-shard point IS the old single-queue
-# daemon): jobs/sec on the virtual clock plus the p95 scheduling delay
-# (submit -> first runner pickup) per shard count. Exits nonzero unless
-# every job finishes and the 16-shard throughput is at least the
-# single-queue baseline's.
-target/release/simtest shard-bench --out BENCH_shard.json \
-  || { echo "sharded >= single-queue bench gate failed"; cat BENCH_shard.json; exit 1; }
-grep -q '"shard_bench_ok":true' BENCH_shard.json \
-  || { echo "BENCH_shard.json missing the green verdict"; cat BENCH_shard.json; exit 1; }
 
 echo "== CI OK"
