@@ -6,10 +6,8 @@
 //! (bars below 1 = improvement) — plus the suite averages Table 5 reports.
 
 use inliner::InlineParams;
-use jit::{measure, AdaptConfig, ArchModel, Measurement, Prepared, Scenario};
+use jit::{AdaptConfig, ArchModel, Measurement, Prepared, Scenario};
 use workloads::Benchmark;
-
-use crate::defaults::default_measurement_in;
 
 /// One benchmark's result: the height of its two bars in Figures 5–9.
 #[derive(Debug, Clone, PartialEq)]
@@ -76,14 +74,7 @@ fn mean(values: impl Iterator<Item = f64>) -> f64 {
 }
 
 /// Measures `params` against the default heuristic on every benchmark of a
-/// suite.
-///
-/// The default-heuristic measurements come from the process-wide
-/// [`crate::defaults`] cache: evaluating many parameter vectors on the
-/// same suite (or evaluating after a [`crate::Tuner`] already measured the
-/// defaults) measures the default exactly once per benchmark. A benchmark
-/// whose default is not cached yet is prepared once for both of its
-/// measurements.
+/// suite. Each benchmark is prepared once for both of its measurements.
 #[must_use]
 pub fn evaluate_suite(
     suite: &[Benchmark],
@@ -96,52 +87,18 @@ pub fn evaluate_suite(
         .iter()
         .map(|b| {
             let ctx = Prepared::new(&b.program, scenario, arch, adapt_cfg);
-            let default = default_measurement_in(b, scenario, arch, adapt_cfg, Some(&ctx));
-            bench_eval(b, ctx.measure(&b.program, params), &default)
+            let tuned = ctx.measure(&b.program, params);
+            let default = ctx.measure(&b.program, &InlineParams::jikes_default());
+            BenchEval {
+                name: b.name(),
+                running_ratio: tuned.running_cycles / default.running_cycles,
+                total_ratio: tuned.total_cycles / default.total_cycles,
+                tuned,
+                default,
+            }
         })
         .collect();
     SuiteEval { benches }
-}
-
-/// Like [`evaluate_suite`], but against caller-provided default
-/// measurements (parallel to the suite order) — for callers that already
-/// hold them, e.g. via `Tuner::defaults`.
-///
-/// # Panics
-/// Panics if `defaults` is not parallel to `suite`.
-#[must_use]
-pub fn evaluate_suite_with_defaults(
-    suite: &[Benchmark],
-    defaults: &[Measurement],
-    scenario: Scenario,
-    arch: &ArchModel,
-    params: &InlineParams,
-    adapt_cfg: &AdaptConfig,
-) -> SuiteEval {
-    assert_eq!(
-        suite.len(),
-        defaults.len(),
-        "defaults must be parallel to the suite"
-    );
-    let benches = suite
-        .iter()
-        .zip(defaults)
-        .map(|(b, default)| {
-            let tuned = measure(&b.program, scenario, arch, params, adapt_cfg);
-            bench_eval(b, tuned, default)
-        })
-        .collect();
-    SuiteEval { benches }
-}
-
-fn bench_eval(b: &Benchmark, tuned: Measurement, default: &Measurement) -> BenchEval {
-    BenchEval {
-        name: b.name(),
-        running_ratio: tuned.running_cycles / default.running_cycles,
-        total_ratio: tuned.total_cycles / default.total_cycles,
-        tuned,
-        default: default.clone(),
-    }
 }
 
 #[cfg(test)]

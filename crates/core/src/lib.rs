@@ -11,8 +11,9 @@
 //!   goal metric over the training suite, normalized to the default
 //!   heuristic (normalization leaves the argmin unchanged and makes
 //!   fitness a dimensionless "relative cost");
-//! * [`tuner`] — the off-line tuning driver: wraps a training suite, a
-//!   [`jit::Scenario`]/[`jit::ArchModel`] pair and a goal into a GA
+//! * [`tuner`] — the off-line tuning driver: a [`Cell`] binds a training
+//!   suite, a [`jit::Scenario`]/[`jit::ArchModel`] pair and a goal to
+//!   everything no genome changes; a [`Tuner`] turns one cell into a GA
 //!   fitness function and runs `inlinetune-ga` over the paper's Table 1
 //!   parameter ranges. Includes the five paper tuning tasks of Table 4;
 //! * [`eval`] — the §5 evaluation methodology: measure a parameter vector
@@ -26,7 +27,6 @@
 //! [`inliner::InlineParams`] you bake into the "shipped" compiler; there
 //! is no runtime overhead.
 
-pub mod defaults;
 pub mod eval;
 pub mod fingerprint;
 pub mod fitness;
@@ -35,11 +35,10 @@ pub mod multi_seed;
 pub mod per_program;
 pub mod tuner;
 
-pub use defaults::default_measurement;
-pub use eval::{evaluate_suite, evaluate_suite_with_defaults, BenchEval, SuiteEval};
+pub use eval::{evaluate_suite, BenchEval, SuiteEval};
 pub use fingerprint::cell_fingerprint;
 pub use fitness::geometric_mean;
 pub use goal::Goal;
 pub use multi_seed::tune_multi_seed;
 pub use per_program::{tune_per_program, PerProgramOutcome};
-pub use tuner::{paper_tasks, TuneOutcome, Tuner, TuningTask};
+pub use tuner::{paper_tasks, Cell, TuneOutcome, Tuner, TuningTask};

@@ -1,18 +1,18 @@
 //! The off-line tuning driver.
 //!
 //! A [`TuningTask`] names a (scenario, goal, architecture) cell of the
-//! paper's Table 4; a [`Tuner`] binds it to a training suite and exposes
+//! paper's Table 4; a [`Cell`] binds it to a training suite and holds
+//! everything no genome changes; a [`Tuner`] searches one cell and exposes
 //! the GA fitness function; [`Tuner::tune`] runs the genetic algorithm and
 //! returns the tuned [`InlineParams`].
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use ga::{GaConfig, GaResult, LocalEvaluator, Ranges};
 use inliner::{InlineParams, ParamRanges};
 use jit::{AdaptConfig, ArchModel, Measurement, MemoStats, Prepared, Scenario, UnitMemo};
 use workloads::Benchmark;
 
-use crate::defaults::default_measurement_in;
 use crate::fitness::geometric_mean;
 use crate::goal::Goal;
 
@@ -97,84 +97,95 @@ pub struct TuneOutcome {
     pub ga: GaResult,
 }
 
-/// Binds a task to a training suite and evaluates/tunes parameter
-/// vectors.
-pub struct Tuner {
+/// The genome-invariant half of tuning a task on a training suite: what
+/// every search over it shares. What a search learns about genomes lives
+/// in its [`Tuner`].
+pub struct Cell {
     task: TuningTask,
     training: Vec<Benchmark>,
     /// Per benchmark: everything a measurement needs that no parameter
-    /// vector changes, and the per-method units this tuner's own fitness
-    /// calls have compiled so far. The memo is never shared: a search is
-    /// exactly as fast as its own trajectory makes it.
-    contexts: Vec<(Prepared, UnitMemo)>,
+    /// vector changes.
+    prepared: Vec<Prepared>,
     /// Per-benchmark measurement under the Jikes default heuristic — the
-    /// normalization constants of the fitness function and the balance
-    /// factors. Shared with every other consumer of the same cell through
-    /// the process-wide [`crate::defaults`] cache.
-    defaults: Vec<Arc<Measurement>>,
-    /// The cell's store fingerprint, computed on first use (only store
-    /// traffic needs it).
-    fingerprint: std::sync::OnceLock<stored::Fingerprint>,
+    /// fitness normalization constants and the balance factors.
+    defaults: Vec<Measurement>,
+    /// The store fingerprint, computed on first use.
+    fingerprint: OnceLock<stored::Fingerprint>,
 }
 
-impl Tuner {
-    /// Creates a tuner over a training suite (the paper trains on
-    /// SPECjvm98: pass [`workloads::specjvm98()`]).
-    ///
-    /// Prepares one measurement context per benchmark. The
-    /// default-heuristic measurements are fetched through the
-    /// process-wide [`crate::defaults`] cache (a miss is measured through
-    /// that context), so constructing many tuners over the same suite (or
-    /// evaluating the suite afterwards) measures the defaults only once.
+impl Cell {
+    /// Prepares one measurement context per benchmark and measures the
+    /// default heuristic through it.
     ///
     /// # Panics
     /// Panics if the suite is empty.
     #[must_use]
     pub fn new(task: TuningTask, training: Vec<Benchmark>, adapt_cfg: AdaptConfig) -> Self {
         assert!(!training.is_empty(), "training suite must not be empty");
-        let mut contexts = Vec::with_capacity(training.len());
-        let mut defaults = Vec::with_capacity(training.len());
-        for b in &training {
-            let ctx = Prepared::new(&b.program, task.scenario, &task.arch, &adapt_cfg);
-            defaults.push(default_measurement_in(
-                b,
-                task.scenario,
-                &task.arch,
-                &adapt_cfg,
-                Some(&ctx),
-            ));
-            let memo = ctx.new_memo();
-            contexts.push((ctx, memo));
-        }
+        let (prepared, defaults) = training
+            .iter()
+            .map(|b| {
+                let ctx = Prepared::new(&b.program, task.scenario, &task.arch, &adapt_cfg);
+                let default = ctx.measure(&b.program, &InlineParams::jikes_default());
+                (ctx, default)
+            })
+            .unzip();
         Self {
             task,
             training,
-            contexts,
+            prepared,
             defaults,
-            fingerprint: std::sync::OnceLock::new(),
+            fingerprint: OnceLock::new(),
         }
     }
 
     /// The cell's fingerprint for the fitness store: exact identity
     /// plus the workload-shape features warm-start transfer ranks by.
-    /// Computed once per tuner, on first use.
     #[must_use]
     pub fn fingerprint(&self) -> &stored::Fingerprint {
         self.fingerprint
             .get_or_init(|| crate::fingerprint::cell_fingerprint(&self.task, &self.training))
     }
+}
+
+/// One search's view of a [`Cell`]: evaluates and tunes parameter
+/// vectors through the cell's prepared contexts.
+pub struct Tuner {
+    cell: Arc<Cell>,
+    /// Per benchmark, the units this tuner's own fitness calls have
+    /// compiled so far. The memo is never shared: a search is exactly as
+    /// fast as its own trajectory makes it.
+    memos: Vec<UnitMemo>,
+}
+
+impl Tuner {
+    /// Creates a tuner over a training suite (the paper trains on
+    /// SPECjvm98: pass [`workloads::specjvm98()`]) on a cell of its own.
+    ///
+    /// # Panics
+    /// Panics if the suite is empty.
+    #[must_use]
+    pub fn new(task: TuningTask, training: Vec<Benchmark>, adapt_cfg: AdaptConfig) -> Self {
+        Self::over(Arc::new(Cell::new(task, training, adapt_cfg)))
+    }
+
+    /// A tuner over a shared cell, with empty memos of its own.
+    #[must_use]
+    pub fn over(cell: Arc<Cell>) -> Self {
+        let memos = cell.prepared.iter().map(Prepared::new_memo).collect();
+        Self { cell, memos }
+    }
+
+    /// The cell this tuner searches.
+    #[must_use]
+    pub fn cell(&self) -> &Arc<Cell> {
+        &self.cell
+    }
 
     /// The task being tuned.
     #[must_use]
     pub fn task(&self) -> &TuningTask {
-        &self.task
-    }
-
-    /// The default-heuristic measurements of the training suite (parallel
-    /// to the suite order).
-    #[must_use]
-    pub fn defaults(&self) -> &[Arc<Measurement>] {
-        &self.defaults
+        &self.cell.task
     }
 
     /// How many per-method units this tuner's fitness calls found already
@@ -182,7 +193,7 @@ impl Tuner {
     #[must_use]
     pub fn memo_stats(&self) -> MemoStats {
         let mut total = MemoStats::default();
-        for (_, memo) in &self.contexts {
+        for memo in &self.memos {
             let s = memo.stats();
             total.hits += s.hits;
             total.misses += s.misses;
@@ -197,13 +208,18 @@ impl Tuner {
     /// 1.
     #[must_use]
     pub fn fitness(&self, params: &InlineParams) -> f64 {
-        let mut ratios = Vec::with_capacity(self.training.len());
-        for ((b, (ctx, memo)), default) in
-            self.training.iter().zip(&self.contexts).zip(&self.defaults)
+        let cell = &*self.cell;
+        let mut ratios = Vec::with_capacity(cell.training.len());
+        for (((b, ctx), memo), default) in cell
+            .training
+            .iter()
+            .zip(&cell.prepared)
+            .zip(&self.memos)
+            .zip(&cell.defaults)
         {
             let m = ctx.measure_memo(&b.program, params, memo);
-            let num = self.task.goal.metric(&m, default);
-            let den = self.task.goal.metric(default, default);
+            let num = cell.task.goal.metric(&m, default);
+            let den = cell.task.goal.metric(default, default);
             if den <= 0.0 {
                 return f64::INFINITY;
             }
@@ -233,11 +249,11 @@ impl Tuner {
     #[must_use]
     pub fn tune(&self, ga_config: GaConfig) -> TuneOutcome {
         let backend = self.evaluator(ga_config.threads);
-        let mut strategy = search::Ga::new(self.task.ranges(), ga_config);
+        let mut strategy = search::Ga::new(self.task().ranges(), ga_config);
         search::drive(&mut strategy, &backend);
         let (genome, fitness) = search::finish(&strategy).expect("no generation completed");
         TuneOutcome {
-            task: self.task.clone(),
+            task: self.task().clone(),
             params: InlineParams::from_genes(&genome),
             fitness,
             ga: strategy.state().result(),
@@ -274,6 +290,25 @@ mod tests {
     }
 
     #[test]
+    fn cell_defaults_equal_the_one_shot_measurement() {
+        let training = small_training();
+        let cfg = AdaptConfig::default();
+        for task in paper_tasks() {
+            let cell = Cell::new(task.clone(), training.clone(), cfg);
+            for (b, default) in training.iter().zip(&cell.defaults) {
+                let direct = jit::measure(
+                    &b.program,
+                    task.scenario,
+                    &task.arch,
+                    &InlineParams::jikes_default(),
+                    &cfg,
+                );
+                assert_eq!(*default, direct, "{} {}", task.name, b.name());
+            }
+        }
+    }
+
+    #[test]
     fn fitness_is_the_one_shot_formula_bit_for_bit() {
         // What `fitness` computed before it measured through prepared
         // contexts and a unit memo: a one-shot `jit::measure` per
@@ -297,7 +332,7 @@ mod tests {
                 let params = InlineParams::from_genes(&genes);
                 let ratios: Vec<f64> = training
                     .iter()
-                    .zip(t.defaults())
+                    .zip(&t.cell().defaults)
                     .map(|(b, default)| {
                         let m = jit::measure(&b.program, task.scenario, &task.arch, &params, &cfg);
                         task.goal.metric(&m, default) / task.goal.metric(default, default)

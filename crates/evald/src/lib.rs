@@ -11,10 +11,10 @@
 //!
 //! * [`server`] — the eval RPC server: per-connection `task` handshake,
 //!   then `eval_batch` requests, the same defensive line-delimited JSON
-//!   framing as `tuned`;
-//! * [`cache`] — a per-process [`problems::Problem`] cache keyed by the
-//!   task-relevant part of the job spec, so repeated connections for the
-//!   same job reuse the default-heuristic measurements;
+//!   framing as `tuned`. Each worker keeps its own [`served::Cells`]: a
+//!   cell is built on the first `task` naming it, and every `task`
+//!   frame gets a fresh problem over it, so no search state outlives the
+//!   connection it was built for;
 //! * [`register`] — the registrar thread: announces the worker to a
 //!   `tuned` daemon and heartbeats so the dispatcher's health checks see
 //!   it (re-registering automatically after a daemon restart);
@@ -25,12 +25,12 @@
 //!
 //! Like the rest of the workspace: plain `std`, no external crates.
 
-pub mod cache;
 pub mod chaos;
 pub mod register;
 pub mod server;
 
-pub use cache::ProblemCache;
 pub use chaos::{Chaos, ChaosConfig};
 pub use register::spawn_registrar;
+/// The former name of the cell cache each [`EvalWorker`] keeps.
+pub use served::Cells as ProblemCache;
 pub use server::EvalWorker;

@@ -32,9 +32,8 @@ use served::proto::{
     err, eval_batch_response, ok_with, parse_eval_batch_request, parse_request, read_frame,
     write_frame, EvalOutcome, Frame,
 };
-use served::{JobSpec, NetListener, NetStream, TcpTransport, Transport};
+use served::{Cells, JobSpec, NetListener, NetStream, TcpTransport, Transport};
 
-use crate::cache::ProblemCache;
 use crate::chaos::Chaos;
 
 /// How long a connection may sit idle before its thread is reclaimed.
@@ -51,7 +50,9 @@ const POLL: Duration = Duration::from_millis(50);
 pub struct EvalWorker {
     transport: Arc<dyn Transport>,
     listener: Box<dyn NetListener>,
-    cache: Arc<ProblemCache>,
+    /// This worker's cells: a worker stands for a process of its own,
+    /// so it shares none with the daemon or other workers in this one.
+    cells: Arc<Cells>,
     chaos: Arc<Chaos>,
     obs: Arc<obs::Registry>,
     stop: Arc<AtomicBool>,
@@ -100,7 +101,7 @@ impl EvalWorker {
         Ok(Self {
             transport,
             listener,
-            cache: Arc::new(ProblemCache::new()),
+            cells: Arc::new(Cells::new()),
             chaos: Arc::new(chaos),
             obs,
             stop: Arc::new(AtomicBool::new(false)),
@@ -129,7 +130,7 @@ impl EvalWorker {
             match self.listener.accept(POLL) {
                 Ok(Some(stream)) => {
                     self.obs.counter("evald_connections").inc();
-                    let cache = Arc::clone(&self.cache);
+                    let cells = Arc::clone(&self.cells);
                     let chaos = Arc::clone(&self.chaos);
                     let reg = Arc::clone(&self.obs);
                     let stop = Arc::clone(&self.stop);
@@ -138,7 +139,7 @@ impl EvalWorker {
                         std::thread::Builder::new()
                             .name("evald-conn".into())
                             .spawn(move || {
-                                serve_connection(stream, &cache, &chaos, &reg, &stop, &transport);
+                                serve_connection(stream, &cells, &chaos, &reg, &stop, &transport);
                             });
                 }
                 Ok(None) => {}
@@ -151,7 +152,7 @@ impl EvalWorker {
 
 fn serve_connection(
     stream: Box<dyn NetStream>,
-    cache: &ProblemCache,
+    cells: &Cells,
     chaos: &Chaos,
     reg: &obs::Registry,
     stop: &AtomicBool,
@@ -191,12 +192,12 @@ fn serve_connection(
                 "ping" => ok_with(vec![("pong", Json::Bool(true))]),
                 "task" => match body.get("job") {
                     None => err("task needs a 'job' object"),
-                    // Constructing a Problem on a cache miss is real CPU
-                    // work: hold the busy bracket so a simulated clock
-                    // cannot time the handshake out underneath it.
+                    // Building a cell is real CPU work: hold the busy
+                    // bracket so a simulated clock cannot time the
+                    // handshake out underneath it.
                     Some(job) => match {
                         let _busy = served::net::busy(&**transport);
-                        JobSpec::from_json(job).and_then(|s| cache.get(&s))
+                        JobSpec::from_json(job).and_then(|s| cells.get(&s))
                     } {
                         Ok((t, was_cached)) => {
                             reg.counter(if was_cached {

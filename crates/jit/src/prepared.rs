@@ -54,8 +54,8 @@ use crate::scenario::{Measurement, Scenario};
 
 /// Distinct decision regions a [`UnitMemo`] keeps per method; the oldest
 /// is evicted first. Eight held 86–94% of the lookups of a whole GA job
-/// on the paper's cells, and bounds a long-lived memo (an `evald` worker
-/// keeps one per cell) at a few MB.
+/// on the paper's cells, and bounds one job's memo at a few MB however
+/// long the job runs.
 pub const UNITS_PER_METHOD: usize = 8;
 
 /// What opt-compiling one method contributes to a measurement: its

@@ -28,6 +28,8 @@
 //! arch apply as usual (`build` cycles play the role of compile time for
 //! `Total` goals).
 
+use std::sync::Arc;
+
 use ga::{GeneKind, Ranges};
 use ir::freq::{analyze, class_index, N_COST_CLASSES};
 use ir::CostClass;
@@ -251,6 +253,10 @@ impl Problem for DssProblem {
             .map(|(c, &g)| format!("c{c}={}", IMPLS[g as usize].name))
             .collect();
         format!("[{}]", picks.join(", "))
+    }
+
+    fn fresh(self: Arc<Self>) -> Arc<dyn Problem> {
+        self
     }
 }
 

@@ -26,6 +26,7 @@
 //! ignored — gene 4 **is** the scenario here.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use ga::{GeneKind, Ranges};
 use inliner::{inline_method, HotSites, InlineParams};
@@ -245,6 +246,10 @@ impl Problem for FlagsProblem {
             onoff(cfg.fixpoint),
             if cfg.opt { "opt" } else { "baseline" },
         )
+    }
+
+    fn fresh(self: Arc<Self>) -> Arc<dyn Problem> {
+        self
     }
 }
 

@@ -8,10 +8,12 @@
 //! so searching through it is bit-identical to the direct tuner path —
 //! `inline_problem_is_bit_identical_to_the_tuner` enforces that.
 
+use std::sync::Arc;
+
 use ga::Ranges;
 use inliner::InlineParams;
 use jit::AdaptConfig;
-use tuner::{Tuner, TuningTask};
+use tuner::{Cell, Tuner, TuningTask};
 use workloads::Benchmark;
 
 use crate::Problem;
@@ -29,17 +31,13 @@ impl InlineProblem {
     /// Panics if the training suite is empty (same as [`Tuner::new`]).
     #[must_use]
     pub fn new(task: TuningTask, training: Vec<Benchmark>, adapt: AdaptConfig) -> Self {
-        let space = task.ranges();
-        Self {
-            tuner: Tuner::new(task, training, adapt),
-            space,
-        }
+        Self::over(Arc::new(Cell::new(task, training, adapt)))
     }
 
-    /// The wrapped tuner (for inlining-specific reporting paths).
-    #[must_use]
-    pub fn tuner(&self) -> &Tuner {
-        &self.tuner
+    fn over(cell: Arc<Cell>) -> Self {
+        let tuner = Tuner::over(cell);
+        let space = tuner.task().ranges();
+        Self { tuner, space }
     }
 }
 
@@ -57,11 +55,15 @@ impl Problem for InlineProblem {
     }
 
     fn fingerprint(&self) -> &stored::Fingerprint {
-        self.tuner.fingerprint()
+        self.tuner.cell().fingerprint()
     }
 
     fn describe(&self, genes: &[i64]) -> String {
         InlineParams::from_genes(genes).to_string()
+    }
+
+    fn fresh(self: Arc<Self>) -> Arc<dyn Problem> {
+        Arc::new(Self::over(Arc::clone(self.tuner.cell())))
     }
 }
 

@@ -74,6 +74,11 @@ pub trait Problem: Send + Sync {
 
     /// Human-readable decode of a genome for reports and logs.
     fn describe(&self, genes: &[i64]) -> String;
+
+    /// The same cell with no per-job state: what a new job over a cached
+    /// problem gets, so nothing a search learned about genomes outlives
+    /// its job. A problem without such state returns itself.
+    fn fresh(self: Arc<Self>) -> Arc<dyn Problem>;
 }
 
 /// Builds a problem by id over a task and training suite.

@@ -891,7 +891,9 @@ impl Run<'_> {
         // searches the problem's gene space, evaluators call the
         // problem's fitness, and the store keys by the problem's tagged
         // fingerprint. One daemon therefore tunes heterogeneous problems
-        // over one pool.
+        // over one pool. The problem is this job's own over the
+        // process's shared cell: the suite is built once per process, the
+        // search state dies with the job.
         let problem = spec.build_problem()?;
 
         // Resume from the checkpoint when one exists and is consistent
@@ -1117,8 +1119,8 @@ impl Run<'_> {
     /// it and the fallback takes only what no live worker answers.
     /// Thread count affects wall-clock only, never results, so a clamped
     /// lease is safe — and so is re-planning after a restore. Workers
-    /// rebuild the problem from `spec` (phase-pinned for an online epoch,
-    /// so their problem cache splits per phase). The directory filter
+    /// look the cell up from `spec` (phase-pinned for an online epoch,
+    /// so each phase is a cell of its own). The directory filter
     /// scopes dispatch to the workers leasing this job's shard (falling
     /// back to the whole fleet when the lease set is empty), so
     /// thousands of jobs multiplex the shared pool without all

@@ -130,8 +130,8 @@ pub struct JobSpec {
     pub online: Option<OnlineSpec>,
     /// The workload position the suite is materialized at. Internal
     /// plumbing for per-epoch evaluation (`JobSpec::at_pos`): the
-    /// daemon sends position-pinned specs to eval workers so their
-    /// problem caches split per phase. `None` means phase 0.
+    /// daemon evaluates, and sends eval workers, position-pinned specs,
+    /// so each phase is a cell of its own. `None` means phase 0.
     pub drift_pos: Option<DriftPos>,
 }
 
@@ -160,7 +160,7 @@ impl JobSpec {
     /// Materializes the training suite — morphed to this spec's
     /// workload position when the job is online and pinned to one
     /// (`drift_pos`), so everything downstream (problem construction,
-    /// store fingerprints, worker problem caches) sees the phase's
+    /// store fingerprints, cells) sees the phase's
     /// workload without knowing about drift.
     ///
     /// # Errors
@@ -200,17 +200,13 @@ impl JobSpec {
         AdaptConfig::default()
     }
 
-    /// Materializes the problem this spec tunes.
+    /// A fresh problem over this spec's cell, built once per process
+    /// (see [`mod@crate::cells`]).
     ///
     /// # Errors
     /// Unknown problem/arch/benchmark names.
     pub fn build_problem(&self) -> Result<std::sync::Arc<dyn problems::Problem>, String> {
-        problems::build(
-            &self.problem,
-            &self.task()?,
-            &self.training()?,
-            self.adapt_cfg(),
-        )
+        crate::cells().get(self).map(|(problem, _)| problem)
     }
 
     /// Serializes the spec. The `online` and `drift_pos` keys are
@@ -265,8 +261,14 @@ impl JobSpec {
             ));
         }
         // A name lookup only: generating the programs is `training`'s job.
-        if let Some(b) = self.suite.iter().find(|b| spec_by_name(b).is_none()) {
-            return Err(format!("unknown benchmark '{b}'"));
+        // A repeat is refused, so no suite outgrows the benchmark list.
+        for (i, b) in self.suite.iter().enumerate() {
+            if spec_by_name(b).is_none() {
+                return Err(format!("unknown benchmark '{b}'"));
+            }
+            if self.suite[..i].contains(b) {
+                return Err(format!("benchmark '{b}' is named twice in 'suite'"));
+            }
         }
         self.ga.check()?;
         search::validate_spec(&self.strategy)?;
@@ -520,6 +522,20 @@ mod tests {
             );
             assert!(JobSpec::from_text(&spec).is_err(), "{bad}");
         }
+    }
+
+    #[test]
+    fn a_suite_names_each_benchmark_once() {
+        let base = r#"{"name":"j","scenario":"opt","goal":"tot","arch":"x86-p4""#;
+        let with_suite =
+            |names: &[&str]| JobSpec::from_text(&format!("{base},\"suite\":{names:?}}}"));
+        assert!(with_suite(&["db", "jess"]).is_ok());
+        let err = with_suite(&["db", "db"]).unwrap_err();
+        assert!(err.contains("'db' is named twice"), "{err}");
+        // A 120 KB spec asking for 20,000 programs is refused before any
+        // is generated.
+        let err = with_suite(&["db"; 20_000]).unwrap_err();
+        assert!(err.contains("named twice"), "{err}");
     }
 
     #[test]

@@ -9,6 +9,9 @@
 //! * [`daemon`] — a bounded job queue and a worker pool that drive each
 //!   search **one round at a time** via `search::round`, with per-job
 //!   cancellation and graceful shutdown;
+//! * [`mod@cells`] — the tuning cells the process has built: every job over
+//!   one cell shares its training suite, prepared contexts and default
+//!   measurements, and gets a search state of its own;
 //! * [`checkpoint`] — an atomic (temp-file + rename) checkpoint of the
 //!   complete search state after every generation, and crash recovery
 //!   that resumes incomplete jobs bit-identically after a `SIGKILL`;
@@ -41,6 +44,7 @@
 //!
 //! Everything is plain `std`: threads, `Mutex`/`Condvar`, `TcpListener`.
 
+pub mod cells;
 pub mod checkpoint;
 pub mod client;
 pub(crate) mod codec;
@@ -56,6 +60,7 @@ pub mod net;
 pub mod proto;
 pub mod server;
 
+pub use cells::{cells, Cells};
 pub use checkpoint::RunDir;
 pub use client::Client;
 pub use daemon::{Daemon, DaemonConfig, JobRecord, ShardSnapshot, SubmitError};

@@ -14,7 +14,8 @@
 #      after restart, then the inlining job once more evaluated locally:
 #      the unit memo hits and the evaluation count is what it always was;
 #      both binaries refuse a flag they do not know
-#   6. the `sim` crate's docs build with every intra-doc link resolved
+#   6. the docs of `sim`, `core`, `problems`, `served` and `evald` build
+#      with every intra-doc link resolved
 #   7. sim sweep, one invocation: the fault, mixed, store, online, shard,
 #      scale and queue scenarios, then the broken-build self-test (replay
 #      a failing seed with the `replay: simtest <scenario> --seed N ...`
@@ -206,8 +207,9 @@ MEMO_HITS=$(obs_counter jit_unit_memo_hits_total)
 "$TUNED" shutdown --addr "$ADDR"
 wait "$DAEMON_PID"
 
-echo "== sim docs (intra-doc links resolve)"
-RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps -p inlinetune-sim
+echo "== docs (intra-doc links resolve)"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps -p inlinetune-sim \
+  -p inlinetune-core -p inlinetune-problems -p inlinetune-served -p inlinetune-evald
 
 echo "== sim sweep (fault, mixed, store, online, shard, scale and queue scenarios)"
 # One runner, seven scenarios (what each derives and checks: DESIGN.md
