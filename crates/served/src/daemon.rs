@@ -17,7 +17,7 @@ use ga::{GenTiming, LocalEvaluator};
 use online::OnlineState;
 use problems::Problem;
 use search::{Standing, Strategy};
-use shard::{shard_of, Directory, DrrScheduler, QuotaAccountant, Reject, RejectKind, TenantUsage};
+use shard::{shard_of, DrrScheduler, QuotaAccountant, Reject, RejectKind, TenantUsage};
 use workloads::DriftPos;
 
 use crate::checkpoint::RunDir;
@@ -273,7 +273,6 @@ struct Inner {
     shutdown: AtomicBool,
     budget: ThreadBudget,
     pool: Arc<WorkerPool>,
-    directory: Arc<Directory>,
 }
 
 impl Inner {
@@ -330,10 +329,6 @@ impl Daemon {
     pub fn start(config: DaemonConfig, run_dir: RunDir) -> Result<Self, String> {
         assert!(config.workers >= 1, "need at least one worker");
         assert!(config.shards >= 1, "need at least one shard");
-        let directory = Arc::new(Directory::new(
-            config.shards,
-            config.dispatch.stale_after.as_micros() as u64,
-        ));
         let inner = Arc::new(Inner {
             run_dir,
             jobs: Mutex::new(JobTable {
@@ -355,15 +350,8 @@ impl Daemon {
                 pool.set_transport(Arc::clone(&config.transport));
                 Arc::new(pool)
             },
-            directory: Arc::clone(&directory),
             config,
         });
-        // Statically configured workers seed the directory exactly like
-        // a runtime registration would.
-        let boot = inner.now_micros();
-        for addr in &inner.config.eval_workers {
-            directory.observe(addr, boot);
-        }
         let daemon = Self {
             inner,
             workers: Arc::new(Mutex::new(Vec::new())),
@@ -665,23 +653,6 @@ impl Daemon {
     #[must_use]
     pub fn max_connections(&self) -> usize {
         self.inner.config.max_connections
-    }
-
-    /// Registers a worker with both the dispatch pool and the shard
-    /// directory — one call per `register` frame keeps the two views of
-    /// the fleet in lockstep. Returns `true` if the address was new.
-    pub fn register_worker(&self, addr: &str) -> bool {
-        let new = self.inner.pool.register(addr);
-        self.inner.directory.observe(addr, self.inner.now_micros());
-        new
-    }
-
-    /// Refreshes a worker's heartbeat in the pool and the directory
-    /// (auto-registering an address neither has seen, e.g. after a
-    /// daemon restart).
-    pub fn heartbeat_worker(&self, addr: &str) {
-        self.inner.pool.heartbeat(addr);
-        self.inner.directory.observe(addr, self.inner.now_micros());
     }
 
     /// Per-shard queue/terminal-state gauges, one row per shard, for the
@@ -1120,11 +1091,10 @@ impl Run<'_> {
     /// Thread count affects wall-clock only, never results, so a clamped
     /// lease is safe — and so is re-planning after a restore. Workers
     /// look the cell up from `spec` (phase-pinned for an online epoch,
-    /// so each phase is a cell of its own). The directory filter
-    /// scopes dispatch to the workers leasing this job's shard (falling
-    /// back to the whole fleet when the lease set is empty), so
-    /// thousands of jobs multiplex the shared pool without all
-    /// stampeding the same workers.
+    /// so each phase is a cell of its own). Dispatch is scoped to
+    /// the live workers leasing this job's shard (the whole live pool
+    /// when none does), so thousands of jobs multiplex the shared pool
+    /// without all stampeding the same workers.
     fn evaluator<'p>(
         &'p self,
         spec: &JobSpec,
@@ -1139,11 +1109,7 @@ impl Run<'_> {
         });
         let local = LocalEvaluator::new(move |genes: &[i64]| problem.fitness(genes), threads);
         let mut remote = RemoteEvaluator::new(&inner.pool, spec.to_json(), local);
-        let directory = Arc::clone(&inner.directory);
-        let transport = Arc::clone(&inner.config.transport);
-        remote.set_worker_filter(Arc::new(move |addr: &str| {
-            directory.allows(shard, addr, transport.now_micros())
-        }));
+        remote.set_shard(shard, inner.config.shards);
         StoreTier::new(store_cell, remote)
     }
 

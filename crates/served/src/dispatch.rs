@@ -92,9 +92,11 @@ pub struct DispatchConfig {
     /// values amortize the round-trip better over slow links; lower
     /// values spread a small generation more evenly.
     pub max_inflight: usize,
-    /// A registered (heartbeating) worker whose last heartbeat is older
-    /// than this is considered gone and evicted. Statically configured
-    /// workers are exempt — they never heartbeat.
+    /// The fleet's one liveness TTL: a registered (heartbeating) worker
+    /// whose last register or heartbeat frame is older than this is
+    /// evicted from the pool, and so leaves every shard's lease set.
+    /// Statically configured workers are exempt — they never heartbeat;
+    /// failed requests evict them instead.
     pub stale_after: Duration,
     /// How long a dispatch thread with nothing left to claim dozes
     /// before re-checking the queue (work re-appears there when another
@@ -749,9 +751,11 @@ impl BatchLedger {
     }
 }
 
-/// A [`ga::Evaluator`] that fans batches out over a [`WorkerPool`],
-/// handing anything the pool could not answer — everything, while the
-/// pool has no worker at all — to a local fallback evaluator. `begin`
+/// A [`ga::Evaluator`] that fans batches out over a [`WorkerPool`]'s
+/// live workers leasing its job's shard (the whole live pool when none
+/// does), handing anything the pool could not answer — everything,
+/// while the pool has no worker at all — to a local fallback
+/// evaluator. `begin`
 /// runs the dispatch fan-out on a coordinator thread so the caller can
 /// overlap its own work (writing a checkpoint) with the in-flight
 /// round-trips.
@@ -768,68 +772,56 @@ pub struct RemoteEvaluator<'a> {
     /// so a connection's task binding always matches the batches sent
     /// on it. Dropped (closing the sockets) with the evaluator.
     conns: Arc<Mutex<HashMap<String, Conn>>>,
-    /// Optional address filter scoping fan-out to a subset of the live
-    /// pool (the shard directory's lease view). `None` uses every live
-    /// worker.
-    filter: Option<WorkerFilter>,
+    /// The shard this evaluator's job runs on and the daemon's shard
+    /// count. Each round dispatches to the live workers leasing `shard`
+    /// ([`shard::lease_of`]), or to the whole live pool when none does.
+    shard: (usize, usize),
 }
 
-/// An address predicate restricting which live workers a generation may
-/// dispatch to. Re-checked every generation, so lease changes (worker
-/// churn, starvation rebalancing) take effect at round boundaries.
-pub type WorkerFilter = Arc<dyn Fn(&str) -> bool + Send + Sync>;
-
 impl<'a> RemoteEvaluator<'a> {
-    /// Builds an evaluator for one job. `task` is the job-spec JSON sent
-    /// to each worker in the per-connection `task` handshake; `fallback`
-    /// is the local evaluator (must compute the same pure function the
-    /// workers do), given whole batches, so its threads are used.
+    /// Builds an evaluator for one job on a 1-shard daemon, where every
+    /// worker leases shard 0. `task` is the job-spec JSON sent to each
+    /// worker in the per-connection `task` handshake; `fallback` is the
+    /// local evaluator (must compute the same pure function the workers
+    /// do), given whole batches, so its threads are used.
     pub fn new(pool: &Arc<WorkerPool>, task: Json, fallback: impl Evaluator + 'a) -> Self {
         Self {
             pool: Arc::clone(pool),
             task: Arc::new(task),
             fallback: Box::new(fallback),
             conns: Arc::new(Mutex::new(HashMap::new())),
-            filter: None,
+            shard: (0, 1),
         }
     }
 
-    /// Installs a worker-address filter (the shard lease view). If the
-    /// filter rejects every live worker the generation falls back to the
-    /// whole live pool — dispatch stays work-conserving even when the
-    /// directory and the pool disagree about liveness.
-    pub fn set_worker_filter(&mut self, filter: WorkerFilter) {
-        self.filter = Some(filter);
+    /// Scopes dispatch to the workers leasing `shard` of `shards`.
+    pub fn set_shard(&mut self, shard: usize, shards: usize) {
+        self.shard = (shard, shards);
     }
 }
 
 /// Runs one generation's dispatch fan-out to completion: one scoped
-/// worker thread per live pool member, all claiming from one
-/// [`BatchLedger`]. Returns the per-genome results (`None` where no
-/// worker answered).
+/// worker thread per live worker leasing `shard` (every live worker if
+/// none does), all claiming from one [`BatchLedger`]. Returns the
+/// per-genome results (`None` where no worker answered).
 fn dispatch_generation(
     pool: &WorkerPool,
     task: &Json,
     genomes: &[Genome],
     conns: &Mutex<HashMap<String, Conn>>,
-    filter: Option<&WorkerFilter>,
+    (shard, shards): (usize, usize),
 ) -> Vec<Option<f64>> {
     pool.sweep_stale();
     pool.probe_dead();
-    let workers = pool.live();
-    let workers = match filter {
-        Some(f) => {
-            let kept: Vec<_> = workers.iter().filter(|w| f(&w.addr)).cloned().collect();
-            // An over-strict filter (directory aged everyone out) must
-            // not strand the round on the local fallback path.
-            if kept.is_empty() {
-                workers
-            } else {
-                kept
-            }
-        }
-        None => workers,
-    };
+    let live = pool.live();
+    let leased: Vec<_> = live
+        .iter()
+        .filter(|w| shard::lease_of(&w.addr, shards) == shard)
+        .cloned()
+        .collect();
+    // A shard with no live leaseholder borrows the whole live pool, so
+    // no round is stranded on the local fallback while any worker lives.
+    let workers = if leased.is_empty() { live } else { leased };
     let ledger = BatchLedger::new(genomes.len(), pool.transport().now_micros());
     if !workers.is_empty() {
         std::thread::scope(|scope| {
@@ -923,13 +915,11 @@ impl Evaluator for RemoteEvaluator<'_> {
         let pool = Arc::clone(&self.pool);
         let task = Arc::clone(&self.task);
         let conns = Arc::clone(&self.conns);
-        let filter = self.filter.clone();
+        let shard = self.shard;
         let thread_genomes = Arc::clone(&genomes);
         let handle = std::thread::Builder::new()
             .name("dispatch-coordinator".into())
-            .spawn(move || {
-                dispatch_generation(&pool, &task, &thread_genomes, &conns, filter.as_ref())
-            })
+            .spawn(move || dispatch_generation(&pool, &task, &thread_genomes, &conns, shard))
             .expect("spawn dispatch coordinator");
         Box::new(PendingRemote {
             eval: self,

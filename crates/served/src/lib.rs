@@ -64,9 +64,7 @@ pub use cells::{cells, Cells};
 pub use checkpoint::RunDir;
 pub use client::Client;
 pub use daemon::{Daemon, DaemonConfig, JobRecord, ShardSnapshot, SubmitError};
-pub use dispatch::{
-    DispatchConfig, RemoteEvaluator, Worker, WorkerFilter, WorkerPool, WorkerSnapshot,
-};
+pub use dispatch::{DispatchConfig, RemoteEvaluator, Worker, WorkerPool, WorkerSnapshot};
 pub use expo::MetricsExporter;
 pub use flags::Flags;
 pub use job::{JobSpec, JobState};

@@ -276,16 +276,16 @@ fn dispatch(
         "register" => Some(match worker_addr(body) {
             Err(e) => err(e),
             Ok(addr) => {
-                // One call feeds both the dispatch pool and the shard
-                // directory (lease assignment, liveness).
-                let new = daemon.register_worker(&addr);
+                // The pool is the fleet's one liveness view; a worker's
+                // shard lease is a pure function of its address.
+                let new = daemon.pool().register(&addr);
                 ok_with(vec![("new", Json::Bool(new))])
             }
         }),
         "heartbeat" => Some(match worker_addr(body) {
             Err(e) => err(e),
             Ok(addr) => {
-                daemon.heartbeat_worker(&addr);
+                daemon.pool().heartbeat(&addr);
                 ok_with(vec![])
             }
         }),

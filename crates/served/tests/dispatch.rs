@@ -357,3 +357,86 @@ fn dead_pool_falls_back_to_local_and_still_matches() {
     );
     net.shutdown();
 }
+
+/// Where a shard's rounds go: to its live leaseholders while it has
+/// any; to the whole live pool when it has none, whether it never had
+/// one or its only one was evicted. Every case stays bit-identical.
+#[test]
+fn a_shard_dispatches_to_its_leaseholders_or_borrows_the_live_pool() {
+    const SHARDS: usize = 2;
+    let spec = tiny_spec(46);
+    let (local_genes, local_fitness) = run_local(&spec);
+    // Simulated node names whose worker address leases `shard`.
+    let lessees = |shard: usize| -> Vec<String> {
+        (0..)
+            .map(|i| format!("w{i}"))
+            .filter(|n| shard::lease_of(&format!("{n}:7000"), SHARDS) == shard)
+            .take(2)
+            .collect()
+    };
+    let (home, away) = (lessees(0), lessees(1));
+    // (case, honest workers, a dead leaseholder evicted before the run,
+    // whether the shard keeps to its own leaseholders)
+    let cases = [
+        ("leased", [&home[..], &away[..]].concat(), None, true),
+        ("starving", away.clone(), None, false),
+        ("evicted", away.clone(), Some(&home[0]), false),
+    ];
+    for (seed, (case, honest, dead, keeps_own)) in (21..).zip(cases) {
+        let net = SimNet::new(seed);
+        let mut addrs = Vec::new();
+        let mut stops = Vec::new();
+        for node in &honest {
+            let (addr, stop) = fake_worker(&net, node, Behavior::Honest, &spec);
+            addrs.push(addr);
+            stops.push(stop);
+        }
+        // Nothing listens at the dead worker's address, so the pool's
+        // probe never revives it.
+        let dead = dead.map(|node| format!("{node}:7000"));
+        addrs.extend(dead.clone());
+        let pool = sim_pool(&net, &addrs);
+        for w in pool.all() {
+            if dead.as_ref() == Some(&w.addr) {
+                w.evict(pool.obs());
+            }
+        }
+
+        let tuner = Tuner::new(
+            spec.task().unwrap(),
+            spec.training().unwrap(),
+            spec.adapt_cfg(),
+        );
+        let mut remote = RemoteEvaluator::new(&pool, spec.to_json(), tuner.evaluator(1));
+        remote.set_shard(0, SHARDS);
+        let mut strategy = search::build("ga", tuner.task().ranges(), spec.ga.clone()).unwrap();
+        search::drive(strategy.as_mut(), &remote);
+        let (genes, fitness) = search::finish(strategy.as_ref()).unwrap();
+        assert_eq!(genes, local_genes, "{case}");
+        assert_eq!(fitness.to_bits(), local_fitness.to_bits(), "{case}");
+
+        let used: Vec<String> = pool
+            .snapshots()
+            .into_iter()
+            .filter(|w| w.dispatched > 0)
+            .map(|w| w.addr)
+            .collect();
+        let leases: Vec<usize> = used.iter().map(|a| shard::lease_of(a, SHARDS)).collect();
+        if keeps_own {
+            assert!(!used.is_empty(), "{case}: nothing went over the wire");
+            assert!(leases.iter().all(|&s| s == 0), "{case}: {used:?}");
+        } else {
+            assert!(leases.contains(&1), "{case}: did not borrow: {used:?}");
+        }
+        assert_eq!(
+            pool.obs()
+                .counter_value("tuned_remote_fallback_evals_total"),
+            0,
+            "{case}: a live pool must answer everything"
+        );
+        for stop in stops {
+            stop.store(true, Ordering::SeqCst);
+        }
+        net.shutdown();
+    }
+}

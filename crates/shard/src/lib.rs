@@ -4,10 +4,13 @@
 //! worker leasing into N independent shards multiplexing thousands of
 //! jobs from many tenants over one shared worker fleet:
 //!
-//! * [`route`] — the stable job→shard map. A job's shard is a pure
-//!   function of its id and the shard count, so recovery after a
-//!   restart re-derives the same placement from the run directory
-//!   alone.
+//! * [`route`] — the two placement functions. [`shard_of`] maps a job to
+//!   its shard, a pure function of its id and the shard count, so
+//!   recovery after a restart re-derives the same placement from the
+//!   run directory alone. [`lease_of`] maps a worker to the shard it
+//!   serves by rendezvous hashing of its address, so worker churn never
+//!   moves the survivors. Dispatch applies it to the pool's live set; a
+//!   shard with no live leaseholder borrows the whole live pool.
 //! * [`drr`] — [`DrrScheduler`], a deficit-round-robin queue per shard.
 //!   Each tenant gets its own FIFO and a deficit counter; jobs carry an
 //!   eval-budget cost, so a tenant submitting huge jobs cannot crowd
@@ -20,27 +23,18 @@
 //!   runs. Estimates are upper bounds, so `used` can never exceed the
 //!   quota, and all arithmetic saturates — accounting never goes
 //!   negative.
-//! * [`directory`] — [`Directory`], the cluster-wide worker directory.
-//!   Seeded from `evald` registration, liveness from heartbeat ages,
-//!   and per-worker shard leases by rendezvous hashing: a worker's
-//!   lease depends only on its own address and the shard count, so
-//!   worker churn never reshuffles the survivors. A shard whose lease
-//!   set is empty borrows the whole live fleet, so no shard starves
-//!   while any worker is alive.
 //!
 //! The crate is deliberately free of I/O and of dependencies on the
 //! rest of the workspace: `served` owns the sockets, threads, and
 //! persistence and composes these pieces under its own locks.
 
-pub mod directory;
 pub mod drr;
 pub mod quota;
 pub mod route;
 
-pub use directory::Directory;
 pub use drr::DrrScheduler;
 pub use quota::{QuotaAccountant, TenantUsage};
-pub use route::shard_of;
+pub use route::{lease_of, shard_of};
 
 /// The tenant a spec without a `tenant` key belongs to.
 pub const DEFAULT_TENANT: &str = "default";

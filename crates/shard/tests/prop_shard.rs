@@ -9,10 +9,9 @@
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 
-use shard::directory::Directory;
 use shard::drr::DrrScheduler;
 use shard::quota::QuotaAccountant;
-use shard::route::shard_of;
+use shard::route::{lease_of, shard_of};
 use simrng::{cases, string_of, vec_of};
 
 /// Work conservation: as long as any job is queued, dequeue yields one
@@ -156,8 +155,8 @@ fn shard_routing_is_total_and_stable() {
 
 /// Lease stability under churn: a worker's shard lease depends only on
 /// its address and the shard count — adding or removing *other* workers
-/// never moves it (rendezvous hashing), so worker churn cannot stampede
-/// the directory.
+/// never moves it (rendezvous hashing), so worker churn cannot reshuffle
+/// which shard the survivors serve.
 #[test]
 fn leases_are_stable_under_worker_churn() {
     cases("leases_are_stable_under_worker_churn", |rng| {
@@ -170,10 +169,8 @@ fn leases_are_stable_under_worker_churn() {
         .collect();
         let fleet: Vec<String> = fleet.into_iter().collect();
         let shards = rng.range_usize(1, 15);
-        let before: HashMap<&String, usize> = fleet
-            .iter()
-            .map(|w| (w, Directory::lease_of(w, shards)))
-            .collect();
+        let before: HashMap<&String, usize> =
+            fleet.iter().map(|w| (w, lease_of(w, shards))).collect();
 
         // Churn: drop a few workers from the fleet entirely.
         let dropped: HashSet<usize> = vec_of(rng, 1, 9, |r| r.range_usize(0, fleet.len() - 1))
@@ -184,21 +181,21 @@ fn leases_are_stable_under_worker_churn() {
                 continue;
             }
             assert_eq!(
-                Directory::lease_of(worker, shards),
+                lease_of(worker, shards),
                 before[worker],
                 "{worker}'s lease moved when unrelated workers churned"
             );
         }
 
-        // And the directory agrees with the pure function.
-        let dir = Directory::new(shards, 1_000_000);
-        for (i, worker) in fleet.iter().enumerate() {
-            if !dropped.contains(&i) {
-                dir.observe(worker, 1);
-            }
-        }
-        for lease in dir.snapshot(1) {
-            assert_eq!(lease.shard, before[&lease.addr]);
+        // Adding a shard moves a worker only onto the new shard: the
+        // other shards' weights are unchanged, so the argmax either stays
+        // or is the newcomer.
+        for worker in &fleet {
+            let grown = lease_of(worker, shards + 1);
+            assert!(
+                grown == before[worker] || grown == shards,
+                "{worker} moved between old shards when one was added"
+            );
         }
     });
 }

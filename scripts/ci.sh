@@ -14,8 +14,8 @@
 #      after restart, then the inlining job once more evaluated locally:
 #      the unit memo hits and the evaluation count is what it always was;
 #      both binaries refuse a flag they do not know
-#   6. the docs of `sim`, `core`, `problems`, `served` and `evald` build
-#      with every intra-doc link resolved
+#   6. the docs of `sim`, `core`, `problems`, `served`, `evald` and
+#      `shard` build with every intra-doc link resolved
 #   7. sim sweep, one invocation: the fault, mixed, store, online, shard,
 #      scale and queue scenarios, then the broken-build self-test (replay
 #      a failing seed with the `replay: simtest <scenario> --seed N ...`
@@ -209,7 +209,8 @@ wait "$DAEMON_PID"
 
 echo "== docs (intra-doc links resolve)"
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps -p inlinetune-sim \
-  -p inlinetune-core -p inlinetune-problems -p inlinetune-served -p inlinetune-evald
+  -p inlinetune-core -p inlinetune-problems -p inlinetune-served -p inlinetune-evald \
+  -p inlinetune-shard
 
 echo "== sim sweep (fault, mixed, store, online, shard, scale and queue scenarios)"
 # One runner, seven scenarios (what each derives and checks: DESIGN.md
