@@ -10,9 +10,12 @@
 //!   zero-trip loop leaves the environment untouched for the code after
 //!   it.
 //!
-//! The pass is idempotent: every rewrite it counts leaves the method in a
-//! state where re-running finds nothing (the pipeline in
-//! [`super::optimize_method`] relies on this to terminate).
+//! On a single-assignment method (every register written once) the pass
+//! is idempotent: re-running it finds nothing, which lets
+//! [`super::optimize_method`] run it once. A method that reuses registers
+//! can need another pass: a loop's kills are taken from its body before a
+//! branch inside it is flattened, so a register only the dropped arm
+//! wrote stays unknown after the loop until the next pass.
 
 use ir::method::Method;
 use ir::op::{OpKind, Operand, Reg};

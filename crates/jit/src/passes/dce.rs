@@ -8,8 +8,16 @@
 //!
 //! Loop bodies use a conservative liveness approximation: every register
 //! *read anywhere in the body* is treated as live throughout the body
-//! (loop-carried dependences need no fixpoint that way); precision is
-//! recovered by the prop→DCE pipeline iterating.
+//! (loop-carried dependences need no fixpoint that way). The price is
+//! that one pass frees only the tail of a dead chain inside a loop: a
+//! chain of `n` dead statements in a loop body takes `n` passes, one
+//! statement each. [`super::optimize_method`] repeats the pass, but at
+//! most 64 times, so longer chains keep their head (see its docs).
+//!
+//! The pass works in place: each statement list is walked backward once,
+//! its keep/drop verdicts recorded in a mask, then `retain`ed. The
+//! pipeline keeps that mask and the branch-arm live sets from one pass to
+//! the next, so repeated passes over a method allocate nothing new.
 
 use ir::method::Method;
 use ir::op::{OpKind, Operand};
@@ -18,17 +26,21 @@ use ir::stmt::{stmt_count, Stmt};
 /// Live-register set.
 type Live = Vec<bool>;
 
+/// Reusable scratch for DCE passes.
+#[derive(Debug, Default)]
+pub(crate) struct Dce {
+    /// Keep verdicts of the statement lists being walked, innermost last.
+    keep: Vec<bool>,
+    /// Spare live sets for branch arms.
+    pool: Vec<Live>,
+    /// Statements removed by the pass in progress.
+    removed: u32,
+}
+
 /// Runs DCE on a method, in place. Returns the number of statements
 /// removed (counting every statement inside removed subtrees).
 pub fn dce(method: &mut Method) -> u32 {
-    let mut live: Live = vec![false; method.n_regs as usize];
-    if let Operand::Reg(r) = method.ret {
-        live[r.0 as usize] = true;
-    }
-    let body = std::mem::take(&mut method.body);
-    let mut removed = 0;
-    method.body = dce_stmts(body, &mut live, &mut removed);
-    removed
+    Dce::default().run(method)
 }
 
 fn mark(o: Operand, live: &mut Live) {
@@ -57,25 +69,63 @@ fn read_regs(body: &[Stmt], live: &mut Live) {
     });
 }
 
-fn dce_stmts(body: Vec<Stmt>, live: &mut Live, removed: &mut u32) -> Vec<Stmt> {
-    let mut kept_rev: Vec<Stmt> = Vec::with_capacity(body.len());
-    for stmt in body.into_iter().rev() {
+impl Dce {
+    /// Runs one DCE pass on a method, in place; the same as [`dce()`].
+    pub(crate) fn run(&mut self, method: &mut Method) -> u32 {
+        self.removed = 0;
+        let mut live = self.pool.pop().unwrap_or_default();
+        live.clear();
+        live.resize(method.n_regs as usize, false);
+        if let Operand::Reg(r) = method.ret {
+            live[r.0 as usize] = true;
+        }
+        self.stmts(&mut method.body, &mut live);
+        self.pool.push(live);
+        self.removed
+    }
+
+    /// A pooled live set holding a copy of `live`.
+    fn live_copy(&mut self, live: &[bool]) -> Live {
+        let mut copy = self.pool.pop().unwrap_or_default();
+        copy.clear();
+        copy.extend_from_slice(live);
+        copy
+    }
+
+    /// Walks `body` backward from the live set after it, leaving in
+    /// `live` the set before it, and drops the dead statements.
+    fn stmts(&mut self, body: &mut Vec<Stmt>, live: &mut Live) {
+        let base = self.keep.len();
+        for stmt in body.iter_mut().rev() {
+            let keep = self.stmt(stmt, live);
+            self.keep.push(keep);
+        }
+        let verdicts = &self.keep[base..];
+        if verdicts.contains(&false) {
+            // Verdicts were pushed last statement first.
+            let mut keep = verdicts.iter().rev();
+            body.retain(|_| *keep.next().expect("one verdict per statement"));
+        }
+        self.keep.truncate(base);
+    }
+
+    /// Updates `live` across one statement; `false` if it goes.
+    fn stmt(&mut self, stmt: &mut Stmt, live: &mut Live) -> bool {
         match stmt {
             Stmt::Op(o) => {
                 let is_store = o.op == OpKind::Store;
-                let dst_live = is_store || live[o.dst.0 as usize];
-                if !dst_live {
-                    *removed += 1;
-                    continue;
-                }
                 if !is_store {
+                    if !live[o.dst.0 as usize] {
+                        self.removed += 1;
+                        return false;
+                    }
                     live[o.dst.0 as usize] = false;
                 }
                 mark(o.a, live);
                 if o.op != OpKind::Mov {
                     mark(o.b, live);
                 }
-                kept_rev.push(Stmt::Op(o));
+                true
             }
             Stmt::Call(c) => {
                 // Calls may store to the heap: always kept.
@@ -85,54 +135,47 @@ fn dce_stmts(body: Vec<Stmt>, live: &mut Live, removed: &mut u32) -> Vec<Stmt> {
                 for a in &c.args {
                     mark(*a, live);
                 }
-                kept_rev.push(Stmt::Call(c));
+                true
             }
             Stmt::Loop { trips, body } => {
-                if trips == 0 {
-                    *removed += 1 + stmt_count(&body) as u32;
-                    continue;
+                if *trips == 0 {
+                    self.removed += 1 + stmt_count(body) as u32;
+                    return false;
                 }
                 // Conservative: body-read registers live throughout.
-                read_regs(&body, live);
-                let new_body = dce_stmts(body, live, removed);
-                if new_body.is_empty() {
-                    *removed += 1;
-                    continue;
+                read_regs(body, live);
+                self.stmts(body, live);
+                if body.is_empty() {
+                    self.removed += 1;
+                    return false;
                 }
-                kept_rev.push(Stmt::Loop {
-                    trips,
-                    body: new_body,
-                });
+                true
             }
             Stmt::If {
                 cond,
-                prob_true,
                 then_b,
                 else_b,
+                ..
             } => {
-                let mut live_then = live.clone();
-                let mut live_else = live.clone();
-                let t = dce_stmts(then_b, &mut live_then, removed);
-                let e = dce_stmts(else_b, &mut live_else, removed);
-                if t.is_empty() && e.is_empty() {
-                    *removed += 1;
-                    continue;
+                let mut live_then = self.live_copy(live);
+                let mut live_else = self.live_copy(live);
+                self.stmts(then_b, &mut live_then);
+                self.stmts(else_b, &mut live_else);
+                let keep = !(then_b.is_empty() && else_b.is_empty());
+                if keep {
+                    for ((slot, a), b) in live.iter_mut().zip(&live_then).zip(&live_else) {
+                        *slot = *a || *b;
+                    }
+                    mark(*cond, live);
+                } else {
+                    self.removed += 1;
                 }
-                for ((slot, a), b) in live.iter_mut().zip(&live_then).zip(&live_else) {
-                    *slot = *a || *b;
-                }
-                mark(cond, live);
-                kept_rev.push(Stmt::If {
-                    cond,
-                    prob_true,
-                    then_b: t,
-                    else_b: e,
-                });
+                self.pool.push(live_then);
+                self.pool.push(live_else);
+                keep
             }
         }
     }
-    kept_rev.reverse();
-    kept_rev
 }
 
 #[cfg(test)]

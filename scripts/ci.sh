@@ -14,8 +14,8 @@
 #      after restart, then the inlining job once more evaluated locally:
 #      the unit memo hits and the evaluation count is what it always was;
 #      both binaries refuse a flag they do not know
-#   6. the docs of `sim`, `core`, `problems`, `served`, `evald` and
-#      `shard` build with every intra-doc link resolved
+#   6. the docs of `sim`, `core`, `problems`, `served`, `evald`, `shard`,
+#      `jit`, `inline` and `ir` build with every intra-doc link resolved
 #   7. sim sweep, one invocation: the fault, mixed, store, online, shard,
 #      scale and queue scenarios, then the broken-build self-test (replay
 #      a failing seed with the `replay: simtest <scenario> --seed N ...`
@@ -37,9 +37,10 @@ cargo build --workspace --release --offline
 echo "== cargo test --offline"
 cargo test --workspace --offline --quiet
 # The prepared-context differential suite once more with optimizations on,
-# where its four threads really do race for the memo's slots — and the
+# where its four threads really do race for the memo's slots; the
+# optimizer's differential against its round-based reference and the
 # property suites, whose arithmetic wraps there instead of trapping.
-cargo test --release --offline --quiet --test prepared
+cargo test --release --offline --quiet --test prepared --test optimizer
 cargo test --workspace --release --offline --quiet --test 'prop_*'
 # Golden fixtures are frozen bytes: a run with REGEN_FIXTURES left in the
 # environment re-blesses them silently and still passes, so fail here if
@@ -210,7 +211,7 @@ wait "$DAEMON_PID"
 echo "== docs (intra-doc links resolve)"
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps -p inlinetune-sim \
   -p inlinetune-core -p inlinetune-problems -p inlinetune-served -p inlinetune-evald \
-  -p inlinetune-shard
+  -p inlinetune-shard -p inlinetune-jit -p inlinetune-inline -p inlinetune-ir
 
 echo "== sim sweep (fault, mixed, store, online, shard, scale and queue scenarios)"
 # One runner, seven scenarios (what each derives and checks: DESIGN.md
