@@ -16,11 +16,12 @@
 //!   distinct workload position, the unreachable lower envelope that
 //!   regret is measured against.
 //!
-//! The acceptance bar (ROADMAP): online's mean delivered (probe)
-//! fitness beats frozen on at least two of the three schedules, with
-//! regret vs the oracle bounded after detection. Per-epoch rows land
-//! in `results/online.csv` and the summary table in
-//! `results/online_summary.csv`.
+//! Whether online's mean delivered (probe) fitness beats frozen is
+//! reported per schedule, not gated: the `online_wins` column of
+//! `results/online_summary.csv` (2 of 3 at the committed seed). What
+//! the study asserts are the bounded-regret invariants
+//! ([`OnlineReport::violations`]). Per-epoch rows land in
+//! `results/online.csv`.
 
 use ga::GaConfig;
 use online::{DetectorConfig, OnlineConfig, OnlineJob, OnlineReport};

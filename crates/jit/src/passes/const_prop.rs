@@ -10,12 +10,16 @@
 //!   zero-trip loop leaves the environment untouched for the code after
 //!   it.
 //!
-//! On a single-assignment method (every register written once) the pass
-//! is idempotent: re-running it finds nothing, which lets
-//! [`super::optimize_method`] run it once. A method that reuses registers
-//! can need another pass: a loop's kills are taken from its body before a
-//! branch inside it is flattened, so a register only the dropped arm
-//! wrote stays unknown after the loop until the next pass.
+//! Only a *constant source* starts a rewrite: a `Mov` of an immediate, a
+//! pure op on two immediates, or a branch on an immediate. A method with
+//! none is left exactly as it was. On a single-assignment method (every
+//! register written once) the pass is idempotent: re-running it finds
+//! nothing. So [`super::optimize_method`] runs it at most once there, and
+//! not at all without a source, where the round-based pipeline runs it
+//! every round. A method that reuses registers can need another pass: a
+//! loop's kills are taken from its body before a branch inside it is
+//! flattened, so a register only the dropped arm wrote stays unknown
+//! after the loop until the next pass.
 
 use ir::method::Method;
 use ir::op::{OpKind, Operand, Reg};

@@ -11,13 +11,16 @@
 //! (loop-carried dependences need no fixpoint that way). The price is
 //! that one pass frees only the tail of a dead chain inside a loop: a
 //! chain of `n` dead statements in a loop body takes `n` passes, one
-//! statement each. [`super::optimize_method`] repeats the pass, but at
-//! most 64 times, so longer chains keep their head (see its docs).
+//! statement each. The round-based pipeline repeats the pass, but at
+//! most 64 times, so longer chains keep their head (see
+//! [`super::optimize_method`]).
 //!
-//! The pass works in place: each statement list is walked backward once,
-//! its keep/drop verdicts recorded in a mask, then `retain`ed. The
-//! pipeline keeps that mask and the branch-arm live sets from one pass to
-//! the next, so repeated passes over a method allocate nothing new.
+//! On a single-assignment method `optimize_method` does not run this
+//! pass: it computes from the same liveness rules the round in which each
+//! statement would go, and removes them all in one sweep. The pass itself
+//! is that computation's reference, and serves methods that reuse
+//! registers. It works in place: each statement list is walked backward
+//! once, its keep/drop verdicts recorded in a mask, then `retain`ed.
 
 use ir::method::Method;
 use ir::op::{OpKind, Operand};
@@ -26,9 +29,9 @@ use ir::stmt::{stmt_count, Stmt};
 /// Live-register set.
 type Live = Vec<bool>;
 
-/// Reusable scratch for DCE passes.
+/// Scratch of one DCE pass.
 #[derive(Debug, Default)]
-pub(crate) struct Dce {
+struct Dce {
     /// Keep verdicts of the statement lists being walked, innermost last.
     keep: Vec<bool>,
     /// Spare live sets for branch arms.
@@ -70,8 +73,8 @@ fn read_regs(body: &[Stmt], live: &mut Live) {
 }
 
 impl Dce {
-    /// Runs one DCE pass on a method, in place; the same as [`dce()`].
-    pub(crate) fn run(&mut self, method: &mut Method) -> u32 {
+    /// Runs the pass on a method, in place.
+    fn run(&mut self, method: &mut Method) -> u32 {
         self.removed = 0;
         let mut live = self.pool.pop().unwrap_or_default();
         live.clear();

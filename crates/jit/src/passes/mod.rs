@@ -16,8 +16,13 @@
 //! reads. Folds happen on hand-built and randomly generated programs
 //! (`ir::testgen`).
 //!
-//! The pipeline iterates prop → DCE to a fixpoint, bounded at 64 rounds
-//! (see [`optimize_method`]). Both passes are semantics-preserving with
+//! The pipeline iterates prop → DCE to a fixpoint, bounded at 64 rounds.
+//! That round loop is the reference; [`optimize_method`] computes its
+//! result without running it on single-assignment methods: `const_prop`
+//! at most once, and DCE as one sweep that removes every statement whose
+//! *death round* (the round the loop would remove it in) is within the
+//! backstop. The root `tests/optimizer.rs` holds it to the loop, body and
+//! `PassStats` alike. Both passes are semantics-preserving with
 //! respect to the interpreter's observable outcome (return value and
 //! heap); dynamic *step counts* may of course decrease — that is the
 //! point. Property tests in `tests/prop_opt.rs` verify this on thousands
@@ -25,13 +30,12 @@
 
 pub mod const_prop;
 pub mod dce;
+mod dead;
 
 use ir::method::Method;
-use ir::stmt::Stmt;
 
 pub use const_prop::const_prop;
 pub use dce::dce;
-use dce::Dce;
 
 /// Combined statistics of one optimization pipeline run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -40,8 +44,8 @@ pub struct PassStats {
     pub folded: u32,
     /// Statements removed as dead.
     pub removed: u32,
-    /// prop→DCE rounds (≥ 1), counted as the round-based pipeline counts
-    /// them: a round whose passes were skipped as no-ops still counts.
+    /// prop→DCE rounds (≥ 1) the round-based pipeline runs, also where
+    /// [`optimize_method`] computes its result without running them.
     pub rounds: u32,
 }
 
@@ -71,67 +75,50 @@ const MAX_ROUNDS: u32 = 64;
 ///
 /// The result is the round-based pipeline's: rounds of `const_prop` then
 /// `dce`, stopping after the first round that changes nothing, or after
-/// 64 rounds (a backstop real methods reach). A pass is skipped, and
-/// counted as changing nothing, whenever it provably cannot change
-/// anything:
+/// 64 rounds (a backstop real methods reach). The root
+/// `tests/optimizer.rs` keeps that loop as the reference, and holds this
+/// function to its body and `PassStats` (`rounds` included).
 ///
-/// - `dce` is deterministic, so it runs only if the body changed since
-///   the last `dce`.
-/// - `const_prop` runs once if the method is *single-assignment* (every
-///   register written by at most one statement, parameters by none), as
-///   the workload generator, `ir::testgen` and the inliner over their
-///   output produce. There `const_prop` is idempotent, and no DCE
-///   removal hands it a constant: a removed write was its register's
-///   only one and no kept statement reads it, and a removed loop only
-///   un-kills registers nothing else writes. A method that reuses
-///   registers gets `const_prop` every round: a branch it flattens
-///   inside a loop leaves that loop's kill set stale until the next pass.
+/// A *single-assignment* method (every register written by at most one
+/// statement, parameters by none), which the workload generator,
+/// `ir::testgen` and the inliner over their output all produce, runs no
+/// rounds:
 ///
-/// On the paper's suites this leaves one `const_prop` per method and a
-/// `dce` per round. The body and `PassStats` (`rounds` included) are
-/// those of the full round-based loop, which the root `tests/optimizer.rs`
-/// keeps as the reference.
+/// - `const_prop` runs once, and only if the method has a constant
+///   source (a `Mov` of an immediate, a pure op on two immediates, or an
+///   `If` on an immediate); without one it is exactly a no-op. On
+///   single-assignment code it is idempotent, and no DCE removal hands it
+///   a constant: a removed write was its register's only one and no kept
+///   statement reads it, and a removed loop only un-kills registers
+///   nothing else writes.
+/// - DCE is computed, not iterated: each statement's *death round*, the
+///   round in which the loop would remove it, follows from the def-use
+///   edges and the statement tree, and every statement dying within the
+///   backstop goes in one sweep (the `dead` module). `removed` is their
+///   count, and `rounds` is one past the last death round, at least 2
+///   when `const_prop` folded, at most 64.
+///
+/// A method that reuses registers, which no product path produces, gets
+/// the round loop itself: there a branch `const_prop` flattens inside a
+/// loop leaves that loop's kill set stale until the next pass.
 pub fn optimize_method(method: &mut Method) -> PassStats {
-    let refold = !single_assignment(method);
-    let mut dce = Dce::default();
+    dead::optimize(method).unwrap_or_else(|| rounds(method))
+}
+
+/// The round-based pipeline.
+fn rounds(method: &mut Method) -> PassStats {
     let mut stats = PassStats::default();
-    let (mut prop_may_fold, mut dce_may_remove) = (true, true);
     for round in 1..=MAX_ROUNDS {
         stats.rounds = round;
-        let folded = if prop_may_fold { const_prop(method) } else { 0 };
-        let removed = if dce_may_remove || folded > 0 {
-            dce.run(method)
-        } else {
-            0
-        };
+        let folded = const_prop(method);
+        let removed = dce(method);
         stats.folded += folded;
         stats.removed += removed;
         if folded == 0 && removed == 0 {
             break;
         }
-        prop_may_fold = refold;
-        dce_may_remove = removed > 0;
     }
     stats
-}
-
-/// Whether every register of `method` is written by at most one
-/// statement and no parameter is written at all.
-fn single_assignment(method: &Method) -> bool {
-    let mut written = vec![false; method.n_regs as usize];
-    written[..method.n_params as usize].fill(true);
-    let mut once = true;
-    ir::stmt::visit_body(&method.body, &mut |s| {
-        let dst = match s {
-            Stmt::Op(o) if o.op.writes_dst() => Some(o.dst),
-            Stmt::Call(c) => c.dst,
-            _ => None,
-        };
-        if let Some(r) = dst {
-            once &= !std::mem::replace(&mut written[r.0 as usize], true);
-        }
-    });
-    once
 }
 
 #[cfg(test)]
@@ -141,6 +128,7 @@ mod tests {
     use ir::interp::{run, InterpLimits};
     use ir::op::OpKind;
     use ir::size::method_size;
+    use ir::stmt::Stmt;
 
     /// A method whose body collapses entirely once its constant argument
     /// is known: the "inlining enables optimization" showcase.
@@ -205,6 +193,103 @@ mod tests {
             panic!("expected the loop, got {:?}", body[0]);
         };
         assert_eq!(chain.len(), 6, "the chain's head survives");
+    }
+
+    /// Optimizes `m` both with every round at once and with the round
+    /// loop; asserts they agree and returns the stats.
+    fn both_ways(m: MethodBuilder) -> PassStats {
+        let mut pb = ProgramBuilder::new("t");
+        let id = pb.add(m);
+        pb.entry(id);
+        let p = pb.build().unwrap();
+        let mut at_once = p.method(id).clone();
+        let mut looped = at_once.clone();
+        let stats = optimize_method(&mut at_once);
+        assert_eq!(stats, rounds(&mut looped));
+        assert_eq!(at_once, looped);
+        stats
+    }
+
+    /// `x = load`, then a loop whose only statement reads `x` and is
+    /// dead. With `branch` that loop is the then arm of an `If` on a
+    /// loaded `c`, whose else arm is empty or one store of immediates.
+    fn loop_reading_a_def(branch: bool, store_in_else: bool) -> MethodBuilder {
+        let mut m = MethodBuilder::new("main", 0);
+        let c = branch.then(|| m.op(OpKind::Load, 0i64, 0i64));
+        let x = m.op(OpKind::Load, 1i64, 0i64);
+        if let Some(c) = c {
+            m.begin_if(c, 0.5);
+        }
+        m.begin_loop(3);
+        let _dead = m.op(OpKind::Add, x, 1i64);
+        m.end();
+        if branch {
+            m.begin_else();
+            if store_in_else {
+                m.op_into(OpKind::Store, x, 0i64, 1i64);
+            }
+            m.end();
+        }
+        m.ret(0i64);
+        m
+    }
+
+    /// The loop empties in round 1, but its read-set mark on `x` stays:
+    /// `x` goes in round 2 and round 3 finds nothing.
+    #[test]
+    fn an_emptied_loop_keeps_its_reads_live_for_the_round() {
+        let stats = both_ways(loop_reading_a_def(false, false));
+        let want = PassStats {
+            folded: 0,
+            removed: 3,
+            rounds: 3,
+        };
+        assert_eq!(stats, want);
+    }
+
+    /// The `If` around the loop empties in round 1 as well, and removing
+    /// it discards its arms' marks: `x` and the condition's `c` go in
+    /// round 1 too.
+    #[test]
+    fn a_removed_branch_discards_the_marks_made_in_its_arms() {
+        let stats = both_ways(loop_reading_a_def(true, false));
+        let want = PassStats {
+            folded: 0,
+            removed: 5,
+            rounds: 2,
+        };
+        assert_eq!(stats, want);
+    }
+
+    /// A store keeps the `If`, so the then arm's marks join: `x` lives
+    /// through round 1 and goes in round 2.
+    #[test]
+    fn a_kept_branch_joins_the_marks_made_in_its_arms() {
+        let stats = both_ways(loop_reading_a_def(true, true));
+        let want = PassStats {
+            folded: 0,
+            removed: 3,
+            rounds: 3,
+        };
+        assert_eq!(stats, want);
+    }
+
+    /// A round that folds always has a successor, even when nothing
+    /// is ever removed: flattening a branch on an immediate takes two
+    /// rounds.
+    #[test]
+    fn a_fold_alone_takes_a_second_round() {
+        let mut m = MethodBuilder::new("main", 0);
+        m.begin_if(1i64, 0.5);
+        m.op_into(OpKind::Store, ir::op::Reg(0), 0i64, 1i64);
+        m.end();
+        m.ret(0i64);
+        let want = PassStats {
+            folded: 1,
+            removed: 0,
+            rounds: 2,
+        };
+        assert_eq!(both_ways(m), want);
     }
 
     #[test]

@@ -19,10 +19,12 @@
 //! with the preset's parameters and a *gated* pass pipeline per
 //! reachable method. The gated pipeline is the round-based schedule:
 //! `const_prop` then `dce` every round, each behind its flag. With every
-//! flag at its default (`[2,1,1,1,1]`) it compiles the same bodies with
-//! the same `PassStats` as `optimize_method`, which skips the passes that
-//! cannot change anything, so the default configuration reproduces
-//! `jit::measure` under `Opt` exactly and scores fitness 1.
+//! flag at its default (`[2,1,1,1,1]`) it is the round loop that
+//! `optimize_method` is held to: the same bodies and the same
+//! `PassStats`, though `optimize_method` computes that result without
+//! running the rounds on single-assignment methods. So the default
+//! configuration reproduces `jit::measure` under `Opt` exactly and
+//! scores fitness 1.
 //!
 //! The task's *goal* and *arch* apply as usual; the task's scenario is
 //! ignored — gene 4 **is** the scenario here.
@@ -90,8 +92,9 @@ impl FlagConfig {
 }
 
 /// The gated pass pipeline: the round-based schedule with each pass
-/// behind its flag. All flags on equals `optimize_method` in body and
-/// `PassStats` (same 64-round backstop, same stop condition).
+/// behind its flag. All flags on is the reference round loop, which
+/// `optimize_method` equals in body and `PassStats` (same 64-round
+/// backstop, same stop condition) without running its rounds.
 fn run_gated_passes(method: &mut ir::Method, cfg: FlagConfig) -> PassStats {
     let mut stats = PassStats::default();
     let max_rounds = if cfg.fixpoint { 64 } else { 1 };

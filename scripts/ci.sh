@@ -4,19 +4,21 @@
 #   1. cargo fmt --check
 #   2. offline release build and offline test suite; the property suites
 #      (all seeded `simrng::cases` loops) run in it, debug and --release
-#   3. benchmark/ci.sh: the out-of-workspace benchmark package builds
+#   3. `experiments all` regenerates its 29 CSVs byte for byte as
+#      committed under results/
+#   4. benchmark/ci.sh: the out-of-workspace benchmark package builds
 #      offline against the crates' public API and its --quick smoke runs
 #      all four workloads
-#   4. calibration stability of the benchmark's reference kernel
-#   5. `tuned` daemon smoke: inline, flags and dss jobs over localhost
+#   5. calibration stability of the benchmark's reference kernel
+#   6. `tuned` daemon smoke: inline, flags and dss jobs over localhost
 #      through a registered `evald` worker and a fitness store (a repeat
 #      job is all store hits), metrics / obs / Prometheus scrape, reload
 #      after restart, then the inlining job once more evaluated locally:
 #      the unit memo hits and the evaluation count is what it always was;
 #      both binaries refuse a flag they do not know
-#   6. the docs of `sim`, `core`, `problems`, `served`, `evald`, `shard`,
+#   7. the docs of `sim`, `core`, `problems`, `served`, `evald`, `shard`,
 #      `jit`, `inline` and `ir` build with every intra-doc link resolved
-#   7. sim sweep, one invocation: the fault, mixed, store, online, shard,
+#   8. sim sweep, one invocation: the fault, mixed, store, online, shard,
 #      scale and queue scenarios, then the broken-build self-test (replay
 #      a failing seed with the `replay: simtest <scenario> --seed N ...`
 #      line it prints, or scripts/replay.sh <scenario> <seed> [args])
@@ -47,6 +49,24 @@ cargo test --workspace --release --offline --quiet --test 'prop_*'
 # the test stage changed any.
 git diff --exit-code -- crates/served/tests/fixtures crates/stored/tests/fixtures \
   || { echo "golden fixtures differ from HEAD (REGEN_FIXTURES set?)"; exit 1; }
+
+echo "== experiments all (results/ regenerate byte for byte)"
+# The model is deterministic, so a change that means to keep every
+# number (a speed-up, a refactor) must leave each committed CSV exactly
+# as it is; one that moves a number re-blesses results/ in the same
+# commit. `all` writes 29 of the CSVs in results/; the budget, strategies,
+# problems, warmstart and online studies run on their own.
+EXP_DIR=$(mktemp -d)
+target/release/experiments all --out "$EXP_DIR" >/dev/null
+EXP_CSVS=0
+for CSV in "$EXP_DIR"/*.csv; do
+  cmp "$CSV" "results/$(basename "$CSV")" \
+    || { echo "results/$(basename "$CSV") differs from a fresh run"; exit 1; }
+  EXP_CSVS=$((EXP_CSVS + 1))
+done
+rm -rf "$EXP_DIR"
+[ "$EXP_CSVS" -eq 29 ] \
+  || { echo "experiments all wrote $EXP_CSVS CSVs, expected 29"; exit 1; }
 
 echo "== benchmark package (offline build + --quick smoke of every workload)"
 # The benchmark is its own workspace, so the build and tests above never

@@ -1,7 +1,9 @@
-//! `passes::optimize_method` skips every pass that provably cannot change
-//! the method. This suite holds it, body and `PassStats` alike, to the
-//! round-based pipeline it replaced: `const_prop` then `dce`, every
-//! round, until a round changes nothing or 64 rounds have run.
+//! `passes::optimize_method` runs no rounds on a single-assignment
+//! method: it computes the round in which each statement would die and
+//! removes them all at once. This suite holds it, body and `PassStats`
+//! alike, to the round-based pipeline it replaced: `const_prop` then
+//! `dce`, every round, until a round changes nothing or 64 rounds have
+//! run.
 
 use inliner::{inline_method, HotSites, InlineParams, ParamRanges};
 use ir::op::Operand;
@@ -95,12 +97,67 @@ fn reuse_registers(method: &Method, k: u16) -> Method {
     m
 }
 
+/// `method` with every loop body rotated right by one. It still writes
+/// each register once, but the statement moved to the front reads
+/// registers before the statement that writes them, a shape neither
+/// `ir::testgen` nor the benchmarks produce.
+fn rotate_loops(method: &Method) -> Method {
+    fn body(stmts: &mut [Stmt]) {
+        for s in stmts {
+            match s {
+                Stmt::Op(_) | Stmt::Call(_) => {}
+                Stmt::Loop { body: b, .. } => {
+                    body(b);
+                    if !b.is_empty() {
+                        b.rotate_right(1);
+                    }
+                }
+                Stmt::If { then_b, else_b, .. } => {
+                    body(then_b);
+                    body(else_b);
+                }
+            }
+        }
+    }
+    let mut m = method.clone();
+    body(&mut m.body);
+    m
+}
+
+/// Whether `method` writes each register at most once, parameters never,
+/// and reads some register before, in program order, its write.
+fn single_assignment_read_early(method: &Method) -> bool {
+    let n = method.n_regs as usize;
+    let mut written = vec![false; n];
+    written[..method.n_params as usize].fill(true);
+    let mut read = vec![false; n];
+    let (mut once, mut early) = (true, false);
+    ir::stmt::visit_body(&method.body, &mut |s| {
+        let (reads, dst): (Vec<Operand>, _) = match s {
+            Stmt::Op(o) if o.op == ir::op::OpKind::Mov => (vec![o.a], Some(o.dst)),
+            Stmt::Op(o) => (vec![o.a, o.b], o.op.writes_dst().then_some(o.dst)),
+            Stmt::Call(c) => (c.args.clone(), c.dst),
+            Stmt::If { cond, .. } => (vec![*cond], None),
+            Stmt::Loop { .. } => (Vec::new(), None),
+        };
+        for r in reads.iter().filter_map(|o| o.reg()) {
+            read[r.0 as usize] = true;
+        }
+        if let Some(d) = dst {
+            once &= !std::mem::replace(&mut written[d.0 as usize], true);
+            early |= read[d.0 as usize];
+        }
+    });
+    once && early
+}
+
 /// Seeded random programs, every method raw, inlined under a random
-/// genome, and inlined with its registers reused; zero-trip loops
-/// included (`max_trips` draws from `0..=5`).
+/// genome, inlined with its registers reused, and inlined with its loop
+/// bodies rotated; zero-trip loops included (`max_trips` draws from
+/// `0..=5`).
 #[test]
 fn random_methods_optimize_as_the_round_based_pipeline_does() {
-    let (mut methods, mut refolded) = (0, 0);
+    let (mut methods, mut refolded, mut read_early) = (0, 0, 0);
     cases(
         "random_methods_optimize_as_the_round_based_pipeline_does",
         |rng| {
@@ -117,16 +174,22 @@ fn random_methods_optimize_as_the_round_based_pipeline_does() {
                     ("raw", m.clone()),
                     ("inlined", inlined.clone()),
                     ("reused", reuse_registers(&inlined, k)),
+                    ("rotated", rotate_loops(&inlined)),
                 ] {
                     let (_, again) = agrees(&method, &format!("{variant} k={k} {params:?}"));
                     methods += 1;
                     refolded += u32::from(again);
+                    read_early += u32::from(single_assignment_read_early(&method));
                 }
             }
         },
     );
     assert!(methods > 1000, "{methods} methods");
     assert!(refolded > 0, "no case needed a second const_prop");
+    assert!(
+        read_early > 0,
+        "no single-assignment case read a register before its write"
+    );
 }
 
 /// Every reachable method of `jess` (SPECjvm98) and `ipsixql` (DaCapo)
