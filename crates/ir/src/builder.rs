@@ -166,6 +166,13 @@ impl MethodBuilder {
         r
     }
 
+    /// Whether the register frame is full: [`MethodBuilder::reg`] would
+    /// panic, and so would every statement that writes a fresh register.
+    #[must_use]
+    pub fn frame_full(&self) -> bool {
+        self.next_reg == u16::MAX
+    }
+
     /// The `i`-th parameter register.
     ///
     /// # Panics

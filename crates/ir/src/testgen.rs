@@ -81,6 +81,8 @@ const GEN_OPS: [OpKind; 14] = [
 ///
 /// The call graph is a DAG over method ids (method `i` may only call
 /// methods `> i`), so every run terminates; the entry point is method 0.
+/// A method whose register frame fills up emits no further statement, so
+/// a deep, wide configuration generates too, its later blocks cut short.
 #[must_use]
 pub fn random_program(rng: &mut Rng, cfg: &GenConfig) -> Program {
     let n = cfg.n_methods.max(1);
@@ -144,6 +146,12 @@ fn gen_block(
 ) {
     let n_stmts = rng.range_usize(1, cfg.max_block_stmts as usize);
     for _ in 0..n_stmts {
+        // A statement writes at most one fresh register. The check draws
+        // nothing from `rng`: a program whose frame never fills is the
+        // program it always was.
+        if mb.frame_full() {
+            break;
+        }
         let has_callees = (method_index as usize) + 1 < ids.len();
         let roll = rng.f64();
         if has_callees && roll < cfg.call_prob {
@@ -237,7 +245,7 @@ fn gen_block(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interp::{run, InterpLimits};
+    use crate::interp::{run, InterpError, InterpLimits};
     use crate::validate::validate;
 
     #[test]
@@ -248,6 +256,68 @@ mod tests {
             assert!(validate(&p).is_empty(), "case {case} invalid");
             let out = run(&p, &[], &InterpLimits::default());
             assert!(out.is_ok(), "case {case} failed: {out:?}");
+        }
+    }
+
+    /// FNV-1a over the printed programs of seeds `0..100`.
+    fn digest(cfg: &GenConfig) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for seed in 0..100 {
+            let p = random_program(&mut Rng::seed_from_u64(seed), cfg);
+            for b in crate::pretty::program_to_string(&p).bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// The programs of every configuration the suites generate from are
+    /// pinned: nesting 1–4 at the default block size (3 is the default),
+    /// and the prepared-context suite's long loops.
+    #[test]
+    fn programs_that_fit_their_frames_are_pinned() {
+        for (max_nesting, want) in [
+            (1, 0xfa74_09ce_0cf1_c959),
+            (2, 0xaa37_1857_92fa_06bb),
+            (3, 0x1453_454f_f33d_fdd2),
+            (4, 0x1858_49cf_5ccf_2c75),
+        ] {
+            let cfg = GenConfig {
+                max_nesting,
+                ..GenConfig::default()
+            };
+            assert_eq!(digest(&cfg), want, "max_nesting {max_nesting}");
+        }
+        let long_loops = GenConfig {
+            max_block_stmts: 5,
+            max_trips: 30,
+            ..GenConfig::default()
+        };
+        assert_eq!(digest(&long_loops), 0x7827_d93c_2263_2029);
+    }
+
+    /// Nesting 6 with blocks of up to 12 statements outgrows a `u16`
+    /// register frame on most seeds; each still generates, validates and
+    /// runs (out of fuel is a run's outcome, not a failure).
+    #[test]
+    fn a_configuration_that_outgrows_the_frame_still_generates() {
+        let cfg = GenConfig {
+            max_nesting: 6,
+            max_block_stmts: 12,
+            ..GenConfig::default()
+        };
+        let limits = InterpLimits {
+            fuel: 10_000,
+            ..InterpLimits::default()
+        };
+        for seed in 0..20 {
+            let p = random_program(&mut Rng::seed_from_u64(seed), &cfg);
+            assert!(validate(&p).is_empty(), "seed {seed} invalid");
+            let out = run(&p, &[], &limits);
+            assert!(
+                matches!(out, Ok(_) | Err(InterpError::OutOfFuel)),
+                "seed {seed} failed: {out:?}"
+            );
         }
     }
 

@@ -16,7 +16,7 @@ use ir::program::Program;
 use ir::size::method_size;
 
 use crate::arch::ArchModel;
-use crate::passes::{optimize_method, PassStats};
+use crate::passes::{PassSet, PassStats};
 
 /// Which compiler produced a method's current code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -145,9 +145,9 @@ pub fn compile_all_opt(
     state
 }
 
-/// Opt-compiles one method: the compiled body, its record, and the
-/// [`DecisionRegion`] of parameter vectors that would have compiled it to
-/// exactly this body and record.
+/// Opt-compiles one method, the optimizer running `passes`: the compiled
+/// body, its record, and the [`DecisionRegion`] of parameter vectors that
+/// would have compiled it to exactly this body and record.
 ///
 /// Inlining decisions read the *original* program (bytecode sizes), exactly
 /// like a JIT inlining from bytecode, so the result depends on nothing but
@@ -159,13 +159,14 @@ pub fn opt_compile_method(
     arch: &ArchModel,
     params: &InlineParams,
     hot: &HotSites,
+    passes: PassSet,
 ) -> (Method, CompiledMethod, DecisionRegion) {
     let (mut method, stats, region) = inline_method_region(original, id, params, hot);
     // Post-inlining optimization: constant propagation through the spliced
     // argument moves, then dead-code elimination of what the constants
     // killed. Compile time is charged for the *pre-optimization* size (the
     // optimizer has to chew through everything the inliner produced).
-    let opt_stats = optimize_method(&mut method);
+    let opt_stats = passes.run(&mut method);
     let record = CompiledMethod {
         level: CompileLevel::Opt,
         code_size: method_size(&method),
@@ -187,7 +188,7 @@ pub fn opt_compile_into(
     params: &InlineParams,
     hot: &HotSites,
 ) -> f64 {
-    let (method, record, _) = opt_compile_method(original, id, arch, params, hot);
+    let (method, record, _) = opt_compile_method(original, id, arch, params, hot, PassSet::FULL);
     let compile_cycles = record.compile_cycles;
     state.program.methods[id.index()] = method;
     state.compiled.insert(id, record);

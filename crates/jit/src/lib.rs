@@ -29,12 +29,11 @@
 //!   exact per-method memo of what each region of parameter space compiles
 //!   a method to.
 //!
-//! Everything is deterministic and analytic. A one-shot [`measure`] of one
-//! of the suites' programs (hundreds to 1,500 methods) costs 2–4 ms at the
-//! median and 8–16 ms for the largest; measured through a [`Prepared`]
-//! context and a [`UnitMemo`], as a search does, a whole seven-program
-//! fitness call costs 12–23 ms — nearly all of it the optimizer's passes
-//! over the methods the memo did not hold. That, not interpretation, is
+//! Everything is deterministic and analytic. A search measures each
+//! program under many parameter vectors through a [`Prepared`] context
+//! and a [`UnitMemo`], and what a fitness call then does is compile the
+//! methods the memo did not hold: the inliner's copy of each spliced body
+//! and the optimizer's [`passes`] over it. That, not interpretation, is
 //! the budget a genetic search spends.
 
 pub mod adaptive;
@@ -49,6 +48,6 @@ pub use adaptive::{AdaptConfig, AdaptivePlan};
 pub use arch::ArchModel;
 pub use compile::{CompileLevel, VmState};
 pub use exec::ExecBreakdown;
-pub use passes::{optimize_method, PassStats};
+pub use passes::{optimize_method, PassSet, PassStats};
 pub use prepared::{MemoStats, Prepared, UnitMemo};
-pub use scenario::{measure, Measurement, Scenario};
+pub use scenario::{measure, measure_baseline, Measurement, Scenario};

@@ -17,12 +17,14 @@
 //! (`ir::testgen`).
 //!
 //! The pipeline iterates prop → DCE to a fixpoint, bounded at 64 rounds.
-//! That round loop is the reference; [`optimize_method`] computes its
-//! result without running it on single-assignment methods: `const_prop`
-//! at most once, and DCE as one sweep that removes every statement whose
-//! *death round* (the round the loop would remove it in) is within the
-//! backstop. The root `tests/optimizer.rs` holds it to the loop, body and
-//! `PassStats` alike. Both passes are semantics-preserving with
+//! A [`PassSet`] gates each pass and the iteration; [`PassSet::FULL`] is
+//! the optimizing compiler's pipeline, the rest serve `problems::flags`.
+//! [`optimize_method`] computes `FULL`'s round loop without running it on
+//! single-assignment methods: `const_prop` at most once, and DCE as one
+//! sweep that removes every statement whose *death round* (the round the
+//! loop would remove it in) is within the backstop. The root
+//! `tests/optimizer.rs` holds it to the loop, body and `PassStats` alike.
+//! Both passes are semantics-preserving with
 //! respect to the interpreter's observable outcome (return value and
 //! heap); dynamic *step counts* may of course decrease — that is the
 //! point. Property tests in `tests/prop_opt.rs` verify this on thousands
@@ -47,15 +49,6 @@ pub struct PassStats {
     /// prop→DCE rounds (≥ 1) the round-based pipeline runs, also where
     /// [`optimize_method`] computes its result without running them.
     pub rounds: u32,
-}
-
-impl PassStats {
-    /// Accumulates another run's stats.
-    pub fn merge(&mut self, o: &PassStats) {
-        self.folded += o.folded;
-        self.removed += o.removed;
-        self.rounds = self.rounds.max(o.rounds);
-    }
 }
 
 /// Backstop on prop→DCE rounds. Every productive round consumes rewrite
@@ -102,23 +95,54 @@ const MAX_ROUNDS: u32 = 64;
 /// the round loop itself: there a branch `const_prop` flattens inside a
 /// loop leaves that loop's kill set stale until the next pass.
 pub fn optimize_method(method: &mut Method) -> PassStats {
-    dead::optimize(method).unwrap_or_else(|| rounds(method))
+    PassSet::FULL.run(method)
 }
 
-/// The round-based pipeline.
-fn rounds(method: &mut Method) -> PassStats {
-    let mut stats = PassStats::default();
-    for round in 1..=MAX_ROUNDS {
-        stats.rounds = round;
-        let folded = const_prop(method);
-        let removed = dce(method);
-        stats.folded += folded;
-        stats.removed += removed;
-        if folded == 0 && removed == 0 {
-            break;
-        }
+/// Which passes each round runs, and whether rounds repeat.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PassSet {
+    /// Constant propagation on.
+    pub const_prop: bool,
+    /// Dead-code elimination on.
+    pub dce: bool,
+    /// Rounds repeat to a fixpoint (or the backstop); off, one round.
+    pub fixpoint: bool,
+}
+
+impl PassSet {
+    /// The optimizing compiler's pipeline: both passes, to a fixpoint.
+    pub const FULL: PassSet = PassSet {
+        const_prop: true,
+        dce: true,
+        fixpoint: true,
+    };
+
+    /// Runs the pass set on a method, in place: the round loop, which
+    /// `FULL` computes where [`optimize_method`] says it can.
+    pub fn run(self, method: &mut Method) -> PassStats {
+        let computed = (self == Self::FULL).then(|| dead::optimize(method));
+        computed.flatten().unwrap_or_else(|| self.rounds(method))
     }
-    stats
+
+    /// The round loop, each pass behind its gate.
+    fn rounds(self, method: &mut Method) -> PassStats {
+        let mut stats = PassStats::default();
+        for round in 1..=if self.fixpoint { MAX_ROUNDS } else { 1 } {
+            stats.rounds = round;
+            let folded = if self.const_prop {
+                const_prop(method)
+            } else {
+                0
+            };
+            let removed = if self.dce { dce(method) } else { 0 };
+            stats.folded += folded;
+            stats.removed += removed;
+            if folded == 0 && removed == 0 {
+                break;
+            }
+        }
+        stats
+    }
 }
 
 #[cfg(test)]
@@ -205,7 +229,7 @@ mod tests {
         let mut at_once = p.method(id).clone();
         let mut looped = at_once.clone();
         let stats = optimize_method(&mut at_once);
-        assert_eq!(stats, rounds(&mut looped));
+        assert_eq!(stats, PassSet::FULL.rounds(&mut looped));
         assert_eq!(at_once, looped);
         stats
     }
@@ -272,6 +296,34 @@ mod tests {
             rounds: 3,
         };
         assert_eq!(stats, want);
+    }
+
+    /// Without `fixpoint` one round runs; without `dce` nothing goes, and
+    /// the first round, changing nothing, is the last.
+    #[test]
+    fn a_pass_set_gates_each_pass_and_the_iteration() {
+        let run = |passes: PassSet| {
+            let mut pb = ProgramBuilder::new("t");
+            let id = pb.add(loop_reading_a_def(false, false));
+            pb.entry(id);
+            passes.run(pb.build().unwrap().method_mut(id))
+        };
+        let stats = |removed, rounds| PassStats {
+            folded: 0,
+            removed,
+            rounds,
+        };
+        assert_eq!(run(PassSet::FULL), stats(3, 3));
+        let once = PassSet {
+            fixpoint: false,
+            ..PassSet::FULL
+        };
+        assert_eq!(run(once), stats(2, 1));
+        let no_dce = PassSet {
+            dce: false,
+            ..PassSet::FULL
+        };
+        assert_eq!(run(no_dce), stats(0, 1));
     }
 
     /// A round that folds always has a successor, even when nothing

@@ -50,6 +50,7 @@ use crate::adaptive::{plan_from, AdaptConfig};
 use crate::arch::ArchModel;
 use crate::compile::{baseline_record, opt_compile_method, CompileLevel, CompiledMethod};
 use crate::exec::{price, ExecBreakdown};
+use crate::passes::PassSet;
 use crate::scenario::{Measurement, Scenario};
 
 /// Distinct decision regions a [`UnitMemo`] keeps per method; the oldest
@@ -277,7 +278,19 @@ impl Prepared {
     /// under `params`, compiling every target method.
     #[must_use]
     pub fn measure(&self, program: &Program, params: &InlineParams) -> Measurement {
-        self.measure_impl(program, params, None)
+        self.measure_passes(program, params, PassSet::FULL)
+    }
+
+    /// [`Prepared::measure`] with the optimizer running `passes`. A memo's
+    /// decision regions say nothing about passes, so this takes none.
+    #[must_use]
+    pub fn measure_passes(
+        &self,
+        program: &Program,
+        params: &InlineParams,
+        passes: PassSet,
+    ) -> Measurement {
+        self.measure_impl(program, params, passes, None)
     }
 
     /// [`Prepared::measure`], taking each target's unit from `memo` when a
@@ -290,13 +303,14 @@ impl Prepared {
         params: &InlineParams,
         memo: &UnitMemo,
     ) -> Measurement {
-        self.measure_impl(program, params, Some(memo))
+        self.measure_impl(program, params, PassSet::FULL, Some(memo))
     }
 
     fn measure_impl(
         &self,
         program: &Program,
         params: &InlineParams,
+        passes: PassSet,
         memo: Option<&UnitMemo>,
     ) -> Measurement {
         assert!(
@@ -310,6 +324,7 @@ impl Prepared {
 
         // The target methods' units, by method index.
         let units = timed(detailed, "jit_compile_micros", || {
+            let (arch, hot) = (&self.arch, &self.hot_sites);
             let mut units: Vec<Option<Arc<Unit>>> = vec![None; self.n_methods];
             let mut tally = MemoStats::default();
             for &id in &self.targets {
@@ -317,7 +332,7 @@ impl Prepared {
                 tally.hits += u64::from(cached.is_some());
                 units[id.index()] = Some(cached.unwrap_or_else(|| {
                     let (method, record, region) =
-                        opt_compile_method(program, id, &self.arch, params, &self.hot_sites);
+                        opt_compile_method(program, id, arch, params, hot, passes);
                     let unit = Arc::new(Unit {
                         record,
                         local: local_profile(&method.body),

@@ -103,6 +103,19 @@ pub fn measure(
     Prepared::new(program, scenario, arch, adapt_cfg).measure(program, params)
 }
 
+/// Measures `program` baseline-compiled and never recompiled: `Adapt`
+/// with no warm-up and no horizon, over which no recompilation pays.
+#[must_use]
+pub fn measure_baseline(program: &Program, arch: &ArchModel) -> Measurement {
+    let never = AdaptConfig {
+        warmup_fraction: 0.0,
+        horizon_iters: 0.0,
+        ..AdaptConfig::default()
+    };
+    let params = InlineParams::disabled();
+    measure(program, Scenario::Adapt, arch, &params, &never)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -254,6 +267,23 @@ mod tests {
             &cfg,
         );
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn the_baseline_measurement_recompiles_nothing() {
+        let p = long_program();
+        let arch = ArchModel::pentium4();
+        let m = measure_baseline(&p, &arch);
+        assert_eq!((m.n_opt_methods, m.n_baseline_methods), (0, 2));
+        assert_eq!(m.opt_compile_cycles, 0.0);
+        assert_eq!(m.compile_cycles, m.baseline_compile_cycles);
+        assert_eq!(m.first_iter_exec_cycles, m.running_cycles);
+        assert_eq!(m.total_cycles, m.compile_cycles + m.running_cycles);
+        // The default controller does recompile the hot kernel.
+        let cfg = AdaptConfig::default();
+        let adapt = measure(&p, Scenario::Adapt, &arch, &InlineParams::disabled(), &cfg);
+        assert!(adapt.n_opt_methods > 0);
+        assert_eq!(adapt.baseline_compile_cycles, m.baseline_compile_cycles);
     }
 
     #[test]

@@ -14,31 +14,24 @@
 //! | 3 | Bool | iterate prop→DCE to a fixpoint (off = single round) |
 //! | 4 | Bool | use the optimizing compiler (off = baseline only) |
 //!
-//! The evaluation reuses the real compilers: gene 4 off prices the
-//! benchmark under `compile_all_baseline`; gene 4 on runs the inliner
-//! with the preset's parameters and a *gated* pass pipeline per
-//! reachable method. The gated pipeline is the round-based schedule:
-//! `const_prop` then `dce` every round, each behind its flag. With every
-//! flag at its default (`[2,1,1,1,1]`) it is the round loop that
-//! `optimize_method` is held to: the same bodies and the same
-//! `PassStats`, though `optimize_method` computes that result without
-//! running the rounds on single-assignment methods. So the default
-//! configuration reproduces `jit::measure` under `Opt` exactly and
-//! scores fitness 1.
+//! A measurement is `jit`'s own. Gene 4 off prices the benchmark
+//! baseline-compiled and never recompiled ([`jit::measure_baseline`]),
+//! which no other gene changes, so it is computed once per program.
+//! Gene 4 on measures through the program's [`jit::Prepared`] `Opt`
+//! context with the preset's parameters, the optimizer running the pass
+//! set genes 1–3 select ([`jit::PassSet`]): the round loop with each
+//! pass behind its gate. The default configuration (`[2,1,1,1,1]`) is
+//! [`jit::PassSet::FULL`], the optimizing compiler's pipeline, so it
+//! reproduces `jit::measure` under `Opt` exactly and scores fitness 1.
 //!
 //! The task's *goal* and *arch* apply as usual; the task's scenario is
 //! ignored — gene 4 **is** the scenario here.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use ga::{GeneKind, Ranges};
-use inliner::{inline_method, HotSites, InlineParams};
-use ir::size::method_size;
-use jit::compile::{compile_all_baseline, CompileLevel, CompiledMethod, VmState};
-use jit::exec::exec_cycles;
-use jit::passes::{const_prop, dce, PassStats};
-use jit::Measurement;
+use inliner::InlineParams;
+use jit::{AdaptConfig, Measurement, PassSet, Prepared, Scenario};
 use tuner::{geometric_mean, TuningTask};
 use workloads::Benchmark;
 
@@ -68,9 +61,7 @@ fn preset_params(p: i64) -> InlineParams {
 #[derive(Debug, Clone, Copy)]
 struct FlagConfig {
     preset: i64,
-    prop: bool,
-    dce: bool,
-    fixpoint: bool,
+    passes: PassSet,
     opt: bool,
 }
 
@@ -83,94 +74,50 @@ impl FlagConfig {
         );
         FlagConfig {
             preset: genes[0],
-            prop: genes[1] != 0,
-            dce: genes[2] != 0,
-            fixpoint: genes[3] != 0,
+            passes: PassSet {
+                const_prop: genes[1] != 0,
+                dce: genes[2] != 0,
+                fixpoint: genes[3] != 0,
+            },
             opt: genes[4] != 0,
         }
     }
 }
 
-/// The gated pass pipeline: the round-based schedule with each pass
-/// behind its flag. All flags on is the reference round loop, which
-/// `optimize_method` equals in body and `PassStats` (same 64-round
-/// backstop, same stop condition) without running its rounds.
-fn run_gated_passes(method: &mut ir::Method, cfg: FlagConfig) -> PassStats {
-    let mut stats = PassStats::default();
-    let max_rounds = if cfg.fixpoint { 64 } else { 1 };
-    for round in 1..=max_rounds {
-        stats.rounds = round;
-        let folded = if cfg.prop { const_prop(method) } else { 0 };
-        let removed = if cfg.dce { dce(method) } else { 0 };
-        stats.folded += folded;
-        stats.removed += removed;
-        if folded == 0 && removed == 0 {
-            break;
-        }
-    }
-    stats
+/// One training program, ready to measure under any flag configuration.
+struct Cell {
+    bench: Benchmark,
+    /// The program's `Opt` context, which gene 4 on measures through.
+    prepared: Prepared,
+    /// The measurement of every configuration with gene 4 off.
+    baseline: Measurement,
 }
 
-/// Measures one benchmark program under a flag configuration, in the
-/// shape of `jit::measure` so [`tuner::Goal::metric`] applies directly.
-fn measure_flags(program: &ir::Program, arch: &jit::ArchModel, cfg: FlagConfig) -> Measurement {
-    let state = if cfg.opt {
-        let params = preset_params(cfg.preset);
-        let hot = HotSites::new();
-        let mut state = VmState {
-            program: program.clone(),
-            compiled: BTreeMap::new(),
-        };
-        for id in program.reachable() {
-            let (mut method, inline_stats) = inline_method(program, id, &params, &hot);
-            let opt_stats = run_gated_passes(&mut method, cfg);
-            let compile_cycles = arch.opt_compile_cycles(inline_stats.final_size);
-            let code_size = method_size(&method);
-            state.program.methods[id.index()] = method;
-            state.compiled.insert(
-                id,
-                CompiledMethod {
-                    level: CompileLevel::Opt,
-                    code_size,
-                    original_size: method_size(program.method(id)),
-                    inline_stats,
-                    opt_stats,
-                    compile_cycles,
-                },
-            );
+impl Cell {
+    fn new(bench: Benchmark, arch: &jit::ArchModel) -> Self {
+        Self {
+            prepared: Prepared::new(&bench.program, Scenario::Opt, arch, &AdaptConfig::default()),
+            baseline: jit::measure_baseline(&bench.program, arch),
+            bench,
         }
-        state
-    } else {
-        compile_all_baseline(program, arch)
-    };
+    }
 
-    let steady = exec_cycles(&state, arch);
-    let compile = state.total_compile_cycles();
-    let n_opt = state
-        .compiled
-        .values()
-        .filter(|c| c.level == CompileLevel::Opt)
-        .count();
-    let n_base = state.compiled.len() - n_opt;
-    Measurement {
-        total_cycles: compile + steady.total_cycles,
-        running_cycles: steady.total_cycles,
-        compile_cycles: compile,
-        baseline_compile_cycles: if cfg.opt { 0.0 } else { compile },
-        opt_compile_cycles: if cfg.opt { compile } else { 0.0 },
-        first_iter_exec_cycles: steady.total_cycles,
-        steady,
-        code_size: state.total_code_size(),
-        inline_stats: state.aggregate_inline_stats(),
-        n_opt_methods: n_opt,
-        n_baseline_methods: n_base,
+    /// Measures the program under a flag configuration, in the shape of
+    /// `jit::measure` so [`tuner::Goal::metric`] applies directly.
+    fn measure(&self, cfg: FlagConfig) -> Measurement {
+        if !cfg.opt {
+            return self.baseline.clone();
+        }
+        let params = preset_params(cfg.preset);
+        self.prepared
+            .measure_passes(&self.bench.program, &params, cfg.passes)
     }
 }
 
 /// The compiler-flag selection problem.
 pub struct FlagsProblem {
     task: TuningTask,
-    training: Vec<Benchmark>,
+    cells: Vec<Cell>,
     space: Ranges,
     fingerprint: stored::Fingerprint,
     /// Per-benchmark measurement under [`DEFAULT_GENES`] — the fitness
@@ -187,11 +134,12 @@ impl FlagsProblem {
     pub fn new(task: TuningTask, training: Vec<Benchmark>) -> Self {
         assert!(!training.is_empty(), "training suite must not be empty");
         let fingerprint = crate::tagged_fingerprint("flags", &task, &training);
-        let default_cfg = FlagConfig::decode(&DEFAULT_GENES);
-        let defaults = training
-            .iter()
-            .map(|b| measure_flags(&b.program, &task.arch, default_cfg))
+        let cells: Vec<Cell> = training
+            .into_iter()
+            .map(|b| Cell::new(b, &task.arch))
             .collect();
+        let default_cfg = FlagConfig::decode(&DEFAULT_GENES);
+        let defaults = cells.iter().map(|c| c.measure(default_cfg)).collect();
         let space = Ranges::with_kinds(
             vec![(0, 3), (0, 1), (0, 1), (0, 1), (0, 1)],
             vec![
@@ -204,7 +152,7 @@ impl FlagsProblem {
         );
         Self {
             task,
-            training,
+            cells,
             space,
             fingerprint,
             defaults,
@@ -223,10 +171,9 @@ impl Problem for FlagsProblem {
 
     fn fitness(&self, genes: &[i64]) -> f64 {
         let cfg = FlagConfig::decode(genes);
-        let mut ratios = Vec::with_capacity(self.training.len());
-        for (b, default) in self.training.iter().zip(&self.defaults) {
-            let m = measure_flags(&b.program, &self.task.arch, cfg);
-            let num = self.task.goal.metric(&m, default);
+        let mut ratios = Vec::with_capacity(self.cells.len());
+        for (cell, default) in self.cells.iter().zip(&self.defaults) {
+            let num = self.task.goal.metric(&cell.measure(cfg), default);
             let den = self.task.goal.metric(default, default);
             if den <= 0.0 {
                 return f64::INFINITY;
@@ -246,9 +193,9 @@ impl Problem for FlagsProblem {
         format!(
             "[inline={}, const_prop={}, dce={}, fixpoint={}, compiler={}]",
             PRESETS[cfg.preset as usize],
-            onoff(cfg.prop),
-            onoff(cfg.dce),
-            onoff(cfg.fixpoint),
+            onoff(cfg.passes.const_prop),
+            onoff(cfg.passes.dce),
+            onoff(cfg.passes.fixpoint),
             if cfg.opt { "opt" } else { "baseline" },
         )
     }
@@ -261,7 +208,6 @@ impl Problem for FlagsProblem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jit::AdaptConfig;
     use tuner::Goal;
     use workloads::benchmark_by_name;
 
@@ -291,7 +237,8 @@ mod tests {
         let arch = jit::ArchModel::pentium4();
         for name in ["db", "jess", "javac"] {
             let b = benchmark_by_name(name).unwrap();
-            let ours = measure_flags(&b.program, &arch, FlagConfig::decode(&DEFAULT_GENES));
+            let cell = Cell::new(b.clone(), &arch);
+            let ours = cell.measure(FlagConfig::decode(&DEFAULT_GENES));
             let real = jit::measure(
                 &b.program,
                 jit::Scenario::Opt,

@@ -5,7 +5,8 @@
 #   2. offline release build and offline test suite; the property suites
 #      (all seeded `simrng::cases` loops) run in it, debug and --release
 #   3. `experiments all` regenerates its 29 CSVs byte for byte as
-#      committed under results/
+#      committed under results/, and `experiments problems` its
+#      problems.csv (the flag and dss studies)
 #   4. benchmark/ci.sh: the out-of-workspace benchmark package builds
 #      offline against the crates' public API and its --quick smoke runs
 #      all four workloads
@@ -55,7 +56,9 @@ echo "== experiments all (results/ regenerate byte for byte)"
 # number (a speed-up, a refactor) must leave each committed CSV exactly
 # as it is; one that moves a number re-blesses results/ in the same
 # commit. `all` writes 29 of the CSVs in results/; the budget, strategies,
-# problems, warmstart and online studies run on their own.
+# problems, warmstart and online studies run on their own. Of those,
+# `problems` runs here too: problems.csv is the flag-selection study's
+# only committed result, and the study takes seconds.
 EXP_DIR=$(mktemp -d)
 target/release/experiments all --out "$EXP_DIR" >/dev/null
 EXP_CSVS=0
@@ -64,9 +67,12 @@ for CSV in "$EXP_DIR"/*.csv; do
     || { echo "results/$(basename "$CSV") differs from a fresh run"; exit 1; }
   EXP_CSVS=$((EXP_CSVS + 1))
 done
-rm -rf "$EXP_DIR"
 [ "$EXP_CSVS" -eq 29 ] \
   || { echo "experiments all wrote $EXP_CSVS CSVs, expected 29"; exit 1; }
+target/release/experiments problems --out "$EXP_DIR" >/dev/null
+cmp "$EXP_DIR/problems.csv" results/problems.csv \
+  || { echo "results/problems.csv differs from a fresh run"; exit 1; }
+rm -rf "$EXP_DIR"
 
 echo "== benchmark package (offline build + --quick smoke of every workload)"
 # The benchmark is its own workspace, so the build and tests above never

@@ -2,7 +2,9 @@
 //! exact: whatever they skip, a `Measurement` comes out bit for bit as the
 //! one-shot reference built from `compile_all_*` + `exec_cycles` makes it —
 //! cold, warm, in any order, from several threads — and a memo never
-//! outgrows its cap nor leaks from one `Tuner` into another.
+//! outgrows its cap nor leaks from one `Tuner` into another. The
+//! flag-selection problem, which measures through a prepared context
+//! under any pass set, scores every genome at its pinned fitness bits.
 
 use std::sync::Barrier;
 
@@ -396,4 +398,83 @@ fn two_tuners_over_one_cell_share_no_unit() {
     assert_eq!(second.memo_stats(), MemoStats::default());
     assert_eq!(second.fitness(&genome).to_bits(), fitness.to_bits());
     assert_eq!(second.memo_stats(), cold);
+}
+
+/// Fitness bits of the 64 flag genomes, `[preset, const_prop, dce,
+/// fixpoint, opt]` counted in binary with `opt` the lowest digit, on
+/// `[db, jess]` under `Goal::Total` on x86-p4.
+#[rustfmt::skip]
+const FLAGS_TOTAL_P4: [u64; 64] = [
+    0x3ff800a61cd7ca5c, 0x3ff2edf13f338536, 0x3ff800a61cd7ca5c, 0x3ff2edf13f338536,
+    0x3ff800a61cd7ca5c, 0x3ff28685b153a365, 0x3ff800a61cd7ca5c, 0x3ff285b80d74e982,
+    0x3ff800a61cd7ca5c, 0x3ff2edf13f338536, 0x3ff800a61cd7ca5c, 0x3ff2edf13f338536,
+    0x3ff800a61cd7ca5c, 0x3ff28685b153a365, 0x3ff800a61cd7ca5c, 0x3ff285b80d74e982,
+    0x3ff800a61cd7ca5c, 0x3fef56b55026de0f, 0x3ff800a61cd7ca5c, 0x3fef56b55026de0f,
+    0x3ff800a61cd7ca5c, 0x3fee478c5b748824, 0x3ff800a61cd7ca5c, 0x3fedf54037f8f4b1,
+    0x3ff800a61cd7ca5c, 0x3fef56b55026de0f, 0x3ff800a61cd7ca5c, 0x3fef56b55026de0f,
+    0x3ff800a61cd7ca5c, 0x3fee478c5b748824, 0x3ff800a61cd7ca5c, 0x3fedf54037f8f4b1,
+    0x3ff800a61cd7ca5c, 0x3ff103ecd2a58647, 0x3ff800a61cd7ca5c, 0x3ff103ecd2a58647,
+    0x3ff800a61cd7ca5c, 0x3ff0875650bf82fd, 0x3ff800a61cd7ca5c, 0x3ff0000000000000,
+    0x3ff800a61cd7ca5c, 0x3ff103ecd2a58647, 0x3ff800a61cd7ca5c, 0x3ff103ecd2a58647,
+    0x3ff800a61cd7ca5c, 0x3ff0875650bf82fd, 0x3ff800a61cd7ca5c, 0x3ff0000000000000,
+    0x3ff800a61cd7ca5c, 0x40129e00eb8e95b0, 0x3ff800a61cd7ca5c, 0x40129e00eb8e95b0,
+    0x3ff800a61cd7ca5c, 0x4012599c6d3d5f20, 0x3ff800a61cd7ca5c, 0x4011f455021963fd,
+    0x3ff800a61cd7ca5c, 0x40129e00eb8e95b0, 0x3ff800a61cd7ca5c, 0x40129e00eb8e95b0,
+    0x3ff800a61cd7ca5c, 0x4012599c6d3d5f20, 0x3ff800a61cd7ca5c, 0x4011f455021963fd,
+];
+
+/// The same genomes under `Goal::Balance` on ppc-g4.
+#[rustfmt::skip]
+const FLAGS_BALANCE_G4: [u64; 64] = [
+    0x4003a0a572db3f46, 0x3ff6ca62200b8348, 0x4003a0a572db3f46, 0x3ff6ca62200b8348,
+    0x4003a0a572db3f46, 0x3ff5fd68ab40460f, 0x4003a0a572db3f46, 0x3ff5fafc0fb55c30,
+    0x4003a0a572db3f46, 0x3ff6ca62200b8348, 0x4003a0a572db3f46, 0x3ff6ca62200b8348,
+    0x4003a0a572db3f46, 0x3ff5fd68ab40460f, 0x4003a0a572db3f46, 0x3ff5fafc0fb55c30,
+    0x4003a0a572db3f46, 0x3ff2ab52796da296, 0x4003a0a572db3f46, 0x3ff2ab52796da296,
+    0x4003a0a572db3f46, 0x3ff19a3fbdd16f72, 0x4003a0a572db3f46, 0x3ff1641711aa2a98,
+    0x4003a0a572db3f46, 0x3ff2ab52796da296, 0x4003a0a572db3f46, 0x3ff2ab52796da296,
+    0x4003a0a572db3f46, 0x3ff19a3fbdd16f72, 0x4003a0a572db3f46, 0x3ff1641711aa2a98,
+    0x4003a0a572db3f46, 0x3ff1ee15a8382439, 0x4003a0a572db3f46, 0x3ff1ee15a8382439,
+    0x4003a0a572db3f46, 0x3ff0d26bb146ba10, 0x4003a0a572db3f46, 0x3ff0000000000000,
+    0x4003a0a572db3f46, 0x3ff1ee15a8382439, 0x4003a0a572db3f46, 0x3ff1ee15a8382439,
+    0x4003a0a572db3f46, 0x3ff0d26bb146ba10, 0x4003a0a572db3f46, 0x3ff0000000000000,
+    0x4003a0a572db3f46, 0x400bd94476f63eea, 0x4003a0a572db3f46, 0x400bd94476f63eea,
+    0x4003a0a572db3f46, 0x400aee2d484d367a, 0x4003a0a572db3f46, 0x4009e061330933e7,
+    0x4003a0a572db3f46, 0x400bd94476f63eea, 0x4003a0a572db3f46, 0x400bd94476f63eea,
+    0x4003a0a572db3f46, 0x400aee2d484d367a, 0x4003a0a572db3f46, 0x4009e061330933e7,
+];
+
+/// The flag-selection problem measures through a `Prepared` context under
+/// the pass set its genes select, and through `jit::measure_baseline`
+/// with the optimizing compiler off. Every genome's fitness is pinned bit
+/// for bit: the flag study's results rest on them.
+#[test]
+fn every_flags_genome_scores_its_pinned_fitness() {
+    use inlinetune::prelude::*;
+    use problems::{FlagsProblem, Problem};
+    let suite = vec![
+        benchmark_by_name("db").unwrap(),
+        benchmark_by_name("jess").unwrap(),
+    ];
+    for (goal, arch, want) in [
+        (Goal::Total, ArchModel::pentium4(), &FLAGS_TOTAL_P4),
+        (Goal::Balance, ArchModel::powerpc_g4(), &FLAGS_BALANCE_G4),
+    ] {
+        let task = TuningTask {
+            name: "flags".into(),
+            scenario: Scenario::Opt,
+            goal,
+            arch,
+        };
+        let problem = FlagsProblem::new(task, suite.clone());
+        for (i, &bits) in want.iter().enumerate() {
+            let i = i as i64;
+            let genome = [i / 16, i / 8 % 2, i / 4 % 2, i / 2 % 2, i % 2];
+            let got = problem.fitness(&genome).to_bits();
+            assert_eq!(
+                got, bits,
+                "{goal:?} {genome:?}: {got:#018x} != {bits:#018x}"
+            );
+        }
+    }
 }
