@@ -27,6 +27,6 @@ pub mod transform;
 pub use decision::{hot_decision, static_decision, DecisionRegion, InlineDecision, RejectReason};
 pub use params::{InlineParams, ParamRanges, PARAM_NAMES};
 pub use transform::{
-    inline_method, inline_method_region, inline_method_traced, inline_program, DecisionRecord,
-    HotSites, InlineStats,
+    inline_method, inline_method_into, inline_method_region, inline_method_traced, inline_program,
+    DecisionRecord, HotSites, InlineStats,
 };

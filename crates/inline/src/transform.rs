@@ -19,13 +19,23 @@
 //! implementation): an **inline stack** rejects direct or mutual recursion,
 //! and a **frame limit** rejects splices that would overflow the `u16`
 //! register file.
+//!
+//! One walk, two sinks. The walk (decisions, splices, guards and the
+//! [`DecisionRegion`]) writes the transformed body through an
+//! [`ir::emit::Sink`], one call per statement in pre-order.
+//! [`inline_method`], [`inline_method_region`] and
+//! [`inline_method_traced`] hand it an [`ir::emit::Tree`] and return the
+//! method it builds; [`inline_method_into`] takes any sink, which is how
+//! the optimizing compiler's dead-code index (`inlinetune-jit`) receives
+//! the body without a tree in between.
 
 use std::collections::{HashMap, HashSet};
 
+use ir::emit::{Sink, Tree};
 use ir::method::{Method, MethodId};
 use ir::op::{OpKind, Operand, Reg};
 use ir::program::Program;
-use ir::size::{body_size, method_size};
+use ir::size::{method_size, METHOD_OVERHEAD};
 use ir::stmt::{CallSiteId, CallStmt, OpStmt, Stmt};
 
 use crate::decision::{
@@ -147,9 +157,10 @@ impl Inliner<'_> {
         }
     }
 
-    fn decide(&mut self, call: &CallStmt, depth: u32) -> InlineDecision {
+    /// Decides one call site, whose callee is `callee_size` big, and
+    /// counts the verdict.
+    fn decide(&mut self, call: &CallStmt, callee_size: u32, depth: u32) -> InlineDecision {
         let callee = self.program.method(call.callee);
-        let callee_size = method_size(callee);
         self.stats.considered += 1;
 
         let is_hot = self.hot.contains(&call.site);
@@ -185,25 +196,36 @@ impl Inliner<'_> {
                 decision,
             });
         }
+        match decision {
+            InlineDecision::Yes | InlineDecision::YesAlways => {
+                self.stats.inlined += 1;
+                if decision == InlineDecision::YesAlways {
+                    self.stats.always_inlined += 1;
+                }
+                if is_hot {
+                    self.stats.hot_inlined += 1;
+                }
+            }
+            InlineDecision::No(reason) => self.stats.record_reject(reason),
+        }
         decision
     }
 
-    fn expand_body(&mut self, body: &[Stmt], offset: u16, depth: u32, out: &mut Vec<Stmt>) {
+    /// Streams `body`, its registers shifted by `offset`, into `out`,
+    /// deciding each call site at `depth` on the way.
+    fn expand_body(&mut self, body: &[Stmt], offset: u16, depth: u32, out: &mut impl Sink) {
         for stmt in body {
             match stmt {
-                Stmt::Op(o) => out.push(Stmt::Op(OpStmt {
+                Stmt::Op(o) => out.op(OpStmt {
                     op: o.op,
                     dst: Reg(o.dst.0 + offset),
                     a: Self::remap(o.a, offset),
                     b: Self::remap(o.b, offset),
-                })),
+                }),
                 Stmt::Loop { trips, body } => {
-                    let mut inner = Vec::with_capacity(body.len());
-                    self.expand_body(body, offset, depth, &mut inner);
-                    out.push(Stmt::Loop {
-                        trips: *trips,
-                        body: inner,
-                    });
+                    out.open_loop(*trips);
+                    self.expand_body(body, offset, depth, out);
+                    out.close();
                 }
                 Stmt::If {
                     cond,
@@ -211,65 +233,57 @@ impl Inliner<'_> {
                     then_b,
                     else_b,
                 } => {
-                    let mut t = Vec::with_capacity(then_b.len());
-                    let mut e = Vec::with_capacity(else_b.len());
-                    self.expand_body(then_b, offset, depth, &mut t);
-                    self.expand_body(else_b, offset, depth, &mut e);
-                    out.push(Stmt::If {
-                        cond: Self::remap(*cond, offset),
-                        prob_true: *prob_true,
-                        then_b: t,
-                        else_b: e,
-                    });
+                    out.open_if(Self::remap(*cond, offset), *prob_true);
+                    self.expand_body(then_b, offset, depth, out);
+                    out.else_arm();
+                    self.expand_body(else_b, offset, depth, out);
+                    out.close();
                 }
                 Stmt::Call(c) => {
-                    let remapped = CallStmt {
-                        site: c.site,
-                        callee: c.callee,
-                        args: c.args.iter().map(|a| Self::remap(*a, offset)).collect(),
-                        dst: c.dst.map(|d| Reg(d.0 + offset)),
-                    };
-                    let decision = self.decide(&remapped, depth);
-                    let was_hot = self.hot.contains(&remapped.site);
-                    match decision {
-                        InlineDecision::Yes | InlineDecision::YesAlways => {
-                            self.stats.inlined += 1;
-                            if decision == InlineDecision::YesAlways {
-                                self.stats.always_inlined += 1;
-                            }
-                            if was_hot {
-                                self.stats.hot_inlined += 1;
-                            }
-                            self.splice(&remapped, depth, out);
-                        }
-                        InlineDecision::No(reason) => {
-                            self.stats.record_reject(reason);
-                            out.push(Stmt::Call(remapped));
-                        }
+                    let callee_size = method_size(self.program.method(c.callee));
+                    if self.decide(c, callee_size, depth).is_inline() {
+                        self.splice(c, callee_size, offset, depth, out);
+                    } else {
+                        out.call(
+                            c.site,
+                            c.callee,
+                            c.args.iter().map(|a| Self::remap(*a, offset)),
+                            c.dst.map(|d| Reg(d.0 + offset)),
+                        );
                     }
                 }
             }
         }
     }
 
-    /// Splices the callee body for an already-approved call.
-    fn splice(&mut self, call: &CallStmt, depth: u32, out: &mut Vec<Stmt>) {
+    /// Splices the callee body, of `callee_size`, for an already-approved
+    /// call, whose caller registers are shifted by `offset`.
+    fn splice(
+        &mut self,
+        call: &CallStmt,
+        callee_size: u32,
+        offset: u16,
+        depth: u32,
+        out: &mut impl Sink,
+    ) {
         let callee = self.program.method(call.callee);
         let new_offset = self.next_reg as u16;
         self.next_reg += u32::from(callee.n_regs);
         // Jikes-style size bookkeeping: the caller estimate grows by the
         // callee body it just absorbed.
-        self.caller_size = self.caller_size.saturating_add(body_size(&callee.body));
+        self.caller_size = self
+            .caller_size
+            .saturating_add(callee_size - METHOD_OVERHEAD);
         self.stats.max_depth_spliced = self.stats.max_depth_spliced.max(depth + 1);
 
         // 1. Argument plumbing.
         for (i, arg) in call.args.iter().enumerate() {
-            out.push(Stmt::Op(OpStmt {
+            out.op(OpStmt {
                 op: OpKind::Mov,
                 dst: Reg(new_offset + i as u16),
-                a: *arg, // already remapped by the caller
+                a: Self::remap(*arg, offset),
                 b: Operand::Imm(0),
-            }));
+            });
         }
         // 2. Body, with nested call sites considered at depth + 1.
         self.stack.push(call.callee);
@@ -277,12 +291,12 @@ impl Inliner<'_> {
         self.stack.pop();
         // 3. Return-value plumbing.
         if let Some(dst) = call.dst {
-            out.push(Stmt::Op(OpStmt {
+            out.op(OpStmt {
                 op: OpKind::Mov,
-                dst,
+                dst: Reg(dst.0 + offset),
                 a: Self::remap(callee.ret, new_offset),
                 b: Operand::Imm(0),
-            }));
+            });
         }
     }
 }
@@ -314,7 +328,7 @@ pub fn inline_method_region(
     params: &InlineParams,
     hot: &HotSites,
 ) -> (Method, InlineStats, DecisionRegion) {
-    let (m, stats, region, _) = inline_method_impl(program, id, params, hot, false);
+    let (m, stats, region, _) = inline_method_tree(program, id, params, hot, false);
     (m, stats, region)
 }
 
@@ -329,17 +343,37 @@ pub fn inline_method_traced(
     params: &InlineParams,
     hot: &HotSites,
 ) -> (Method, InlineStats, Vec<DecisionRecord>) {
-    let (m, stats, _, trace) = inline_method_impl(program, id, params, hot, true);
+    let (m, stats, _, trace) = inline_method_tree(program, id, params, hot, true);
     (m, stats, trace)
 }
 
-fn inline_method_impl(
+/// The walk of [`inline_method_region`], streaming the transformed body
+/// into `sink` instead of building it: the statements arrive in the
+/// pre-order of the method [`inline_method_region`] returns. The
+/// statistics' `final_size` is left 0, for the caller to read off what
+/// the sink kept ([`ir::size`]'s weights summed over every statement,
+/// plus the method overhead).
+#[must_use]
+pub fn inline_method_into(
     program: &Program,
     id: MethodId,
     params: &InlineParams,
     hot: &HotSites,
+    sink: &mut impl Sink,
+) -> (InlineStats, DecisionRegion) {
+    let inliner = expand(program, id, params, hot, false, sink);
+    (inliner.stats, inliner.region)
+}
+
+/// Runs the inliner over method `id`, streaming its body into `sink`.
+fn expand<'a>(
+    program: &'a Program,
+    id: MethodId,
+    params: &'a InlineParams,
+    hot: &'a HotSites,
     traced: bool,
-) -> (Method, InlineStats, DecisionRegion, Vec<DecisionRecord>) {
+    sink: &mut impl Sink,
+) -> Inliner<'a> {
     let m = program.method(id);
     let mut inliner = Inliner {
         program,
@@ -352,23 +386,32 @@ fn inline_method_impl(
         region: DecisionRegion::all(),
         trace: if traced { Some(Vec::new()) } else { None },
     };
-    let mut body = Vec::with_capacity(m.body.len());
-    inliner.expand_body(&m.body, 0, 0, &mut body);
+    inliner.expand_body(&m.body, 0, 0, sink);
+    inliner
+}
 
-    let n_regs = inliner.next_reg as u16;
-    let mut out = Method {
+fn inline_method_tree(
+    program: &Program,
+    id: MethodId,
+    params: &InlineParams,
+    hot: &HotSites,
+    traced: bool,
+) -> (Method, InlineStats, DecisionRegion, Vec<DecisionRecord>) {
+    let m = program.method(id);
+    let mut tree = Tree::default();
+    let mut inliner = expand(program, id, params, hot, traced, &mut tree);
+    let out = Method {
         id: m.id,
         name: m.name.clone(),
         n_params: m.n_params,
-        n_regs,
-        body,
+        // Frames never shrink below the original.
+        n_regs: (inliner.next_reg as u16).max(m.n_regs),
+        body: tree.finish(),
         ret: m.ret,
     };
     // The achieved size (may differ from the running estimate because the
     // estimate never subtracts the replaced call instructions).
     inliner.stats.final_size = method_size(&out);
-    // Frames never shrink below the original.
-    out.n_regs = out.n_regs.max(m.n_regs);
     (
         out,
         inliner.stats,

@@ -22,7 +22,7 @@
 use std::collections::BTreeMap;
 
 use crate::method::MethodId;
-use crate::op::CostClass;
+use crate::op::{CostClass, OpKind};
 use crate::program::Program;
 use crate::stmt::{CallSiteId, Stmt};
 
@@ -54,7 +54,7 @@ pub struct LocalSite {
 }
 
 /// Per-method local dynamic profile (per single entry to the method).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct MethodLocal {
     /// Dynamic op-unit counts per entry, by cost class. Loop headers and
     /// branch tests contribute to the `IntAlu` class (one unit per dynamic
@@ -66,38 +66,65 @@ pub struct MethodLocal {
     pub calls_per_entry: f64,
 }
 
+/// The profile formula, one statement at a time. A walk calls these in
+/// pre-order with each statement's multiplier (its executions per entry:
+/// 1 at the top level), then [`MethodLocal::finish`]; walks that call
+/// them in the same order get the same profile, bit for bit.
+impl MethodLocal {
+    /// An op run `mult` times per entry.
+    pub fn add_op(&mut self, op: OpKind, mult: f64) {
+        self.ops_per_entry[class_index(op.cost_class())] += mult;
+    }
+
+    /// A call site, with `n_args` arguments, run `mult` times per entry.
+    pub fn add_call(&mut self, site: CallSiteId, callee: MethodId, n_args: usize, mult: f64) {
+        self.sites.push(LocalSite {
+            site,
+            callee,
+            n_args,
+            freq_per_entry: mult,
+        });
+    }
+
+    /// A loop of `trips` iterations reached `mult` times per entry: its
+    /// header is evaluated once per iteration plus loop setup. Returns the
+    /// multiplier of its body.
+    pub fn add_loop(&mut self, trips: u32, mult: f64) -> f64 {
+        self.ops_per_entry[class_index(CostClass::IntAlu)] += mult * (1.0 + f64::from(trips));
+        mult * f64::from(trips)
+    }
+
+    /// A branch test reached `mult` times per entry. Returns the
+    /// multipliers of its then and else arms.
+    pub fn add_if(&mut self, prob_true: f64, mult: f64) -> (f64, f64) {
+        let p = prob_true.clamp(0.0, 1.0);
+        self.ops_per_entry[class_index(CostClass::IntAlu)] += mult;
+        (mult * p, mult * (1.0 - p))
+    }
+
+    /// Sums the site frequencies, after the last statement.
+    pub fn finish(&mut self) {
+        self.calls_per_entry = self.sites.iter().map(|s| s.freq_per_entry).sum();
+    }
+}
+
 /// Computes the local profile of a statement list.
 #[must_use]
 pub fn local_profile(body: &[Stmt]) -> MethodLocal {
-    let mut out = MethodLocal {
-        ops_per_entry: [0.0; N_COST_CLASSES],
-        sites: Vec::new(),
-        calls_per_entry: 0.0,
-    };
+    let mut out = MethodLocal::default();
     walk(body, 1.0, &mut out);
-    out.calls_per_entry = out.sites.iter().map(|s| s.freq_per_entry).sum();
+    out.finish();
     out
 }
 
 fn walk(body: &[Stmt], mult: f64, out: &mut MethodLocal) {
     for stmt in body {
         match stmt {
-            Stmt::Op(o) => {
-                out.ops_per_entry[class_index(o.op.cost_class())] += mult;
-            }
-            Stmt::Call(c) => {
-                out.sites.push(LocalSite {
-                    site: c.site,
-                    callee: c.callee,
-                    n_args: c.args.len(),
-                    freq_per_entry: mult,
-                });
-            }
+            Stmt::Op(o) => out.add_op(o.op, mult),
+            Stmt::Call(c) => out.add_call(c.site, c.callee, c.args.len(), mult),
             Stmt::Loop { trips, body } => {
-                // Header evaluated once per iteration plus loop setup.
-                out.ops_per_entry[class_index(CostClass::IntAlu)] +=
-                    mult * (1.0 + f64::from(*trips));
-                walk(body, mult * f64::from(*trips), out);
+                let inner = out.add_loop(*trips, mult);
+                walk(body, inner, out);
             }
             Stmt::If {
                 prob_true,
@@ -105,10 +132,9 @@ fn walk(body: &[Stmt], mult: f64, out: &mut MethodLocal) {
                 else_b,
                 ..
             } => {
-                let p = prob_true.clamp(0.0, 1.0);
-                out.ops_per_entry[class_index(CostClass::IntAlu)] += mult;
-                walk(then_b, mult * p, out);
-                walk(else_b, mult * (1.0 - p), out);
+                let (t, e) = out.add_if(*prob_true, mult);
+                walk(then_b, t, out);
+                walk(else_b, e, out);
             }
         }
     }
@@ -245,7 +271,7 @@ pub fn analyze(program: &Program, entry_weight: f64) -> FreqAnalysis {
 mod tests {
     use super::*;
     use crate::method::Method;
-    use crate::op::{OpKind, Reg};
+    use crate::op::Reg;
 
     fn method(id: u32, body: Vec<Stmt>) -> Method {
         let max_reg = body.iter().filter_map(Stmt::max_reg).max().unwrap_or(0);

@@ -19,7 +19,10 @@
 //! * **call-graph** utilities ([`callgraph`]) including Tarjan SCCs for
 //!   recursion detection;
 //! * a fluent [`builder`] used by the synthetic workload generators and
-//!   tests, plus a [`pretty`] printer and a structural [`validate`] pass.
+//!   tests, plus a [`pretty`] printer and a structural [`validate`] pass;
+//! * a body as a pre-order statement stream ([`emit`]): the inliner writes
+//!   its output through an [`emit::Sink`], which builds a tree or any
+//!   other form of the body.
 //!
 //! Methods use a flat register file: parameters arrive in registers
 //! `0..n_params`, the body is a statement tree (no early returns — the
@@ -28,6 +31,7 @@
 
 pub mod builder;
 pub mod callgraph;
+pub mod emit;
 pub mod freq;
 pub mod interp;
 pub mod method;

@@ -10,13 +10,16 @@
 
 use std::collections::BTreeMap;
 
-use inliner::{inline_method_region, DecisionRegion, HotSites, InlineParams, InlineStats};
+use inliner::{
+    inline_method_into, inline_method_region, DecisionRegion, HotSites, InlineParams, InlineStats,
+};
+use ir::freq::MethodLocal;
 use ir::method::{Method, MethodId};
 use ir::program::Program;
 use ir::size::method_size;
 
 use crate::arch::ArchModel;
-use crate::passes::{PassSet, PassStats};
+use crate::passes::{optimize_emitted, PassSet, PassStats};
 
 /// Which compiler produced a method's current code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -152,6 +155,12 @@ pub fn compile_all_opt(
 /// Inlining decisions read the *original* program (bytecode sizes), exactly
 /// like a JIT inlining from bytecode, so the result depends on nothing but
 /// the arguments: compilation order is irrelevant.
+///
+/// This builds the inlined method as a tree, which the `VmState`
+/// functions keep. A [`crate::Prepared`] measurement needs only the
+/// record and the body's local profile, and under [`PassSet::FULL`] gets
+/// both without the tree (`opt_compile_flat`); it falls back to this
+/// function where that path declines.
 #[must_use]
 pub fn opt_compile_method(
     original: &Program,
@@ -167,15 +176,52 @@ pub fn opt_compile_method(
     // killed. Compile time is charged for the *pre-optimization* size (the
     // optimizer has to chew through everything the inliner produced).
     let opt_stats = passes.run(&mut method);
-    let record = CompiledMethod {
+    let record = opt_record(original, id, arch, stats, opt_stats, method_size(&method));
+    (method, record, region)
+}
+
+/// [`opt_compile_method`] under [`PassSet::FULL`] without building the
+/// inlined body: the inliner streams it into the DCE index
+/// (`passes::optimize_emitted`), and the record's sizes and the compiled
+/// body's local profile are read off the statements that survive. `None`
+/// where the index declines (a body that reuses a register or gives
+/// `const_prop` a constant source, which no benchmark program produces);
+/// [`opt_compile_method`] then does it on the tree. Otherwise the record,
+/// profile and region equal that function's, with
+/// [`ir::freq::local_profile`] of its body.
+pub(crate) fn opt_compile_flat(
+    original: &Program,
+    id: MethodId,
+    arch: &ArchModel,
+    params: &InlineParams,
+    hot: &HotSites,
+) -> Option<(CompiledMethod, MethodLocal, DecisionRegion)> {
+    let ((mut stats, region), out) = optimize_emitted(original.method(id), |sink| {
+        inline_method_into(original, id, params, hot, sink)
+    })?;
+    stats.final_size = out.emitted_size;
+    let record = opt_record(original, id, arch, stats, out.stats, out.code_size);
+    Some((record, out.local, region))
+}
+
+/// The record of an opt-compiled method whose inlined body the passes
+/// left at `code_size`.
+fn opt_record(
+    original: &Program,
+    id: MethodId,
+    arch: &ArchModel,
+    stats: InlineStats,
+    opt_stats: PassStats,
+    code_size: u32,
+) -> CompiledMethod {
+    CompiledMethod {
         level: CompileLevel::Opt,
-        code_size: method_size(&method),
+        code_size,
         original_size: method_size(original.method(id)),
         inline_stats: stats,
         opt_stats,
         compile_cycles: arch.opt_compile_cycles(stats.final_size),
-    };
-    (method, record, region)
+    }
 }
 
 /// Opt-compiles (or recompiles) one method into an existing state,
@@ -199,6 +245,158 @@ pub fn opt_compile_into(
 mod tests {
     use super::*;
     use ir::builder::demo_program;
+    use ir::freq::local_profile;
+    use ir::op::{OpKind, Operand};
+    use ir::stmt::Stmt;
+
+    /// Folds every register of every method into `0..k`, so most
+    /// methods write some register twice.
+    fn reuse_registers(program: &mut Program, k: u16) {
+        let fold = |o: &mut Operand| {
+            if let Operand::Reg(r) = o {
+                r.0 %= k;
+            }
+        };
+        for m in &mut program.methods {
+            for stmt in &mut m.body {
+                stmt.visit_mut(&mut |s| match s {
+                    Stmt::Op(o) => {
+                        o.dst.0 %= k;
+                        fold(&mut o.a);
+                        fold(&mut o.b);
+                    }
+                    Stmt::Call(c) => {
+                        c.args.iter_mut().for_each(fold);
+                        if let Some(d) = &mut c.dst {
+                            d.0 %= k;
+                        }
+                    }
+                    Stmt::If { cond, .. } => fold(cond),
+                    Stmt::Loop { .. } => {}
+                });
+            }
+        }
+    }
+
+    /// Turns every constant source a method can hold or hand the
+    /// inliner into a non-constant: a `Mov` of an immediate and a pure op
+    /// on two become loads, and an immediate argument, return value or
+    /// branch condition reads register 0.
+    fn strip_constants(program: &mut Program) {
+        for m in &mut program.methods {
+            if m.n_regs == 0 {
+                continue;
+            }
+            let reg0 = |o: &mut Operand| {
+                if let Operand::Imm(_) = o {
+                    *o = Operand::Reg(ir::op::Reg(0));
+                }
+            };
+            reg0(&mut m.ret);
+            for stmt in &mut m.body {
+                stmt.visit_mut(&mut |s| match s {
+                    Stmt::Op(o) => {
+                        let imm = |x: Operand| matches!(x, Operand::Imm(_));
+                        let constant = match o.op {
+                            OpKind::Mov => imm(o.a),
+                            OpKind::Load | OpKind::Store => false,
+                            _ => imm(o.a) && imm(o.b),
+                        };
+                        if constant {
+                            o.op = OpKind::Load;
+                        }
+                    }
+                    Stmt::Call(c) => c.args.iter_mut().for_each(reg0),
+                    Stmt::If { cond, .. } => reg0(cond),
+                    Stmt::Loop { .. } => {}
+                });
+            }
+        }
+    }
+
+    /// Whether `method` writes a parameter or some register twice, and
+    /// whether it gives `const_prop` a constant to start from.
+    fn reuse_and_source(method: &Method) -> (bool, bool) {
+        let mut writes = vec![0u32; usize::from(method.n_regs)];
+        writes[..usize::from(method.n_params)].fill(1);
+        let (mut source, imm) = (false, |o: &Operand| matches!(o, Operand::Imm(_)));
+        ir::stmt::visit_body(&method.body, &mut |s| match s {
+            Stmt::Op(o) => {
+                if o.op.writes_dst() {
+                    writes[usize::from(o.dst.0)] += 1;
+                }
+                source |= match o.op {
+                    OpKind::Mov => imm(&o.a),
+                    OpKind::Load | OpKind::Store => false,
+                    _ => imm(&o.a) && imm(&o.b),
+                };
+            }
+            Stmt::Call(c) => {
+                if let Some(d) = c.dst {
+                    writes[usize::from(d.0)] += 1;
+                }
+            }
+            Stmt::If { cond, .. } => source |= imm(cond),
+            Stmt::Loop { .. } => {}
+        });
+        (writes.iter().any(|&w| w > 1), source)
+    }
+
+    /// On random programs, some with their registers folded together, a
+    /// unit compiles without its body exactly when the inlined method is
+    /// single-assignment and has no constant source, and then equals the
+    /// unit of the tree path: record, profile (bit for bit) and region.
+    /// Each of the three cases occurs.
+    #[test]
+    fn a_unit_compiles_flat_or_declines_to_the_tree_and_equals_it() {
+        let arch = ArchModel::pentium4();
+        let (mut flat, mut source, mut reuse) = (0, 0, 0);
+        simrng::cases("a_unit_compiles_flat_or_declines_to_the_tree", |rng| {
+            let mut program = ir::testgen::random_program(rng, &ir::testgen::GenConfig::default());
+            match rng.below(3) {
+                0 => {}
+                1 => strip_constants(&mut program),
+                _ => reuse_registers(&mut program, 4),
+            }
+            let genes: Vec<i64> = inliner::ParamRanges::paper()
+                .bounds
+                .iter()
+                .map(|&(lo, hi)| rng.range_i64(lo, hi))
+                .collect();
+            let params = InlineParams::from_genes(&genes);
+            let hot: HotSites = program
+                .methods
+                .iter()
+                .flat_map(|m| ir::stmt::call_sites(&m.body))
+                .map(|c| c.site)
+                .filter(|_| rng.chance(0.3))
+                .collect();
+            for m in &program.methods {
+                let (method, record, region) =
+                    opt_compile_method(&program, m.id, &arch, &params, &hot, PassSet::FULL);
+                let tree = (record, local_profile(&method.body), region);
+                let (inlined, _) = inliner::inline_method(&program, m.id, &params, &hot);
+                let (reuses, sources) = reuse_and_source(&inlined);
+                match opt_compile_flat(&program, m.id, &arch, &params, &hot) {
+                    Some(got) => {
+                        assert!(!reuses && !sources, "{}", m.name);
+                        assert_eq!(got, tree, "{}", m.name);
+                        assert_eq!(format!("{got:?}"), format!("{tree:?}"), "{}", m.name);
+                        flat += 1;
+                    }
+                    None if reuses => reuse += 1,
+                    None => {
+                        assert!(sources, "{} declined", m.name);
+                        source += 1;
+                    }
+                }
+            }
+        });
+        assert!(
+            flat > 100 && source > 100 && reuse > 100,
+            "{flat} {source} {reuse}"
+        );
+    }
 
     #[test]
     fn baseline_state_copies_program_and_prices_methods() {

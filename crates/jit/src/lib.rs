@@ -32,9 +32,10 @@
 //! Everything is deterministic and analytic. A search measures each
 //! program under many parameter vectors through a [`Prepared`] context
 //! and a [`UnitMemo`], and what a fitness call then does is compile the
-//! methods the memo did not hold: the inliner's copy of each spliced body
-//! and the optimizer's [`passes`] over it. That, not interpretation, is
-//! the budget a genetic search spends.
+//! methods the memo did not hold: the inliner's walk over each spliced
+//! body, streamed into the optimizer's dead-code index with no inlined
+//! method built, and the [`passes`] over that index. That, not
+//! interpretation, is the budget a genetic search spends.
 
 pub mod adaptive;
 pub mod arch;

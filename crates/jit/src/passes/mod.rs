@@ -24,6 +24,12 @@
 //! sweep that removes every statement whose *death round* (the round the
 //! loop would remove it in) is within the backstop. The root
 //! `tests/optimizer.rs` holds it to the loop, body and `PassStats` alike.
+//! The DCE index that sweep runs on is a flat pre-order node array built
+//! from a statement stream ([`ir::emit`]): a method's body replayed, or
+//! the inliner's output as it is emitted. On the second, a measurement
+//! runs the pipeline and reads the compiled method's size and profile
+//! off the surviving nodes without ever building the inlined method
+//! (`compile::opt_compile_flat`).
 //! Both passes are semantics-preserving with
 //! respect to the interpreter's observable outcome (return value and
 //! heap); dynamic *step counts* may of course decrease — that is the
@@ -38,6 +44,7 @@ use ir::method::Method;
 
 pub use const_prop::const_prop;
 pub use dce::dce;
+pub(crate) use dead::optimize_emitted;
 
 /// Combined statistics of one optimization pipeline run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

@@ -13,9 +13,17 @@
 //! mix. No `Program` is cloned, no [`crate::compile::VmState`] built, no
 //! untouched method profiled again. The one-shot [`crate::measure`] is
 //! "prepare, then measure once", so there is a single implementation of
-//! the §5 methodology; the compiler it drives
-//! ([`crate::compile::opt_compile_method`]) and the cost model it prices
-//! with ([`crate::exec`]) are the ones the `VmState` functions use.
+//! the §5 methodology, and the cost model it prices with
+//! ([`crate::exec`]) is the one the `VmState` functions use.
+//!
+//! Under the optimizing compiler's full pipeline ([`PassSet::FULL`]) a
+//! unit is compiled without building the inlined method: the inliner
+//! streams its body straight into the dead-code index, the passes run on
+//! that index, and the unit's sizes and local profile are read off the
+//! statements that survive. The result equals what
+//! [`crate::compile::opt_compile_method`] and [`ir::freq::local_profile`]
+//! make of the tree, which is the path a body that reuses a register or
+//! has a constant source takes instead, and so does any other pass set.
 //!
 //! # The unit memo
 //!
@@ -48,7 +56,9 @@ use ir::size::method_size;
 
 use crate::adaptive::{plan_from, AdaptConfig};
 use crate::arch::ArchModel;
-use crate::compile::{baseline_record, opt_compile_method, CompileLevel, CompiledMethod};
+use crate::compile::{
+    baseline_record, opt_compile_flat, opt_compile_method, CompileLevel, CompiledMethod,
+};
 use crate::exec::{price, ExecBreakdown};
 use crate::passes::PassSet;
 use crate::scenario::{Measurement, Scenario};
@@ -331,12 +341,15 @@ impl Prepared {
                 let cached = memo.and_then(|m| m.get(id, params));
                 tally.hits += u64::from(cached.is_some());
                 units[id.index()] = Some(cached.unwrap_or_else(|| {
-                    let (method, record, region) =
-                        opt_compile_method(program, id, arch, params, hot, passes);
-                    let unit = Arc::new(Unit {
-                        record,
-                        local: local_profile(&method.body),
+                    let flat = (passes == PassSet::FULL)
+                        .then(|| opt_compile_flat(program, id, arch, params, hot))
+                        .flatten();
+                    let (record, local, region) = flat.unwrap_or_else(|| {
+                        let (method, record, region) =
+                            opt_compile_method(program, id, arch, params, hot, passes);
+                        (record, local_profile(&method.body), region)
                     });
+                    let unit = Arc::new(Unit { record, local });
                     if let Some(memo) = memo {
                         tally.misses += 1;
                         tally.evictions += u64::from(memo.insert(id, region, &unit));

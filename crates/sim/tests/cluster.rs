@@ -10,6 +10,8 @@
 //!   by the sweep within a handful of seeds.
 //! * Checkpoints written under faults stay loadable.
 
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::thread;
 use std::time::Duration;
 
 use sim::scenario::{replay, sweep};
@@ -22,9 +24,10 @@ use sim::{
 /// One timeout unit. Deadlines scale off `SIM_TIMEOUT_MS` (default
 /// 1000) so slow or loaded machines can stretch every bound with one
 /// env var instead of editing constants — the same knob the served
-/// integration suites honor. (The bound below caps *virtual* time, so
-/// it exists to catch real hangs, not to race the wall clock; the
-/// default still leaves an enormous margin over a healthy run.)
+/// integration suites honor. (Inside a sweep the bounds cap *virtual*
+/// time; [`row`]'s watchdog caps a whole row's wall-clock time. Both
+/// exist to catch real hangs, not to race the clock: the default leaves
+/// an enormous margin over a healthy run.)
 fn timeout_unit() -> Duration {
     let ms = std::env::var("SIM_TIMEOUT_MS")
         .ok()
@@ -37,14 +40,14 @@ fn bound(units: u32) -> Duration {
     timeout_unit() * units
 }
 
-/// One row of the scenario table: a small sweep from `base` must be
+/// The checks of one [`row`]: a small sweep from `base` must be
 /// green and have teeth, and `twice` — replayed twice over one truth
 /// cache — must reach the same verdict and book the same `pure`
 /// counters both times. (Thread interleaving may move retry counts,
 /// virtual time and the trace between executions; the *outcome* and
 /// the evidence derived from the seed alone may not. That purity is
 /// what makes `simtest <scenario> --seed N` a complete recipe.)
-fn row<S: Scenario>(
+fn row_checks<S: Scenario>(
     base: u64,
     seeds: u64,
     twice: u64,
@@ -75,6 +78,40 @@ fn row<S: Scenario>(
         assert_eq!(a.counters.get(name), b.counters.get(name), "{name}");
     }
     report
+}
+
+/// One row of the scenario table, run on its own thread under a
+/// wall-clock watchdog of `bound(300)`: the virtual-time bounds inside a
+/// sweep cannot fire while its threads wait on each other, so a hung row
+/// fails here, naming its scenario and base seed, instead of hanging the
+/// suite. A row's own assertion failure is re-raised as it is.
+fn row<S: Scenario + 'static>(
+    base: u64,
+    seeds: u64,
+    twice: u64,
+    scale: &Scale,
+    pure: &'static [&'static str],
+) -> SweepReport {
+    let (tx, rx) = mpsc::channel();
+    let scale = scale.clone();
+    let worker = thread::Builder::new()
+        .name(format!("row-{}", S::NAME))
+        .spawn(move || {
+            let _ = tx.send(row_checks::<S>(base, seeds, twice, &scale, pure));
+        })
+        .expect("spawn a row thread");
+    let limit = bound(300);
+    match rx.recv_timeout(limit) {
+        Ok(report) => report,
+        Err(RecvTimeoutError::Disconnected) => match worker.join() {
+            Err(panic) => std::panic::resume_unwind(panic),
+            Ok(()) => unreachable!("a row either reports or panics"),
+        },
+        Err(RecvTimeoutError::Timeout) => panic!(
+            "{} sweep from base seed {base} still running after {limit:?}: hung",
+            S::NAME
+        ),
+    }
 }
 
 #[test]

@@ -5,8 +5,8 @@
 #   2. offline release build and offline test suite; the property suites
 #      (all seeded `simrng::cases` loops) run in it, debug and --release
 #   3. `experiments all` regenerates its 29 CSVs byte for byte as
-#      committed under results/, and `experiments problems` its
-#      problems.csv (the flag and dss studies)
+#      committed under results/, and `experiments problems`, `budget`,
+#      `warmstart` and `online` theirs (every study but `strategies`)
 #   4. benchmark/ci.sh: the out-of-workspace benchmark package builds
 #      offline against the crates' public API and its --quick smoke runs
 #      all four workloads
@@ -56,9 +56,11 @@ echo "== experiments all (results/ regenerate byte for byte)"
 # number (a speed-up, a refactor) must leave each committed CSV exactly
 # as it is; one that moves a number re-blesses results/ in the same
 # commit. `all` writes 29 of the CSVs in results/; the budget, strategies,
-# problems, warmstart and online studies run on their own. Of those,
-# `problems` runs here too: problems.csv is the flag-selection study's
-# only committed result, and the study takes seconds.
+# problems, warmstart and online studies run on their own. All but
+# `strategies` run here too (about 20 s between them on 2 cores):
+# `strategies` races every search strategy on all five cells and takes
+# about 160 s, longer than the rest of this stage together, so its
+# strategies.csv is regenerated by hand when a change means to keep it.
 EXP_DIR=$(mktemp -d)
 target/release/experiments all --out "$EXP_DIR" >/dev/null
 EXP_CSVS=0
@@ -69,9 +71,13 @@ for CSV in "$EXP_DIR"/*.csv; do
 done
 [ "$EXP_CSVS" -eq 29 ] \
   || { echo "experiments all wrote $EXP_CSVS CSVs, expected 29"; exit 1; }
-target/release/experiments problems --out "$EXP_DIR" >/dev/null
-cmp "$EXP_DIR/problems.csv" results/problems.csv \
-  || { echo "results/problems.csv differs from a fresh run"; exit 1; }
+for STUDY in problems budget warmstart online; do
+  target/release/experiments "$STUDY" --out "$EXP_DIR" >/dev/null
+done
+for CSV in problems budget warmstart online online_summary; do
+  cmp "$EXP_DIR/$CSV.csv" "results/$CSV.csv" \
+    || { echo "results/$CSV.csv differs from a fresh run"; exit 1; }
+done
 rm -rf "$EXP_DIR"
 
 echo "== benchmark package (offline build + --quick smoke of every workload)"

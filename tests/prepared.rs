@@ -200,6 +200,39 @@ fn prepared_adapt_measure_matches_the_one_shot_reference() {
     assert!(recompiled > 256, "only {recompiled} methods recompiled");
 }
 
+/// The fourteen benchmark programs, each measured through a memo under
+/// the Jikes default, the aggressive `[40,25,12,4000,400]` and three
+/// seeded paper-range genomes, under `Opt` and `Adapt` (where the plan's
+/// hot sites reach the inliner) on x86-p4: every measurement equals the
+/// one-shot reference. A miss compiles without building the inlined
+/// body, so this fences that path on the programs a search measures.
+#[test]
+fn every_benchmark_program_measures_as_the_one_shot_reference() {
+    let mut rng = simrng::child_rng(2005, "every_benchmark_program");
+    let mut genomes = vec![
+        InlineParams::jikes_default(),
+        InlineParams::from_genes(&[40, 25, 12, 4000, 400]),
+    ];
+    genomes.extend((0..3).map(|_| random_params(&mut rng)));
+    let arch = ArchModel::pentium4();
+    let cfg = AdaptConfig::default();
+    let suite = workloads::all_benchmarks();
+    assert_eq!(suite.len(), 14);
+    for bench in &suite {
+        let program = &bench.program;
+        for scenario in [Scenario::Opt, Scenario::Adapt] {
+            let ctx = Prepared::new(program, scenario, &arch, &cfg);
+            let memo = ctx.new_memo();
+            for g in &genomes {
+                let what = format!("{} {scenario:?} {g}", bench.spec.name);
+                let want = reference(program, scenario, &arch, g, &cfg);
+                assert_same(&ctx.measure_memo(program, g, &memo), &want, &what);
+            }
+            assert!(memo.stats().misses > 0, "{}", bench.spec.name);
+        }
+    }
+}
+
 fn with_gene(p: &InlineParams, gene: usize, value: u32) -> InlineParams {
     let mut genes = p.to_genes();
     genes[gene] = i64::from(value);
